@@ -2,8 +2,7 @@
 
 Subcommands: simulate, characterize, verdict, import-calibration,
 plan-samples, report. Global flags ``--seed``, ``--out``, ``--quiet`` may be
-given before or after the subcommand. ``REPRO_BOUND_THREADS`` caps internal
-parallelism.
+given before or after the subcommand.
 
 Exit codes are stable: 0 success, 2 input error, 3 I/O failure, 4 incomplete
 run artifacts, 5 tolerance outside the bound's validity regime.
@@ -15,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +31,6 @@ from .errors import (
 )
 from .noise_model import QubitNoiseParams
 from .sampler import (
-    CircuitKind,
     ExperimentPlan,
     PlanQubit,
     load_archive,
@@ -236,14 +233,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _resolve_threads(requested: int | None) -> int:
-    cap = os.environ.get("REPRO_BOUND_THREADS")
-    if cap is not None:
-        cap_val = max(1, int(cap))
-        return min(requested or cap_val, cap_val)
-    return max(1, requested or 1)
-
-
 def _gaussian_drift(sigma: float, seed: int):
     """Common-mode per-experiment parameter drift for exploratory runs."""
 
@@ -268,9 +257,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         plan = ExperimentPlan(L=plan.L, S=plan.S, qubits=plan.qubits, seed=args.seed)
     drift = _gaussian_drift(args.drift, plan.seed) if args.drift is not None else None
-    archive = run_plan(plan, threads=_resolve_threads(args.threads), drift=drift)
+    archive = run_plan(plan, drift=drift)
     out = save_archive(archive, args.out)
-    _say(args, f"{name}: wrote {len(archive.blocks)} blocks to {out}")
+    _say(args, f"{name}: wrote the counts of {archive.counts.size} experiments to {out}")
     return EXIT_OK
 
 
@@ -334,14 +323,6 @@ def cmd_plan_samples(args) -> int:
     return EXIT_OK
 
 
-def _load_counts(run_dir: Path) -> dict[tuple[str, int, int], int]:
-    counts = {}
-    with open(run_dir / "counts.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            counts[(row["kind"], int(row["qubit"]), int(row["experiment"]))] = int(row["ones"])
-    return counts
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -351,16 +332,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    needed = ["manifest.json", "counts.csv", "characterization.csv", "verdicts.csv"]
+    archive = load_archive(run_dir)
+    needed = ["characterization.csv", "verdicts.csv"]
     missing = tuple(name for name in needed if not (run_dir / name).is_file())
     if missing:
         raise IncompleteArchiveError(
             f"{run_dir}: run characterize and verdict first", missing=missing
         )
-    manifest = json.loads((run_dir / "manifest.json").read_text())
     estimates = estimator.read_characterization_csv(run_dir / "characterization.csv")
     verdicts = bounds.read_verdicts_csv(run_dir / "verdicts.csv")
-    counts = _load_counts(run_dir)
+    if not verdicts:
+        raise IncompleteArchiveError(
+            f"{run_dir / 'verdicts.csv'}: no verdict rows; re-run verdict", missing=("verdicts.csv",)
+        )
     out = Path(args.out) if args.out else run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
 
@@ -398,15 +382,14 @@ def cmd_report(args) -> int:
         [[q, g17(gd), g17(gamma_mean)] for q, gd in sorted(gammas.items())],
     )
 
-    s = int(manifest["S"])
+    plan = archive.plan
     scatter_rows = []
-    for q in sorted(int(q["index"]) for q in manifest["qubits"]):
-        for l in range(int(manifest["L"])):
-            f0 = 1.0 - counts[(CircuitKind.SPAM0.value, q, l)] / s
-            f1 = counts[(CircuitKind.SPAM1.value, q, l)] / s
-            p1 = counts[(CircuitKind.C.value, q, l)] / s
-            d = estimator.hellinger_single(np.array([1.0 - p1, p1]))
-            scatter_rows.append([q, l, g17(f0 - f1), g17(d)])
+    for i in sorted(range(len(plan.qubits)), key=lambda i: plan.qubits[i].index):
+        est = estimator.per_experiment(archive.counts[:, i], plan.S)
+        scatter_rows += [
+            [plan.qubits[i].index, l, g17(eps), g17(d)]
+            for l, (eps, d) in enumerate(zip(est.eps.tolist(), est.d.tolist()))
+        ]
     _write_csv(out / "fig_scatter.csv", ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
 
     report = bounds.lemma_a1_check(*bounds.default_lemma_grids())
@@ -439,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a synthetic device config into a run directory")
     p.add_argument("config", help="device config JSON")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (capped by REPRO_BOUND_THREADS)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored: sampling runs on one thread")
     p.add_argument("--drift", type=float, default=None, metavar="SIGMA",
                    help="exploratory per-experiment Gaussian parameter drift")
     _add_shared(p)

@@ -1,12 +1,13 @@
 """Per-experiment estimators and their aggregation into device estimates.
 
-Each experiment l of S shots yields point estimates: readout fidelities from
-the SPAM circuits, the zero-outcome probability from the test circuit, and
-the per-experiment Hellinger distance to the ideal uniform output. Averaging
-over the L experiments gives population means with error bars (standard
-deviation of the population mean, unbiased L-1 form), the composite bias
-estimate gamma_hat = 2*mean(Pr(0)) - 1, and finally the gate angle estimate
-by inverting gamma = eps - 2*sin(2*theta)*(f - 1/2).
+Each experiment l of S shots yields point estimates from its ones count:
+readout fidelities from the SPAM circuits, the zero-outcome probability from
+the test circuit, and the per-experiment Hellinger distance to the ideal
+uniform output (:func:`per_experiment`, vectorised over the L experiments).
+Averaging over the L experiments gives population means with error bars
+(standard deviation of the population mean, unbiased L-1 form), the
+composite bias estimate gamma_hat = 2*mean(Pr(0)) - 1, and finally the gate
+angle estimate by inverting gamma = eps - 2*sin(2*theta)*(f - 1/2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,6 +165,34 @@ class CharacterizationEstimate:
         return math.degrees(self.theta_hat)
 
 
+class PerExperiment(NamedTuple):
+    """Point estimates of each of one qubit's L experiments."""
+
+    f0: np.ndarray
+    f1: np.ndarray
+    pr0: np.ndarray
+    eps: np.ndarray
+    d: np.ndarray
+
+
+def per_experiment(ones, shots: int) -> PerExperiment:
+    """Per-experiment estimates from one qubit's ones counts.
+
+    ``ones`` holds the qubit's SPAM(0), SPAM(1) and test-circuit counts as
+    rows of length L (its ``counts[:, i]`` slice of the archive), each out of
+    ``shots``: f0 = 1 - ones/S, f1 = ones/S, Pr(0) = 1 - ones/S of the test
+    circuit, eps = f0 - f1, and d the Hellinger distance of (Pr(0), Pr(1))
+    to the uniform output, elementwise equal to :func:`hellinger_single`.
+    """
+    ones = np.asarray(ones, dtype=np.int64)
+    f0 = 1.0 - ones[0] / shots
+    f1 = ones[1] / shots
+    p1 = ones[2] / shots
+    pr0 = 1.0 - p1
+    d = np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(p1 / 2.0)))
+    return PerExperiment(f0=f0, f1=f1, pr0=pr0, eps=f0 - f1, d=d)
+
+
 def characterize_qubit(
     archive: RunArchive, qubit: int, *, angle_errors: str = "raise"
 ) -> CharacterizationEstimate:
@@ -174,23 +204,22 @@ def characterize_qubit(
     """
     if angle_errors not in ("raise", "record"):
         raise ValueError(f"angle_errors must be 'raise' or 'record', got {angle_errors!r}")
-    plan = archive.plan
-    f0_l = np.array(
-        [estimate_f0(archive.block(CircuitKind.SPAM0, qubit, l)) for l in range(plan.L)]
-    )
-    f1_l = np.array(
-        [estimate_f1(archive.block(CircuitKind.SPAM1, qubit, l)) for l in range(plan.L)]
-    )
-    pr_l = [estimate_pr(archive.block(CircuitKind.C, qubit, l)) for l in range(plan.L)]
+    return _aggregate(archive, archive.plan.qubit_indices.index(qubit), angle_errors)
 
-    _, eps_sigma = population_stats(f0_l - f1_l)
-    d_mean, d_sigma = population_stats([hellinger_single(pr) for pr in pr_l])
-    f0_mean = float(f0_l.mean())
-    f1_mean = float(f1_l.mean())
+
+def _aggregate(archive: RunArchive, i: int, angle_errors: str) -> CharacterizationEstimate:
+    """Average the per-experiment estimates of the plan's ``i``-th qubit."""
+    plan = archive.plan
+    est = per_experiment(archive.counts[:, i], plan.S)
+
+    _, eps_sigma = population_stats(est.eps)
+    d_mean, d_sigma = population_stats(est.d)
+    f0_mean = float(est.f0.mean())
+    f1_mean = float(est.f1.mean())
     f_mean = (f0_mean + f1_mean) / 2.0
     eps_mean = f0_mean - f1_mean
     # Per-experiment estimates first, then the average across experiments.
-    gamma_hat = 2.0 * float(np.mean([pr[0] for pr in pr_l])) - 1.0
+    gamma_hat = 2.0 * float(est.pr0.mean()) - 1.0
 
     notes: list[str] = []
     try:
@@ -207,7 +236,7 @@ def characterize_qubit(
         notes.append(f"{type(exc).__name__}: {exc}")
 
     return CharacterizationEstimate(
-        qubit=qubit,
+        qubit=plan.qubits[i].index,
         f0_mean=f0_mean,
         f1_mean=f1_mean,
         eps_mean=eps_mean,
@@ -229,10 +258,7 @@ def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
     A qubit whose angle inversion fails does not abort the others: its
     estimate carries theta_hat = NaN and the error text as a warning token.
     """
-    return [
-        characterize_qubit(archive, q, angle_errors="record")
-        for q in archive.plan.qubit_indices
-    ]
+    return [_aggregate(archive, i, "record") for i in range(len(archive.plan.qubits))]
 
 
 CSV_COLUMNS = [

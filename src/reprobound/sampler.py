@@ -2,32 +2,35 @@
 
 Emulates the three circuit families the estimators consume: SPAM(0) and
 SPAM(1) readout-calibration circuits and the uniform-superposition test
-circuit C, run as L experiments of S shots per register element. Shots are
-i.i.d. Bernoulli draws from the closed-form outcome probabilities; no
-temporal drift is injected unless a drift hook is supplied.
+circuit C, run as L experiments of S shots per register element. Every
+estimator needs only how many of an experiment's S shots read 1, so the
+engine draws that count directly: Binomial(S, p) with p the closed-form
+probability of reading 1, which has the same distribution as the sum of S
+i.i.d. Bernoulli(p) shots. No temporal drift is injected unless a drift
+hook is supplied; with one, p varies from experiment to experiment.
 
-Reproducibility of this engine is non-negotiable, so every block gets its
-own counter-based Philox stream keyed purely by
-(master seed, circuit kind, qubit, experiment). Re-running a plan yields
-bit-identical archives regardless of thread count or execution order.
+Reproducibility of this engine is non-negotiable, so each (circuit kind,
+qubit) pair draws its L counts from its own counter-based Philox stream
+keyed purely by (master seed, circuit kind, qubit). Re-running a plan
+yields an identical count tensor, and one qubit's counts do not depend on
+the other qubits of the plan.
 
 A run archive persists as a directory::
 
-    manifest.json                       plan, seed, version, UTC timestamps
-    blocks/<kind>_<qubit>_<experiment>.bin
-    counts.csv                          kind, qubit, experiment, ones, shots
+    manifest.json     schema, plan, seed, toolkit version, status, UTC timestamps
+    counts.csv        kind, qubit, experiment, ones, shots
 
-Block files carry an 8-byte little-endian bit count followed by the shots
-packed 8 per byte, least-significant bit first.
+``counts.csv`` is the archive's only data: one row per (kind, qubit,
+experiment), kinds in the order spam0, spam1, c, then qubits in plan order,
+then experiments. :func:`load_archive` is its only reader and rejects any
+file that deviates from that layout.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -39,9 +42,9 @@ from ._version import __version__
 from .errors import IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, gamma_of
 
-MANIFEST_SCHEMA = "run-manifest/1"
+MANIFEST_SCHEMA = "run-manifest/2"
 
-_HEADER = struct.Struct("<Q")
+COUNTS_COLUMNS = ["kind", "qubit", "experiment", "ones", "shots"]
 
 
 class CircuitKind(str, Enum):
@@ -53,9 +56,27 @@ class CircuitKind(str, Enum):
 
 
 # Fixed stream identifiers; part of the on-disk reproducibility contract.
+# They double as the kind axis of the count tensor.
 _KIND_STREAM = {CircuitKind.SPAM0: 0, CircuitKind.SPAM1: 1, CircuitKind.C: 2}
 
+# Probability that one shot of each circuit kind reads 1.
+_P_ONE = {
+    # SPAM(0): prepare |0>, measure.
+    CircuitKind.SPAM0: lambda params: 1.0 - params.f0,
+    # SPAM(1): prepare |1>, measure.
+    CircuitKind.SPAM1: lambda params: params.f1,
+    # Test circuit C: noisy Hadamard then noisy readout, Pr(0) = (1 + gamma)/2.
+    CircuitKind.C: lambda params: (1.0 - gamma_of(params)) / 2.0,
+}
+
 DriftHook = Callable[[QubitNoiseParams, int], QubitNoiseParams]
+
+
+def p_one(kind: CircuitKind, params: QubitNoiseParams) -> float:
+    """Probability that one shot of circuit ``kind`` reads 1 on a qubit with
+    noise ``params``: 1 - f0 for SPAM(0), f1 for SPAM(1) and (1 - gamma)/2
+    for the test circuit C."""
+    return _P_ONE[CircuitKind(kind)](params)
 
 
 @dataclass(frozen=True)
@@ -102,12 +123,6 @@ class ExperimentPlan:
     def qubit_indices(self) -> tuple[int, ...]:
         return tuple(q.index for q in self.qubits)
 
-    def params_for(self, qubit: int) -> QubitNoiseParams:
-        for q in self.qubits:
-            if q.index == qubit:
-                return q.params
-        raise KeyError(f"qubit {qubit} not in plan")
-
 
 @dataclass(frozen=True)
 class ShotBlock:
@@ -136,143 +151,75 @@ class ShotBlock:
 BlockKey = tuple[CircuitKind, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunArchive:
-    """All shot blocks of one executed plan, plus a provenance manifest.
+    """The outcome counts of one executed plan, plus a provenance manifest.
 
-    Holds exactly 3 * L * len(qubits) blocks. Block payloads are fully
-    determined by (plan, seed); the manifest timestamps are provenance only
-    and excluded from the determinism contract.
+    ``counts[k, i, l]`` is how many of the S shots of experiment ``l`` read 1,
+    for circuit kind ``k`` (0 SPAM(0), 1 SPAM(1), 2 C) on the plan's ``i``-th
+    qubit (``plan.qubits[i]``). The counts are fully determined by (plan,
+    seed); the manifest timestamps are provenance only and excluded from the
+    determinism contract.
     """
 
     plan: ExperimentPlan
-    blocks: dict[BlockKey, ShotBlock]
-    manifest: dict = field(compare=False)
+    counts: np.ndarray
+    manifest: dict
 
     def __post_init__(self):
-        expected = set(iter_block_keys(self.plan))
-        got = set(self.blocks)
-        if got != expected:
-            raise IncompleteArchiveError(
-                f"archive holds {len(got)} blocks, expected {len(expected)}",
-                missing=tuple(sorted(block_relpath(*k) for k in expected - got)),
-            )
+        counts = np.array(self.counts, dtype=np.int64)
+        shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
+        if counts.shape != shape:
+            raise InvalidParameterError(f"counts have shape {counts.shape}, expected {shape}")
+        if not (0 <= counts.min() and counts.max() <= self.plan.S):
+            raise InvalidParameterError(f"counts must lie in [0, S={self.plan.S}]")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
-    def block(self, kind: CircuitKind, qubit: int, experiment: int) -> ShotBlock:
-        return self.blocks[(CircuitKind(kind), qubit, experiment)]
+    def ones(self, kind: CircuitKind, qubit: int) -> np.ndarray:
+        """The L ones counts of circuit ``kind`` on the qubit with index ``qubit``."""
+        return self.counts[_KIND_STREAM[CircuitKind(kind)], self.plan.qubit_indices.index(qubit)]
 
 
 def iter_block_keys(plan: ExperimentPlan) -> Iterator[BlockKey]:
-    """Deterministic (kind, qubit, experiment) order used everywhere."""
+    """Deterministic (kind, qubit, experiment) order used everywhere; it is
+    the C order of the count tensor."""
     for kind in CircuitKind:
         for q in plan.qubit_indices:
             for l in range(plan.L):
                 yield (kind, q, l)
 
 
-def block_stream(seed: int, kind: CircuitKind, qubit: int, experiment: int) -> np.random.Generator:
-    """Counter-based RNG stream for one block.
+def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generator:
+    """Counter-based RNG stream for the counts of one (kind, qubit) pair.
 
-    The stream is a Philox generator keyed by (seed, kind, qubit,
-    experiment) only, so parallel or reordered execution cannot change any
-    block's outcome.
+    The stream is a Philox generator keyed by (seed, kind, qubit) only, so
+    the order in which pairs are drawn, and which other qubits the plan
+    holds, cannot change any count.
     """
-    key = (_KIND_STREAM[CircuitKind(kind)], int(qubit), int(experiment))
+    key = (_KIND_STREAM[CircuitKind(kind)], int(qubit))
     seq = np.random.SeedSequence(int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _bernoulli_block(
-    kind: CircuitKind,
-    p_one: float,
-    s: int,
-    rng: np.random.Generator,
-    qubit: int,
-    experiment: int,
-) -> ShotBlock:
-    bits = (rng.random(s) < p_one).astype(np.uint8)
-    return ShotBlock(kind, qubit, experiment, bits)
-
-
-def run_spam0(
-    params: QubitNoiseParams,
-    s: int,
-    rng: np.random.Generator,
-    *,
-    qubit: int = 0,
-    experiment: int = 0,
-) -> ShotBlock:
-    """SPAM(0): prepare |0>, measure. Pr(bit=1) = 1 - f0."""
-    return _bernoulli_block(CircuitKind.SPAM0, 1.0 - params.f0, s, rng, qubit, experiment)
-
-
-def run_spam1(
-    params: QubitNoiseParams,
-    s: int,
-    rng: np.random.Generator,
-    *,
-    qubit: int = 0,
-    experiment: int = 0,
-) -> ShotBlock:
-    """SPAM(1): prepare |1>, measure. Pr(bit=1) = f1."""
-    return _bernoulli_block(CircuitKind.SPAM1, params.f1, s, rng, qubit, experiment)
-
-
-def run_circuit_c(
-    params: QubitNoiseParams,
-    s: int,
-    rng: np.random.Generator,
-    *,
-    qubit: int = 0,
-    experiment: int = 0,
-) -> ShotBlock:
-    """Test circuit C: noisy Hadamard then noisy readout.
-
-    Pr(bit=0) = (1 + gamma)/2 with gamma the composite output bias.
-    """
-    p_one = (1.0 - gamma_of(params)) / 2.0
-    return _bernoulli_block(CircuitKind.C, p_one, s, rng, qubit, experiment)
-
-
-_RUNNERS = {
-    CircuitKind.SPAM0: run_spam0,
-    CircuitKind.SPAM1: run_spam1,
-    CircuitKind.C: run_circuit_c,
-}
-
-
-def run_plan(
-    plan: ExperimentPlan,
-    *,
-    threads: int = 1,
-    drift: DriftHook | None = None,
-) -> RunArchive:
-    """Execute every block of a plan and return the in-memory archive.
+def run_plan(plan: ExperimentPlan, *, drift: DriftHook | None = None) -> RunArchive:
+    """Draw the ones count of every experiment of a plan.
 
     Args:
         plan: what to run.
-        threads: worker threads for block generation; any value yields the
-            same archive because streams are keyed per block.
         drift: optional per-experiment perturbation ``(params, l) -> params``
             applied to all three circuit kinds of experiment ``l``. Off by
             default; the baseline protocol assumes stationary noise.
     """
     started = _utc_now()
-
-    def make(key: BlockKey) -> tuple[BlockKey, ShotBlock]:
-        kind, q, l = key
-        params = plan.params_for(q)
-        if drift is not None:
-            params = drift(params, l)
-        rng = block_stream(plan.seed, kind, q, l)
-        return key, _RUNNERS[kind](params, plan.S, rng, qubit=q, experiment=l)
-
-    keys = list(iter_block_keys(plan))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = dict(pool.map(make, keys))
-    else:
-        blocks = dict(map(make, keys))
+    counts = np.empty((len(CircuitKind), len(plan.qubits), plan.L), dtype=np.int64)
+    for i, q in enumerate(plan.qubits):
+        # One parameter set per experiment under drift, else one broadcast over L.
+        params_l = [q.params] if drift is None else [drift(q.params, l) for l in range(plan.L)]
+        for kind, k in _KIND_STREAM.items():
+            # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
+            p = np.clip([p_one(kind, params) for params in params_l], 0.0, 1.0)
+            counts[k, i] = count_stream(plan.seed, kind, q.index).binomial(plan.S, p, size=plan.L)
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -295,12 +242,7 @@ def run_plan(
         "started_at": started,
         "finished_at": _utc_now(),
     }
-    return RunArchive(plan=plan, blocks=blocks, manifest=manifest)
-
-
-def block_relpath(kind: CircuitKind, qubit: int, experiment: int) -> str:
-    """Archive-relative path of one block file."""
-    return f"blocks/{CircuitKind(kind).value}_{qubit}_{experiment}.bin"
+    return RunArchive(plan=plan, counts=counts, manifest=manifest)
 
 
 def _utc_now() -> str:
@@ -312,28 +254,23 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
 
     The manifest is written twice: first with status "partial" so that a
     storage failure mid-run leaves an explicit marker, then rewritten with
-    status "complete" once every block and the counts cache are on disk.
+    status "complete" once counts.csv is on disk.
     """
     out = Path(out_dir)
-    (out / "blocks").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = dict(archive.manifest)
     manifest["status"] = "partial"
     _write_manifest(out, manifest)
 
-    for key in iter_block_keys(archive.plan):
-        block = archive.blocks[key]
-        payload = _HEADER.pack(block.bits.size) + np.packbits(
-            block.bits, bitorder="little"
-        ).tobytes()
-        (out / block_relpath(*key)).write_bytes(payload)
-
+    shots = archive.plan.S
     with open(out / "counts.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "qubit", "experiment", "ones", "shots"])
-        for key in iter_block_keys(archive.plan):
-            block = archive.blocks[key]
-            writer.writerow([key[0].value, key[1], key[2], block.ones, block.bits.size])
+        writer.writerow(COUNTS_COLUMNS)
+        writer.writerows(
+            (kind.value, q, l, ones, shots)
+            for (kind, q, l), ones in zip(iter_block_keys(archive.plan), archive.counts.ravel().tolist())
+        )
 
     manifest["status"] = "complete"
     manifest["finished_at"] = _utc_now()
@@ -364,51 +301,96 @@ def plan_from_manifest(manifest: dict) -> ExperimentPlan:
 def load_archive(run_dir: str | Path) -> RunArchive:
     """Load a run directory written by :func:`save_archive`.
 
-    Raises IncompleteArchiveError, listing the offending files, if the
-    manifest is absent or not finalized, if any block file is missing or
-    truncated, or if the counts cache is gone.
+    Raises IncompleteArchiveError, naming the offending file, if the manifest
+    is absent, not valid JSON, of another schema, not finalized or missing a
+    field, or if counts.csv is absent or deviates in any way from the layout
+    :func:`save_archive` writes for the manifest's plan.
     """
     run = Path(run_dir)
-    manifest_path = run / "manifest.json"
-    if not manifest_path.is_file():
-        raise IncompleteArchiveError(f"{run}: no manifest.json", missing=("manifest.json",))
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema") != MANIFEST_SCHEMA:
+    manifest = _read_manifest(run)
+    try:
+        plan = plan_from_manifest(manifest)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IncompleteArchiveError(
-            f"{run}: unsupported manifest schema {manifest.get('schema')!r}",
+            f"{run}: manifest.json does not describe a valid plan: {type(exc).__name__}: {exc}",
             missing=("manifest.json",),
-        )
-    if manifest.get("status") != "complete":
-        raise IncompleteArchiveError(
-            f"{run}: manifest status is {manifest.get('status')!r}, run was not finalized",
-            missing=("manifest.json",),
-        )
-    plan = plan_from_manifest(manifest)
+        ) from exc
+    return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), manifest=manifest)
 
-    expected_size = _HEADER.size + (plan.S + 7) // 8
-    blocks: dict[BlockKey, ShotBlock] = {}
-    missing: list[str] = []
-    for key in iter_block_keys(plan):
-        rel = block_relpath(*key)
-        path = run / rel
-        if not path.is_file() or path.stat().st_size != expected_size:
-            missing.append(rel)
-            continue
-        raw = path.read_bytes()
-        (nbits,) = _HEADER.unpack_from(raw)
-        if nbits != plan.S:
-            missing.append(rel)
-            continue
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size),
-            count=plan.S,
-            bitorder="little",
-        )
-        blocks[key] = ShotBlock(key[0], key[1], key[2], bits)
-    if not (run / "counts.csv").is_file():
-        missing.append("counts.csv")
-    if missing:
-        raise IncompleteArchiveError(
-            f"{run}: {len(missing)} missing or corrupt file(s)", missing=tuple(missing)
-        )
-    return RunArchive(plan=plan, blocks=blocks, manifest=manifest)
+
+def _read_manifest(run: Path) -> dict:
+    path = run / "manifest.json"
+    if not path.is_file():
+        raise IncompleteArchiveError(f"{run}: no manifest.json", missing=("manifest.json",))
+
+    def bad(detail: str) -> IncompleteArchiveError:
+        return IncompleteArchiveError(f"{run}: manifest.json {detail}", missing=("manifest.json",))
+
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise bad(f"is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise bad(f"holds a {type(manifest).__name__}, not an object")
+    schema = manifest.get("schema")
+    if schema != MANIFEST_SCHEMA:
+        raise bad(f"has schema {schema!r}, expected {MANIFEST_SCHEMA!r}; re-run simulate")
+    if manifest.get("status") != "complete":
+        raise bad(f"status is {manifest.get('status')!r}, run was not finalized")
+    return manifest
+
+
+def _count_cell(cell: str) -> int | None:
+    """The integer a counts.csv cell holds in canonical form, else None."""
+    try:
+        value = int(cell)
+    except ValueError:
+        return None
+    return value if str(value) == cell else None
+
+
+def _read_counts(path: Path, plan: ExperimentPlan) -> np.ndarray:
+    """Parse counts.csv into the count tensor of ``plan``.
+
+    Every row must sit where :func:`save_archive` writes it, with a
+    canonical integer ``ones`` in [0, S] and ``shots`` equal to S.
+    """
+    if not path.is_file():
+        raise IncompleteArchiveError(f"{path}: no counts file", missing=(path.name,))
+
+    def bad(detail: str) -> IncompleteArchiveError:
+        return IncompleteArchiveError(f"{path}: {detail}", missing=(path.name,))
+
+    shots = str(plan.S)
+    keys = ([kind.value, str(q), str(l)] for kind, q, l in iter_block_keys(plan))
+    ones: list[int] = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != COUNTS_COLUMNS:
+                raise bad(f"header {header} is not {COUNTS_COLUMNS}")
+            for row in reader:
+                line = reader.line_num
+                key = next(keys, None)
+                if key is None:
+                    raise bad(f"line {line}: more rows than the plan's {len(ones)}")
+                if row[:3] != key:
+                    raise bad(
+                        f"line {line}: expected the row of {','.join(key)}, got {row[:3]} "
+                        "(a row is missing, duplicated or out of order)"
+                    )
+                if len(row) != len(COUNTS_COLUMNS):
+                    raise bad(f"line {line}: {len(row)} cells, expected {len(COUNTS_COLUMNS)}")
+                if row[4] != shots:
+                    raise bad(f"line {line}: shots {row[4]!r} is not the plan's S={shots}")
+                value = _count_cell(row[3])
+                if value is None or not 0 <= value <= plan.S:
+                    raise bad(f"line {line}: ones {row[3]!r} is not an integer in [0, {shots}]")
+                ones.append(value)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise bad(f"unreadable: {exc}") from exc
+    key = next(keys, None)
+    if key is not None:
+        raise bad(f"ends after {len(ones)} rows; the row of {','.join(key)} and all later rows are missing")
+    return np.array(ones, dtype=np.int64).reshape(len(CircuitKind), len(plan.qubits), plan.L)

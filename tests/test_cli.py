@@ -2,11 +2,17 @@
 
 import json
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from reprobound.cli import main
-from reprobound.sampler import CircuitKind, block_relpath
+from reprobound.estimator import hellinger_single
 
 PERFECT_QUBIT = {"index": 0, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}
 
@@ -63,12 +69,20 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT], L=2, S=4)
         run = tmp_path / "run"
         assert main(["simulate", str(cfg), "--out", str(run)]) == 0
-        blocks = sorted(p.name for p in (run / "blocks").iterdir())
-        assert len(blocks) == 6
-        assert (run / "manifest.json").is_file()
-        assert (run / "counts.csv").is_file()
+        assert sorted(p.name for p in run.iterdir()) == ["counts.csv", "manifest.json"]
+        lines = (run / "counts.csv").read_text().splitlines()
+        # The perfect qubit's SPAM counts are certain; its test circuit's are not.
+        assert lines[:5] == [
+            "kind,qubit,experiment,ones,shots",
+            "spam0,0,0,0,4",
+            "spam0,0,1,0,4",
+            "spam1,0,0,4,4",
+            "spam1,0,1,4,4",
+        ]
+        assert [line.split(",")[:3] for line in lines[5:]] == [["c", "0", "0"], ["c", "0", "1"]]
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] == "complete"
+        assert manifest["schema"] == "run-manifest/2"
 
     def test_duplicate_qubit_index_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
@@ -134,10 +148,10 @@ class TestCharacterize:
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT], L=2, S=64)
         run = tmp_path / "run"
         main(["simulate", str(cfg), "--out", str(run), "--quiet"])
-        victim = run / block_relpath(CircuitKind.C, 0, 1)
-        victim.write_bytes(victim.read_bytes()[:-3])
+        counts = run / "counts.csv"
+        counts.write_text("".join(counts.read_text().splitlines(keepends=True)[:-1]))
         assert main(["characterize", str(run)]) == 4
-        assert "c_0_1.bin" in capsys.readouterr().err
+        assert "c,0,1" in capsys.readouterr().err
 
     def test_missing_run_dir_is_incomplete(self, tmp_path):
         assert main(["characterize", str(tmp_path / "ghost")]) == 4
@@ -303,6 +317,51 @@ class TestReport:
         lemma = json.loads((report / "lemma_report.json").read_text())
         assert lemma["passed"] is True
 
+    def test_scatter_matches_counts(self, small_run):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        counts = {
+            (r["kind"], r["qubit"], r["experiment"]): int(r["ones"]) / int(r["shots"])
+            for r in read_rows(small_run / "counts.csv")
+        }
+        for row in read_rows(small_run / "report" / "fig_scatter.csv"):
+            key = (row["qubit"], row["experiment"])
+            p1 = counts[("c", *key)]
+            assert float(row["eps"]) == (1.0 - counts[("spam0", *key)]) - counts[("spam1", *key)]
+            assert float(row["hellinger"]) == hellinger_single([1.0 - p1, p1])
+
+    def test_empty_verdicts_is_incomplete(self, small_run, capsys):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        verdicts = small_run / "verdicts.csv"
+        verdicts.write_text(verdicts.read_text().splitlines(keepends=True)[0])
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert "verdicts.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            '{"schema": ',
+            '{"schema": "run-manifest/1", "status": "complete"}',
+            '{"schema": "run-manifest/2", "status": "complete"}',
+        ],
+        ids=["not-json", "old-schema", "missing-keys"],
+    )
+    def test_bad_manifest_is_incomplete(self, small_run, manifest, capsys):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        (small_run / "manifest.json").write_text(manifest)
+        assert main(["characterize", str(small_run), "--quiet"]) == 4
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_non_integer_count_is_incomplete(self, small_run, capsys):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        counts = small_run / "counts.csv"
+        lines = counts.read_text().splitlines(keepends=True)
+        lines[1] = "spam0,0,0,x,512\n"
+        counts.write_text("".join(lines))
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert "counts.csv" in capsys.readouterr().err
+
 
 def run_pipeline(tmp_path, tag, seed=77):
     cfg = write_config(
@@ -343,8 +402,75 @@ def test_end_to_end_determinism(tmp_path):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
 
 
-def test_threads_do_not_change_outputs(tmp_path, monkeypatch):
-    run_a = run_pipeline(tmp_path, "serial")
-    monkeypatch.setenv("REPRO_BOUND_THREADS", "4")
-    run_b = run_pipeline(tmp_path, "threaded")
+def test_threads_do_not_change_outputs(tmp_path):
+    # --threads is accepted for compatibility and has no effect.
+    cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.9, "f1": 0.8, "theta_rad": 0.01}], L=5, S=256)
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet"]) == 0
+    assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--threads", "2"]) == 0
     assert (run_a / "counts.csv").read_bytes() == (run_b / "counts.csv").read_bytes()
+
+
+def test_threads_help_says_ignored(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "ignored" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def pristine_run(tmp_path_factory):
+    """A one-qubit run directory taken through verdict."""
+    tmp = tmp_path_factory.mktemp("pristine")
+    cfg = write_config(tmp / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}], L=3, S=16)
+    run = tmp / "run"
+    assert main(["simulate", str(cfg), "--out", str(run), "--quiet"]) == 0
+    assert main(["characterize", str(run), "--quiet"]) == 0
+    assert main(["verdict", str(run / "characterization.csv"), "--delta", "0.3", "--quiet"]) == 0
+    return run
+
+
+def mutate(raw: bytes, ops) -> bytes:
+    for op, a, b, payload in ops:
+        lines = raw.split(b"\n")
+        if op == "truncate":
+            raw = raw[: a % (len(raw) + 1)]
+        elif op == "splice":
+            i = a % (len(raw) + 1)
+            raw = raw[:i] + payload + raw[i + b % 8 :]
+        elif op == "drop":
+            del lines[a % len(lines)]
+            raw = b"\n".join(lines)
+        elif op == "duplicate":
+            lines.insert(a % len(lines), lines[b % len(lines)])
+            raw = b"\n".join(lines)
+        else:  # cell
+            i = a % len(lines)
+            cells = lines[i].split(b",")
+            cells[b % len(cells)] = payload
+            lines[i] = b",".join(cells)
+            raw = b"\n".join(lines)
+    return raw
+
+
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["truncate", "splice", "drop", "duplicate", "cell"]),
+        st.integers(0, 1000),
+        st.integers(0, 1000),
+        st.one_of(st.binary(max_size=6), st.text(max_size=6).map(str.encode)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=MUTATIONS)
+def test_mutated_counts_never_raise(pristine_run, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(pristine_run, run)
+        counts = run / "counts.csv"
+        counts.write_bytes(mutate(counts.read_bytes(), ops))
+        assert main(["characterize", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
+        assert main(["report", str(run), "--quiet"]) in (0, 2, 3, 4, 5)

@@ -25,12 +25,13 @@ from reprobound.estimator import (
     estimate_pr,
     hellinger_single,
     invert_theta,
+    per_experiment,
     population_stats,
     read_characterization_csv,
     write_characterization_csv,
 )
 from reprobound.noise_model import QubitNoiseParams, gamma_of
-from reprobound.sampler import CircuitKind, ExperimentPlan, PlanQubit, ShotBlock, run_plan
+from reprobound.sampler import CircuitKind, ExperimentPlan, PlanQubit, RunArchive, ShotBlock, run_plan
 
 THETA_HAT_REFERENCE = 0.021283022167392  # 0.5 * asin(0.04 / 0.94)
 
@@ -99,6 +100,28 @@ class TestHellingerSingle:
             pr = np.array([p0, 1.0 - p0])
             general = hellinger(uniform_ideal(1), Distribution(1, pr))
             assert abs(hellinger_single(pr) - general) <= 1e-12
+
+
+class TestPerExperiment:
+    def test_hellinger_matches_hellinger_single(self):
+        shots = 1000
+        ones = np.arange(shots + 1)
+        est = per_experiment(np.stack([ones, ones, ones]), shots)
+        for c, d in zip(ones.tolist(), est.d.tolist()):
+            assert d == hellinger_single([1.0 - c / shots, c / shots])
+
+    def test_matches_point_estimators(self):
+        archive = make_archive(QubitNoiseParams(0.9, 0.8, 0.05), L=5, S=64, seed=8)
+        est = per_experiment(archive.counts[:, 0], 64)
+        for l in range(5):
+            shot_blocks = {}
+            for kind in CircuitKind:
+                ones = int(archive.ones(kind, 0)[l])
+                shot_blocks[kind] = block(kind, [1] * ones + [0] * (64 - ones))
+            assert est.f0[l] == estimate_f0(shot_blocks[CircuitKind.SPAM0])
+            assert est.f1[l] == estimate_f1(shot_blocks[CircuitKind.SPAM1])
+            assert est.pr0[l] == estimate_pr(shot_blocks[CircuitKind.C])[0]
+            assert est.eps[l] == est.f0[l] - est.f1[l]
 
 
 class TestPopulationStats:
@@ -196,8 +219,9 @@ class TestCharacterize:
     def test_gamma_hat_identity(self):
         archive = make_archive(QubitNoiseParams(0.97, 0.9, 0.01), L=6, S=128, seed=3)
         est = characterize_qubit(archive, 0)
-        pr = [estimate_pr(archive.block(CircuitKind.C, 0, l)) for l in range(6)]
-        direct = float(np.mean([p[0] for p in pr])) - float(np.mean([p[1] for p in pr]))
+        pr1 = [int(ones) / 128 for ones in archive.ones(CircuitKind.C, 0)]
+        pr0 = [1.0 - p for p in pr1]
+        direct = statistics.fmean(pr0) - statistics.fmean(pr1)
         assert est.gamma_hat == pytest.approx(direct, abs=1e-12)
 
     def test_estimate_field_identities(self):
@@ -224,14 +248,18 @@ class TestCharacterize:
             characterize_qubit(archive, 0, angle_errors="raise")
 
     def test_mismatched_data_recorded_not_raised(self):
-        # Symmetric half-half readout: the tiny denominator turns sampling
-        # noise into an arcsin argument far outside [-1, 1].
-        archive = make_archive(QubitNoiseParams(0.5, 0.5, 0.0), L=4, S=256, seed=5)
-        with pytest.raises((ModelMismatchError, SingularFidelityError)):
+        # Hand-made counts: f0 = f1 = 0.75 (eps = 0, 2f - 1 = 0.5) and a test
+        # circuit that always reads 0 (gamma = 1), so the arcsin argument is
+        # (eps - gamma) / (2f - 1) = -2, far outside [-1, 1].
+        qubit = PlanQubit(0, QubitNoiseParams(0.75, 0.75, 0.0))
+        plan = ExperimentPlan(L=4, S=256, qubits=(qubit,), seed=5)
+        counts = np.array([[[64] * 4], [[192] * 4], [[0] * 4]])
+        archive = RunArchive(plan=plan, counts=counts, manifest={})
+        with pytest.raises(ModelMismatchError):
             characterize_qubit(archive, 0, angle_errors="raise")
         est = characterize_qubit(archive, 0, angle_errors="record")
         assert math.isnan(est.theta_hat)
-        assert est.warnings
+        assert any("ModelMismatchError" in w for w in est.warnings)
 
     def test_error_shrinks_with_scale(self):
         truth = QubitNoiseParams(0.99, 0.95, 0.0213)

@@ -1,8 +1,7 @@
-"""Tests for the deterministic shot sampler and the run-directory format."""
+"""Tests for the deterministic count sampler and the run-directory format."""
 
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -13,14 +12,12 @@ from reprobound.sampler import (
     CircuitKind,
     ExperimentPlan,
     PlanQubit,
+    RunArchive,
     ShotBlock,
-    block_relpath,
-    block_stream,
+    count_stream,
     load_archive,
-    run_circuit_c,
+    p_one,
     run_plan,
-    run_spam0,
-    run_spam1,
     save_archive,
 )
 
@@ -33,8 +30,9 @@ def make_plan(params_list, L=4, S=64, seed=7):
     return ExperimentPlan(L=L, S=S, qubits=qubits, seed=seed)
 
 
-def rng_for(kind=CircuitKind.C, seed=0, qubit=0, experiment=0):
-    return block_stream(seed, kind, qubit, experiment)
+def counts_of(kind, params, S=64):
+    """The ones counts of ``kind`` in a two-experiment one-qubit plan."""
+    return run_plan(make_plan([params], L=2, S=S, seed=0)).ones(kind, 0)
 
 
 class TestShotBlock:
@@ -52,46 +50,49 @@ class TestShotBlock:
 
 
 class TestSingleBlocks:
+    """One experiment of each circuit kind: its ones count out of S shots."""
+
     def test_spam0_perfect(self):
-        block = run_spam0(PERFECT, 64, rng_for())
-        assert block.circuit_kind is CircuitKind.SPAM0
-        assert block.ones == 0
+        assert counts_of(CircuitKind.SPAM0, PERFECT).tolist() == [0, 0]
 
     def test_spam0_fully_flipped(self):
-        assert run_spam0(QubitNoiseParams(0.0, 1.0, 0.0), 64, rng_for()).ones == 64
+        assert counts_of(CircuitKind.SPAM0, QubitNoiseParams(0.0, 1.0, 0.0)).tolist() == [64, 64]
 
     def test_spam1_perfect(self):
-        assert run_spam1(PERFECT, 64, rng_for()).ones == 64
+        assert counts_of(CircuitKind.SPAM1, PERFECT).tolist() == [64, 64]
 
     def test_spam1_fully_flipped(self):
-        assert run_spam1(QubitNoiseParams(1.0, 0.0, 0.0), 64, rng_for()).ones == 0
+        assert counts_of(CircuitKind.SPAM1, QubitNoiseParams(1.0, 0.0, 0.0)).tolist() == [0, 0]
 
     def test_circuit_c_quarter_turn(self):
         # theta = pi/4 sends |0> to |1> deterministically.
         params = QubitNoiseParams(1.0, 1.0, math.pi / 4, theta_bound=None)
-        assert run_circuit_c(params, 64, rng_for()).ones == 64
+        assert counts_of(CircuitKind.C, params).tolist() == [64, 64]
 
     @pytest.mark.parametrize(
-        "runner,p_one",
+        "kind,p",
         [
-            (run_spam0, 1 - 0.95),
-            (run_spam1, 0.93),
+            (CircuitKind.SPAM0, 1 - 0.95),
+            (CircuitKind.SPAM1, 0.93),
         ],
+        ids=["spam0", "spam1"],
     )
-    def test_binomial_five_sigma(self, runner, p_one):
+    def test_binomial_five_sigma(self, kind, p):
         params = QubitNoiseParams(0.95, 0.93, 0.0)
+        assert p_one(kind, params) == pytest.approx(p, abs=1e-15)
         s = 8192
-        block = runner(params, s, rng_for())
-        band = 5 * math.sqrt(p_one * (1 - p_one) / s)
-        assert abs(block.ones / s - p_one) <= band
+        ones = counts_of(kind, params, S=s)
+        band = 5 * math.sqrt(p * (1 - p) / s)
+        assert np.all(np.abs(ones / s - p) <= band)
 
     def test_circuit_c_five_sigma(self):
         # gamma = 0.04 device: Pr(0) = 0.52, so Pr(bit=1) = 0.48.
         params = QubitNoiseParams(0.99, 0.95, 0.0)
+        assert p_one(CircuitKind.C, params) == pytest.approx(0.48, abs=1e-15)
         s = 8192
-        block = run_circuit_c(params, s, rng_for())
+        ones = counts_of(CircuitKind.C, params, S=s)
         band = 5 * math.sqrt(0.48 * 0.52 / s)
-        assert abs(block.ones / s - 0.48) <= band
+        assert np.all(np.abs(ones / s - 0.48) <= band)
 
 
 class TestPlanValidation:
@@ -113,41 +114,46 @@ class TestPlanValidation:
 class TestRunPlan:
     def test_trivial_plan(self):
         archive = run_plan(make_plan([PERFECT], L=2, S=4))
-        assert len(archive.blocks) == 6
-        for l in range(2):
-            assert archive.block(CircuitKind.SPAM0, 0, l).ones == 0
-            assert archive.block(CircuitKind.SPAM1, 0, l).ones == 4
+        assert archive.counts.shape == (3, 1, 2)
+        assert archive.counts.dtype == np.int64
+        assert archive.ones(CircuitKind.SPAM0, 0).tolist() == [0, 0]
+        assert archive.ones(CircuitKind.SPAM1, 0).tolist() == [4, 4]
+
+    def test_counts_are_read_only(self):
+        archive = run_plan(make_plan([NOISY], L=2, S=4))
+        with pytest.raises(ValueError):
+            archive.counts[0, 0, 0] = 1
 
     def test_deterministic_across_runs(self):
         plan = make_plan([NOISY, PERFECT], L=3, S=128, seed=11)
-        a, b = run_plan(plan), run_plan(plan)
-        for key, block in a.blocks.items():
-            np.testing.assert_array_equal(block.bits, b.blocks[key].bits)
-
-    def test_deterministic_across_thread_counts(self):
-        plan = make_plan([NOISY, NOISY, NOISY], L=3, S=128, seed=11)
-        a = run_plan(plan, threads=1)
-        b = run_plan(plan, threads=4)
-        for key, block in a.blocks.items():
-            np.testing.assert_array_equal(block.bits, b.blocks[key].bits)
+        np.testing.assert_array_equal(run_plan(plan).counts, run_plan(plan).counts)
 
     def test_seed_changes_every_block(self):
-        base = make_plan([NOISY], L=3, S=128, seed=1)
-        other = make_plan([NOISY], L=3, S=128, seed=2)
-        a, b = run_plan(base), run_plan(other)
-        for key, block in a.blocks.items():
-            assert not np.array_equal(block.bits, b.blocks[key].bits)
+        # Each (kind, qubit) stream changes with the seed; a single count of
+        # it may still coincide by chance.
+        base = make_plan([NOISY, NOISY], L=8, S=4096, seed=1)
+        other = make_plan([NOISY, NOISY], L=8, S=4096, seed=2)
+        a, b = run_plan(base).counts, run_plan(other).counts
+        for kind in range(3):
+            for i in range(2):
+                assert not np.array_equal(a[kind, i], b[kind, i])
 
     def test_params_change_is_isolated_to_that_qubit(self):
         loud = QubitNoiseParams(0.55, 0.6, 0.3)
-        a = run_plan(make_plan([NOISY, NOISY], L=3, S=256, seed=5))
-        b = run_plan(make_plan([NOISY, loud], L=3, S=256, seed=5))
-        for key, block in a.blocks.items():
-            kind, qubit, _ = key
-            if qubit == 0:
-                np.testing.assert_array_equal(block.bits, b.blocks[key].bits)
-            else:
-                assert not np.array_equal(block.bits, b.blocks[key].bits)
+        a = run_plan(make_plan([NOISY, NOISY], L=3, S=256, seed=5)).counts
+        b = run_plan(make_plan([NOISY, loud], L=3, S=256, seed=5)).counts
+        np.testing.assert_array_equal(a[:, 0], b[:, 0])
+        for kind in range(3):
+            assert not np.array_equal(a[kind, 1], b[kind, 1])
+
+    def test_qubit_counts_independent_of_plan_position(self):
+        # Streams are keyed by qubit index, not by position in the plan.
+        a = run_plan(ExperimentPlan(L=3, S=256, qubits=(PlanQubit(4, NOISY),), seed=5))
+        b = run_plan(
+            ExperimentPlan(L=3, S=256, qubits=(PlanQubit(9, PERFECT), PlanQubit(4, NOISY)), seed=5)
+        )
+        for kind in CircuitKind:
+            np.testing.assert_array_equal(a.ones(kind, 4), b.ones(kind, 4))
 
     def test_pooled_frequency_within_five_sigma(self):
         plan = make_plan([NOISY], L=8, S=1024, seed=3)
@@ -159,15 +165,15 @@ class TestRunPlan:
         }
         total = plan.L * plan.S
         for kind, p in expected.items():
-            ones = sum(archive.block(kind, 0, l).ones for l in range(plan.L))
+            ones = int(archive.ones(kind, 0).sum())
             band = 5 * math.sqrt(p * (1 - p) / total)
             assert abs(ones / total - p) <= band
 
     def test_full_protocol_block_count(self):
         plan = make_plan([NOISY], L=203, S=8192, seed=42)
         archive = run_plan(plan)
-        assert len(archive.blocks) == 609
-        assert sum(b.bits.size for b in archive.blocks.values()) == 4_988_928
+        assert archive.counts.size == 609
+        assert archive.counts.min() >= 0 and archive.counts.max() <= 8192
 
     def test_drift_hook_perturbs_blocks(self):
         plan = make_plan([NOISY], L=3, S=256, seed=9)
@@ -179,16 +185,54 @@ class TestRunPlan:
                 params.theta,
             )
 
-        plain = run_plan(plan)
-        drifted = run_plan(plan, drift=drift)
-        assert len(drifted.blocks) == len(plain.blocks)
-        changed = [
-            key
-            for key, block in plain.blocks.items()
-            if not np.array_equal(block.bits, drifted.blocks[key].bits)
-        ]
+        plain = run_plan(plan).counts
+        drifted = run_plan(plan, drift=drift).counts
+        assert drifted.shape == plain.shape
+        changed = {(k, l) for k, _, l in zip(*np.nonzero(plain != drifted))}
         assert changed
-        assert all(key[0] is not CircuitKind.SPAM1 for key in changed)
+        assert all(k != 1 for k, _ in changed)  # f1 did not drift: SPAM(1) unchanged
+
+    def test_drift_gives_each_experiment_its_own_p(self):
+        # SPAM(0) reads 1 with probability 0 in experiment 0 and 1 in experiment 1.
+        plan = make_plan([NOISY], L=2, S=64, seed=9)
+
+        def drift(params, experiment):
+            return QubitNoiseParams(1.0 - experiment, params.f1, params.theta)
+
+        assert run_plan(plan, drift=drift).ones(CircuitKind.SPAM0, 0).tolist() == [0, 64]
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.zeros((3, 1, 3)), np.full((3, 1, 2), 5), np.full((3, 1, 2), -1)],
+        ids=["shape", "above-S", "negative"],
+    )
+    def test_archive_rejects_bad_counts(self, counts):
+        with pytest.raises(InvalidParameterError):
+            RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=counts, manifest={})
+
+
+def saved_run(tmp_path, L=2, S=16, seed=1):
+    plan = make_plan([NOISY, PERFECT], L=L, S=S, seed=seed)
+    return save_archive(run_plan(plan), tmp_path / "run")
+
+
+def edit_manifest(run, change):
+    manifest = json.loads((run / "manifest.json").read_text())
+    change(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_counts_lines(run, change):
+    path = run / "counts.csv"
+    lines = path.read_text().splitlines()
+    change(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def set_cell(lines, row, column, value):
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
 
 
 class TestArchiveIO:
@@ -198,83 +242,160 @@ class TestArchiveIO:
         loaded = load_archive(out)
         assert loaded.plan == archive.plan
         assert loaded.manifest["status"] == "complete"
-        for key, block in archive.blocks.items():
-            np.testing.assert_array_equal(block.bits, loaded.blocks[key].bits)
+        np.testing.assert_array_equal(loaded.counts, archive.counts)
+        assert loaded.counts.dtype == np.int64
 
-    def test_block_file_format(self, tmp_path):
-        archive = run_plan(make_plan([NOISY], L=2, S=13, seed=4))
+    def test_run_directory_holds_two_files(self, tmp_path):
+        out = saved_run(tmp_path)
+        assert sorted(p.name for p in out.iterdir()) == ["counts.csv", "manifest.json"]
+
+    def test_counts_file_format(self, tmp_path):
+        plan = ExperimentPlan(L=2, S=13, qubits=(PlanQubit(3, NOISY), PlanQubit(1, PERFECT)), seed=4)
+        archive = run_plan(plan)
         out = save_archive(archive, tmp_path / "run")
-        raw = (out / block_relpath(CircuitKind.C, 0, 1)).read_bytes()
-        (nbits,) = struct.unpack_from("<Q", raw)
-        assert nbits == 13
-        assert len(raw) == 8 + 2
-        # Independent bit decoding: bit j of byte k is shot 8*k + j.
-        bits = [(raw[8 + k // 8] >> (k % 8)) & 1 for k in range(13)]
-        np.testing.assert_array_equal(bits, archive.block(CircuitKind.C, 0, 1).bits)
-        # Trailing pad bits in the final byte must be zero.
-        assert raw[9] >> 5 == 0
+        raw = (out / "counts.csv").read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        lines = raw.decode().splitlines()
+        assert lines[0] == "kind,qubit,experiment,ones,shots"
+        # Kind-major, then qubits in plan order, then experiments.
+        keys = [tuple(line.split(",")[:3]) for line in lines[1:]]
+        assert keys == [
+            (kind, q, l) for kind in ("spam0", "spam1", "c") for q in ("3", "1") for l in ("0", "1")
+        ]
 
     def test_counts_cache_matches_blocks(self, tmp_path):
         archive = run_plan(make_plan([NOISY], L=2, S=50, seed=8))
         out = save_archive(archive, tmp_path / "run")
         lines = (out / "counts.csv").read_text().splitlines()
-        assert lines[0] == "kind,qubit,experiment,ones,shots"
         assert len(lines) == 1 + 6
         for line in lines[1:]:
             kind, qubit, experiment, ones, shots = line.split(",")
-            block = archive.block(CircuitKind(kind), int(qubit), int(experiment))
-            assert int(ones) == block.ones
-            assert int(shots) == block.bits.size
+            assert int(ones) == archive.ones(CircuitKind(kind), int(qubit))[int(experiment)]
+            assert int(shots) == 50
 
     def test_manifest_contents(self, tmp_path):
         archive = run_plan(make_plan([NOISY], L=2, S=8, seed=123))
         out = save_archive(archive, tmp_path / "run")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema"] == "run-manifest/1"
+        assert manifest["schema"] == "run-manifest/2"
+        assert manifest["status"] == "complete"
         assert manifest["seed"] == 123
         assert manifest["L"] == 2 and manifest["S"] == 8
         assert manifest["qubits"][0]["f0"] == NOISY.f0
         assert "started_at" in manifest and "finished_at" in manifest
 
     def test_missing_block_detected(self, tmp_path):
-        out = save_archive(run_plan(make_plan([NOISY], L=2, S=16, seed=1)), tmp_path / "run")
-        victim = block_relpath(CircuitKind.SPAM1, 0, 1)
-        (out / victim).unlink()
+        out = saved_run(tmp_path)
+        edit_counts_lines(out, lambda lines: lines.pop(6))  # spam1,0,1
         with pytest.raises(IncompleteArchiveError) as excinfo:
             load_archive(out)
-        assert victim in excinfo.value.missing
+        assert "spam1,0,1" in str(excinfo.value)
+        assert excinfo.value.missing == ("counts.csv",)
 
     def test_truncated_block_detected(self, tmp_path):
-        out = save_archive(run_plan(make_plan([NOISY], L=2, S=16, seed=1)), tmp_path / "run")
-        victim = out / block_relpath(CircuitKind.C, 0, 0)
-        victim.write_bytes(victim.read_bytes()[:-1])
+        out = saved_run(tmp_path)
+        path = out / "counts.csv"
+        path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(IncompleteArchiveError):
             load_archive(out)
 
+    def test_missing_counts_file_detected(self, tmp_path):
+        out = saved_run(tmp_path)
+        (out / "counts.csv").unlink()
+        with pytest.raises(IncompleteArchiveError) as excinfo:
+            load_archive(out)
+        assert excinfo.value.missing == ("counts.csv",)
+
     def test_partial_manifest_detected(self, tmp_path):
-        out = save_archive(run_plan(make_plan([NOISY], L=2, S=16, seed=1)), tmp_path / "run")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["status"] = "partial"
-        (out / "manifest.json").write_text(json.dumps(manifest))
+        out = saved_run(tmp_path)
+        edit_manifest(out, lambda m: m.update(status="partial"))
+        with pytest.raises(IncompleteArchiveError):
+            load_archive(out)
+
+    def test_manifest_not_json_detected(self, tmp_path):
+        out = saved_run(tmp_path)
+        (out / "manifest.json").write_text('{"schema": "run-manifest/2", ')
+        with pytest.raises(IncompleteArchiveError, match="not valid JSON"):
+            load_archive(out)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: m.pop("L"),
+            lambda m: m.pop("qubits"),
+            lambda m: m["qubits"][0].pop("f0"),
+            lambda m: m.update(S="many"),
+            lambda m: m.update(qubits=[7]),
+        ],
+        ids=["L", "qubits", "qubit-f0", "S-type", "qubit-type"],
+    )
+    def test_manifest_missing_keys_detected(self, tmp_path, change):
+        out = saved_run(tmp_path)
+        edit_manifest(out, change)
+        with pytest.raises(IncompleteArchiveError) as excinfo:
+            load_archive(out)
+        assert excinfo.value.missing == ("manifest.json",)
+
+    def test_old_manifest_schema_rejected(self, tmp_path):
+        out = saved_run(tmp_path)
+        edit_manifest(out, lambda m: m.update(schema="run-manifest/1"))
+        with pytest.raises(IncompleteArchiveError, match="run-manifest/1"):
+            load_archive(out)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones"), "header"),
+            (lambda lines: set_cell(lines, 3, 3, "2.5"), "integer"),
+            (lambda lines: set_cell(lines, 3, 3, "x"), "integer"),
+            (lambda lines: set_cell(lines, 3, 3, "+3"), "integer"),
+            (lambda lines: lines.insert(3, lines[2]), "duplicated"),
+            (lambda lines: lines.append(lines[-1]), "more rows"),
+            (lambda lines: lines.pop(), "missing"),
+            (lambda lines: set_cell(lines, 2, 3, "-1"), r"\[0, 16\]"),
+            (lambda lines: set_cell(lines, 2, 3, "17"), r"\[0, 16\]"),
+            (lambda lines: set_cell(lines, 2, 4, "15"), "S=16"),
+            (lambda lines: set_cell(lines, 2, 1, "9"), "expected the row"),
+            (lambda lines: lines.__setitem__(5, lines[5] + ",0"), "cells"),
+        ],
+        ids=[
+            "header", "float", "text", "plus-sign", "duplicate", "extra", "truncated",
+            "negative", "above-S", "shots", "unknown-qubit", "extra-cell",
+        ],
+    )
+    def test_malformed_counts_rejected(self, tmp_path, change, message):
+        out = saved_run(tmp_path)
+        edit_counts_lines(out, change)
+        with pytest.raises(IncompleteArchiveError, match=message) as excinfo:
+            load_archive(out)
+        assert excinfo.value.missing == ("counts.csv",)
+
+    def test_counts_not_utf8_rejected(self, tmp_path):
+        out = saved_run(tmp_path)
+        (out / "counts.csv").write_bytes(b"kind,qubit,experiment,ones,shots\n\xff\xfe\n")
         with pytest.raises(IncompleteArchiveError):
             load_archive(out)
 
 
 class TestStreams:
     def test_stream_depends_only_on_key(self):
-        a = block_stream(9, CircuitKind.C, 2, 5).random(16)
-        b = block_stream(9, CircuitKind.C, 2, 5).random(16)
+        a = count_stream(9, CircuitKind.C, 2).random(16)
+        b = count_stream(9, CircuitKind.C, 2).random(16)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "other",
         [
-            (8, CircuitKind.C, 2, 5),
-            (9, CircuitKind.SPAM0, 2, 5),
-            (9, CircuitKind.C, 1, 5),
-            (9, CircuitKind.C, 2, 4),
+            (8, CircuitKind.C, 2),
+            (9, CircuitKind.SPAM0, 2),
+            (9, CircuitKind.C, 1),
         ],
     )
     def test_any_key_component_changes_stream(self, other):
-        base = block_stream(9, CircuitKind.C, 2, 5).random(16)
-        assert not np.array_equal(base, block_stream(*other).random(16))
+        base = count_stream(9, CircuitKind.C, 2).random(16)
+        assert not np.array_equal(base, count_stream(*other).random(16))
+
+    def test_run_plan_draws_from_the_kind_qubit_stream(self):
+        plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(3, NOISY),), seed=17)
+        expected = count_stream(17, CircuitKind.SPAM1, 3).binomial(1000, NOISY.f1, size=5)
+        np.testing.assert_array_equal(run_plan(plan).ones(CircuitKind.SPAM1, 3), expected)
