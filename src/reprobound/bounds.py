@@ -13,14 +13,13 @@ above that ceiling raise instead of extrapolating silently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._fmt import g17
+from .artifacts import g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 
 
@@ -90,6 +89,18 @@ class ReproVerdict:
             raise InvalidParameterError("gamma_D must be non-negative")
         if self.reproducible != (self.gamma_D <= self.gamma_max):
             raise InvalidParameterError("verdict flag inconsistent with gamma_D vs gamma_max")
+
+
+# verdicts.csv: column name -> cell parser, in file order.
+VERDICT_COLUMNS = {
+    "qubit": int,
+    "n": int,
+    "delta": float,
+    "gamma_D": float,
+    "gamma_max": float,
+    "margin": float,
+    "reproducible": lambda cell: cell == "true",
+}
 
 
 def verdict(n: int, delta: float, eps: float, theta: float, f: float) -> ReproVerdict:
@@ -297,55 +308,36 @@ def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
     return SamplePlan(p_s=p_s, epsilon_rel=epsilon_rel, alpha=alpha, z=z, T=t)
 
 
-VERDICT_COLUMNS = ["qubit", "n", "delta", "gamma_D", "gamma_max", "margin", "reproducible"]
-
-
 def write_verdicts_csv(rows, path: str | Path) -> None:
     """Write (qubit, ReproVerdict) pairs as verdicts.csv."""
-    import csv
+    write_csv(
+        path,
+        VERDICT_COLUMNS,
+        (
+            [
+                qubit,
+                v.n,
+                g17(v.delta),
+                g17(v.gamma_D),
+                g17(v.gamma_max),
+                g17(v.margin),
+                "true" if v.reproducible else "false",
+            ]
+            for qubit, v in rows
+        ),
+    )
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VERDICT_COLUMNS)
-        for qubit, v in rows:
-            writer.writerow(
-                [
-                    qubit,
-                    v.n,
-                    g17(v.delta),
-                    g17(v.gamma_D),
-                    g17(v.gamma_max),
-                    g17(v.margin),
-                    "true" if v.reproducible else "false",
-                ]
-            )
+
+def _verdict_row(qubit, n, delta, gamma_D, gamma_max, margin, reproducible):
+    return qubit, ReproVerdict(
+        n=n, delta=delta, gamma_D=gamma_D, gamma_max=gamma_max, reproducible=reproducible, margin=margin
+    )
 
 
 def read_verdicts_csv(path: str | Path) -> list[tuple[int, ReproVerdict]]:
-    import csv
-
-    from .errors import ConfigError
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != VERDICT_COLUMNS:
-            raise ConfigError(f"{path}: unexpected verdict columns {reader.fieldnames}")
-        out = []
-        for row in reader:
-            out.append(
-                (
-                    int(row["qubit"]),
-                    ReproVerdict(
-                        n=int(row["n"]),
-                        delta=float(row["delta"]),
-                        gamma_D=float(row["gamma_D"]),
-                        gamma_max=float(row["gamma_max"]),
-                        reproducible=row["reproducible"] == "true",
-                        margin=float(row["margin"]),
-                    ),
-                )
-            )
-    return out
+    """Read verdicts.csv as (qubit, ReproVerdict) pairs; ConfigError naming
+    the file and line if a cell does not parse or a verdict is inconsistent."""
+    return read_csv(path, VERDICT_COLUMNS, _verdict_row)
 
 
 def write_lemma_report(report: LemmaA1Report, path: str | Path) -> None:
@@ -366,4 +358,4 @@ def write_lemma_report(report: LemmaA1Report, path: str | Path) -> None:
             for c in report.counterexamples
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)

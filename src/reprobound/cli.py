@@ -1,4 +1,5 @@
-"""Command-line front end and persistence glue.
+"""Command-line front end: parses arguments, runs each subcommand and maps
+errors onto exit codes. Every file is written and read through ``artifacts``.
 
 Subcommands: simulate, characterize, verdict, import-calibration,
 plan-samples, report. Global flags ``--seed``, ``--out``, ``--quiet`` may be
@@ -11,8 +12,6 @@ run artifacts, 5 tolerance outside the bound's validity regime.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, estimator
-from ._fmt import g17
+from .artifacts import field, g17, read_json, records, write_csv, write_json
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -56,46 +55,21 @@ _DRIFT_STREAM = 3
 # config and snapshot handling
 
 
-def _load_json(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-
-
-def _field(doc: dict, where: str, name: str, kind=None):
-    if name not in doc:
-        raise ConfigError(f"{where}: missing field {name!r}")
-    value = doc[name]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{where}: field {name!r} has wrong type {type(value).__name__}")
-    return value
-
-
 def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
     """Parse and validate a device config; returns (name, plan)."""
-    path = Path(path)
-    doc = _load_json(path)
+    doc = read_json(path, DEVICE_CONFIG_SCHEMA)
     where = str(path)
-    if doc.get("schema") != DEVICE_CONFIG_SCHEMA:
-        raise ConfigError(f"{where}: schema must be {DEVICE_CONFIG_SCHEMA!r}, got {doc.get('schema')!r}")
-    name = _field(doc, where, "name", str)
-    qubits_doc = _field(doc, where, "qubits", list)
-    if not qubits_doc:
-        raise ConfigError(f"{where}: qubits must be a non-empty list")
-    plan_doc = _field(doc, where, "plan", dict)
+    name = field(doc, where, "name", str)
+    plan_doc = field(doc, where, "plan", dict)
 
     qubits = []
-    for i, q in enumerate(qubits_doc):
-        loc = f"{where}: qubits[{i}]"
-        if not isinstance(q, dict):
-            raise ConfigError(f"{loc}: expected an object")
-        index = _field(q, loc, "index", int)
+    for loc, q in records(doc, where, "qubits"):
+        index = field(q, loc, "index", int)
         try:
             params = QubitNoiseParams(
-                f0=_field(q, loc, "f0", (int, float)),
-                f1=_field(q, loc, "f1", (int, float)),
-                theta=_field(q, loc, "theta_rad", (int, float)),
+                f0=field(q, loc, "f0", (int, float)),
+                f1=field(q, loc, "f1", (int, float)),
+                theta=field(q, loc, "theta_rad", (int, float)),
             )
         except InvalidParameterError as exc:
             raise ConfigError(f"{loc}: {exc}") from exc
@@ -108,10 +82,10 @@ def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
     loc = f"{where}: plan"
     try:
         plan = ExperimentPlan(
-            L=_field(plan_doc, loc, "L", int),
-            S=_field(plan_doc, loc, "S", int),
+            L=field(plan_doc, loc, "L", int),
+            S=field(plan_doc, loc, "S", int),
             qubits=tuple(qubits),
-            seed=_field(plan_doc, loc, "seed", int),
+            seed=field(plan_doc, loc, "seed", int),
         )
     except InvalidParameterError as exc:
         raise ConfigError(f"{loc}: {exc}") from exc
@@ -119,8 +93,8 @@ def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
 
 
 def _theta_from_gate_error(loc: str, entry: dict) -> float:
-    value = _field(entry, loc, "value", (int, float))
-    unit = _field(entry, loc, "unit", str)
+    value = field(entry, loc, "value", (int, float))
+    unit = field(entry, loc, "unit", str)
     if unit == "rad":
         return float(value)
     if unit == "deg":
@@ -142,33 +116,24 @@ def normalize_snapshot(path: str | Path) -> dict:
     ``gate_error`` object with an explicit unit; a missing angle is accepted
     and flagged, never guessed.
     """
-    path = Path(path)
-    doc = _load_json(path)
+    doc = read_json(path, SNAPSHOT_SCHEMA)
     where = str(path)
-    if doc.get("schema") != SNAPSHOT_SCHEMA:
-        raise ConfigError(f"{where}: schema must be {SNAPSHOT_SCHEMA!r}, got {doc.get('schema')!r}")
-    source = _field(doc, where, "source", str)
-    captured_at = _field(doc, where, "captured_at", str)
-    qubits_doc = _field(doc, where, "qubits", list)
-    if not qubits_doc:
-        raise ConfigError(f"{where}: qubits must be a non-empty list")
+    source = field(doc, where, "source", str)
+    captured_at = field(doc, where, "captured_at", str)
 
     normalized = []
     flags = []
-    for i, q in enumerate(qubits_doc):
-        loc = f"{where}: qubits[{i}]"
-        if not isinstance(q, dict):
-            raise ConfigError(f"{loc}: expected an object")
-        index = _field(q, loc, "index", int)
-        f0 = _field(q, loc, "f0", (int, float))
-        f1 = _field(q, loc, "f1", (int, float))
+    for loc, q in records(doc, where, "qubits"):
+        index = field(q, loc, "index", int)
+        f0 = field(q, loc, "f0", (int, float))
+        f1 = field(q, loc, "f1", (int, float))
         for fname, fval in (("f0", f0), ("f1", f1)):
             if not 0.0 <= float(fval) <= 1.0:
                 raise ConfigError(f"{loc}: {fname}={fval!r} outside [0, 1]")
         if "theta_rad" in q:
-            theta = float(_field(q, loc, "theta_rad", (int, float)))
+            theta = float(field(q, loc, "theta_rad", (int, float)))
         elif "gate_error" in q:
-            theta = _theta_from_gate_error(f"{loc}: gate_error", _field(q, loc, "gate_error", dict))
+            theta = _theta_from_gate_error(f"{loc}: gate_error", field(q, loc, "gate_error", dict))
         else:
             theta = None
             flags.append(f"qubit {index}: gate angle missing; verdict will need --theta")
@@ -194,22 +159,20 @@ def normalize_snapshot(path: str | Path) -> dict:
 def _verdict_rows(path: Path) -> list[dict]:
     """Rows of {qubit, eps, f, theta (may be None), d_mean (may be None)}."""
     if path.suffix == ".json":
-        doc = _load_json(path)
-        if doc.get("schema") != NORMALIZED_SCHEMA:
-            raise ConfigError(
-                f"{path}: schema must be {NORMALIZED_SCHEMA!r} "
-                f"(run import-calibration first), got {doc.get('schema')!r}"
+        rows = []
+        for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
+            f0 = field(q, loc, "f0", (int, float))
+            f1 = field(q, loc, "f1", (int, float))
+            rows.append(
+                {
+                    "qubit": field(q, loc, "index", int),
+                    "eps": f0 - f1,
+                    "f": (f0 + f1) / 2.0,
+                    "theta": field(q, loc, "theta_rad", (int, float, type(None))),
+                    "d_mean": None,
+                }
             )
-        return [
-            {
-                "qubit": q["index"],
-                "eps": q["f0"] - q["f1"],
-                "f": (q["f0"] + q["f1"]) / 2.0,
-                "theta": q["theta_rad"],
-                "d_mean": None,
-            }
-            for q in doc["qubits"]
-        ]
+        return rows
     rows = []
     for e in estimator.read_characterization_csv(path):
         rows.append(
@@ -307,7 +270,7 @@ def cmd_import_calibration(args) -> int:
     snapshot = Path(args.snapshot)
     normalized = normalize_snapshot(snapshot)
     out = Path(args.out) if args.out else snapshot.with_suffix(".normalized.json")
-    out.write_text(json.dumps(normalized, indent=2) + "\n")
+    write_json(out, normalized)
     _say(args, f"normalized {len(normalized['qubits'])} qubit(s) -> {out}")
     for flag in normalized["warnings"]:
         _say(args, f"  note: {flag}")
@@ -323,32 +286,35 @@ def cmd_plan_samples(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     archive = load_archive(run_dir)
-    needed = ["characterization.csv", "verdicts.csv"]
-    missing = tuple(name for name in needed if not (run_dir / name).is_file())
+    char_path, verdicts_path = run_dir / "characterization.csv", run_dir / "verdicts.csv"
+    missing = tuple(path.name for path in (char_path, verdicts_path) if not path.is_file())
     if missing:
         raise IncompleteArchiveError(
             f"{run_dir}: run characterize and verdict first", missing=missing
         )
-    estimates = estimator.read_characterization_csv(run_dir / "characterization.csv")
-    verdicts = bounds.read_verdicts_csv(run_dir / "verdicts.csv")
-    if not verdicts:
-        raise IncompleteArchiveError(
-            f"{run_dir / 'verdicts.csv'}: no verdict rows; re-run verdict", missing=("verdicts.csv",)
-        )
+    estimates = estimator.read_characterization_csv(char_path)
+    verdicts = bounds.read_verdicts_csv(verdicts_path)
+    plan = archive.plan
+    char_qubits = sorted(e.qubit for e in estimates)
+    # Each artifact must describe the run it sits in: (file, what, found, expected).
+    for path, what, found, expected in (
+        (char_path, "qubits", char_qubits, sorted(plan.qubit_indices)),
+        (char_path, "(L, S)", sorted({(e.L, e.S) for e in estimates}), [(plan.L, plan.S)]),
+        (verdicts_path, "qubits", sorted(q for q, _ in verdicts), char_qubits),
+    ):
+        if found != expected:
+            raise IncompleteArchiveError(
+                f"{path}: {what} {found} do not match {expected} of the run's earlier stages; "
+                "re-run characterize and verdict",
+                missing=(path.name,),
+            )
     out = Path(args.out) if args.out else run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(
+    write_csv(
         out / "table1.csv",
         ["register", "gamma_max", "gamma_D"],
         [[q, g17(v.gamma_max), g17(v.gamma_D)] for q, v in verdicts],
@@ -356,19 +322,19 @@ def cmd_report(args) -> int:
 
     finite_thetas = [abs(e.theta_hat_deg) for e in estimates if not math.isnan(e.theta_hat)]
     theta_mean = sum(finite_thetas) / len(finite_thetas) if finite_thetas else math.nan
-    _write_csv(
+    write_csv(
         out / "fig_theta.csv",
         ["qubit", "theta_abs_deg", "register_mean_deg"],
         [[e.qubit, g17(abs(e.theta_hat_deg)), g17(theta_mean)] for e in estimates],
     )
 
-    _write_csv(
+    write_csv(
         out / "fig_hellinger.csv",
         ["qubit", "d_mean", "d_sigma"],
         [[e.qubit, g17(e.d_mean), g17(e.d_sigma)] for e in estimates],
     )
 
-    _write_csv(
+    write_csv(
         out / "fig_asymmetry.csv",
         ["qubit", "eps_mean", "eps_sigma"],
         [[e.qubit, g17(e.eps_mean), g17(e.eps_sigma)] for e in estimates],
@@ -376,13 +342,12 @@ def cmd_report(args) -> int:
 
     gammas = {q: v.gamma_D for q, v in verdicts}
     gamma_mean = sum(gammas.values()) / len(gammas)
-    _write_csv(
+    write_csv(
         out / "fig_gamma.csv",
         ["qubit", "gamma_D", "register_mean"],
         [[q, g17(gd), g17(gamma_mean)] for q, gd in sorted(gammas.items())],
     )
 
-    plan = archive.plan
     scatter_rows = []
     for i in sorted(range(len(plan.qubits)), key=lambda i: plan.qubits[i].index):
         est = estimator.per_experiment(archive.counts[:, i], plan.S)
@@ -390,7 +355,7 @@ def cmd_report(args) -> int:
             [plan.qubits[i].index, l, g17(eps), g17(d)]
             for l, (eps, d) in enumerate(zip(est.eps.tolist(), est.d.tolist()))
         ]
-    _write_csv(out / "fig_scatter.csv", ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
+    write_csv(out / "fig_scatter.csv", ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
 
     report = bounds.lemma_a1_check(*bounds.default_lemma_grids())
     bounds.write_lemma_report(report, out / "lemma_report.json")

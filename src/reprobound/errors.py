@@ -61,7 +61,8 @@ class OutOfRegimeError(ReproBoundError, ValueError):
 
 
 class IncompleteArchiveError(ReproBoundError, RuntimeError):
-    """A run directory is missing blocks or was not finalized."""
+    """A run archive file is missing, malformed or not finalized, or an
+    artifact in the run directory does not match the run's plan."""
 
     def __init__(self, message: str, missing: tuple[str, ...] = ()):
         super().__init__(message)

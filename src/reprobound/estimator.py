@@ -12,7 +12,6 @@ angle estimate by inverting gamma = eps - 2*sin(2*theta)*(f - 1/2).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fmt import g17
+from .artifacts import g17, read_csv, write_csv
 from .errors import (
     BlockKindError,
-    ConfigError,
     InsufficientDataError,
+    InvalidParameterError,
     ModelMismatchError,
     ModelMismatchWarning,
     SingularFidelityError,
@@ -152,17 +151,36 @@ class CharacterizationEstimate:
 
     def __post_init__(self):
         if abs(self.eps_mean - (self.f0_mean - self.f1_mean)) > 1e-12:
-            raise ValueError("eps_mean must equal f0_mean - f1_mean")
+            raise InvalidParameterError("eps_mean must equal f0_mean - f1_mean")
         if abs(self.f_mean - (self.f0_mean + self.f1_mean) / 2.0) > 1e-12:
-            raise ValueError("f_mean must equal (f0_mean + f1_mean)/2")
+            raise InvalidParameterError("f_mean must equal (f0_mean + f1_mean)/2")
         if self.eps_sigma < 0.0 or self.d_sigma < 0.0:
-            raise ValueError("sigmas must be non-negative")
+            raise InvalidParameterError("sigmas must be non-negative")
         if not 0.0 <= self.d_mean <= 1.0:
-            raise ValueError(f"d_mean must be in [0, 1], got {self.d_mean!r}")
+            raise InvalidParameterError(f"d_mean must be in [0, 1], got {self.d_mean!r}")
 
     @property
     def theta_hat_deg(self) -> float:
         return math.degrees(self.theta_hat)
+
+
+# characterization.csv: column name -> cell parser, in file order.
+CSV_COLUMNS = {
+    "qubit": int,
+    "f0_mean": float,
+    "f1_mean": float,
+    "eps_mean": float,
+    "eps_sigma": float,
+    "f_mean": float,
+    "gamma_hat": float,
+    "theta_hat_rad": float,
+    "theta_hat_deg": float,
+    "d_mean": float,
+    "d_sigma": float,
+    "L": int,
+    "S": int,
+    "warnings": lambda cell: tuple(t for t in cell.split("|") if t),
+}
 
 
 class PerExperiment(NamedTuple):
@@ -193,18 +211,13 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     return PerExperiment(f0=f0, f1=f1, pr0=pr0, eps=f0 - f1, d=d)
 
 
-def characterize_qubit(
-    archive: RunArchive, qubit: int, *, angle_errors: str = "raise"
-) -> CharacterizationEstimate:
+def characterize_qubit(archive: RunArchive, qubit: int) -> CharacterizationEstimate:
     """Run the full estimator stack for one register element.
 
-    With ``angle_errors="raise"`` (default) a failed angle inversion
-    propagates; with ``"record"`` the estimate is returned with
-    theta_hat = NaN and the failure text as a warning token.
+    A failed angle inversion propagates; :func:`characterize` records it
+    instead.
     """
-    if angle_errors not in ("raise", "record"):
-        raise ValueError(f"angle_errors must be 'raise' or 'record', got {angle_errors!r}")
-    return _aggregate(archive, archive.plan.qubit_indices.index(qubit), angle_errors)
+    return _aggregate(archive, archive.plan.qubit_indices.index(qubit), "raise")
 
 
 def _aggregate(archive: RunArchive, i: int, angle_errors: str) -> CharacterizationEstimate:
@@ -261,71 +274,35 @@ def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
     return [_aggregate(archive, i, "record") for i in range(len(archive.plan.qubits))]
 
 
-CSV_COLUMNS = [
-    "qubit",
-    "f0_mean",
-    "f1_mean",
-    "eps_mean",
-    "eps_sigma",
-    "f_mean",
-    "gamma_hat",
-    "theta_hat_rad",
-    "theta_hat_deg",
-    "d_mean",
-    "d_sigma",
-    "L",
-    "S",
-    "warnings",
-]
-
-
 def write_characterization_csv(estimates, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for e in estimates:
-            writer.writerow(
-                [
-                    e.qubit,
-                    g17(e.f0_mean),
-                    g17(e.f1_mean),
-                    g17(e.eps_mean),
-                    g17(e.eps_sigma),
-                    g17(e.f_mean),
-                    g17(e.gamma_hat),
-                    g17(e.theta_hat),
-                    g17(e.theta_hat_deg),
-                    g17(e.d_mean),
-                    g17(e.d_sigma),
-                    e.L,
-                    e.S,
-                    "|".join(e.warnings),
-                ]
-            )
+    write_csv(
+        path,
+        CSV_COLUMNS,
+        (
+            [
+                e.qubit,
+                g17(e.f0_mean),
+                g17(e.f1_mean),
+                g17(e.eps_mean),
+                g17(e.eps_sigma),
+                g17(e.f_mean),
+                g17(e.gamma_hat),
+                g17(e.theta_hat),
+                g17(e.theta_hat_deg),
+                g17(e.d_mean),
+                g17(e.d_sigma),
+                e.L,
+                e.S,
+                "|".join(e.warnings),
+            ]
+            for e in estimates
+        ),
+    )
 
 
 def read_characterization_csv(path: str | Path) -> list[CharacterizationEstimate]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ConfigError(f"{path}: unexpected characterization columns {reader.fieldnames}")
-        out = []
-        for row in reader:
-            out.append(
-                CharacterizationEstimate(
-                    qubit=int(row["qubit"]),
-                    f0_mean=float(row["f0_mean"]),
-                    f1_mean=float(row["f1_mean"]),
-                    eps_mean=float(row["eps_mean"]),
-                    eps_sigma=float(row["eps_sigma"]),
-                    f_mean=float(row["f_mean"]),
-                    gamma_hat=float(row["gamma_hat"]),
-                    theta_hat=float(row["theta_hat_rad"]),
-                    d_mean=float(row["d_mean"]),
-                    d_sigma=float(row["d_sigma"]),
-                    L=int(row["L"]),
-                    S=int(row["S"]),
-                    warnings=tuple(t for t in row["warnings"].split("|") if t),
-                )
-            )
-    return out
+    """Read characterization.csv; ConfigError naming the file and line if a
+    cell does not parse or a row is not a valid estimate."""
+    # The columns are the estimate's fields plus theta_hat_deg (index 8),
+    # which is derived from theta_hat_rad and so dropped.
+    return read_csv(path, CSV_COLUMNS, lambda *cells: CharacterizationEstimate(*cells[:8], *cells[9:]))

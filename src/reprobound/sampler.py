@@ -28,23 +28,30 @@ file that deviates from that layout.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ._version import __version__
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .errors import IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, gamma_of
 
 MANIFEST_SCHEMA = "run-manifest/2"
 
-COUNTS_COLUMNS = ["kind", "qubit", "experiment", "ones", "shots"]
+# Largest count tensor a plan may ask for (3 kinds x qubits x L). 10**6
+# counts make a counts.csv of about 19 MB, 60 times the 27-qubit L=203
+# reference; a larger plan is rejected before anything is allocated.
+MAX_COUNTS = 10**6
+
+# Cells stay text: _read_counts compares them with the rows save_archive writes.
+COUNTS_COLUMNS = {"kind": str, "qubit": str, "experiment": str, "ones": str, "shots": str}
 
 
 class CircuitKind(str, Enum):
@@ -104,12 +111,18 @@ class ExperimentPlan:
     def __post_init__(self):
         if int(self.L) < 2:
             raise InvalidParameterError(f"L must be >= 2 for population statistics, got {self.L}")
-        if int(self.S) < 1:
-            raise InvalidParameterError(f"S must be >= 1, got {self.S}")
+        # numpy draws binomial counts with an int64 number of trials.
+        if not 1 <= int(self.S) < 2**63:
+            raise InvalidParameterError(f"S must be in [1, 2**63), got {self.S}")
         qubits = tuple(self.qubits)
         indices = [q.index for q in qubits]
         if not qubits:
             raise InvalidParameterError("plan needs at least one qubit")
+        if len(CircuitKind) * len(qubits) * int(self.L) > MAX_COUNTS:
+            raise InvalidParameterError(
+                f"plan asks for {len(CircuitKind)} kinds x {len(qubits)} qubits x L={self.L} counts, "
+                f"more than the supported {MAX_COUNTS}"
+            )
         if len(set(indices)) != len(indices):
             raise InvalidParameterError(f"duplicate qubit indices in plan: {indices}")
         if not 0 <= int(self.seed) < 2**64:
@@ -261,25 +274,22 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
 
     manifest = dict(archive.manifest)
     manifest["status"] = "partial"
-    _write_manifest(out, manifest)
+    write_json(out / "manifest.json", manifest)
 
     shots = archive.plan.S
-    with open(out / "counts.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COUNTS_COLUMNS)
-        writer.writerows(
+    write_csv(
+        out / "counts.csv",
+        COUNTS_COLUMNS,
+        (
             (kind.value, q, l, ones, shots)
             for (kind, q, l), ones in zip(iter_block_keys(archive.plan), archive.counts.ravel().tolist())
-        )
+        ),
+    )
 
     manifest["status"] = "complete"
     manifest["finished_at"] = _utc_now()
-    _write_manifest(out, manifest)
+    write_json(out / "manifest.json", manifest)
     return out
-
-
-def _write_manifest(out: Path, manifest: dict) -> None:
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def plan_from_manifest(manifest: dict) -> ExperimentPlan:
@@ -318,25 +328,19 @@ def load_archive(run_dir: str | Path) -> RunArchive:
     return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), manifest=manifest)
 
 
+def _archive_error(path: Path):
+    """Error factory for the artifact readers: exit 4, naming the file."""
+    return partial(IncompleteArchiveError, missing=(path.name,))
+
+
 def _read_manifest(run: Path) -> dict:
     path = run / "manifest.json"
+    error = _archive_error(path)
     if not path.is_file():
-        raise IncompleteArchiveError(f"{run}: no manifest.json", missing=("manifest.json",))
-
-    def bad(detail: str) -> IncompleteArchiveError:
-        return IncompleteArchiveError(f"{run}: manifest.json {detail}", missing=("manifest.json",))
-
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise bad(f"is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise bad(f"holds a {type(manifest).__name__}, not an object")
-    schema = manifest.get("schema")
-    if schema != MANIFEST_SCHEMA:
-        raise bad(f"has schema {schema!r}, expected {MANIFEST_SCHEMA!r}; re-run simulate")
+        raise error(f"{run}: no manifest.json")
+    manifest = read_json(path, MANIFEST_SCHEMA, error)
     if manifest.get("status") != "complete":
-        raise bad(f"status is {manifest.get('status')!r}, run was not finalized")
+        raise error(f"{path}: status is {manifest.get('status')!r}, run was not finalized")
     return manifest
 
 
@@ -355,42 +359,33 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> np.ndarray:
     Every row must sit where :func:`save_archive` writes it, with a
     canonical integer ``ones`` in [0, S] and ``shots`` equal to S.
     """
+    error = _archive_error(path)
     if not path.is_file():
-        raise IncompleteArchiveError(f"{path}: no counts file", missing=(path.name,))
-
-    def bad(detail: str) -> IncompleteArchiveError:
-        return IncompleteArchiveError(f"{path}: {detail}", missing=(path.name,))
+        raise error(f"{path}: no counts file")
 
     shots = str(plan.S)
-    keys = ([kind.value, str(q), str(l)] for kind, q, l in iter_block_keys(plan))
-    ones: list[int] = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != COUNTS_COLUMNS:
-                raise bad(f"header {header} is not {COUNTS_COLUMNS}")
-            for row in reader:
-                line = reader.line_num
-                key = next(keys, None)
-                if key is None:
-                    raise bad(f"line {line}: more rows than the plan's {len(ones)}")
-                if row[:3] != key:
-                    raise bad(
-                        f"line {line}: expected the row of {','.join(key)}, got {row[:3]} "
-                        "(a row is missing, duplicated or out of order)"
-                    )
-                if len(row) != len(COUNTS_COLUMNS):
-                    raise bad(f"line {line}: {len(row)} cells, expected {len(COUNTS_COLUMNS)}")
-                if row[4] != shots:
-                    raise bad(f"line {line}: shots {row[4]!r} is not the plan's S={shots}")
-                value = _count_cell(row[3])
-                if value is None or not 0 <= value <= plan.S:
-                    raise bad(f"line {line}: ones {row[3]!r} is not an integer in [0, {shots}]")
-                ones.append(value)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise bad(f"unreadable: {exc}") from exc
+    size = len(CircuitKind) * len(plan.qubits) * plan.L
+    # The (kind, qubit, experiment) cells of each row in iter_block_keys order.
+    keys = product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices), map(str, range(plan.L)))
+
+    def row(kind: str, qubit: str, experiment: str, ones: str, shots_cell: str) -> int:
+        key = next(keys, None)
+        if key is None:
+            raise ValueError(f"more rows than the plan's {size}")
+        if (kind, qubit, experiment) != key:
+            raise ValueError(
+                f"expected the row of {','.join(key)}, got {[kind, qubit, experiment]} "
+                "(a row is missing, duplicated or out of order)"
+            )
+        if shots_cell != shots:
+            raise ValueError(f"shots {shots_cell!r} is not the plan's S={shots}")
+        value = _count_cell(ones)
+        if value is None or not 0 <= value <= plan.S:
+            raise ValueError(f"ones {ones!r} is not an integer in [0, {shots}]")
+        return value
+
+    counts = read_csv(path, COUNTS_COLUMNS, row, error)
     key = next(keys, None)
     if key is not None:
-        raise bad(f"ends after {len(ones)} rows; the row of {','.join(key)} and all later rows are missing")
-    return np.array(ones, dtype=np.int64).reshape(len(CircuitKind), len(plan.qubits), plan.L)
+        raise error(f"{path}: ends after {len(counts)} rows; the row of {','.join(key)} and all later rows are missing")
+    return np.array(counts, dtype=np.int64).reshape(len(CircuitKind), len(plan.qubits), plan.L)

@@ -45,6 +45,19 @@ def read_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def edit_lines(path, change):
+    lines = path.read_text().splitlines()
+    change(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def set_csv_cell(lines, row, column, value):
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+
+
 @pytest.fixture
 def small_run(tmp_path):
     """A characterized noisy two-qubit run directory."""
@@ -362,6 +375,22 @@ class TestReport:
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert "counts.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            ("verdicts.csv", lambda lines: lines.pop()),
+            ("characterization.csv", lambda lines: set_csv_cell(lines, 2, 0, "5")),
+            ("characterization.csv", lambda lines: set_csv_cell(lines, 1, 11, "7")),
+            ("characterization.csv", lambda lines: set_csv_cell(lines, 1, 12, "511")),
+        ],
+        ids=["verdicts-fewer-qubits", "qubit-not-in-plan", "other-L", "other-S"],
+    )
+    def test_mismatched_artifacts_are_incomplete(self, small_run, name, edit, capsys):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        edit_lines(small_run / name, edit)
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert f"{small_run / name}: " in capsys.readouterr().err
+
 
 def run_pipeline(tmp_path, tag, seed=77):
     cfg = write_config(
@@ -474,3 +503,100 @@ def test_mutated_counts_never_raise(pristine_run, ops):
         counts.write_bytes(mutate(counts.read_bytes(), ops))
         assert main(["characterize", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
         assert main(["report", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
+
+
+def break_input(tmp_path, run, case):
+    """Write the malformed input named by ``case``; returns (argv, the file
+    the error must name, expected exit code)."""
+    char, verdicts = run / "characterization.csv", run / "verdicts.csv"
+    if case == "characterization-text-cell":
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 1, "abc"))
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
+    if case == "characterization-edited-eps":
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 3, "0.5"))
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
+    if case == "verdicts-text-cell":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
+        return ["report", str(run)], f"{verdicts}: line 3", 2
+    path = tmp_path / "input.json"
+    if case == "config-not-utf8":
+        path.write_bytes(b'{"schema": "device-config/1", "name": "\xff"}')
+        return ["simulate", str(path), "--out", str(tmp_path / "sim")], str(path), 2
+    if case == "config-list":
+        path.write_text("[1, 2]")
+        return ["simulate", str(path), "--out", str(tmp_path / "sim")], str(path), 2
+    if case == "normalized-no-qubits":
+        doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "warnings": []}
+        path.write_text(json.dumps(doc))
+        return ["verdict", str(path), "--delta", "0.3"], f"{path}: missing field 'qubits'", 2
+    if case == "normalized-string-f0":
+        qubit = {"index": 0, "f0": "0.9", "f1": 0.9, "theta_rad": 0.0}
+        doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
+        path.write_text(json.dumps(doc))
+        return ["verdict", str(path), "--delta", "0.3"], f"{path}: qubits[0]: field 'f0'", 2
+    assert case == "snapshot-nan-angle"
+    write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": math.nan}])
+    return ["import-calibration", str(path)], f"{path}: not valid JSON", 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "characterization-text-cell",
+        "characterization-edited-eps",
+        "verdicts-text-cell",
+        "config-not-utf8",
+        "config-list",
+        "normalized-no-qubits",
+        "normalized-string-f0",
+        "snapshot-nan-angle",
+    ],
+)
+def test_malformed_input_exits_naming_the_file(tmp_path, small_run, case, capsys):
+    argv, named, code = break_input(tmp_path, small_run, case)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pristine_inputs(pristine_run):
+    """pristine_run's directory plus a calibration snapshot and its normalized form."""
+    base = pristine_run.parent
+    write_snapshot(
+        base / "snap.json",
+        [
+            {"index": 1, "f0": 0.97, "f1": 0.93, "gate_error": {"value": 0.5, "unit": "deg"}},
+            {"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01},
+        ],
+    )
+    assert main(["import-calibration", str(base / "snap.json"), "--out", str(base / "norm.json"), "--quiet"]) == 0
+    return base
+
+
+# Each mutated artifact, relative to pristine_inputs, and the commands that read it.
+ARTIFACT_COMMANDS = {
+    "run/characterization.csv": [
+        ["verdict", "{base}/run/characterization.csv", "--delta-from-observed"],
+        ["report", "{base}/run"],
+    ],
+    "run/verdicts.csv": [["report", "{base}/run"]],
+    "run/manifest.json": [["characterize", "{base}/run"], ["report", "{base}/run"]],
+    "cfg.json": [["simulate", "{base}/cfg.json", "--out", "{base}/sim"]],
+    "snap.json": [["import-calibration", "{base}/snap.json", "--out", "{base}/snap.out.json"]],
+    "norm.json": [["verdict", "{base}/norm.json", "--delta", "0.3", "--out", "{base}/v.csv"]],
+}
+
+
+@pytest.mark.parametrize("artifact", list(ARTIFACT_COMMANDS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=MUTATIONS)
+def test_mutated_artifacts_never_raise(pristine_inputs, artifact, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "inputs"
+        shutil.copytree(pristine_inputs, base)
+        path = base / artifact
+        path.write_bytes(mutate(path.read_bytes(), ops))
+        for argv in ARTIFACT_COMMANDS[artifact]:
+            assert main([arg.format(base=base) for arg in argv] + ["--quiet"]) in (0, 2, 3, 4, 5)

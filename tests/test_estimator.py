@@ -245,7 +245,7 @@ class TestCharacterize:
     def test_singular_qubit_raises_when_asked(self):
         archive = make_archive(QubitNoiseParams(1.0, 0.0, 0.0), L=4, S=256)
         with pytest.raises(SingularFidelityError):
-            characterize_qubit(archive, 0, angle_errors="raise")
+            characterize_qubit(archive, 0)
 
     def test_mismatched_data_recorded_not_raised(self):
         # Hand-made counts: f0 = f1 = 0.75 (eps = 0, 2f - 1 = 0.5) and a test
@@ -256,8 +256,8 @@ class TestCharacterize:
         counts = np.array([[[64] * 4], [[192] * 4], [[0] * 4]])
         archive = RunArchive(plan=plan, counts=counts, manifest={})
         with pytest.raises(ModelMismatchError):
-            characterize_qubit(archive, 0, angle_errors="raise")
-        est = characterize_qubit(archive, 0, angle_errors="record")
+            characterize_qubit(archive, 0)
+        est = characterize(archive)[0]
         assert math.isnan(est.theta_hat)
         assert any("ModelMismatchError" in w for w in est.warnings)
 

@@ -9,6 +9,7 @@ import pytest
 from reprobound.errors import IncompleteArchiveError, InvalidParameterError
 from reprobound.noise_model import QubitNoiseParams
 from reprobound.sampler import (
+    MAX_COUNTS,
     CircuitKind,
     ExperimentPlan,
     PlanQubit,
@@ -109,6 +110,17 @@ class TestPlanValidation:
             make_plan([PERFECT], seed=-1)
         with pytest.raises(InvalidParameterError):
             make_plan([PERFECT], seed=2**64)
+
+    def test_rejects_shots_beyond_int64(self):
+        # numpy's binomial takes an int64 number of trials.
+        assert make_plan([PERFECT], S=2**63 - 1).S == 2**63 - 1
+        with pytest.raises(InvalidParameterError, match="S must be"):
+            make_plan([PERFECT], S=2**63)
+
+    def test_rejects_oversized_count_tensor(self):
+        assert make_plan([PERFECT, NOISY], L=MAX_COUNTS // 6).L == MAX_COUNTS // 6
+        with pytest.raises(InvalidParameterError, match="supported"):
+            make_plan([PERFECT, NOISY], L=MAX_COUNTS // 6 + 1)
 
 
 class TestRunPlan:
