@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +158,10 @@ def normalize_snapshot(path: str | Path) -> dict:
 
 
 def _verdict_rows(path: Path) -> list[dict]:
-    """Rows of {qubit, eps, f, theta (may be None), d_mean (may be None)}."""
+    """Rows of {qubit, eps, f, theta (may be None), d_mean (may be None)};
+    ConfigError if a qubit appears twice."""
+    rows = []
     if path.suffix == ".json":
-        rows = []
         for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
             f0 = field(q, loc, "f0", (int, float))
             f1 = field(q, loc, "f1", (int, float))
@@ -172,18 +174,20 @@ def _verdict_rows(path: Path) -> list[dict]:
                     "d_mean": None,
                 }
             )
-        return rows
-    rows = []
-    for e in estimator.read_characterization_csv(path):
-        rows.append(
-            {
-                "qubit": e.qubit,
-                "eps": e.eps_mean,
-                "f": e.f_mean,
-                "theta": None if math.isnan(e.theta_hat) else e.theta_hat,
-                "d_mean": e.d_mean,
-            }
-        )
+    else:
+        for e in estimator.read_characterization_csv(path):
+            rows.append(
+                {
+                    "qubit": e.qubit,
+                    "eps": e.eps_mean,
+                    "f": e.f_mean,
+                    "theta": None if math.isnan(e.theta_hat) else e.theta_hat,
+                    "d_mean": e.d_mean,
+                }
+            )
+    repeated = [q for q, n in Counter(row["qubit"] for row in rows).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"{path}: qubit {repeated[0]} appears more than once")
     return rows
 
 
@@ -216,11 +220,16 @@ def _gaussian_drift(sigma: float, seed: int):
 def cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate needs --out RUN_DIR")
+    if args.drift is not None and not 0.0 <= args.drift <= 1.0:
+        raise ConfigError(f"--drift SIGMA must be a finite number in [0, 1], got {args.drift!r}")
     name, plan = load_device_config(args.config)
     if args.seed is not None:
         plan = ExperimentPlan(L=plan.L, S=plan.S, qubits=plan.qubits, seed=args.seed)
     drift = _gaussian_drift(args.drift, plan.seed) if args.drift is not None else None
     archive = run_plan(plan, drift=drift)
+    # Tables derived from the directory's earlier counts no longer describe it.
+    for stale in ("characterization.csv", "verdicts.csv"):
+        (Path(args.out) / stale).unlink(missing_ok=True)
     out = save_archive(archive, args.out)
     _say(args, f"{name}: wrote the counts of {archive.counts.size} experiments to {out}")
     return EXIT_OK
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility and ignored: sampling runs on one thread")
     p.add_argument("--drift", type=float, default=None, metavar="SIGMA",
-                   help="exploratory per-experiment Gaussian parameter drift")
+                   help="exploratory per-experiment Gaussian parameter drift, SIGMA in [0, 1]")
     _add_shared(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -16,14 +16,10 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, EmptyDataError, InvalidParameterError, ShapeError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sampler import ShotBlock
+from .errors import CapacityError, InvalidParameterError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -148,27 +144,3 @@ def bc_uniform_closed_form(gammas) -> float:
         logger.debug("clamping closed-form Bhattacharyya coefficient %r into [0, 1]", bc)
         bc = 1.0
     return bc
-
-
-def empirical_distribution(shots: Sequence["ShotBlock"], n: int) -> Distribution:
-    """Histogram of observed bitstrings from n aligned per-qubit shot blocks.
-
-    ``shots[i]`` supplies bit i of every outcome string (the s = sum 2**i s_i
-    convention), so all blocks must hold the same number of shots.
-    """
-    n = _check_qubit_count(n)
-    if len(shots) == 0:
-        raise EmptyDataError("no shot blocks given")
-    if len(shots) != n:
-        raise ShapeError(f"need one block per register element: got {len(shots)} for n={n}")
-    lengths = {len(block.bits) for block in shots}
-    if len(lengths) != 1:
-        raise ShapeError(f"blocks disagree on shot count: {sorted(lengths)}")
-    total = lengths.pop()
-    if total == 0:
-        raise EmptyDataError("shot blocks are empty")
-    indices = np.zeros(total, dtype=np.int64)
-    for i, block in enumerate(shots):
-        indices += np.asarray(block.bits, dtype=np.int64) << i
-    counts = np.bincount(indices, minlength=2**n)
-    return Distribution(n, counts / total)

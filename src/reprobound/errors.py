@@ -28,14 +28,6 @@ class ShapeError(ReproBoundError, ValueError):
     """Two distributions with mismatched outcome spaces."""
 
 
-class EmptyDataError(ReproBoundError, ValueError):
-    """An estimator was handed no samples at all."""
-
-
-class BlockKindError(ReproBoundError, TypeError):
-    """A shot block of the wrong circuit kind was passed to an estimator."""
-
-
 class InsufficientDataError(ReproBoundError, ValueError):
     """Fewer experiments than population statistics require (L >= 2)."""
 

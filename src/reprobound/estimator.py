@@ -22,14 +22,13 @@ import numpy as np
 
 from .artifacts import g17, read_csv, write_csv
 from .errors import (
-    BlockKindError,
     InsufficientDataError,
     InvalidParameterError,
     ModelMismatchError,
     ModelMismatchWarning,
     SingularFidelityError,
 )
-from .sampler import CircuitKind, RunArchive, ShotBlock
+from .sampler import RunArchive
 
 # Policy for the arcsin argument when inverting the gate angle: silent for
 # float-level overshoot, a warning when the data mildly disagrees with the
@@ -38,31 +37,6 @@ CLAMP_SILENT = 1e-9
 CLAMP_ERROR = 0.01
 
 _F_SINGULAR = 1e-6
-
-
-def _require_kind(block: ShotBlock, kind: CircuitKind) -> ShotBlock:
-    if block.circuit_kind is not kind:
-        raise BlockKindError(f"expected a {kind.value} block, got {block.circuit_kind.value}")
-    return block
-
-
-def estimate_f1(block: ShotBlock) -> float:
-    """Readout fidelity of |1> from one SPAM(1) experiment: ones/S."""
-    _require_kind(block, CircuitKind.SPAM1)
-    return block.ones / block.bits.size
-
-
-def estimate_f0(block: ShotBlock) -> float:
-    """Readout fidelity of |0> from one SPAM(0) experiment: 1 - ones/S."""
-    _require_kind(block, CircuitKind.SPAM0)
-    return 1.0 - block.ones / block.bits.size
-
-
-def estimate_pr(block: ShotBlock) -> np.ndarray:
-    """Observed (Pr(0), Pr(1)) of one test-circuit experiment."""
-    _require_kind(block, CircuitKind.C)
-    p1 = block.ones / block.bits.size
-    return np.array([1.0 - p1, p1], dtype=np.float64)
 
 
 def hellinger_single(pr) -> float:

@@ -22,8 +22,8 @@ A run archive persists as a directory::
 
 ``counts.csv`` is the archive's only data: one row per (kind, qubit,
 experiment), kinds in the order spam0, spam1, c, then qubits in plan order,
-then experiments. :func:`load_archive` is its only reader and rejects any
-file that deviates from that layout.
+then experiments, as :func:`count_keys` yields them. :func:`load_archive`
+is its only reader and rejects any file that deviates from that layout.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._version import __version__
-from .artifacts import read_csv, read_json, write_csv, write_json
-from .errors import IncompleteArchiveError, InvalidParameterError
+from .artifacts import field, read_csv, read_json, records, write_csv, write_json
+from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, gamma_of
 
 MANIFEST_SCHEMA = "run-manifest/2"
@@ -137,33 +137,6 @@ class ExperimentPlan:
         return tuple(q.index for q in self.qubits)
 
 
-@dataclass(frozen=True)
-class ShotBlock:
-    """S binary outcomes for one (circuit kind, qubit, experiment) triple."""
-
-    circuit_kind: CircuitKind
-    qubit: int
-    experiment: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size < 1:
-            raise InvalidParameterError("bits must be a non-empty 1-D array")
-        if bits.max(initial=0) > 1:
-            raise InvalidParameterError("bits must be 0/1 valued")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "circuit_kind", CircuitKind(self.circuit_kind))
-
-    @property
-    def ones(self) -> int:
-        return int(self.bits.sum())
-
-
-BlockKey = tuple[CircuitKind, int, int]
-
-
 @dataclass(frozen=True, eq=False)
 class RunArchive:
     """The outcome counts of one executed plan, plus a provenance manifest.
@@ -194,13 +167,10 @@ class RunArchive:
         return self.counts[_KIND_STREAM[CircuitKind(kind)], self.plan.qubit_indices.index(qubit)]
 
 
-def iter_block_keys(plan: ExperimentPlan) -> Iterator[BlockKey]:
-    """Deterministic (kind, qubit, experiment) order used everywhere; it is
-    the C order of the count tensor."""
-    for kind in CircuitKind:
-        for q in plan.qubit_indices:
-            for l in range(plan.L):
-                yield (kind, q, l)
+def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str, str]]:
+    """The (kind, qubit, experiment) cells of counts.csv's rows, in file
+    order: the C order of the count tensor."""
+    return product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices), map(str, range(plan.L)))
 
 
 def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generator:
@@ -281,8 +251,8 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         out / "counts.csv",
         COUNTS_COLUMNS,
         (
-            (kind.value, q, l, ones, shots)
-            for (kind, q, l), ones in zip(iter_block_keys(archive.plan), archive.counts.ravel().tolist())
+            (*key, ones, shots)
+            for key, ones in zip(count_keys(archive.plan), archive.counts.ravel().tolist())
         ),
     )
 
@@ -293,36 +263,41 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
 
 
 def plan_from_manifest(manifest: dict) -> ExperimentPlan:
-    qubits = tuple(
-        PlanQubit(
-            int(q["index"]),
-            QubitNoiseParams(
-                f0=q["f0"],
-                f1=q["f1"],
-                theta=q["theta_rad"],
-                theta_bound=q.get("theta_bound"),
-            ),
+    """The plan a manifest records, with the field types of a device config;
+    ConfigError or InvalidParameterError if it does not describe one."""
+    where = "manifest"
+    qubits = []
+    for loc, q in records(manifest, where, "qubits"):
+        params = QubitNoiseParams(
+            f0=field(q, loc, "f0", (int, float)),
+            f1=field(q, loc, "f1", (int, float)),
+            theta=field(q, loc, "theta_rad", (int, float)),
+            theta_bound=field(q, loc, "theta_bound", (int, float, type(None))) if "theta_bound" in q else None,
         )
-        for q in manifest["qubits"]
+        qubits.append(PlanQubit(field(q, loc, "index", int), params))
+    return ExperimentPlan(
+        L=field(manifest, where, "L", int),
+        S=field(manifest, where, "S", int),
+        qubits=tuple(qubits),
+        seed=field(manifest, where, "seed", int),
     )
-    return ExperimentPlan(L=manifest["L"], S=manifest["S"], qubits=qubits, seed=manifest["seed"])
 
 
 def load_archive(run_dir: str | Path) -> RunArchive:
     """Load a run directory written by :func:`save_archive`.
 
     Raises IncompleteArchiveError, naming the offending file, if the manifest
-    is absent, not valid JSON, of another schema, not finalized or missing a
-    field, or if counts.csv is absent or deviates in any way from the layout
-    :func:`save_archive` writes for the manifest's plan.
+    is absent, not valid JSON, of another schema, not finalized or does not
+    describe a valid plan, or if counts.csv is absent or deviates in any way
+    from the layout :func:`save_archive` writes for the manifest's plan.
     """
     run = Path(run_dir)
     manifest = _read_manifest(run)
     try:
         plan = plan_from_manifest(manifest)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         raise IncompleteArchiveError(
-            f"{run}: manifest.json does not describe a valid plan: {type(exc).__name__}: {exc}",
+            f"{run}: manifest.json does not describe a valid plan: {exc}",
             missing=("manifest.json",),
         ) from exc
     return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), manifest=manifest)
@@ -365,8 +340,7 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> np.ndarray:
 
     shots = str(plan.S)
     size = len(CircuitKind) * len(plan.qubits) * plan.L
-    # The (kind, qubit, experiment) cells of each row in iter_block_keys order.
-    keys = product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices), map(str, range(plan.L)))
+    keys = count_keys(plan)
 
     def row(kind: str, qubit: str, experiment: str, ones: str, shots_cell: str) -> int:
         key = next(keys, None)

@@ -145,6 +145,23 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--drift", "0.05"]) == 0
         assert (run_a / "counts.csv").read_text() != (run_b / "counts.csv").read_text()
 
+    @pytest.mark.parametrize("sigma", ["-0.1", "inf", "nan", "1e308"])
+    def test_bad_drift_rejected(self, tmp_path, sigma, capsys):
+        cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
+        run = tmp_path / "run"
+        assert main(["simulate", str(cfg), "--out", str(run), "--drift", sigma]) == 2
+        assert "--drift" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_resimulating_clears_derived_tables(self, small_run, capsys):
+        cfg = small_run.parent / "cfg.json"
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        assert main(["--seed", "99", "simulate", str(cfg), "--out", str(small_run), "--quiet"]) == 0
+        assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "report"]
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert "run characterize and verdict first" in capsys.readouterr().err
+
 
 class TestCharacterize:
     def test_perfect_device_rows(self, tmp_path):
@@ -210,6 +227,18 @@ class TestVerdict:
         char = run / "characterization.csv"
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 2
         assert main(["verdict", str(char), "--delta", "0.3", "--theta", "0.0", "--quiet"]) == 0
+
+    def test_duplicate_characterization_row_rejected(self, small_run, capsys):
+        char = edit_lines(small_run / "characterization.csv", lambda lines: lines.append(lines[1]))
+        assert main(["verdict", str(char), "--delta", "0.2", "--quiet"]) == 2
+        assert f"{char}: qubit 0 appears more than once" in capsys.readouterr().err
+        assert not (small_run / "verdicts.csv").exists()
+
+    def test_duplicate_normalized_qubit_rejected(self, tmp_path, capsys):
+        entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}
+        norm = write_snapshot(tmp_path / "norm.json", [entry, entry], schema="calibration-normalized/1")
+        assert main(["verdict", str(norm), "--delta", "0.2", "--quiet"]) == 2
+        assert f"{norm}: qubit 0 appears more than once" in capsys.readouterr().err
 
 
 class TestImportCalibration:
@@ -364,6 +393,32 @@ class TestReport:
         (small_run / "manifest.json").write_text(manifest)
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("L",), 6.7),
+            (("S",), "512"),
+            (("seed",), 20.9),
+            (("seed",), "20"),
+            (("qubits", 0, "index"), 0.5),
+            (("qubits", 0, "index"), "0"),
+            (("qubits", 0, "f0"), "0.99"),
+            (("qubits", 0, "f0"), True),
+        ],
+        ids=["L-float", "S-string", "seed-float", "seed-string", "index-float", "index-string", "f0-string", "f0-bool"],
+    )
+    def test_mistyped_manifest_is_incomplete(self, small_run, path, value, capsys):
+        manifest_path = small_run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        *parents, name = path
+        doc = manifest
+        for key in parents:
+            doc = doc[key]
+        doc[name] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert "manifest.json" in capsys.readouterr().err
 
     def test_non_integer_count_is_incomplete(self, small_run, capsys):

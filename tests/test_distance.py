@@ -14,18 +14,15 @@ from reprobound.distance import (
     GammaVector,
     bc_uniform_closed_form,
     bhattacharyya,
-    empirical_distribution,
     hellinger,
     product_noisy,
     uniform_ideal,
 )
 from reprobound.errors import (
     CapacityError,
-    EmptyDataError,
     InvalidParameterError,
     ShapeError,
 )
-from reprobound.sampler import CircuitKind, ShotBlock
 
 HELLINGER_DISJOINT_1Q = 0.5411961001461969  # sqrt(1 - sqrt(1/2))
 
@@ -202,36 +199,3 @@ def test_hellinger_monotone_in_bias_magnitude():
     assert all(b >= a - 1e-15 for a, b in zip(dists, dists[1:]))
     mirrored = [hellinger(uniform_ideal(1), product_noisy([-g])) for g in grid]
     np.testing.assert_allclose(mirrored, dists, atol=1e-12)
-
-
-class TestEmpiricalDistribution:
-    @staticmethod
-    def blocks_from_columns(columns):
-        """columns[i] is the bit series of register element i."""
-        return [
-            ShotBlock(CircuitKind.C, qubit=i, experiment=0, bits=np.array(col, dtype=np.uint8))
-            for i, col in enumerate(columns)
-        ]
-
-    def test_single_qubit_split(self):
-        blocks = self.blocks_from_columns([[0, 0, 1, 1]])
-        np.testing.assert_array_equal(empirical_distribution(blocks, 1).probs, [0.5, 0.5])
-
-    def test_all_zeros(self):
-        blocks = self.blocks_from_columns([[0] * 8192])
-        np.testing.assert_array_equal(empirical_distribution(blocks, 1).probs, [1.0, 0.0])
-
-    def test_two_qubit_hand_count(self):
-        # Shot strings 00, 01, 01, 11 with bit i coming from register i.
-        bit0 = [0, 1, 1, 1]
-        bit1 = [0, 0, 0, 1]
-        d = empirical_distribution(self.blocks_from_columns([bit0, bit1]), 2)
-        np.testing.assert_allclose(d.probs, [0.25, 0.5, 0.0, 0.25], atol=1e-15)
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyDataError):
-            empirical_distribution([], 1)
-
-    def test_block_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            empirical_distribution(self.blocks_from_columns([[0, 1]]), 2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from reprobound.distance import Distribution, hellinger, uniform_ideal
 from reprobound.errors import (
-    BlockKindError,
     InsufficientDataError,
     ModelMismatchError,
     ModelMismatchWarning,
@@ -20,9 +19,6 @@ from reprobound.estimator import (
     CharacterizationEstimate,
     characterize,
     characterize_qubit,
-    estimate_f0,
-    estimate_f1,
-    estimate_pr,
     hellinger_single,
     invert_theta,
     per_experiment,
@@ -31,13 +27,9 @@ from reprobound.estimator import (
     write_characterization_csv,
 )
 from reprobound.noise_model import QubitNoiseParams, gamma_of
-from reprobound.sampler import CircuitKind, ExperimentPlan, PlanQubit, RunArchive, ShotBlock, run_plan
+from reprobound.sampler import CircuitKind, ExperimentPlan, PlanQubit, RunArchive, run_plan
 
 THETA_HAT_REFERENCE = 0.021283022167392  # 0.5 * asin(0.04 / 0.94)
-
-
-def block(kind, bits):
-    return ShotBlock(kind, qubit=0, experiment=0, bits=np.array(bits, dtype=np.uint8))
 
 
 def make_archive(params, L=8, S=512, seed=5):
@@ -45,42 +37,35 @@ def make_archive(params, L=8, S=512, seed=5):
     return run_plan(plan)
 
 
+def one_experiment(spam0=0, spam1=0, c=0, shots=4):
+    """Estimates of a single experiment whose rows read the given ones counts."""
+    return per_experiment([[spam0], [spam1], [c]], shots)
+
+
 class TestPointEstimators:
     def test_f1_all_ones(self):
-        assert estimate_f1(block(CircuitKind.SPAM1, [1, 1, 1, 1])) == 1.0
+        assert one_experiment(spam1=4).f1[0] == 1.0
 
     def test_f1_hand_count(self):
-        assert estimate_f1(block(CircuitKind.SPAM1, [1, 1, 1, 0])) == 0.75
+        assert one_experiment(spam1=3).f1[0] == 0.75
 
     def test_f0_all_zeros(self):
-        assert estimate_f0(block(CircuitKind.SPAM0, [0, 0, 0, 0])) == 1.0
+        assert one_experiment(spam0=0).f0[0] == 1.0
 
     def test_f0_hand_count(self):
-        assert estimate_f0(block(CircuitKind.SPAM0, [0, 0, 1, 1])) == 0.5
+        assert one_experiment(spam0=2).f0[0] == 0.5
 
     def test_f0_all_ones(self):
-        assert estimate_f0(block(CircuitKind.SPAM0, [1, 1, 1, 1])) == 0.0
+        assert one_experiment(spam0=4).f0[0] == 0.0
 
     def test_pr_all_zeros(self):
-        np.testing.assert_array_equal(estimate_pr(block(CircuitKind.C, [0, 0, 0, 0])), [1.0, 0.0])
+        assert one_experiment(c=0).pr0[0] == 1.0
 
     def test_pr_hand_count(self):
-        np.testing.assert_array_equal(estimate_pr(block(CircuitKind.C, [0, 1, 0, 1])), [0.5, 0.5])
+        assert one_experiment(c=2).pr0[0] == 0.5
 
     def test_pr_all_ones(self):
-        np.testing.assert_array_equal(estimate_pr(block(CircuitKind.C, [1, 1, 1, 1])), [0.0, 1.0])
-
-    @pytest.mark.parametrize(
-        "fn,wrong",
-        [
-            (estimate_f1, CircuitKind.SPAM0),
-            (estimate_f0, CircuitKind.SPAM1),
-            (estimate_pr, CircuitKind.SPAM0),
-        ],
-    )
-    def test_wrong_kind_rejected(self, fn, wrong):
-        with pytest.raises(BlockKindError):
-            fn(block(wrong, [0, 1]))
+        assert one_experiment(c=4).pr0[0] == 0.0
 
 
 class TestHellingerSingle:
@@ -113,15 +98,10 @@ class TestPerExperiment:
     def test_matches_point_estimators(self):
         archive = make_archive(QubitNoiseParams(0.9, 0.8, 0.05), L=5, S=64, seed=8)
         est = per_experiment(archive.counts[:, 0], 64)
-        for l in range(5):
-            shot_blocks = {}
-            for kind in CircuitKind:
-                ones = int(archive.ones(kind, 0)[l])
-                shot_blocks[kind] = block(kind, [1] * ones + [0] * (64 - ones))
-            assert est.f0[l] == estimate_f0(shot_blocks[CircuitKind.SPAM0])
-            assert est.f1[l] == estimate_f1(shot_blocks[CircuitKind.SPAM1])
-            assert est.pr0[l] == estimate_pr(shot_blocks[CircuitKind.C])[0]
-            assert est.eps[l] == est.f0[l] - est.f1[l]
+        np.testing.assert_array_equal(est.f0, 1.0 - archive.ones(CircuitKind.SPAM0, 0) / 64)
+        np.testing.assert_array_equal(est.f1, archive.ones(CircuitKind.SPAM1, 0) / 64)
+        np.testing.assert_array_equal(est.pr0, 1.0 - archive.ones(CircuitKind.C, 0) / 64)
+        np.testing.assert_array_equal(est.eps, est.f0 - est.f1)
 
 
 class TestPopulationStats:

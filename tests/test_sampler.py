@@ -14,7 +14,6 @@ from reprobound.sampler import (
     ExperimentPlan,
     PlanQubit,
     RunArchive,
-    ShotBlock,
     count_stream,
     load_archive,
     p_one,
@@ -34,20 +33,6 @@ def make_plan(params_list, L=4, S=64, seed=7):
 def counts_of(kind, params, S=64):
     """The ones counts of ``kind`` in a two-experiment one-qubit plan."""
     return run_plan(make_plan([params], L=2, S=S, seed=0)).ones(kind, 0)
-
-
-class TestShotBlock:
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidParameterError):
-            ShotBlock(CircuitKind.C, 0, 0, np.array([], dtype=np.uint8))
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(InvalidParameterError):
-            ShotBlock(CircuitKind.C, 0, 0, np.array([0, 2], dtype=np.uint8))
-
-    def test_ones(self):
-        block = ShotBlock(CircuitKind.C, 0, 0, np.array([1, 0, 1, 1], dtype=np.uint8))
-        assert block.ones == 3
 
 
 class TestSingleBlocks:
