@@ -14,12 +14,14 @@ above that ceiling raise instead of extrapolating silently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import g17, read_csv, write_csv, write_json
+from .distance import hellinger_1q
 from .errors import InvalidParameterError, OutOfRegimeError
 
 
@@ -37,6 +39,9 @@ def _check_n(n: int) -> int:
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"qubit count must be >= 1, got {n}")
+    # The closed forms evaluate n as a float.
+    if n > sys.float_info.max:
+        raise InvalidParameterError(f"qubit count must fit a float, got an integer of {n.bit_length()} bits")
     return n
 
 
@@ -134,15 +139,13 @@ def min_delta(n: int, gamma_d: float) -> float:
 
 
 def exact_hellinger_1q(gamma: float) -> float:
-    """Exact one-qubit Hellinger distance to uniform at output bias gamma.
-
-    d = sqrt(1 - (sqrt(1+gamma) + sqrt(1-gamma))/2).
+    """Exact one-qubit Hellinger distance to uniform at output bias gamma:
+    :func:`distance.hellinger_1q` of the outputs ((1+gamma)/2, (1-gamma)/2).
     """
     gamma = float(gamma)
     if not math.isfinite(gamma) or abs(gamma) > 1.0:
         raise InvalidParameterError(f"gamma must be in [-1, 1], got {gamma!r}")
-    bc = (math.sqrt(1.0 + gamma) + math.sqrt(1.0 - gamma)) / 2.0
-    return math.sqrt(max(0.0, 1.0 - bc))
+    return float(hellinger_1q((1.0 + gamma) / 2.0, (1.0 - gamma) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -185,23 +188,27 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
         )
     if np.any(gammas < 0.0) or np.any(gammas > 1.0):
         raise InvalidParameterError("every gamma must lie in [0, 1]")
+    # NaN passes both range checks and compares false in both tests.
+    if np.isnan(deltas).any() or np.isnan(gammas).any():
+        raise InvalidParameterError("grids must not contain NaN")
 
-    bad = []
-    for d in deltas:
-        gm = gamma_max(1, float(d))
-        for g in gammas:
-            hd = exact_hellinger_1q(float(g))
-            if (g <= gm) != (hd <= d):
-                bad.append(
-                    LemmaCounterexample(
-                        delta=float(d), gamma=float(g), gamma_max=gm, hellinger=hd
-                    )
-                )
+    limits = np.array([gamma_max(1, d) for d in deltas.tolist()])
+    distances = hellinger_1q((1.0 + gammas) / 2.0, (1.0 - gammas) / 2.0)
+    # Rows are deltas, columns gammas: argwhere yields delta-major order.
+    bad = np.argwhere((gammas <= limits[:, None]) != (distances <= deltas[:, None]))
     return LemmaA1Report(
         pairs_checked=deltas.size * gammas.size,
         delta_range=(float(deltas.min()), float(deltas.max())),
         gamma_range=(float(gammas.min()), float(gammas.max())),
-        counterexamples=tuple(bad),
+        counterexamples=tuple(
+            LemmaCounterexample(
+                delta=float(deltas[i]),
+                gamma=float(gammas[j]),
+                gamma_max=float(limits[i]),
+                hellinger=float(distances[j]),
+            )
+            for i, j in bad.tolist()
+        ),
     )
 
 
@@ -214,63 +221,20 @@ def default_lemma_grids(points: int = 100) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients). Absolute error < 1e-8 over (0, 1) using only +,*,/ on IEEE
-# doubles, so sample plans are bit-stable across platforms.
-_QA = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_QB = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_QC = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_QD = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_Q_TAIL = 0.02425
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1)."""
+    """Inverse standard normal CDF for p in (0, 1).
+
+    The standard library's ``statistics.NormalDist().inv_cdf``: Wichura's
+    AS241 algorithm (Appl. Statist. 37, 1988), with a relative error below
+    1e-15 against a 40-digit reference from p = 1e-300 up.
+    """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidParameterError(f"quantile probability must be in (0, 1), got {p!r}")
-    if p < _Q_TAIL:
-        q = math.sqrt(-2.0 * math.log(p))
-        return _tail_poly(q)
-    if p > 1.0 - _Q_TAIL:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -_tail_poly(q)
-    q = p - 0.5
-    r = q * q
-    num = ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
-    den = ((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0
-    return num * q / den
+    # Imported here: it costs milliseconds per process and only plan-samples needs it.
+    from statistics import NormalDist
 
-
-def _tail_poly(q: float) -> float:
-    num = ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
-    den = (((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0
-    return num / den
+    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -304,7 +268,13 @@ def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha!r}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    t = max(1, math.ceil((1.0 / p_s - 1.0) * z * z / (epsilon_rel * epsilon_rel)))
+    try:
+        t = max(1, math.ceil((1.0 / p_s - 1.0) * z * z / (epsilon_rel * epsilon_rel)))
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidParameterError(
+            f"the shot count for p_s={p_s!r}, epsilon_rel={epsilon_rel!r} and alpha={alpha!r} "
+            "is not a finite number"
+        ) from None
     return SamplePlan(p_s=p_s, epsilon_rel=epsilon_rel, alpha=alpha, z=z, T=t)
 
 

@@ -17,8 +17,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds, estimator
 from .artifacts import field, g17, read_json, records, write_csv, write_json
 from ._version import __version__
@@ -33,6 +31,7 @@ from .noise_model import QubitNoiseParams
 from .sampler import (
     ExperimentPlan,
     PlanQubit,
+    gaussian_drift,
     load_archive,
     run_plan,
     save_archive,
@@ -47,9 +46,6 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_INCOMPLETE = 4
 EXIT_REGIME = 5
-
-# Stream id 3 is reserved for the drift hook (0..2 belong to circuit kinds).
-_DRIFT_STREAM = 3
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +196,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _gaussian_drift(sigma: float, seed: int):
-    """Common-mode per-experiment parameter drift for exploratory runs."""
-
-    def hook(params: QubitNoiseParams, experiment: int) -> QubitNoiseParams:
-        seq = np.random.SeedSequence(seed, spawn_key=(_DRIFT_STREAM, experiment))
-        rng = np.random.Generator(np.random.Philox(seq))
-        df0, df1, dtheta = rng.normal(0.0, sigma, 3)
-        return QubitNoiseParams(
-            f0=min(1.0, max(0.0, params.f0 + df0)),
-            f1=min(1.0, max(0.0, params.f1 + df1)),
-            theta=params.theta + dtheta,
-            theta_bound=None,
-        )
-
-    return hook
-
-
 def cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate needs --out RUN_DIR")
@@ -225,7 +204,7 @@ def cmd_simulate(args) -> int:
     name, plan = load_device_config(args.config)
     if args.seed is not None:
         plan = ExperimentPlan(L=plan.L, S=plan.S, qubits=plan.qubits, seed=args.seed)
-    drift = _gaussian_drift(args.drift, plan.seed) if args.drift is not None else None
+    drift = gaussian_drift(args.drift, plan.seed) if args.drift is not None else None
     archive = run_plan(plan, drift=drift)
     # Tables derived from the directory's earlier counts no longer describe it.
     for stale in ("characterization.csv", "verdicts.csv"):

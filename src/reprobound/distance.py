@@ -130,6 +130,16 @@ def hellinger(p: Distribution, q: Distribution) -> float:
     return math.sqrt(min(1.0, 0.5 * math.fsum((diff * diff).tolist())))
 
 
+def hellinger_1q(pr0, pr1):
+    """Hellinger distance of the two-outcome distribution (pr0, pr1) to the
+    uniform (1/2, 1/2), elementwise over arrays.
+
+    d = sqrt(1 - sqrt(Pr(0)/2) - sqrt(Pr(1)/2)), the one-qubit closed form;
+    agrees with :func:`hellinger` on every two-outcome input.
+    """
+    return np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(pr1 / 2.0)))
+
+
 def bc_uniform_closed_form(gammas) -> float:
     """BC between the uniform ideal and the product noisy distribution.
 

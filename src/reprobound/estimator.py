@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import g17, read_csv, write_csv
+from .distance import hellinger_1q
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -37,19 +38,6 @@ CLAMP_SILENT = 1e-9
 CLAMP_ERROR = 0.01
 
 _F_SINGULAR = 1e-6
-
-
-def hellinger_single(pr) -> float:
-    """Hellinger distance between a two-outcome distribution and (1/2, 1/2).
-
-    d = sqrt(1 - sqrt(Pr(0)/2) - sqrt(Pr(1)/2)); agrees with the general
-    n-qubit distance routine on every two-outcome input.
-    """
-    pr = np.asarray(pr, dtype=np.float64)
-    if pr.shape != (2,):
-        raise ValueError(f"expected a two-outcome distribution, got shape {pr.shape}")
-    inner = 1.0 - math.sqrt(pr[0] / 2.0) - math.sqrt(pr[1] / 2.0)
-    return math.sqrt(max(0.0, inner))
 
 
 def population_stats(values) -> tuple[float, float]:
@@ -174,15 +162,14 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     rows of length L (its ``counts[:, i]`` slice of the archive), each out of
     ``shots``: f0 = 1 - ones/S, f1 = ones/S, Pr(0) = 1 - ones/S of the test
     circuit, eps = f0 - f1, and d the Hellinger distance of (Pr(0), Pr(1))
-    to the uniform output, elementwise equal to :func:`hellinger_single`.
+    to the uniform output (:func:`distance.hellinger_1q`).
     """
     ones = np.asarray(ones, dtype=np.int64)
     f0 = 1.0 - ones[0] / shots
     f1 = ones[1] / shots
     p1 = ones[2] / shots
     pr0 = 1.0 - p1
-    d = np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(p1 / 2.0)))
-    return PerExperiment(f0=f0, f1=f1, pr0=pr0, eps=f0 - f1, d=d)
+    return PerExperiment(f0=f0, f1=f1, pr0=pr0, eps=f0 - f1, d=hellinger_1q(pr0, p1))
 
 
 def characterize_qubit(archive: RunArchive, qubit: int) -> CharacterizationEstimate:

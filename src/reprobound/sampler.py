@@ -13,7 +13,9 @@ Reproducibility of this engine is non-negotiable, so each (circuit kind,
 qubit) pair draws its L counts from its own counter-based Philox stream
 keyed purely by (master seed, circuit kind, qubit). Re-running a plan
 yields an identical count tensor, and one qubit's counts do not depend on
-the other qubits of the plan.
+the other qubits of the plan. The drift hook of :func:`gaussian_drift`
+draws experiment l's perturbation from a stream of its own, keyed by
+(master seed, drift, l).
 
 A run archive persists as a directory::
 
@@ -62,9 +64,11 @@ class CircuitKind(str, Enum):
     C = "c"
 
 
-# Fixed stream identifiers; part of the on-disk reproducibility contract.
-# They double as the kind axis of the count tensor.
-_KIND_STREAM = {CircuitKind.SPAM0: 0, CircuitKind.SPAM1: 1, CircuitKind.C: 2}
+# Every Philox stream id the engine reserves; part of the on-disk
+# reproducibility contract. The circuit kinds' ids double as the kind axis
+# of the count tensor; the drift hook draws from its own stream.
+_STREAM_IDS = {"spam0": 0, "spam1": 1, "c": 2, "drift": 3}
+_KIND_STREAM = {kind: _STREAM_IDS[kind.value] for kind in CircuitKind}
 
 # Probability that one shot of each circuit kind reads 1.
 _P_ONE = {
@@ -180,8 +184,29 @@ def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generato
     the order in which pairs are drawn, and which other qubits the plan
     holds, cannot change any count.
     """
-    key = (_KIND_STREAM[CircuitKind(kind)], int(qubit))
-    seq = np.random.SeedSequence(int(seed), spawn_key=key)
+    return _philox(seed, CircuitKind(kind).value, qubit)
+
+
+def gaussian_drift(sigma: float, seed: int) -> DriftHook:
+    """Common-mode per-experiment parameter drift for exploratory runs:
+    experiment l adds N(0, sigma) to f0, f1 and theta, drawn from the drift
+    stream keyed by (seed, l), and clips f0 and f1 into [0, 1]."""
+
+    def hook(params: QubitNoiseParams, experiment: int) -> QubitNoiseParams:
+        df0, df1, dtheta = _philox(seed, "drift", experiment).normal(0.0, sigma, 3)
+        return QubitNoiseParams(
+            f0=min(1.0, max(0.0, params.f0 + df0)),
+            f1=min(1.0, max(0.0, params.f1 + df1)),
+            theta=params.theta + dtheta,
+            theta_bound=None,
+        )
+
+    return hook
+
+
+def _philox(seed: int, stream: str, key: int) -> np.random.Generator:
+    """The Philox generator of reserved stream ``stream``, keyed by (seed, key)."""
+    seq = np.random.SeedSequence(int(seed), spawn_key=(_STREAM_IDS[stream], int(key)))
     return np.random.Generator(np.random.Philox(seq))
 
 

@@ -179,6 +179,43 @@ class TestLemmaA1:
         with pytest.raises(InvalidParameterError):
             lemma_a1_check([0.3], [1.5])
 
+    @pytest.mark.parametrize(
+        "deltas, gammas",
+        [([0.3, math.nan], [0.5]), ([0.3], [0.5, math.nan]), ([math.nan], [math.nan])],
+        ids=["delta", "gamma", "both"],
+    )
+    def test_rejects_nan_grid(self, deltas, gammas):
+        with pytest.raises(InvalidParameterError):
+            lemma_a1_check(deltas, gammas)
+
+    def test_dense_grid_no_counterexamples(self):
+        start = time.perf_counter()
+        report = lemma_a1_check(*default_lemma_grids(1000))
+        elapsed = time.perf_counter() - start
+        assert report.pairs_checked == 1_000_000
+        assert report.counterexamples == ()
+        assert elapsed < 1.0
+
+    def test_counterexamples_match_pairwise_evaluation(self):
+        # On the boundary gamma = gamma_max(1, delta) and its float neighbours
+        # the two tests can disagree by a rounding; the report must list
+        # exactly the pairs a scalar evaluation finds, delta-major.
+        deltas = np.linspace(0.01, delta_star(1), 40)
+        bounds = [gamma_max(1, d) for d in deltas.tolist()]
+        gammas = np.unique(
+            [min(1.0, g) for b in bounds for g in (np.nextafter(b, 0.0), b, np.nextafter(b, 2.0))]
+        )
+        expected = [
+            (d, g, gm, exact_hellinger_1q(g))
+            for d, gm in zip(deltas.tolist(), bounds)
+            for g in gammas.tolist()
+            if (g <= gm) != (exact_hellinger_1q(g) <= d)
+        ]
+        report = lemma_a1_check(deltas, gammas)
+        found = [(c.delta, c.gamma, c.gamma_max, c.hellinger) for c in report.counterexamples]
+        assert found == expected
+        assert found
+
     def test_report_serialization(self, tmp_path):
         report = lemma_a1_check(*default_lemma_grids(10))
         path = tmp_path / "lemma_report.json"
@@ -222,6 +259,7 @@ class TestNormalQuantile:
         ps = np.concatenate(
             [
                 np.array([1e-12, 1e-9, 1e-4, 0.02424, 0.02426]),
+                np.logspace(-300, -3, 100),
                 np.linspace(0.001, 0.999, 997),
                 np.array([1 - 1e-4, 1 - 1e-9, 1 - 1e-12]),
             ]

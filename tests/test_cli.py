@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reprobound.cli import main
-from reprobound.estimator import hellinger_single
+from reprobound.distance import hellinger_1q
 
 PERFECT_QUBIT = {"index": 0, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}
 
@@ -240,6 +240,11 @@ class TestVerdict:
         assert main(["verdict", str(norm), "--delta", "0.2", "--quiet"]) == 2
         assert f"{norm}: qubit 0 appears more than once" in capsys.readouterr().err
 
+    def test_register_size_beyond_float_rejected(self, small_run, capsys):
+        n = "1" + "0" * 400
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta", "0.1", "--n", n, "--quiet"]) == 2
+        assert "qubit count must fit a float" in capsys.readouterr().err
+
 
 class TestImportCalibration:
     def test_minimal_snapshot(self, tmp_path):
@@ -328,6 +333,16 @@ class TestPlanSamples:
     def test_zero_confidence_rejected(self):
         assert main(["plan-samples", "--p", "0.5", "--precision", "0.01", "--confidence", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "p, precision",
+        [("0.5", "1e-160"), ("1e-300", "1e-10"), ("0.5", "1e-300")],
+        ids=["overflow-precision", "overflow-probability", "precision-squared-underflows"],
+    )
+    def test_infinite_shot_count_rejected(self, p, precision, capsys):
+        assert main(["plan-samples", "--p", p, "--precision", precision, "--confidence", "0.95"]) == 2
+        err = capsys.readouterr().err
+        assert "is not a finite number" in err and f"epsilon_rel={float(precision)!r}" in err
+
 
 class TestReport:
     def test_requires_upstream_outputs(self, tmp_path):
@@ -370,7 +385,7 @@ class TestReport:
             key = (row["qubit"], row["experiment"])
             p1 = counts[("c", *key)]
             assert float(row["eps"]) == (1.0 - counts[("spam0", *key)]) - counts[("spam1", *key)]
-            assert float(row["hellinger"]) == hellinger_single([1.0 - p1, p1])
+            assert float(row["hellinger"]) == hellinger_1q(1.0 - p1, p1)
 
     def test_empty_verdicts_is_incomplete(self, small_run, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reprobound.distance import Distribution, hellinger, uniform_ideal
+from reprobound.distance import Distribution, hellinger, hellinger_1q, uniform_ideal
 from reprobound.errors import (
     InsufficientDataError,
     ModelMismatchError,
@@ -19,7 +19,6 @@ from reprobound.estimator import (
     CharacterizationEstimate,
     characterize,
     characterize_qubit,
-    hellinger_single,
     invert_theta,
     per_experiment,
     population_stats,
@@ -69,31 +68,42 @@ class TestPointEstimators:
 
 
 class TestHellingerSingle:
+    """The one-qubit closed form :func:`hellinger_1q`."""
+
     def test_uniform_is_zero(self):
-        assert hellinger_single([0.5, 0.5]) == 0.0
+        assert hellinger_1q(0.5, 0.5) == 0.0
 
     def test_point_mass(self):
-        assert hellinger_single([1.0, 0.0]) == pytest.approx(0.5411961001461969, abs=1e-15)
+        assert hellinger_1q(1.0, 0.0) == pytest.approx(0.5411961001461969, abs=1e-15)
 
     def test_matches_general_route(self):
         pr = np.array([0.52, 0.48])
         general = hellinger(uniform_ideal(1), Distribution(1, pr))
-        assert hellinger_single(pr) == pytest.approx(general, abs=1e-15)
+        assert hellinger_1q(*pr) == pytest.approx(general, abs=1e-15)
 
     def test_grid_agreement_with_general(self):
-        for p0 in np.linspace(0.0, 1.0, 1000):
-            pr = np.array([p0, 1.0 - p0])
-            general = hellinger(uniform_ideal(1), Distribution(1, pr))
-            assert abs(hellinger_single(pr) - general) <= 1e-12
+        p0 = np.linspace(0.0, 1.0, 1000)
+        shots = 1000
+        ones = np.arange(shots + 1)
+        p1 = ones / shots
+        # The kernel on a grid, and per_experiment's d at every count 0..S.
+        cases = [
+            (p0, 1.0 - p0, hellinger_1q(p0, 1.0 - p0)),
+            (1.0 - p1, p1, per_experiment(np.stack([ones, ones, ones]), shots).d),
+        ]
+        for pr0, pr1, d in cases:
+            for a, b, d_ab in zip(pr0.tolist(), pr1.tolist(), d.tolist()):
+                general = hellinger(uniform_ideal(1), Distribution(1, [a, b]))
+                assert abs(d_ab - general) <= 1e-12
 
 
 class TestPerExperiment:
-    def test_hellinger_matches_hellinger_single(self):
+    def test_hellinger_matches_hellinger_1q(self):
         shots = 1000
         ones = np.arange(shots + 1)
         est = per_experiment(np.stack([ones, ones, ones]), shots)
         for c, d in zip(ones.tolist(), est.d.tolist()):
-            assert d == hellinger_single([1.0 - c / shots, c / shots])
+            assert d == hellinger_1q(1.0 - c / shots, c / shots)
 
     def test_matches_point_estimators(self):
         archive = make_archive(QubitNoiseParams(0.9, 0.8, 0.05), L=5, S=64, seed=8)

@@ -15,6 +15,7 @@ from reprobound.sampler import (
     PlanQubit,
     RunArchive,
     count_stream,
+    gaussian_drift,
     load_archive,
     p_one,
     run_plan,
@@ -396,3 +397,12 @@ class TestStreams:
         plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(3, NOISY),), seed=17)
         expected = count_stream(17, CircuitKind.SPAM1, 3).binomial(1000, NOISY.f1, size=5)
         np.testing.assert_array_equal(run_plan(plan).ones(CircuitKind.SPAM1, 3), expected)
+
+    def test_drift_draws_from_stream_three(self):
+        # Stream ids 0..2 key the circuit kinds; 3 keys experiment l's drift.
+        seq = np.random.SeedSequence(17, spawn_key=(3, 4))
+        df0, df1, dtheta = np.random.Generator(np.random.Philox(seq)).normal(0.0, 0.05, 3)
+        drifted = gaussian_drift(0.05, 17)(NOISY, 4)
+        assert drifted.f0 == min(1.0, max(0.0, NOISY.f0 + df0))
+        assert drifted.f1 == min(1.0, max(0.0, NOISY.f1 + df1))
+        assert drifted.theta == NOISY.theta + dtheta
