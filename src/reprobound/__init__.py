@@ -21,16 +21,6 @@ from .bounds import (
     plan_samples,
     verdict,
 )
-from .distance import (
-    Distribution,
-    GammaVector,
-    bc_uniform_closed_form,
-    bhattacharyya,
-    hellinger,
-    hellinger_1q,
-    product_noisy,
-    uniform_ideal,
-)
 from .estimator import (
     CharacterizationEstimate,
     characterize,
@@ -40,17 +30,10 @@ from .estimator import (
     population_stats,
 )
 from .noise_model import (
-    DerivedReadout,
     QubitNoiseParams,
-    ReadoutMatrix,
-    SingleQubitState,
-    control_error_operator,
     gamma_of,
-    kraus_readout,
-    noisy_hadamard,
+    hellinger_1q,
     observed_probs,
-    pre_readout_probs,
-    readout_matrix,
 )
 from .sampler import (
     CircuitKind,
@@ -68,48 +51,33 @@ __all__ = [
     "__version__",
     "CharacterizationEstimate",
     "CircuitKind",
-    "DerivedReadout",
-    "Distribution",
     "ExperimentPlan",
-    "GammaVector",
     "LemmaA1Report",
     "PlanQubit",
     "QubitNoiseParams",
-    "ReadoutMatrix",
     "ReproVerdict",
     "RunArchive",
     "SamplePlan",
-    "SingleQubitState",
-    "bc_uniform_closed_form",
-    "bhattacharyya",
     "characterize",
     "characterize_qubit",
-    "control_error_operator",
     "count_stream",
     "delta_star",
     "exact_hellinger_1q",
     "gamma_device",
     "gamma_max",
     "gamma_of",
-    "hellinger",
     "hellinger_1q",
     "invert_theta",
-    "kraus_readout",
     "lemma_a1_check",
     "load_archive",
     "min_delta",
-    "noisy_hadamard",
     "normal_quantile",
     "observed_probs",
     "p_one",
     "per_experiment",
     "plan_samples",
     "population_stats",
-    "pre_readout_probs",
-    "product_noisy",
-    "readout_matrix",
     "run_plan",
     "save_archive",
-    "uniform_ideal",
     "verdict",
 ]

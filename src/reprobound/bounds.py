@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import g17, read_csv, write_csv, write_json
-from .distance import hellinger_1q
 from .errors import InvalidParameterError, OutOfRegimeError
+from .noise_model import hellinger_1q
 
 
 def delta_star(n: int) -> float:
@@ -140,7 +140,7 @@ def min_delta(n: int, gamma_d: float) -> float:
 
 def exact_hellinger_1q(gamma: float) -> float:
     """Exact one-qubit Hellinger distance to uniform at output bias gamma:
-    :func:`distance.hellinger_1q` of the outputs ((1+gamma)/2, (1-gamma)/2).
+    :func:`noise_model.hellinger_1q` of the outputs ((1+gamma)/2, (1-gamma)/2).
     """
     gamma = float(gamma)
     if not math.isfinite(gamma) or abs(gamma) > 1.0:

@@ -41,6 +41,17 @@ DEVICE_CONFIG_SCHEMA = "device-config/1"
 SNAPSHOT_SCHEMA = "calibration-snapshot/1"
 NORMALIZED_SCHEMA = "calibration-normalized/1"
 
+# What `report` writes under its output directory, in the order it writes them.
+REPORT_FILES = (
+    "table1.csv",
+    "fig_theta.csv",
+    "fig_hellinger.csv",
+    "fig_asymmetry.csv",
+    "fig_gamma.csv",
+    "fig_scatter.csv",
+    "lemma_report.json",
+)
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
@@ -106,6 +117,16 @@ def _theta_from_gate_error(loc: str, entry: dict) -> float:
     raise ConfigError(f"{loc}: unknown gate error unit {unit!r} (use rad, deg, or infidelity)")
 
 
+def _fidelities(q: dict, loc: str, index: int) -> tuple[float, float]:
+    """A calibration qubit's (f0, f1); ConfigError naming the qubit unless
+    each is a number in [0, 1]."""
+    f0, f1 = (float(field(q, loc, name, (int, float))) for name in ("f0", "f1"))
+    for name, value in (("f0", f0), ("f1", f1)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{loc}: qubit {index}: {name}={value!r} outside [0, 1]")
+    return f0, f1
+
+
 def normalize_snapshot(path: str | Path) -> dict:
     """Validate a calibration snapshot and normalize angles to radians.
 
@@ -122,11 +143,7 @@ def normalize_snapshot(path: str | Path) -> dict:
     flags = []
     for loc, q in records(doc, where, "qubits"):
         index = field(q, loc, "index", int)
-        f0 = field(q, loc, "f0", (int, float))
-        f1 = field(q, loc, "f1", (int, float))
-        for fname, fval in (("f0", f0), ("f1", f1)):
-            if not 0.0 <= float(fval) <= 1.0:
-                raise ConfigError(f"{loc}: {fname}={fval!r} outside [0, 1]")
+        f0, f1 = _fidelities(q, loc, index)
         if "theta_rad" in q:
             theta = float(field(q, loc, "theta_rad", (int, float)))
         elif "gate_error" in q:
@@ -134,7 +151,7 @@ def normalize_snapshot(path: str | Path) -> dict:
         else:
             theta = None
             flags.append(f"qubit {index}: gate angle missing; verdict will need --theta")
-        normalized.append({"index": index, "f0": float(f0), "f1": float(f1), "theta_rad": theta})
+        normalized.append({"index": index, "f0": f0, "f1": f1, "theta_rad": theta})
 
     indices = [q["index"] for q in normalized]
     if len(set(indices)) != len(indices):
@@ -159,11 +176,11 @@ def _verdict_rows(path: Path) -> list[dict]:
     rows = []
     if path.suffix == ".json":
         for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
-            f0 = field(q, loc, "f0", (int, float))
-            f1 = field(q, loc, "f1", (int, float))
+            index = field(q, loc, "index", int)
+            f0, f1 = _fidelities(q, loc, index)
             rows.append(
                 {
-                    "qubit": field(q, loc, "index", int),
+                    "qubit": index,
                     "eps": f0 - f1,
                     "f": (f0 + f1) / 2.0,
                     "theta": field(q, loc, "theta_rad", (int, float, type(None))),
@@ -206,8 +223,8 @@ def cmd_simulate(args) -> int:
         plan = ExperimentPlan(L=plan.L, S=plan.S, qubits=plan.qubits, seed=args.seed)
     drift = gaussian_drift(args.drift, plan.seed) if args.drift is not None else None
     archive = run_plan(plan, drift=drift)
-    # Tables derived from the directory's earlier counts no longer describe it.
-    for stale in ("characterization.csv", "verdicts.csv"):
+    # Files derived from the directory's earlier counts no longer describe it.
+    for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in REPORT_FILES)):
         (Path(args.out) / stale).unlink(missing_ok=True)
     out = save_archive(archive, args.out)
     _say(args, f"{name}: wrote the counts of {archive.counts.size} experiments to {out}")
@@ -301,9 +318,12 @@ def cmd_report(args) -> int:
             )
     out = Path(args.out) if args.out else run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
+    table1, fig_theta, fig_hellinger, fig_asymmetry, fig_gamma, fig_scatter, lemma_report = (
+        out / name for name in REPORT_FILES
+    )
 
     write_csv(
-        out / "table1.csv",
+        table1,
         ["register", "gamma_max", "gamma_D"],
         [[q, g17(v.gamma_max), g17(v.gamma_D)] for q, v in verdicts],
     )
@@ -311,19 +331,19 @@ def cmd_report(args) -> int:
     finite_thetas = [abs(e.theta_hat_deg) for e in estimates if not math.isnan(e.theta_hat)]
     theta_mean = sum(finite_thetas) / len(finite_thetas) if finite_thetas else math.nan
     write_csv(
-        out / "fig_theta.csv",
+        fig_theta,
         ["qubit", "theta_abs_deg", "register_mean_deg"],
         [[e.qubit, g17(abs(e.theta_hat_deg)), g17(theta_mean)] for e in estimates],
     )
 
     write_csv(
-        out / "fig_hellinger.csv",
+        fig_hellinger,
         ["qubit", "d_mean", "d_sigma"],
         [[e.qubit, g17(e.d_mean), g17(e.d_sigma)] for e in estimates],
     )
 
     write_csv(
-        out / "fig_asymmetry.csv",
+        fig_asymmetry,
         ["qubit", "eps_mean", "eps_sigma"],
         [[e.qubit, g17(e.eps_mean), g17(e.eps_sigma)] for e in estimates],
     )
@@ -331,7 +351,7 @@ def cmd_report(args) -> int:
     gammas = {q: v.gamma_D for q, v in verdicts}
     gamma_mean = sum(gammas.values()) / len(gammas)
     write_csv(
-        out / "fig_gamma.csv",
+        fig_gamma,
         ["qubit", "gamma_D", "register_mean"],
         [[q, g17(gd), g17(gamma_mean)] for q, gd in sorted(gammas.items())],
     )
@@ -343,10 +363,10 @@ def cmd_report(args) -> int:
             [plan.qubits[i].index, l, g17(eps), g17(d)]
             for l, (eps, d) in enumerate(zip(est.eps.tolist(), est.d.tolist()))
         ]
-    write_csv(out / "fig_scatter.csv", ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
+    write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
 
     report = bounds.lemma_a1_check(*bounds.default_lemma_grids())
-    bounds.write_lemma_report(report, out / "lemma_report.json")
+    bounds.write_lemma_report(report, lemma_report)
 
     _say(args, f"report bundle -> {out}")
     return EXIT_OK

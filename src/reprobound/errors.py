@@ -16,18 +16,6 @@ class InvalidParameterError(ReproBoundError, ValueError):
     """A scalar input is non-finite or outside its documented range."""
 
 
-class InvalidStateError(ReproBoundError, ValueError):
-    """A density matrix fails the Hermitian / unit-trace / PSD checks."""
-
-
-class CapacityError(ReproBoundError, ValueError):
-    """A register size outside the supported dense-vector range."""
-
-
-class ShapeError(ReproBoundError, ValueError):
-    """Two distributions with mismatched outcome spaces."""
-
-
 class InsufficientDataError(ReproBoundError, ValueError):
     """Fewer experiments than population statistics require (L >= 2)."""
 

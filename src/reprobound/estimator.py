@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import g17, read_csv, write_csv
-from .distance import hellinger_1q
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -29,6 +28,7 @@ from .errors import (
     ModelMismatchWarning,
     SingularFidelityError,
 )
+from .noise_model import hellinger_1q
 from .sampler import RunArchive
 
 # Policy for the arcsin argument when inverting the gate angle: silent for
@@ -162,7 +162,7 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     rows of length L (its ``counts[:, i]`` slice of the archive), each out of
     ``shots``: f0 = 1 - ones/S, f1 = ones/S, Pr(0) = 1 - ones/S of the test
     circuit, eps = f0 - f1, and d the Hellinger distance of (Pr(0), Pr(1))
-    to the uniform output (:func:`distance.hellinger_1q`).
+    to the uniform output (:func:`noise_model.hellinger_1q`).
     """
     ones = np.asarray(ones, dtype=np.int64)
     f0 = 1.0 - ones[0] / shots

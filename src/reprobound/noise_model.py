@@ -1,17 +1,17 @@
-"""Single-qubit noise primitives for the uniform-superposition test circuit.
+"""Single-qubit noise model and closed forms for the uniform-superposition
+test circuit.
 
 Two noise sources are modeled for a qubit prepared in |0>, rotated by a
 miscalibrated Hadamard, and measured in the computational basis:
 
-* a gate angle error ``theta`` entering through the real unitary
-  ``noisy_hadamard(theta)``, and
+* a gate angle error ``theta`` of the Hadamard, and
 * asymmetric readout described by the fidelities ``f0``/``f1`` (probability
-  of reading 0/1 when the channel input is |0>/|1>), entering either as a
-  column-stochastic assignment matrix or as a two-operator Kraus channel.
+  of reading 0/1 when the channel input is |0>/|1>).
 
 The composite output bias gamma = eps - 2*sin(2*theta)*(f - 1/2) fully
 determines the circuit's observed single-qubit distribution,
-Pr(0) = (1 + gamma)/2. All functions are pure and all values immutable.
+Pr(0) = (1 + gamma)/2, and with it the circuit's Hellinger distance to the
+ideal uniform output. All functions are pure and all values immutable.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError
 
 # Default validity region for the gate angle error. The closed-form model
 # only needs |theta| small; pi/4 keeps sin(2*theta) injective so the angle
 # stays recoverable from gamma. Pass theta_bound=None to lift the check.
 DEFAULT_THETA_BOUND = math.pi / 4
-
-_DENSITY_ATOL = 1e-10
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -82,110 +80,6 @@ class QubitNoiseParams:
         """Readout fidelity asymmetry f0 - f1."""
         return self.f0 - self.f1
 
-    def derived(self) -> "DerivedReadout":
-        return DerivedReadout(f=self.f, eps=self.eps)
-
-
-@dataclass(frozen=True)
-class DerivedReadout:
-    """Average fidelity and asymmetry derived from (f0, f1)."""
-
-    f: float
-    eps: float
-
-    def __post_init__(self):
-        _check_probability("f", self.f)
-        eps = _check_finite("eps", self.eps)
-        if abs(eps) > 1.0:
-            raise InvalidParameterError(f"eps must be in [-1, 1], got {eps!r}")
-
-
-@dataclass(frozen=True)
-class SingleQubitState:
-    """Pure single-qubit state as a pair of computational-basis amplitudes."""
-
-    amplitudes: tuple[complex, complex]
-
-    def __post_init__(self):
-        a0, a1 = self.amplitudes
-        norm = abs(a0) ** 2 + abs(a1) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidStateError(f"state norm {norm!r} differs from 1 by more than 1e-12")
-
-    def density(self) -> np.ndarray:
-        """Rank-one density matrix |psi><psi|."""
-        vec = np.array(self.amplitudes, dtype=np.complex128)
-        return np.outer(vec, vec.conj())
-
-
-@dataclass(frozen=True)
-class ReadoutMatrix:
-    """Column-stochastic 2x2 assignment matrix Lambda.
-
-    Entry (i, j) is the probability of reading ``i`` when the channel input
-    is |j>, so observed probabilities are ``Lambda @ p_true``.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (2, 2):
-            raise InvalidParameterError(f"readout matrix must be 2x2, got shape {entries.shape}")
-        if np.any(entries < 0.0) or np.any(entries > 1.0):
-            raise InvalidParameterError("readout matrix entries must lie in [0, 1]")
-        col_sums = entries.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > 1e-12):
-            raise InvalidParameterError(f"readout matrix columns must sum to 1, got {col_sums}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def apply(self, p_true) -> np.ndarray:
-        """Map a true two-outcome distribution to the observed one."""
-        return self.entries @ np.asarray(p_true, dtype=np.float64)
-
-
-def noisy_hadamard(theta: float) -> np.ndarray:
-    """Real unitary of a Hadamard implemented with angle error ``theta``.
-
-    Rows are [cos(pi/4+theta), sin(pi/4+theta)] and
-    [sin(pi/4+theta), -cos(pi/4+theta)]; theta=0 gives the ideal gate.
-    """
-    theta = _check_finite("theta", theta)
-    a = math.pi / 4 + theta
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, s], [s, -c]], dtype=np.float64)
-
-
-def control_error_operator(theta: float) -> np.ndarray:
-    """Unitary control error E such that H~(theta) = E @ H.
-
-    E is the 2D rotation by ``theta``; no error corresponds to the identity.
-    """
-    theta = _check_finite("theta", theta)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=np.float64)
-
-
-def pre_readout_probs(theta: float) -> np.ndarray:
-    """Outcome distribution of the noisy Hadamard before any readout error.
-
-    Returns (Pr(0), Pr(1)) = ((1 - sin 2*theta)/2, (1 + sin 2*theta)/2).
-    """
-    theta = _check_finite("theta", theta)
-    s = math.sin(2.0 * theta)
-    return np.array([(1.0 - s) / 2.0, (1.0 + s) / 2.0], dtype=np.float64)
-
-
-def readout_matrix(params: QubitNoiseParams) -> ReadoutMatrix:
-    """Assignment matrix [[f0, 1-f1], [1-f0, f1]] for the given fidelities."""
-    return ReadoutMatrix(
-        np.array(
-            [[params.f0, 1.0 - params.f1], [1.0 - params.f0, params.f1]],
-            dtype=np.float64,
-        )
-    )
-
 
 def gamma_of(params: QubitNoiseParams) -> float:
     """Composite output bias gamma = eps - 2*sin(2*theta)*(f - 1/2).
@@ -199,47 +93,18 @@ def gamma_of(params: QubitNoiseParams) -> float:
 def observed_probs(params: QubitNoiseParams) -> np.ndarray:
     """Observed circuit distribution ((1+gamma)/2, (1-gamma)/2).
 
-    Identical to ``readout_matrix(params).apply(pre_readout_probs(theta))``;
-    the closed form avoids the matrix product.
+    Identical to the assignment-matrix and Kraus readout routes applied to
+    the noisy Hadamard's output; the closed form avoids the matrix product.
     """
     g = gamma_of(params)
     return np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=np.float64)
 
 
-def _check_density(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise InvalidStateError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(np.float64))):
-        raise InvalidStateError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > _DENSITY_ATOL:
-        raise InvalidStateError("density matrix is not Hermitian within 1e-10")
-    trace = rho.trace()
-    if abs(trace - 1.0) > _DENSITY_ATOL:
-        raise InvalidStateError(f"density matrix trace {trace!r} differs from 1 by more than 1e-10")
-    if np.linalg.eigvalsh(rho).min() < -_DENSITY_ATOL:
-        raise InvalidStateError("density matrix is not positive semidefinite within 1e-10")
-    return rho
+def hellinger_1q(pr0, pr1):
+    """Hellinger distance of the two-outcome distribution (pr0, pr1) to the
+    uniform (1/2, 1/2), elementwise over arrays.
 
-
-def kraus_readout(params: QubitNoiseParams, rho) -> np.ndarray:
-    """Readout outcome probabilities of a state via the two-operator channel.
-
-    The measurement operators are M0 = diag(sqrt(f0), sqrt(1-f1)) and
-    M1 = diag(sqrt(1-f0), sqrt(f1)); Pr(i) = Tr(Mi^dag Mi rho). For diagonal
-    ``rho`` this reproduces the classical assignment-matrix channel.
-
-    Args:
-        params: readout fidelities (the gate angle is not used here).
-        rho: 2x2 density matrix, Hermitian / trace-1 / PSD within 1e-10.
-
-    Returns:
-        Array (Pr(0), Pr(1)), clipped to [0, 1] and normalized by Tr(rho).
+    d = sqrt(1 - sqrt(Pr(0)/2) - sqrt(Pr(1)/2)), the one-qubit closed form
+    of sqrt(1 - BC) with BC the Bhattacharyya coefficient.
     """
-    rho = _check_density(rho)
-    # Mi^dag Mi are diagonal, so only the populations contribute.
-    pop0, pop1 = rho[0, 0].real, rho[1, 1].real
-    pr0 = params.f0 * pop0 + (1.0 - params.f1) * pop1
-    pr1 = (1.0 - params.f0) * pop0 + params.f1 * pop1
-    probs = np.clip(np.array([pr0, pr1], dtype=np.float64), 0.0, 1.0)
-    return probs / probs.sum()
+    return np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(pr1 / 2.0)))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator
@@ -192,8 +192,13 @@ def gaussian_drift(sigma: float, seed: int) -> DriftHook:
     experiment l adds N(0, sigma) to f0, f1 and theta, drawn from the drift
     stream keyed by (seed, l), and clips f0 and f1 into [0, 1]."""
 
+    # Every qubit shares experiment l's draw: one generator per experiment.
+    @cache
+    def perturbation(experiment: int) -> tuple:
+        return tuple(_philox(seed, "drift", experiment).normal(0.0, sigma, 3))
+
     def hook(params: QubitNoiseParams, experiment: int) -> QubitNoiseParams:
-        df0, df1, dtheta = _philox(seed, "drift", experiment).normal(0.0, sigma, 3)
+        df0, df1, dtheta = perturbation(experiment)
         return QubitNoiseParams(
             f0=min(1.0, max(0.0, params.f0 + df0)),
             f1=min(1.0, max(0.0, params.f1 + df1)),

@@ -14,6 +14,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import (
+    Distribution,
+    bc_uniform_closed_form,
+    hellinger,
+    kraus_readout,
+    noisy_hadamard,
+    pre_readout_probs,
+    readout_matrix,
+    uniform_ideal,
+)
 from reprobound.bounds import (
     default_lemma_grids,
     delta_star,
@@ -25,16 +35,8 @@ from reprobound.bounds import (
     plan_samples,
 )
 from reprobound.cli import main
-from reprobound.distance import Distribution, bc_uniform_closed_form, hellinger, uniform_ideal
 from reprobound.estimator import characterize_qubit
-from reprobound.noise_model import (
-    QubitNoiseParams,
-    kraus_readout,
-    noisy_hadamard,
-    observed_probs,
-    pre_readout_probs,
-    readout_matrix,
-)
+from reprobound.noise_model import QubitNoiseParams, observed_probs
 from reprobound.sampler import ExperimentPlan, PlanQubit, run_plan
 
 

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import Distribution, hellinger, product_noisy, uniform_ideal
 from reprobound.bounds import (
     LemmaA1Report,
     ReproVerdict,
@@ -27,7 +28,6 @@ from reprobound.bounds import (
     write_lemma_report,
     write_verdicts_csv,
 )
-from reprobound.distance import Distribution, hellinger, product_noisy, uniform_ideal
 from reprobound.errors import InvalidParameterError, OutOfRegimeError
 from reprobound.noise_model import QubitNoiseParams, gamma_of, observed_probs
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reprobound.cli import main
-from reprobound.distance import hellinger_1q
+from reprobound.noise_model import hellinger_1q
 
 PERFECT_QUBIT = {"index": 0, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}
 
@@ -157,8 +157,10 @@ class TestSimulate:
         cfg = small_run.parent / "cfg.json"
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
+        (small_run / "report" / "notes.txt").write_text("kept")
         assert main(["--seed", "99", "simulate", str(cfg), "--out", str(small_run), "--quiet"]) == 0
         assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "report"]
+        assert [p.name for p in (small_run / "report").iterdir()] == ["notes.txt"]
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert "run characterize and verdict first" in capsys.readouterr().err
 
@@ -605,6 +607,11 @@ def break_input(tmp_path, run, case):
         doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
         path.write_text(json.dumps(doc))
         return ["verdict", str(path), "--delta", "0.3"], f"{path}: qubits[0]: field 'f0'", 2
+    if case == "normalized-fidelity-out-of-range":
+        qubit = {"index": 3, "f0": 1.2, "f1": 0.4, "theta_rad": 0.0}
+        doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
+        path.write_text(json.dumps(doc))
+        return ["verdict", str(path), "--delta", "0.1"], f"{path}: qubits[0]: qubit 3: f0=1.2 outside [0, 1]", 2
     assert case == "snapshot-nan-angle"
     write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": math.nan}])
     return ["import-calibration", str(path)], f"{path}: not valid JSON", 2
@@ -620,6 +627,7 @@ def break_input(tmp_path, run, case):
         "config-list",
         "normalized-no-qubits",
         "normalized-string-f0",
+        "normalized-fidelity-out-of-range",
         "snapshot-nan-angle",
     ],
 )

@@ -1,4 +1,4 @@
-"""Tests for the distribution container and the two overlap statistics."""
+"""Tests of the dense-distribution oracle and its two overlap statistics."""
 
 import math
 
@@ -8,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reprobound.distance import (
+from oracles import (
     MAX_QUBITS,
+    CapacityError,
     Distribution,
     GammaVector,
+    ShapeError,
     bc_uniform_closed_form,
     bhattacharyya,
     hellinger,
     product_noisy,
     uniform_ideal,
 )
-from reprobound.errors import (
-    CapacityError,
-    InvalidParameterError,
-    ShapeError,
-)
+from reprobound.errors import InvalidParameterError
 
 HELLINGER_DISJOINT_1Q = 0.5411961001461969  # sqrt(1 - sqrt(1/2))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reprobound.distance import Distribution, hellinger, hellinger_1q, uniform_ideal
+from oracles import Distribution, hellinger, uniform_ideal
 from reprobound.errors import (
     InsufficientDataError,
     ModelMismatchError,
@@ -25,7 +25,7 @@ from reprobound.estimator import (
     read_characterization_csv,
     write_characterization_csv,
 )
-from reprobound.noise_model import QubitNoiseParams, gamma_of
+from reprobound.noise_model import QubitNoiseParams, gamma_of, hellinger_1q
 from reprobound.sampler import CircuitKind, ExperimentPlan, PlanQubit, RunArchive, run_plan
 
 THETA_HAT_REFERENCE = 0.021283022167392  # 0.5 * asin(0.04 / 0.94)

@@ -1,4 +1,5 @@
-"""Tests for the single-qubit noise primitives."""
+"""Tests for the single-qubit noise model and of the gate and readout
+channel oracles it is checked against."""
 
 import math
 
@@ -7,19 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reprobound.errors import InvalidParameterError, InvalidStateError
-from reprobound.noise_model import (
-    DerivedReadout,
-    QubitNoiseParams,
+from oracles import (
+    InvalidStateError,
     SingleQubitState,
     control_error_operator,
-    gamma_of,
     kraus_readout,
     noisy_hadamard,
-    observed_probs,
     pre_readout_probs,
     readout_matrix,
 )
+from reprobound.errors import InvalidParameterError
+from reprobound.noise_model import QubitNoiseParams, gamma_of, observed_probs
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -100,16 +99,6 @@ class TestParamsValidation:
         p = QubitNoiseParams(1.0, 1.0, math.pi / 4, theta_bound=None)
         assert p.theta == math.pi / 4
         QubitNoiseParams(1.0, 1.0, 1.0, theta_bound=1.5)
-
-    def test_derived_readout_exact(self):
-        p = QubitNoiseParams(0.99, 0.95, 0.0)
-        d = p.derived()
-        assert d.f == (0.99 + 0.95) / 2
-        assert d.eps == 0.99 - 0.95
-
-    def test_derived_rejects_bad_eps(self):
-        with pytest.raises(InvalidParameterError):
-            DerivedReadout(f=0.5, eps=1.5)
 
 
 class TestReadoutMatrix:

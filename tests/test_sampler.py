@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from reprobound import sampler
 from reprobound.errors import IncompleteArchiveError, InvalidParameterError
 from reprobound.noise_model import QubitNoiseParams
 from reprobound.sampler import (
@@ -406,3 +407,11 @@ class TestStreams:
         assert drifted.f0 == min(1.0, max(0.0, NOISY.f0 + df0))
         assert drifted.f1 == min(1.0, max(0.0, NOISY.f1 + df1))
         assert drifted.theta == NOISY.theta + dtheta
+
+    def test_drift_builds_one_generator_per_experiment(self, monkeypatch):
+        # One count stream per (kind, qubit), one drift stream per experiment.
+        calls = []
+        philox = sampler._philox
+        monkeypatch.setattr(sampler, "_philox", lambda *key: calls.append(key) or philox(*key))
+        run_plan(make_plan([NOISY, PERFECT, NOISY], L=5), drift=gaussian_drift(0.05, 7))
+        assert len(calls) == 3 * 3 + 5
