@@ -22,7 +22,7 @@ import numpy as np
 
 from .artifacts import g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
-from .noise_model import hellinger_1q
+from .noise_model import check_angle, hellinger_1q, output_bias
 
 
 def delta_star(n: int) -> float:
@@ -52,14 +52,12 @@ def gamma_device(eps: float, theta: float, f: float) -> float:
     angle error can cancel each other, so a small value does not imply a
     clean device, only a reproducible one for this circuit family.
     """
-    eps, theta, f = float(eps), float(theta), float(f)
+    eps, f = float(eps), float(f)
     if not (math.isfinite(eps) and abs(eps) <= 1.0):
         raise InvalidParameterError(f"eps must be in [-1, 1], got {eps!r}")
     if not (math.isfinite(f) and 0.0 <= f <= 1.0):
         raise InvalidParameterError(f"f must be in [0, 1], got {f!r}")
-    if not math.isfinite(theta):
-        raise InvalidParameterError(f"theta must be finite, got {theta!r}")
-    return abs(eps - 2.0 * math.sin(2.0 * theta) * (f - 0.5))
+    return abs(float(output_bias(eps, check_angle("theta", theta), f)))
 
 
 def gamma_max(n: int, delta: float) -> float:

@@ -31,7 +31,6 @@ from .noise_model import QubitNoiseParams
 from .sampler import (
     ExperimentPlan,
     PlanQubit,
-    gaussian_drift,
     load_archive,
     run_plan,
     save_archive,
@@ -221,8 +220,7 @@ def cmd_simulate(args) -> int:
     name, plan = load_device_config(args.config)
     if args.seed is not None:
         plan = ExperimentPlan(L=plan.L, S=plan.S, qubits=plan.qubits, seed=args.seed)
-    drift = gaussian_drift(args.drift, plan.seed) if args.drift is not None else None
-    archive = run_plan(plan, drift=drift)
+    archive = run_plan(plan, drift=args.drift)
     # Files derived from the directory's earlier counts no longer describe it.
     for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in REPORT_FILES)):
         (Path(args.out) / stale).unlink(missing_ok=True)
@@ -398,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility and ignored: sampling runs on one thread")
     p.add_argument("--drift", type=float, default=None, metavar="SIGMA",
-                   help="exploratory per-experiment Gaussian parameter drift, SIGMA in [0, 1]")
+                   help="exploratory common-mode drift, SIGMA in [0, 1]: experiment l adds one "
+                        "N(0, SIGMA) draw each to f0, f1 and theta, shared by every qubit")
     _add_shared(p)
     p.set_defaults(func=cmd_simulate)
 

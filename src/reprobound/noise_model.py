@@ -36,10 +36,12 @@ def _check_probability(name: str, value: float) -> float:
     return value
 
 
-def _check_finite(name: str, value: float) -> float:
+def check_angle(name: str, value: float) -> float:
+    """``value`` as a float; InvalidParameterError naming ``name`` unless the
+    angle and its double, the argument of sin(2*theta), are finite."""
     value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(2.0 * value):
+        raise InvalidParameterError(f"{name} must be finite and so must 2*{name}, got {value!r}")
     return value
 
 
@@ -63,7 +65,7 @@ class QubitNoiseParams:
     def __post_init__(self):
         _check_probability("f0", self.f0)
         _check_probability("f1", self.f1)
-        _check_finite("theta", self.theta)
+        check_angle("theta", self.theta)
         if self.theta_bound is not None and not abs(self.theta) < self.theta_bound:
             raise InvalidParameterError(
                 f"|theta|={abs(self.theta)!r} outside validity region "
@@ -81,13 +83,20 @@ class QubitNoiseParams:
         return self.f0 - self.f1
 
 
-def gamma_of(params: QubitNoiseParams) -> float:
-    """Composite output bias gamma = eps - 2*sin(2*theta)*(f - 1/2).
+def output_bias(eps, theta, f):
+    """Composite output bias gamma = eps - 2*sin(2*theta)*(f - 1/2),
+    elementwise over arrays.
 
     gamma is exactly Pr(0) - Pr(1) for the full noisy circuit; |gamma| <= 1
-    for any valid parameters.
+    for any valid parameters. The one implementation of the closed form:
+    :func:`gamma_of`, ``bounds.gamma_device`` and ``sampler.p_one`` call it.
     """
-    return params.eps - 2.0 * math.sin(2.0 * params.theta) * (params.f - 0.5)
+    return eps - 2.0 * np.sin(2.0 * theta) * (f - 0.5)
+
+
+def gamma_of(params: QubitNoiseParams) -> float:
+    """The composite output bias :func:`output_bias` of one qubit's noise."""
+    return float(output_bias(params.eps, params.theta, params.f))
 
 
 def observed_probs(params: QubitNoiseParams) -> np.ndarray:

@@ -6,20 +6,25 @@ circuit C, run as L experiments of S shots per register element. Every
 estimator needs only how many of an experiment's S shots read 1, so the
 engine draws that count directly: Binomial(S, p) with p the closed-form
 probability of reading 1, which has the same distribution as the sum of S
-i.i.d. Bernoulli(p) shots. No temporal drift is injected unless a drift
-hook is supplied; with one, p varies from experiment to experiment.
+i.i.d. Bernoulli(p) shots.
+
+:func:`run_plan` first builds one probability table ``p[kind, qubit,
+experiment]`` with :func:`p_one`, then draws every count from it. Noise is
+stationary unless a drift SIGMA is given: then experiment l perturbs f0, f1
+and theta of every qubit by one common N(0, SIGMA) draw each, taken from a
+Philox stream keyed by (master seed, drift, l), and clips f0 and f1 into
+[0, 1] before the table is built.
 
 Reproducibility of this engine is non-negotiable, so each (circuit kind,
 qubit) pair draws its L counts from its own counter-based Philox stream
-keyed purely by (master seed, circuit kind, qubit). Re-running a plan
-yields an identical count tensor, and one qubit's counts do not depend on
-the other qubits of the plan. The drift hook of :func:`gaussian_drift`
-draws experiment l's perturbation from a stream of its own, keyed by
-(master seed, drift, l).
+keyed purely by (master seed, circuit kind, qubit). Re-running a plan with
+the same SIGMA yields an identical count tensor, and one qubit's counts do
+not depend on the other qubits of the plan.
 
 A run archive persists as a directory::
 
-    manifest.json     schema, plan, seed, toolkit version, status, UTC timestamps
+    manifest.json     schema, plan, seed, drift SIGMA, toolkit version, status,
+                      UTC timestamps
     counts.csv        kind, qubit, experiment, ones, shots
 
 ``counts.csv`` is the archive's only data: one row per (kind, qubit,
@@ -33,17 +38,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ._version import __version__
 from .artifacts import field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
-from .noise_model import QubitNoiseParams, gamma_of
+from .noise_model import QubitNoiseParams, output_bias
 
 MANIFEST_SCHEMA = "run-manifest/2"
 
@@ -66,28 +71,20 @@ class CircuitKind(str, Enum):
 
 # Every Philox stream id the engine reserves; part of the on-disk
 # reproducibility contract. The circuit kinds' ids double as the kind axis
-# of the count tensor; the drift hook draws from its own stream.
+# of the count tensor; the drift draws from its own stream.
 _STREAM_IDS = {"spam0": 0, "spam1": 1, "c": 2, "drift": 3}
 _KIND_STREAM = {kind: _STREAM_IDS[kind.value] for kind in CircuitKind}
 
-# Probability that one shot of each circuit kind reads 1.
-_P_ONE = {
-    # SPAM(0): prepare |0>, measure.
-    CircuitKind.SPAM0: lambda params: 1.0 - params.f0,
-    # SPAM(1): prepare |1>, measure.
-    CircuitKind.SPAM1: lambda params: params.f1,
-    # Test circuit C: noisy Hadamard then noisy readout, Pr(0) = (1 + gamma)/2.
-    CircuitKind.C: lambda params: (1.0 - gamma_of(params)) / 2.0,
-}
 
-DriftHook = Callable[[QubitNoiseParams, int], QubitNoiseParams]
-
-
-def p_one(kind: CircuitKind, params: QubitNoiseParams) -> float:
-    """Probability that one shot of circuit ``kind`` reads 1 on a qubit with
-    noise ``params``: 1 - f0 for SPAM(0), f1 for SPAM(1) and (1 - gamma)/2
-    for the test circuit C."""
-    return _P_ONE[CircuitKind(kind)](params)
+def p_one(f0, f1, theta) -> np.ndarray:
+    """Probability that one shot reads 1, elementwise over the noise
+    parameters, stacked along a leading kind axis in the count tensor's
+    order: 1 - f0 for SPAM(0), f1 for SPAM(1) and, with Pr(0) = (1 + gamma)/2
+    after the noisy Hadamard and readout, (1 - gamma)/2 for the test circuit C.
+    """
+    gamma = output_bias(f0 - f1, theta, (f0 + f1) / 2.0)
+    # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
+    return np.clip(np.stack(np.broadcast_arrays(1.0 - f0, f1, (1.0 - gamma) / 2.0)), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -187,52 +184,36 @@ def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generato
     return _philox(seed, CircuitKind(kind).value, qubit)
 
 
-def gaussian_drift(sigma: float, seed: int) -> DriftHook:
-    """Common-mode per-experiment parameter drift for exploratory runs:
-    experiment l adds N(0, sigma) to f0, f1 and theta, drawn from the drift
-    stream keyed by (seed, l), and clips f0 and f1 into [0, 1]."""
-
-    # Every qubit shares experiment l's draw: one generator per experiment.
-    @cache
-    def perturbation(experiment: int) -> tuple:
-        return tuple(_philox(seed, "drift", experiment).normal(0.0, sigma, 3))
-
-    def hook(params: QubitNoiseParams, experiment: int) -> QubitNoiseParams:
-        df0, df1, dtheta = perturbation(experiment)
-        return QubitNoiseParams(
-            f0=min(1.0, max(0.0, params.f0 + df0)),
-            f1=min(1.0, max(0.0, params.f1 + df1)),
-            theta=params.theta + dtheta,
-            theta_bound=None,
-        )
-
-    return hook
-
-
 def _philox(seed: int, stream: str, key: int) -> np.random.Generator:
     """The Philox generator of reserved stream ``stream``, keyed by (seed, key)."""
     seq = np.random.SeedSequence(int(seed), spawn_key=(_STREAM_IDS[stream], int(key)))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def run_plan(plan: ExperimentPlan, *, drift: DriftHook | None = None) -> RunArchive:
+def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     """Draw the ones count of every experiment of a plan.
 
     Args:
         plan: what to run.
-        drift: optional per-experiment perturbation ``(params, l) -> params``
-            applied to all three circuit kinds of experiment ``l``. Off by
-            default; the baseline protocol assumes stationary noise.
+        drift: optional common-mode drift SIGMA: experiment l adds one
+            N(0, SIGMA) draw each to f0, f1 and theta of every qubit, and f0
+            and f1 are clipped into [0, 1]. Off by default; the baseline
+            protocol assumes stationary noise.
     """
+    if drift is not None and not 0.0 <= drift <= 1.0:
+        raise InvalidParameterError(f"drift SIGMA must be a finite number in [0, 1], got {drift!r}")
     started = _utc_now()
+    # Parameters indexed [qubit, experiment]; one column serves all L
+    # experiments while the noise is stationary.
+    f0, f1, theta = np.array([[q.params.f0, q.params.f1, q.params.theta] for q in plan.qubits]).T[:, :, None]
+    if drift is not None:
+        # Every qubit shares experiment l's draw: one generator per experiment.
+        df0, df1, dtheta = np.array([_philox(plan.seed, "drift", l).normal(0.0, drift, 3) for l in range(plan.L)]).T
+        f0, f1, theta = np.clip(f0 + df0, 0.0, 1.0), np.clip(f1 + df1, 0.0, 1.0), theta + dtheta
+    p = p_one(f0, f1, theta)
     counts = np.empty((len(CircuitKind), len(plan.qubits), plan.L), dtype=np.int64)
-    for i, q in enumerate(plan.qubits):
-        # One parameter set per experiment under drift, else one broadcast over L.
-        params_l = [q.params] if drift is None else [drift(q.params, l) for l in range(plan.L)]
-        for kind, k in _KIND_STREAM.items():
-            # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
-            p = np.clip([p_one(kind, params) for params in params_l], 0.0, 1.0)
-            counts[k, i] = count_stream(plan.seed, kind, q.index).binomial(plan.S, p, size=plan.L)
+    for (k, kind), (i, q) in product(enumerate(CircuitKind), enumerate(plan.qubits)):
+        counts[k, i] = count_stream(plan.seed, kind, q.index).binomial(plan.S, p[k, i], size=plan.L)
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -251,7 +232,7 @@ def run_plan(plan: ExperimentPlan, *, drift: DriftHook | None = None) -> RunArch
             }
             for q in plan.qubits
         ],
-        "drifted": drift is not None,
+        "drift": drift,
         "started_at": started,
         "finished_at": _utc_now(),
     }

@@ -32,7 +32,7 @@ from functools import reduce
 import numpy as np
 
 from reprobound.errors import InvalidParameterError
-from reprobound.noise_model import QubitNoiseParams, _check_finite
+from reprobound.noise_model import QubitNoiseParams, check_angle
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +232,7 @@ def noisy_hadamard(theta: float) -> np.ndarray:
     Rows are [cos(pi/4+theta), sin(pi/4+theta)] and
     [sin(pi/4+theta), -cos(pi/4+theta)]; theta=0 gives the ideal gate.
     """
-    theta = _check_finite("theta", theta)
+    theta = check_angle("theta", theta)
     a = math.pi / 4 + theta
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, s], [s, -c]], dtype=np.float64)
@@ -243,7 +243,7 @@ def control_error_operator(theta: float) -> np.ndarray:
 
     E is the 2D rotation by ``theta``; no error corresponds to the identity.
     """
-    theta = _check_finite("theta", theta)
+    theta = check_angle("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=np.float64)
 
@@ -253,7 +253,7 @@ def pre_readout_probs(theta: float) -> np.ndarray:
 
     Returns (Pr(0), Pr(1)) = ((1 - sin 2*theta)/2, (1 + sin 2*theta)/2).
     """
-    theta = _check_finite("theta", theta)
+    theta = check_angle("theta", theta)
     s = math.sin(2.0 * theta)
     return np.array([(1.0 - s) / 2.0, (1.0 + s) / 2.0], dtype=np.float64)
 

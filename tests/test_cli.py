@@ -242,6 +242,15 @@ class TestVerdict:
         assert main(["verdict", str(norm), "--delta", "0.2", "--quiet"]) == 2
         assert f"{norm}: qubit 0 appears more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta,override", [(1e308, []), (None, ["--theta", "1e308"])], ids=["json", "override"])
+    def test_angle_whose_double_overflows_rejected(self, tmp_path, theta, override, capsys):
+        # 2*theta is inf, so sin(2*theta) has no value.
+        entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": theta}
+        norm = write_snapshot(tmp_path / "norm.json", [entry], schema="calibration-normalized/1")
+        assert main(["verdict", str(norm), "--delta", "0.2", "--quiet", *override]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "verdicts.csv").exists()
+
     def test_register_size_beyond_float_rejected(self, small_run, capsys):
         n = "1" + "0" * 400
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta", "0.1", "--n", n, "--quiet"]) == 2

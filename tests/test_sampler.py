@@ -16,9 +16,9 @@ from reprobound.sampler import (
     PlanQubit,
     RunArchive,
     count_stream,
-    gaussian_drift,
     load_archive,
     p_one,
+    plan_from_manifest,
     run_plan,
     save_archive,
 )
@@ -67,7 +67,7 @@ class TestSingleBlocks:
     )
     def test_binomial_five_sigma(self, kind, p):
         params = QubitNoiseParams(0.95, 0.93, 0.0)
-        assert p_one(kind, params) == pytest.approx(p, abs=1e-15)
+        assert p_one(params.f0, params.f1, params.theta)[list(CircuitKind).index(kind)] == pytest.approx(p, abs=1e-15)
         s = 8192
         ones = counts_of(kind, params, S=s)
         band = 5 * math.sqrt(p * (1 - p) / s)
@@ -76,7 +76,7 @@ class TestSingleBlocks:
     def test_circuit_c_five_sigma(self):
         # gamma = 0.04 device: Pr(0) = 0.52, so Pr(bit=1) = 0.48.
         params = QubitNoiseParams(0.99, 0.95, 0.0)
-        assert p_one(CircuitKind.C, params) == pytest.approx(0.48, abs=1e-15)
+        assert p_one(params.f0, params.f1, params.theta)[2] == pytest.approx(0.48, abs=1e-15)
         s = 8192
         ones = counts_of(CircuitKind.C, params, S=s)
         band = 5 * math.sqrt(0.48 * 0.52 / s)
@@ -174,31 +174,14 @@ class TestRunPlan:
         assert archive.counts.size == 609
         assert archive.counts.min() >= 0 and archive.counts.max() <= 8192
 
-    def test_drift_hook_perturbs_blocks(self):
-        plan = make_plan([NOISY], L=3, S=256, seed=9)
+    def test_zero_drift_is_stationary(self):
+        plan = make_plan([NOISY, PERFECT], L=4, S=256, seed=9)
+        np.testing.assert_array_equal(run_plan(plan, drift=0.0).counts, run_plan(plan).counts)
 
-        def drift(params, experiment):
-            return QubitNoiseParams(
-                max(0.0, params.f0 - 0.2 * (experiment + 1) / 10),
-                params.f1,
-                params.theta,
-            )
-
-        plain = run_plan(plan).counts
-        drifted = run_plan(plan, drift=drift).counts
-        assert drifted.shape == plain.shape
-        changed = {(k, l) for k, _, l in zip(*np.nonzero(plain != drifted))}
-        assert changed
-        assert all(k != 1 for k, _ in changed)  # f1 did not drift: SPAM(1) unchanged
-
-    def test_drift_gives_each_experiment_its_own_p(self):
-        # SPAM(0) reads 1 with probability 0 in experiment 0 and 1 in experiment 1.
-        plan = make_plan([NOISY], L=2, S=64, seed=9)
-
-        def drift(params, experiment):
-            return QubitNoiseParams(1.0 - experiment, params.f1, params.theta)
-
-        assert run_plan(plan, drift=drift).ones(CircuitKind.SPAM0, 0).tolist() == [0, 64]
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, 1e308])
+    def test_bad_drift_rejected(self, sigma):
+        with pytest.raises(InvalidParameterError, match="drift SIGMA"):
+            run_plan(make_plan([NOISY]), drift=sigma)
 
     @pytest.mark.parametrize(
         "counts",
@@ -281,7 +264,16 @@ class TestArchiveIO:
         assert manifest["seed"] == 123
         assert manifest["L"] == 2 and manifest["S"] == 8
         assert manifest["qubits"][0]["f0"] == NOISY.f0
+        assert manifest["drift"] is None
         assert "started_at" in manifest and "finished_at" in manifest
+
+    def test_drifted_run_reproduces_its_counts(self, tmp_path):
+        archive = run_plan(make_plan([NOISY, PERFECT], L=6, S=256, seed=5), drift=0.05)
+        out = save_archive(archive, tmp_path / "run")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["drift"] == 0.05
+        rerun = run_plan(plan_from_manifest(manifest), drift=manifest["drift"])
+        np.testing.assert_array_equal(rerun.counts, load_archive(out).counts)
 
     def test_missing_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
@@ -399,19 +391,35 @@ class TestStreams:
         expected = count_stream(17, CircuitKind.SPAM1, 3).binomial(1000, NOISY.f1, size=5)
         np.testing.assert_array_equal(run_plan(plan).ones(CircuitKind.SPAM1, 3), expected)
 
-    def test_drift_draws_from_stream_three(self):
-        # Stream ids 0..2 key the circuit kinds; 3 keys experiment l's drift.
-        seq = np.random.SeedSequence(17, spawn_key=(3, 4))
-        df0, df1, dtheta = np.random.Generator(np.random.Philox(seq)).normal(0.0, 0.05, 3)
-        drifted = gaussian_drift(0.05, 17)(NOISY, 4)
-        assert drifted.f0 == min(1.0, max(0.0, NOISY.f0 + df0))
-        assert drifted.f1 == min(1.0, max(0.0, NOISY.f1 + df1))
-        assert drifted.theta == NOISY.theta + dtheta
+    def test_drift_follows_the_documented_streams(self):
+        # Stream 3 keyed by (seed, l) perturbs experiment l of every qubit;
+        # f0 and f1 are clipped, then stream (kind, qubit) draws the counts.
+        L, S, sigma = 6, 1000, 0.05
+        qubits = (PlanQubit(3, NOISY), PlanQubit(1, PERFECT))
+        expected = np.empty((3, len(qubits), L), dtype=np.int64)
+        perturbations = [
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(17, spawn_key=(3, l)))).normal(0.0, sigma, 3)
+            for l in range(L)
+        ]
+        for i, q in enumerate(qubits):
+            p = []
+            for df0, df1, dtheta in perturbations:
+                f0 = min(1.0, max(0.0, q.params.f0 + df0))
+                f1 = min(1.0, max(0.0, q.params.f1 + df1))
+                gamma = (f0 - f1) - 2 * math.sin(2 * (q.params.theta + dtheta)) * ((f0 + f1) / 2 - 0.5)
+                p.append((1.0 - f0, f1, min(1.0, max(0.0, (1 - gamma) / 2))))
+            for k in range(3):
+                seq = np.random.SeedSequence(17, spawn_key=(k, q.index))
+                expected[k, i] = np.random.Generator(np.random.Philox(seq)).binomial(S, [row[k] for row in p])
+        drifted = run_plan(ExperimentPlan(L=L, S=S, qubits=qubits, seed=17), drift=sigma).counts
+        np.testing.assert_array_equal(drifted, expected)
+        # The perfect qubit's f0 clips at 1 in the experiments whose df0 > 0.
+        assert [count == 0 for count in drifted[0, 1]] == [df0 >= 0 for df0, _, _ in perturbations]
 
     def test_drift_builds_one_generator_per_experiment(self, monkeypatch):
         # One count stream per (kind, qubit), one drift stream per experiment.
         calls = []
         philox = sampler._philox
         monkeypatch.setattr(sampler, "_philox", lambda *key: calls.append(key) or philox(*key))
-        run_plan(make_plan([NOISY, PERFECT, NOISY], L=5), drift=gaussian_drift(0.05, 7))
+        run_plan(make_plan([NOISY, PERFECT, NOISY], L=5), drift=0.05)
         assert len(calls) == 3 * 3 + 5
