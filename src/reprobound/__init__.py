@@ -24,7 +24,6 @@ from .bounds import (
 from .estimator import (
     CharacterizationEstimate,
     characterize,
-    characterize_qubit,
     invert_theta,
     per_experiment,
     population_stats,
@@ -59,7 +58,6 @@ __all__ = [
     "RunArchive",
     "SamplePlan",
     "characterize",
-    "characterize_qubit",
     "count_stream",
     "delta_star",
     "exact_hellinger_1q",

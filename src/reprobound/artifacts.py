@@ -74,7 +74,8 @@ def read_csv(
     return rows
 
 
-def _finite(text: str, parse=float):
+def finite(text: str, parse=float):
+    """``parse(text)``; ValueError unless it is a finite number."""
     value = parse(text)
     if not math.isfinite(value):  # OverflowError for an int beyond every double
         raise ValueError(f"non-finite number {text}")
@@ -91,9 +92,9 @@ def read_json(path: str | Path, schema: str, error: ErrorFactory = ConfigError) 
     try:
         doc = json.loads(
             Path(path).read_text(encoding="utf-8"),
-            parse_constant=_finite,
-            parse_float=_finite,
-            parse_int=partial(_finite, parse=int),
+            parse_constant=finite,
+            parse_float=finite,
+            parse_int=partial(finite, parse=int),
         )
     except (ValueError, OverflowError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: not valid JSON: {exc}") from exc

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import g17, read_csv, write_csv, write_json
+from .artifacts import finite, g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import check_angle, hellinger_1q, output_bias
 
@@ -98,10 +98,10 @@ class ReproVerdict:
 VERDICT_COLUMNS = {
     "qubit": int,
     "n": int,
-    "delta": float,
-    "gamma_D": float,
-    "gamma_max": float,
-    "margin": float,
+    "delta": finite,
+    "gamma_D": finite,
+    "gamma_max": finite,
+    "margin": finite,
     "reproducible": lambda cell: cell == "true",
 }
 

@@ -12,6 +12,7 @@ run artifacts, 5 tolerance outside the bound's validity regime.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -23,18 +24,10 @@ from ._version import __version__
 from .errors import (
     ConfigError,
     IncompleteArchiveError,
-    InvalidParameterError,
     OutOfRegimeError,
     ReproBoundError,
 )
-from .noise_model import QubitNoiseParams
-from .sampler import (
-    ExperimentPlan,
-    PlanQubit,
-    load_archive,
-    run_plan,
-    save_archive,
-)
+from .sampler import ExperimentPlan, load_archive, plan_from_doc, run_plan, save_archive
 
 DEVICE_CONFIG_SCHEMA = "device-config/1"
 SNAPSHOT_SCHEMA = "calibration-snapshot/1"
@@ -65,37 +58,11 @@ EXIT_REGIME = 5
 def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
     """Parse and validate a device config; returns (name, plan)."""
     doc = read_json(path, DEVICE_CONFIG_SCHEMA)
-    where = str(path)
-    name = field(doc, where, "name", str)
-    plan_doc = field(doc, where, "plan", dict)
-
-    qubits = []
-    for loc, q in records(doc, where, "qubits"):
-        index = field(q, loc, "index", int)
-        try:
-            params = QubitNoiseParams(
-                f0=field(q, loc, "f0", (int, float)),
-                f1=field(q, loc, "f1", (int, float)),
-                theta=field(q, loc, "theta_rad", (int, float)),
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(f"{loc}: {exc}") from exc
-        qubits.append(PlanQubit(index, params))
-
-    indices = sorted(q.index for q in qubits)
-    if indices != list(range(len(qubits))):
-        raise ConfigError(f"{where}: qubit indices must be unique and contiguous from 0, got {indices}")
-
-    loc = f"{where}: plan"
-    try:
-        plan = ExperimentPlan(
-            L=field(plan_doc, loc, "L", int),
-            S=field(plan_doc, loc, "S", int),
-            qubits=tuple(qubits),
-            seed=field(plan_doc, loc, "seed", int),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
+    name = field(doc, str(path), "name", str)
+    plan = plan_from_doc(doc, str(path))
+    indices = sorted(plan.qubit_indices)
+    if indices != list(range(len(indices))):
+        raise ConfigError(f"{path}: qubit indices must be unique and contiguous from 0, got {indices}")
     return name, plan
 
 
@@ -219,7 +186,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--drift SIGMA must be a finite number in [0, 1], got {args.drift!r}")
     name, plan = load_device_config(args.config)
     if args.seed is not None:
-        plan = ExperimentPlan(L=plan.L, S=plan.S, qubits=plan.qubits, seed=args.seed)
+        plan = dataclasses.replace(plan, seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
     # Files derived from the directory's earlier counts no longer describe it.
     for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in REPORT_FILES)):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import g17, read_csv, write_csv
+from .artifacts import finite, g17, read_csv, write_csv
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -126,19 +126,20 @@ class CharacterizationEstimate:
         return math.degrees(self.theta_hat)
 
 
-# characterization.csv: column name -> cell parser, in file order.
+# characterization.csv: column name -> cell parser, in file order. Every
+# number is finite except the angle, which is NaN after a failed inversion.
 CSV_COLUMNS = {
     "qubit": int,
-    "f0_mean": float,
-    "f1_mean": float,
-    "eps_mean": float,
-    "eps_sigma": float,
-    "f_mean": float,
-    "gamma_hat": float,
+    "f0_mean": finite,
+    "f1_mean": finite,
+    "eps_mean": finite,
+    "eps_sigma": finite,
+    "f_mean": finite,
+    "gamma_hat": finite,
     "theta_hat_rad": float,
     "theta_hat_deg": float,
-    "d_mean": float,
-    "d_sigma": float,
+    "d_mean": finite,
+    "d_sigma": finite,
     "L": int,
     "S": int,
     "warnings": lambda cell: tuple(t for t in cell.split("|") if t),
@@ -172,16 +173,7 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     return PerExperiment(f0=f0, f1=f1, pr0=pr0, eps=f0 - f1, d=hellinger_1q(pr0, p1))
 
 
-def characterize_qubit(archive: RunArchive, qubit: int) -> CharacterizationEstimate:
-    """Run the full estimator stack for one register element.
-
-    A failed angle inversion propagates; :func:`characterize` records it
-    instead.
-    """
-    return _aggregate(archive, archive.plan.qubit_indices.index(qubit), "raise")
-
-
-def _aggregate(archive: RunArchive, i: int, angle_errors: str) -> CharacterizationEstimate:
+def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
     """Average the per-experiment estimates of the plan's ``i``-th qubit."""
     plan = archive.plan
     est = per_experiment(archive.counts[:, i], plan.S)
@@ -204,8 +196,6 @@ def _aggregate(archive: RunArchive, i: int, angle_errors: str) -> Characterizati
             str(w.message) for w in caught if issubclass(w.category, ModelMismatchWarning)
         )
     except (SingularFidelityError, ModelMismatchError) as exc:
-        if angle_errors == "raise":
-            raise
         theta_hat = math.nan
         notes.append(f"{type(exc).__name__}: {exc}")
 
@@ -232,7 +222,7 @@ def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
     A qubit whose angle inversion fails does not abort the others: its
     estimate carries theta_hat = NaN and the error text as a warning token.
     """
-    return [_aggregate(archive, i, "record") for i in range(len(archive.plan.qubits))]
+    return [_aggregate(archive, i) for i in range(len(archive.plan.qubits))]
 
 
 def write_characterization_csv(estimates, path: str | Path) -> None:

@@ -17,16 +17,16 @@ ideal uniform output. All functions are pure and all values immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-# Default validity region for the gate angle error. The closed-form model
-# only needs |theta| small; pi/4 keeps sin(2*theta) injective so the angle
-# stays recoverable from gamma. Pass theta_bound=None to lift the check.
-DEFAULT_THETA_BOUND = math.pi / 4
+# Validity region |theta| < THETA_BOUND of the gate angle error. The
+# closed-form model only needs |theta| small; pi/4 keeps sin(2*theta)
+# injective so the angle stays recoverable from gamma.
+THETA_BOUND = math.pi / 4
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -52,24 +52,20 @@ class QubitNoiseParams:
     Attributes:
         f0: probability of reading 0 when the qubit is prepared in |0>.
         f1: probability of reading 1 when the qubit is prepared in |1>.
-        theta: Hadamard implementation angle error in radians.
-        theta_bound: half-width of the accepted theta interval (strict);
-            ``None`` disables the range check for boundary studies.
+        theta: Hadamard implementation angle error in radians, with
+            |theta| < pi/4.
     """
 
     f0: float
     f1: float
     theta: float
-    theta_bound: float | None = field(default=DEFAULT_THETA_BOUND, compare=False)
 
     def __post_init__(self):
         _check_probability("f0", self.f0)
         _check_probability("f1", self.f1)
-        check_angle("theta", self.theta)
-        if self.theta_bound is not None and not abs(self.theta) < self.theta_bound:
+        if not abs(check_angle("theta", self.theta)) < THETA_BOUND:
             raise InvalidParameterError(
-                f"|theta|={abs(self.theta)!r} outside validity region "
-                f"|theta| < {self.theta_bound!r}"
+                f"|theta|={abs(self.theta)!r} outside validity region |theta| < pi/4"
             )
 
     @property

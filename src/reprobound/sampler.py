@@ -21,16 +21,20 @@ keyed purely by (master seed, circuit kind, qubit). Re-running a plan with
 the same SIGMA yields an identical count tensor, and one qubit's counts do
 not depend on the other qubits of the plan.
 
-A run archive persists as a directory::
+A plan has one document format, the device config's ``qubits`` and
+``plan`` fields (:func:`plan_doc` writes it, :func:`plan_from_doc` reads
+it). A run archive persists as a directory::
 
-    manifest.json     schema, plan, seed, drift SIGMA, toolkit version, status,
-                      UTC timestamps
+    manifest.json     schema, toolkit version, status, that plan document,
+                      drift SIGMA, UTC timestamps
     counts.csv        kind, qubit, experiment, ones, shots
 
-``counts.csv`` is the archive's only data: one row per (kind, qubit,
-experiment), kinds in the order spam0, spam1, c, then qubits in plan order,
-then experiments, as :func:`count_keys` yields them. :func:`load_archive`
-is its only reader and rejects any file that deviates from that layout.
+:func:`save_archive` is the only writer of both files and
+:func:`load_archive` their only reader. ``counts.csv`` is the archive's only
+data: one row per (kind, qubit, experiment), kinds in the order spam0,
+spam1, c, then qubits in plan order, then experiments, as
+:func:`count_keys` yields them; the reader rejects any file that deviates
+from that layout.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .artifacts import field, read_csv, read_json, records, write_csv, write_jso
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, output_bias
 
-MANIFEST_SCHEMA = "run-manifest/2"
+MANIFEST_SCHEMA = "run-manifest/3"
 
 # Largest count tensor a plan may ask for (3 kinds x qubits x L). 10**6
 # counts make a counts.csv of about 19 MB, 60 times the 27-qubit L=203
@@ -138,22 +142,33 @@ class ExperimentPlan:
         return tuple(q.index for q in self.qubits)
 
 
+def _check_drift(drift: float | None) -> float | None:
+    """A drift SIGMA as a float, or None for stationary noise;
+    InvalidParameterError unless it is a number in [0, 1]."""
+    if drift is None:
+        return None
+    if not 0.0 <= drift <= 1.0:
+        raise InvalidParameterError(f"drift SIGMA must be a finite number in [0, 1], got {drift!r}")
+    return float(drift)
+
+
 @dataclass(frozen=True, eq=False)
 class RunArchive:
-    """The outcome counts of one executed plan, plus a provenance manifest.
+    """The outcome counts of one executed plan and the drift SIGMA they were
+    drawn under (None for stationary noise).
 
     ``counts[k, i, l]`` is how many of the S shots of experiment ``l`` read 1,
     for circuit kind ``k`` (0 SPAM(0), 1 SPAM(1), 2 C) on the plan's ``i``-th
     qubit (``plan.qubits[i]``). The counts are fully determined by (plan,
-    seed); the manifest timestamps are provenance only and excluded from the
-    determinism contract.
+    drift): ``run_plan(archive.plan, drift=archive.drift)`` draws them again.
     """
 
     plan: ExperimentPlan
     counts: np.ndarray
-    manifest: dict
+    drift: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "drift", _check_drift(self.drift))
         counts = np.array(self.counts, dtype=np.int64)
         shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
         if counts.shape != shape:
@@ -200,9 +215,7 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
             and f1 are clipped into [0, 1]. Off by default; the baseline
             protocol assumes stationary noise.
     """
-    if drift is not None and not 0.0 <= drift <= 1.0:
-        raise InvalidParameterError(f"drift SIGMA must be a finite number in [0, 1], got {drift!r}")
-    started = _utc_now()
+    drift = _check_drift(drift)
     # Parameters indexed [qubit, experiment]; one column serves all L
     # experiments while the noise is stationary.
     f0, f1, theta = np.array([[q.params.f0, q.params.f1, q.params.theta] for q in plan.qubits]).T[:, :, None]
@@ -214,29 +227,47 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     counts = np.empty((len(CircuitKind), len(plan.qubits), plan.L), dtype=np.int64)
     for (k, kind), (i, q) in product(enumerate(CircuitKind), enumerate(plan.qubits)):
         counts[k, i] = count_stream(plan.seed, kind, q.index).binomial(plan.S, p[k, i], size=plan.L)
+    return RunArchive(plan=plan, counts=counts, drift=drift)
 
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "toolkit_version": __version__,
-        "status": "complete",
-        "seed": plan.seed,
-        "L": plan.L,
-        "S": plan.S,
+
+def plan_doc(plan: ExperimentPlan) -> dict:
+    """A plan as the ``qubits`` and ``plan`` fields of a device config."""
+    return {
         "qubits": [
-            {
-                "index": q.index,
-                "f0": q.params.f0,
-                "f1": q.params.f1,
-                "theta_rad": q.params.theta,
-                "theta_bound": q.params.theta_bound,
-            }
+            {"index": q.index, "f0": q.params.f0, "f1": q.params.f1, "theta_rad": q.params.theta}
             for q in plan.qubits
         ],
-        "drift": drift,
-        "started_at": started,
-        "finished_at": _utc_now(),
+        "plan": {"L": plan.L, "S": plan.S, "seed": plan.seed},
     }
-    return RunArchive(plan=plan, counts=counts, manifest=manifest)
+
+
+def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
+    """The plan that the ``qubits`` and ``plan`` fields of a device config or
+    run manifest describe; ConfigError naming ``where`` and the offending
+    field (``qubits[i]`` or ``plan``) if they do not describe one."""
+    qubits = []
+    for loc, q in records(doc, where, "qubits"):
+        index = field(q, loc, "index", int)
+        try:
+            params = QubitNoiseParams(
+                f0=field(q, loc, "f0", (int, float)),
+                f1=field(q, loc, "f1", (int, float)),
+                theta=field(q, loc, "theta_rad", (int, float)),
+            )
+            qubits.append(PlanQubit(index, params))
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{loc}: {exc}") from exc
+    settings = field(doc, where, "plan", dict)
+    loc = f"{where}: plan"
+    try:
+        return ExperimentPlan(
+            L=field(settings, loc, "L", int),
+            S=field(settings, loc, "S", int),
+            qubits=tuple(qubits),
+            seed=field(settings, loc, "seed", int),
+        )
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{loc}: {exc}") from exc
 
 
 def _utc_now() -> str:
@@ -253,8 +284,14 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    manifest = dict(archive.manifest)
-    manifest["status"] = "partial"
+    manifest = {
+        "schema": MANIFEST_SCHEMA,
+        "toolkit_version": __version__,
+        "status": "partial",
+        **plan_doc(archive.plan),
+        "drift": archive.drift,
+        "started_at": _utc_now(),
+    }
     write_json(out / "manifest.json", manifest)
 
     shots = archive.plan.S
@@ -273,45 +310,26 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
     return out
 
 
-def plan_from_manifest(manifest: dict) -> ExperimentPlan:
-    """The plan a manifest records, with the field types of a device config;
-    ConfigError or InvalidParameterError if it does not describe one."""
-    where = "manifest"
-    qubits = []
-    for loc, q in records(manifest, where, "qubits"):
-        params = QubitNoiseParams(
-            f0=field(q, loc, "f0", (int, float)),
-            f1=field(q, loc, "f1", (int, float)),
-            theta=field(q, loc, "theta_rad", (int, float)),
-            theta_bound=field(q, loc, "theta_bound", (int, float, type(None))) if "theta_bound" in q else None,
-        )
-        qubits.append(PlanQubit(field(q, loc, "index", int), params))
-    return ExperimentPlan(
-        L=field(manifest, where, "L", int),
-        S=field(manifest, where, "S", int),
-        qubits=tuple(qubits),
-        seed=field(manifest, where, "seed", int),
-    )
-
-
 def load_archive(run_dir: str | Path) -> RunArchive:
     """Load a run directory written by :func:`save_archive`.
 
     Raises IncompleteArchiveError, naming the offending file, if the manifest
     is absent, not valid JSON, of another schema, not finalized or does not
-    describe a valid plan, or if counts.csv is absent or deviates in any way
-    from the layout :func:`save_archive` writes for the manifest's plan.
+    describe a valid plan and drift SIGMA, or if counts.csv is absent or
+    deviates in any way from the layout :func:`save_archive` writes for the
+    manifest's plan.
     """
     run = Path(run_dir)
     manifest = _read_manifest(run)
     try:
-        plan = plan_from_manifest(manifest)
+        plan = plan_from_doc(manifest, "manifest")
+        drift = _check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
     except (ConfigError, InvalidParameterError) as exc:
         raise IncompleteArchiveError(
-            f"{run}: manifest.json does not describe a valid plan: {exc}",
+            f"{run}: manifest.json does not describe a valid run: {exc}",
             missing=("manifest.json",),
         ) from exc
-    return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), manifest=manifest)
+    return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), drift=drift)
 
 
 def _archive_error(path: Path):

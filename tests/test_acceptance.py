@@ -35,7 +35,7 @@ from reprobound.bounds import (
     plan_samples,
 )
 from reprobound.cli import main
-from reprobound.estimator import characterize_qubit
+from reprobound.estimator import characterize
 from reprobound.noise_model import QubitNoiseParams, observed_probs
 from reprobound.sampler import ExperimentPlan, PlanQubit, run_plan
 
@@ -162,7 +162,7 @@ def test_criterion_5_estimator_convergence():
         ests = {}
         for scale, (L, S) in scales.items():
             plan = ExperimentPlan(L=L, S=S, qubits=(PlanQubit(0, truth),), seed=seed)
-            est = characterize_qubit(run_plan(plan), 0)
+            est = characterize(run_plan(plan))[0]
             ests[scale] = est
             errors[scale]["f0"].append(abs(est.f0_mean - truth.f0))
             errors[scale]["f1"].append(abs(est.f1_mean - truth.f1))

@@ -95,7 +95,7 @@ class TestSimulate:
         assert [line.split(",")[:3] for line in lines[5:]] == [["c", "0", "0"], ["c", "0", "1"]]
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] == "complete"
-        assert manifest["schema"] == "run-manifest/2"
+        assert manifest["schema"] == "run-manifest/3"
 
     def test_duplicate_qubit_index_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
@@ -131,7 +131,11 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet"]) == 0
         assert main(["--seed", "999", "simulate", str(cfg), "--out", str(run_b), "--quiet"]) == 0
         assert (run_a / "counts.csv").read_text() != (run_b / "counts.csv").read_text()
-        assert json.loads((run_b / "manifest.json").read_text())["seed"] == 999
+        # The manifest records the config's qubits and plan, with --seed applied.
+        config = json.loads(cfg.read_text())
+        manifest = json.loads((run_b / "manifest.json").read_text())
+        assert manifest["qubits"] == config["qubits"]
+        assert manifest["plan"] == {**config["plan"], "seed": 999}
 
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
@@ -411,8 +415,9 @@ class TestReport:
             '{"schema": ',
             '{"schema": "run-manifest/1", "status": "complete"}',
             '{"schema": "run-manifest/2", "status": "complete"}',
+            '{"schema": "run-manifest/3", "status": "complete"}',
         ],
-        ids=["not-json", "old-schema", "missing-keys"],
+        ids=["not-json", "old-schema", "old-schema-2", "missing-keys"],
     )
     def test_bad_manifest_is_incomplete(self, small_run, manifest, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -424,16 +429,21 @@ class TestReport:
     @pytest.mark.parametrize(
         "path,value",
         [
-            (("L",), 6.7),
-            (("S",), "512"),
-            (("seed",), 20.9),
-            (("seed",), "20"),
+            (("plan", "L"), 6.7),
+            (("plan", "S"), "512"),
+            (("plan", "seed"), 20.9),
+            (("plan", "seed"), "20"),
             (("qubits", 0, "index"), 0.5),
             (("qubits", 0, "index"), "0"),
             (("qubits", 0, "f0"), "0.99"),
             (("qubits", 0, "f0"), True),
+            (("drift",), "0.05"),
+            (("drift",), 2.0),
         ],
-        ids=["L-float", "S-string", "seed-float", "seed-string", "index-float", "index-string", "f0-string", "f0-bool"],
+        ids=[
+            "L-float", "S-string", "seed-float", "seed-string", "index-float", "index-string", "f0-string",
+            "f0-bool", "drift-string", "drift-out-of-range",
+        ],
     )
     def test_mistyped_manifest_is_incomplete(self, small_run, path, value, capsys):
         manifest_path = small_run / "manifest.json"
@@ -596,6 +606,16 @@ def break_input(tmp_path, run, case):
     if case == "characterization-edited-eps":
         edit_lines(char, lambda lines: set_csv_cell(lines, 1, 3, "0.5"))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
+    if case == "characterization-nan-fidelities":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        # Columns 1, 3 and 5 are f0_mean, eps_mean and f_mean.
+        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in (1, 3, 5)])
+        return ["report", str(run)], f"{char}: line 2", 2
+    if case == "verdicts-nan-gamma":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        # Columns 3 and 6 are gamma_D and reproducible.
+        edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, 3, "nan"), set_csv_cell(lines, 1, 6, "false")])
+        return ["report", str(run)], f"{verdicts}: line 2", 2
     if case == "verdicts-text-cell":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
@@ -631,6 +651,8 @@ def break_input(tmp_path, run, case):
     [
         "characterization-text-cell",
         "characterization-edited-eps",
+        "characterization-nan-fidelities",
+        "verdicts-nan-gamma",
         "verdicts-text-cell",
         "config-not-utf8",
         "config-list",

@@ -18,7 +18,6 @@ from reprobound.errors import (
 from reprobound.estimator import (
     CharacterizationEstimate,
     characterize,
-    characterize_qubit,
     invert_theta,
     per_experiment,
     population_stats,
@@ -180,7 +179,7 @@ class TestInvertTheta:
 class TestCharacterize:
     def test_perfect_device(self):
         archive = make_archive(QubitNoiseParams(1.0, 1.0, 0.0), L=8, S=1024)
-        est = characterize_qubit(archive, 0)
+        est = characterize(archive)[0]
         assert est.f0_mean == 1.0 and est.f1_mean == 1.0
         assert est.eps_mean == 0.0 and est.eps_sigma == 0.0
         # Uniform output: the distance sits at the binomial noise floor.
@@ -191,7 +190,7 @@ class TestCharacterize:
     def test_synthetic_round_trip_within_five_sigma(self):
         truth = QubitNoiseParams(0.99, 0.95, THETA_HAT_REFERENCE)
         L, S = 50, 2048
-        est = characterize_qubit(make_archive(truth, L=L, S=S, seed=77), 0)
+        est = characterize(make_archive(truth, L=L, S=S, seed=77))[0]
         n_tot = L * S
         sigma_f0 = math.sqrt(truth.f0 * (1 - truth.f0) / n_tot)
         sigma_f1 = math.sqrt(truth.f1 * (1 - truth.f1) / n_tot)
@@ -208,14 +207,14 @@ class TestCharacterize:
 
     def test_gamma_hat_identity(self):
         archive = make_archive(QubitNoiseParams(0.97, 0.9, 0.01), L=6, S=128, seed=3)
-        est = characterize_qubit(archive, 0)
+        est = characterize(archive)[0]
         pr1 = [int(ones) / 128 for ones in archive.ones(CircuitKind.C, 0)]
         pr0 = [1.0 - p for p in pr1]
         direct = statistics.fmean(pr0) - statistics.fmean(pr1)
         assert est.gamma_hat == pytest.approx(direct, abs=1e-12)
 
     def test_estimate_field_identities(self):
-        est = characterize_qubit(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)), 0)
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
         assert est.eps_mean == pytest.approx(est.f0_mean - est.f1_mean, abs=1e-12)
         assert est.f_mean == pytest.approx((est.f0_mean + est.f1_mean) / 2, abs=1e-12)
         assert est.eps_sigma >= 0.0 and est.d_sigma >= 0.0
@@ -232,11 +231,6 @@ class TestCharacterize:
         assert any("SingularFidelityError" in w for w in estimates[0].warnings)
         assert not math.isnan(estimates[1].theta_hat)
 
-    def test_singular_qubit_raises_when_asked(self):
-        archive = make_archive(QubitNoiseParams(1.0, 0.0, 0.0), L=4, S=256)
-        with pytest.raises(SingularFidelityError):
-            characterize_qubit(archive, 0)
-
     def test_mismatched_data_recorded_not_raised(self):
         # Hand-made counts: f0 = f1 = 0.75 (eps = 0, 2f - 1 = 0.5) and a test
         # circuit that always reads 0 (gamma = 1), so the arcsin argument is
@@ -244,17 +238,14 @@ class TestCharacterize:
         qubit = PlanQubit(0, QubitNoiseParams(0.75, 0.75, 0.0))
         plan = ExperimentPlan(L=4, S=256, qubits=(qubit,), seed=5)
         counts = np.array([[[64] * 4], [[192] * 4], [[0] * 4]])
-        archive = RunArchive(plan=plan, counts=counts, manifest={})
-        with pytest.raises(ModelMismatchError):
-            characterize_qubit(archive, 0)
-        est = characterize(archive)[0]
+        est = characterize(RunArchive(plan=plan, counts=counts))[0]
         assert math.isnan(est.theta_hat)
         assert any("ModelMismatchError" in w for w in est.warnings)
 
     def test_error_shrinks_with_scale(self):
         truth = QubitNoiseParams(0.99, 0.95, 0.0213)
-        small = characterize_qubit(make_archive(truth, L=20, S=256, seed=31), 0)
-        big = characterize_qubit(make_archive(truth, L=100, S=4096, seed=31), 0)
+        small = characterize(make_archive(truth, L=20, S=256, seed=31))[0]
+        big = characterize(make_archive(truth, L=100, S=4096, seed=31))[0]
         # 80x more shots: the fidelity error should drop clearly.
         assert abs(big.f0_mean - truth.f0) < abs(small.f0_mean - truth.f0)
 

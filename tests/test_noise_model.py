@@ -95,11 +95,6 @@ class TestParamsValidation:
         with pytest.raises(InvalidParameterError):
             QubitNoiseParams(1.0, 1.0, math.pi / 4)
 
-    def test_theta_bound_is_configurable(self):
-        p = QubitNoiseParams(1.0, 1.0, math.pi / 4, theta_bound=None)
-        assert p.theta == math.pi / 4
-        QubitNoiseParams(1.0, 1.0, 1.0, theta_bound=1.5)
-
 
 class TestReadoutMatrix:
     def test_noiseless_is_identity(self):

@@ -18,7 +18,6 @@ from reprobound.sampler import (
     count_stream,
     load_archive,
     p_one,
-    plan_from_manifest,
     run_plan,
     save_archive,
 )
@@ -53,9 +52,9 @@ class TestSingleBlocks:
         assert counts_of(CircuitKind.SPAM1, QubitNoiseParams(1.0, 0.0, 0.0)).tolist() == [0, 0]
 
     def test_circuit_c_quarter_turn(self):
-        # theta = pi/4 sends |0> to |1> deterministically.
-        params = QubitNoiseParams(1.0, 1.0, math.pi / 4, theta_bound=None)
-        assert counts_of(CircuitKind.C, params).tolist() == [64, 64]
+        # theta = pi/4 sends |0> to |1> deterministically. QubitNoiseParams
+        # rejects that angle, so the closed form is evaluated directly.
+        assert p_one(1.0, 1.0, math.pi / 4)[2] == 1.0
 
     @pytest.mark.parametrize(
         "kind,p",
@@ -182,6 +181,8 @@ class TestRunPlan:
     def test_bad_drift_rejected(self, sigma):
         with pytest.raises(InvalidParameterError, match="drift SIGMA"):
             run_plan(make_plan([NOISY]), drift=sigma)
+        with pytest.raises(InvalidParameterError, match="drift SIGMA"):
+            RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=np.zeros((3, 1, 2)), drift=sigma)
 
     @pytest.mark.parametrize(
         "counts",
@@ -190,7 +191,7 @@ class TestRunPlan:
     )
     def test_archive_rejects_bad_counts(self, counts):
         with pytest.raises(InvalidParameterError):
-            RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=counts, manifest={})
+            RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=counts)
 
 
 def saved_run(tmp_path, L=2, S=16, seed=1):
@@ -223,7 +224,7 @@ class TestArchiveIO:
         out = save_archive(archive, tmp_path / "run")
         loaded = load_archive(out)
         assert loaded.plan == archive.plan
-        assert loaded.manifest["status"] == "complete"
+        assert loaded.drift is None
         np.testing.assert_array_equal(loaded.counts, archive.counts)
         assert loaded.counts.dtype == np.int64
 
@@ -259,21 +260,20 @@ class TestArchiveIO:
         archive = run_plan(make_plan([NOISY], L=2, S=8, seed=123))
         out = save_archive(archive, tmp_path / "run")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema"] == "run-manifest/2"
+        assert manifest["schema"] == "run-manifest/3"
         assert manifest["status"] == "complete"
-        assert manifest["seed"] == 123
-        assert manifest["L"] == 2 and manifest["S"] == 8
-        assert manifest["qubits"][0]["f0"] == NOISY.f0
+        assert manifest["plan"] == {"L": 2, "S": 8, "seed": 123}
+        assert manifest["qubits"] == [{"index": 0, "f0": NOISY.f0, "f1": NOISY.f1, "theta_rad": NOISY.theta}]
         assert manifest["drift"] is None
         assert "started_at" in manifest and "finished_at" in manifest
 
     def test_drifted_run_reproduces_its_counts(self, tmp_path):
         archive = run_plan(make_plan([NOISY, PERFECT], L=6, S=256, seed=5), drift=0.05)
         out = save_archive(archive, tmp_path / "run")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["drift"] == 0.05
-        rerun = run_plan(plan_from_manifest(manifest), drift=manifest["drift"])
-        np.testing.assert_array_equal(rerun.counts, load_archive(out).counts)
+        loaded = load_archive(out)
+        assert loaded.drift == 0.05
+        rerun = run_plan(loaded.plan, drift=loaded.drift)
+        np.testing.assert_array_equal(rerun.counts, loaded.counts)
 
     def test_missing_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
@@ -305,20 +305,22 @@ class TestArchiveIO:
 
     def test_manifest_not_json_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        (out / "manifest.json").write_text('{"schema": "run-manifest/2", ')
+        (out / "manifest.json").write_text('{"schema": "run-manifest/3", ')
         with pytest.raises(IncompleteArchiveError, match="not valid JSON"):
             load_archive(out)
 
     @pytest.mark.parametrize(
         "change",
         [
-            lambda m: m.pop("L"),
+            lambda m: m["plan"].pop("L"),
+            lambda m: m.pop("plan"),
             lambda m: m.pop("qubits"),
             lambda m: m["qubits"][0].pop("f0"),
-            lambda m: m.update(S="many"),
+            lambda m: m["plan"].update(S="many"),
             lambda m: m.update(qubits=[7]),
+            lambda m: m.pop("drift"),
         ],
-        ids=["L", "qubits", "qubit-f0", "S-type", "qubit-type"],
+        ids=["L", "plan", "qubits", "qubit-f0", "S-type", "qubit-type", "drift"],
     )
     def test_manifest_missing_keys_detected(self, tmp_path, change):
         out = saved_run(tmp_path)
@@ -329,8 +331,8 @@ class TestArchiveIO:
 
     def test_old_manifest_schema_rejected(self, tmp_path):
         out = saved_run(tmp_path)
-        edit_manifest(out, lambda m: m.update(schema="run-manifest/1"))
-        with pytest.raises(IncompleteArchiveError, match="run-manifest/1"):
+        edit_manifest(out, lambda m: m.update(schema="run-manifest/2"))
+        with pytest.raises(IncompleteArchiveError, match="run-manifest/2"):
             load_archive(out)
 
     @pytest.mark.parametrize(
