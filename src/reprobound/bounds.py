@@ -17,12 +17,17 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .artifacts import finite, g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import check_angle, hellinger_1q, output_bias
+
+# numpy is imported inside each function that builds or reads an array:
+# the CLI imports this module for every command, and the commands that do
+# only scalar arithmetic must not pay numpy's import.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def delta_star(n: int) -> float:
@@ -90,6 +95,17 @@ class ReproVerdict:
     def __post_init__(self):
         if self.gamma_D < 0.0:
             raise InvalidParameterError("gamma_D must be non-negative")
+        # Exact comparisons: a verdicts.csv that was not edited holds the
+        # same doubles, since g17 round-trips them.
+        expected = gamma_max(self.n, self.delta)
+        if self.gamma_max != expected:
+            raise InvalidParameterError(
+                f"gamma_max={self.gamma_max!r} is not gamma_max(n={self.n}, delta={self.delta!r})={expected!r}"
+            )
+        if self.margin != self.gamma_max - self.gamma_D:
+            raise InvalidParameterError(
+                f"margin={self.margin!r} is not gamma_max - gamma_D={self.gamma_max - self.gamma_D!r}"
+            )
         if self.reproducible != (self.gamma_D <= self.gamma_max):
             raise InvalidParameterError("verdict flag inconsistent with gamma_D vs gamma_max")
 
@@ -175,6 +191,8 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
     expected count is zero. Grid preconditions: every delta in
     [0, delta_star(1)], every gamma in [0, 1].
     """
+    import numpy as np
+
     deltas = np.asarray(delta_grid, dtype=np.float64)
     gammas = np.asarray(gamma_grid, dtype=np.float64)
     if deltas.size == 0 or gammas.size == 0:
@@ -212,6 +230,8 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
 
 def default_lemma_grids(points: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Standard verification grids: delta in (0, delta_star(1)], gamma in [0, 1]."""
+    import numpy as np
+
     ceiling = delta_star(1)
     return (
         np.linspace(ceiling / points, ceiling, points),

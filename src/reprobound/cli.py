@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -432,4 +433,12 @@ def _fail(message: str) -> None:
 
 
 def entrypoint() -> None:
+    """Run the CLI on ``sys.argv``: ``python -m reprobound`` and the
+    ``reprobound`` console script both start here.
+
+    OpenBLAS starts a pool of threads when numpy is imported, and the
+    program makes no BLAS call, so the pool is capped at one thread before
+    any command can load numpy. A value the user set is kept.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -16,9 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .artifacts import finite, g17, read_csv, write_csv
 from .errors import (
@@ -30,6 +28,12 @@ from .errors import (
 )
 from .noise_model import hellinger_1q
 from .sampler import RunArchive
+
+# numpy is imported inside each function that builds or reads an array:
+# the CLI imports this module for every command, and the commands that do
+# only scalar arithmetic must not pay numpy's import.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Policy for the arcsin argument when inverting the gate angle: silent for
 # float-level overshoot, a warning when the data mildly disagrees with the
@@ -45,6 +49,8 @@ def population_stats(values) -> tuple[float, float]:
 
     sigma^2(mean) = sum((x_l - mean)^2) / (L * (L - 1)), the unbiased form.
     """
+    import numpy as np
+
     x = np.asarray(values, dtype=np.float64)
     n = x.size
     if n < 2:
@@ -165,6 +171,8 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     circuit, eps = f0 - f1, and d the Hellinger distance of (Pr(0), Pr(1))
     to the uniform output (:func:`noise_model.hellinger_1q`).
     """
+    import numpy as np
+
     ones = np.asarray(ones, dtype=np.int64)
     f0 = 1.0 - ones[0] / shots
     f1 = ones[1] / shots

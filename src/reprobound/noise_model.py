@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError
+
+# numpy is imported inside each function that builds or reads an array:
+# the CLI imports this module for every command, and the commands that do
+# only scalar arithmetic must not pay numpy's import.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Validity region |theta| < THETA_BOUND of the gate angle error. The
 # closed-form model only needs |theta| small; pi/4 keeps sin(2*theta)
@@ -86,8 +91,16 @@ def output_bias(eps, theta, f):
     gamma is exactly Pr(0) - Pr(1) for the full noisy circuit; |gamma| <= 1
     for any valid parameters. The one implementation of the closed form:
     :func:`gamma_of`, ``bounds.gamma_device`` and ``sampler.p_one`` call it.
+    A Python float ``theta`` goes through ``math.sin``, so the scalar callers
+    never load numpy; any other ``theta`` through ``np.sin``.
     """
-    return eps - 2.0 * np.sin(2.0 * theta) * (f - 0.5)
+    if isinstance(theta, float):
+        sin = math.sin
+    else:
+        import numpy as np
+
+        sin = np.sin
+    return eps - 2.0 * sin(2.0 * theta) * (f - 0.5)
 
 
 def gamma_of(params: QubitNoiseParams) -> float:
@@ -101,6 +114,8 @@ def observed_probs(params: QubitNoiseParams) -> np.ndarray:
     Identical to the assignment-matrix and Kraus readout routes applied to
     the noisy Hadamard's output; the closed form avoids the matrix product.
     """
+    import numpy as np
+
     g = gamma_of(params)
     return np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=np.float64)
 
@@ -112,4 +127,6 @@ def hellinger_1q(pr0, pr1):
     d = sqrt(1 - sqrt(Pr(0)/2) - sqrt(Pr(1)/2)), the one-qubit closed form
     of sqrt(1 - BC) with BC the Bhattacharyya coefficient.
     """
+    import numpy as np
+
     return np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(pr1 / 2.0)))

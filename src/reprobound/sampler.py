@@ -45,14 +45,18 @@ from enum import Enum
 from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from ._version import __version__
 from .artifacts import field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, output_bias
+
+# numpy is imported inside each function that builds or reads an array:
+# the CLI imports this module for every command, and the commands that do
+# only scalar arithmetic must not pay numpy's import.
+if TYPE_CHECKING:
+    import numpy as np
 
 MANIFEST_SCHEMA = "run-manifest/3"
 
@@ -86,6 +90,8 @@ def p_one(f0, f1, theta) -> np.ndarray:
     order: 1 - f0 for SPAM(0), f1 for SPAM(1) and, with Pr(0) = (1 + gamma)/2
     after the noisy Hadamard and readout, (1 - gamma)/2 for the test circuit C.
     """
+    import numpy as np
+
     gamma = output_bias(f0 - f1, theta, (f0 + f1) / 2.0)
     # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
     return np.clip(np.stack(np.broadcast_arrays(1.0 - f0, f1, (1.0 - gamma) / 2.0)), 0.0, 1.0)
@@ -168,6 +174,8 @@ class RunArchive:
     drift: float | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "drift", _check_drift(self.drift))
         counts = np.array(self.counts, dtype=np.int64)
         shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
@@ -201,6 +209,8 @@ def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generato
 
 def _philox(seed: int, stream: str, key: int) -> np.random.Generator:
     """The Philox generator of reserved stream ``stream``, keyed by (seed, key)."""
+    import numpy as np
+
     seq = np.random.SeedSequence(int(seed), spawn_key=(_STREAM_IDS[stream], int(key)))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -215,6 +225,8 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
             and f1 are clipped into [0, 1]. Off by default; the baseline
             protocol assumes stationary noise.
     """
+    import numpy as np
+
     drift = _check_drift(drift)
     # Parameters indexed [qubit, experiment]; one column serves all L
     # experiments while the noise is stationary.
@@ -363,6 +375,8 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> np.ndarray:
     Every row must sit where :func:`save_archive` writes it, with a
     canonical integer ``ones`` in [0, S] and ``shots`` equal to S.
     """
+    import numpy as np
+
     error = _archive_error(path)
     if not path.is_file():
         raise error(f"{path}: no counts file")

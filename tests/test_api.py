@@ -17,10 +17,12 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_every_public_name_is_exported():
+    # The package binds its names lazily, so resolve each one: a name in
+    # __all__ that its submodule does not define raises AttributeError here.
     public = {
         name
-        for name, value in vars(reprobound).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(reprobound)
+        if not name.startswith("_") and not inspect.ismodule(getattr(reprobound, name))
     }
     assert public == set(reprobound.__all__) - {"__version__"}
 

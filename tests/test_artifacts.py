@@ -134,12 +134,15 @@ def test_only_artifacts_imports_csv_or_json():
 
 
 def test_cli_import_loads_no_heavy_modules():
-    """Importing the CLI must not pull in test-only or optional packages."""
-    code = "import sys, reprobound.cli; print(' '.join(sorted(sys.modules)))"
+    """A fresh import of the package or of the CLI loads no numpy (each
+    command loads it only if it handles arrays) and pulls in no test-only
+    or optional package."""
     env_path = str(PACKAGE.parent)
-    result = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    loaded = {name.split(".")[0] for name in result.stdout.split()}
-    assert loaded.isdisjoint({"scipy", "mpmath", "hypothesis"})
+    for module in ("reprobound", "reprobound.cli"):
+        code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        loaded = {name.split(".")[0] for name in result.stdout.split()}
+        assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis"}), module

@@ -118,8 +118,25 @@ class TestVerdict:
         assert v.reproducible
 
     def test_inconsistent_flag_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ReproVerdict(n=1, delta=0.1, gamma_D=0.5, gamma_max=0.2, reproducible=True, margin=-0.3)
+        gm = gamma_max(1, 0.1)
+        with pytest.raises(InvalidParameterError, match="flag"):
+            ReproVerdict(n=1, delta=0.1, gamma_D=0.5, gamma_max=gm, reproducible=True, margin=gm - 0.5)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"gamma_max": 0.9}, "is not gamma_max"),
+            ({"margin": 0.123}, "margin"),
+            ({"delta": 0.2}, "is not gamma_max"),
+            ({"n": 2}, "is not gamma_max"),
+        ],
+        ids=["gamma_max", "margin", "delta", "n"],
+    )
+    def test_fields_must_agree_with_the_bound(self, edit, message):
+        v = verdict(1, 0.1, eps=0.04, theta=0.0, f=0.97)
+        fields = {**vars(v), **edit}
+        with pytest.raises(InvalidParameterError, match=message):
+            ReproVerdict(**fields)
 
 
 class TestMinDelta:

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reprobound
 from reprobound.cli import main
 from reprobound.noise_model import hellinger_1q
 
@@ -537,6 +541,66 @@ def test_threads_help_says_ignored(capsys):
     assert "ignored" in capsys.readouterr().out
 
 
+# The two ways a user starts the CLI, as code for a fresh interpreter:
+# ``python -m reprobound`` (what runpy does for -m) and the ``reprobound``
+# console script (a call of cli.entrypoint).
+STARTS = {
+    "python-m": "import runpy; runpy.run_module('reprobound', run_name='__main__', alter_sys=True)",
+    "console-script": "from reprobound.cli import entrypoint; entrypoint()",
+}
+# Prints, at interpreter exit, OPENBLAS_NUM_THREADS and the top-level modules loaded.
+EXIT_PROBE = (
+    "import atexit, os, sys; atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+    "*sorted({m.split('.')[0] for m in sys.modules}), file=sys.stderr))\n"
+)
+PLAN_SAMPLES = ["plan-samples", "--p", "0.5", "--precision", "0.1", "--confidence", "0.9"]
+
+
+def child_env(**env):
+    """This environment without OPENBLAS_NUM_THREADS, with the package on
+    PYTHONPATH, updated with ``env``."""
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return {**base, "PYTHONPATH": str(Path(reprobound.__file__).parents[1]), **env}
+
+
+def run_cli_child(start, argv, **env):
+    """Run the CLI in a fresh interpreter under ``child_env(**env)``; returns
+    (exit code, OPENBLAS_NUM_THREADS at exit or "None", set of top-level
+    modules loaded)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE + STARTS[start], *argv],
+        env=child_env(**env), capture_output=True, text=True, timeout=120,
+    )
+    threads, *modules = proc.stderr.splitlines()[-1].split()
+    return proc.returncode, threads, set(modules)
+
+
+def test_scalar_commands_load_no_numpy(small_run):
+    snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
+    for argv, loads_numpy in (
+        (["verdict", str(small_run / "characterization.csv"), "--delta-from-observed"], False),
+        (["import-calibration", str(snapshot)], False),
+        (PLAN_SAMPLES, False),
+        # A command that handles arrays does load it, so the probe sees numpy.
+        (["characterize", str(small_run)], True),
+    ):
+        code, _, modules = run_cli_child("python-m", argv)
+        assert (code, "numpy" in modules) == (0, loads_numpy), argv
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+@pytest.mark.parametrize("user_value,expected", [(None, "1"), ("2", "2")])
+def test_cli_caps_blas_threads_unless_the_user_set_them(start, user_value, expected):
+    env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
+    assert run_cli_child(start, PLAN_SAMPLES, **env)[:2] == (0, expected)
+
+
+def test_library_import_leaves_the_environment_alone():
+    code = "import os; before = dict(os.environ); import reprobound.cli; print(dict(os.environ) == before)"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["True"], proc.stderr
+
+
 @pytest.fixture(scope="module")
 def pristine_run(tmp_path_factory):
     """A one-qubit run directory taken through verdict."""
@@ -616,6 +680,11 @@ def break_input(tmp_path, run, case):
         # Columns 3 and 6 are gamma_D and reproducible.
         edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, 3, "nan"), set_csv_cell(lines, 1, 6, "false")])
         return ["report", str(run)], f"{verdicts}: line 2", 2
+    if case == "verdicts-edited-gamma-max":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        # Columns 4 and 5 are gamma_max and margin; the flag stays consistent.
+        edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, 4, "0.9"), set_csv_cell(lines, 1, 5, "0.123")])
+        return ["report", str(run)], f"{verdicts}: line 2", 2
     if case == "verdicts-text-cell":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
@@ -653,6 +722,7 @@ def break_input(tmp_path, run, case):
         "characterization-edited-eps",
         "characterization-nan-fidelities",
         "verdicts-nan-gamma",
+        "verdicts-edited-gamma-max",
         "verdicts-text-cell",
         "config-not-utf8",
         "config-list",

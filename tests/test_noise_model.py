@@ -18,7 +18,7 @@ from oracles import (
     readout_matrix,
 )
 from reprobound.errors import InvalidParameterError
-from reprobound.noise_model import QubitNoiseParams, gamma_of, observed_probs
+from reprobound.noise_model import QubitNoiseParams, gamma_of, observed_probs, output_bias
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -137,6 +137,13 @@ class TestGamma:
         assert pr.min() >= 0.0
         assert pr.sum() == pytest.approx(1.0, abs=1e-12)
         assert pr[0] - pr[1] == pytest.approx(gamma_of(params), abs=1e-12)
+
+    @given(f0=probs_st, f1=probs_st, theta=theta_st)
+    def test_scalar_and_array_paths_agree(self, f0, f1, theta):
+        # A float theta takes math.sin (the verdict path), an array np.sin
+        # (the sampler's table): both must give the same doubles.
+        eps, f = f0 - f1, (f0 + f1) / 2.0
+        assert output_bias(eps, float(theta), f) == output_bias(eps, np.array([theta]), f)[0]
 
 
 class TestObservedProbs:
