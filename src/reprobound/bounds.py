@@ -17,17 +17,10 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .artifacts import finite, g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import check_angle, hellinger_1q, output_bias
-
-# numpy is imported inside each function that builds or reads an array:
-# the CLI imports this module for every command, and the commands that do
-# only scalar arithmetic must not pay numpy's import.
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def delta_star(n: int) -> float:
@@ -159,7 +152,7 @@ def exact_hellinger_1q(gamma: float) -> float:
     gamma = float(gamma)
     if not math.isfinite(gamma) or abs(gamma) > 1.0:
         raise InvalidParameterError(f"gamma must be in [-1, 1], got {gamma!r}")
-    return float(hellinger_1q((1.0 + gamma) / 2.0, (1.0 - gamma) / 2.0))
+    return hellinger_1q((1.0 + gamma) / 2.0, (1.0 - gamma) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -191,52 +184,53 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
     expected count is zero. Grid preconditions: every delta in
     [0, delta_star(1)], every gamma in [0, 1].
     """
-    import numpy as np
-
-    deltas = np.asarray(delta_grid, dtype=np.float64)
-    gammas = np.asarray(gamma_grid, dtype=np.float64)
-    if deltas.size == 0 or gammas.size == 0:
+    deltas = [float(d) for d in delta_grid]
+    gammas = [float(g) for g in gamma_grid]
+    if not deltas or not gammas:
         raise InvalidParameterError("grids must be non-empty")
     ceiling = delta_star(1)
-    if np.any(deltas < 0.0) or np.any(deltas > ceiling):
+    if any(d < 0.0 or d > ceiling for d in deltas):
         raise OutOfRegimeError(
             f"every delta must lie in [0, {ceiling!r}]", delta_star=ceiling
         )
-    if np.any(gammas < 0.0) or np.any(gammas > 1.0):
+    if any(g < 0.0 or g > 1.0 for g in gammas):
         raise InvalidParameterError("every gamma must lie in [0, 1]")
     # NaN passes both range checks and compares false in both tests.
-    if np.isnan(deltas).any() or np.isnan(gammas).any():
+    if any(map(math.isnan, deltas + gammas)):
         raise InvalidParameterError("grids must not contain NaN")
 
-    limits = np.array([gamma_max(1, d) for d in deltas.tolist()])
-    distances = hellinger_1q((1.0 + gammas) / 2.0, (1.0 - gammas) / 2.0)
-    # Rows are deltas, columns gammas: argwhere yields delta-major order.
-    bad = np.argwhere((gammas <= limits[:, None]) != (distances <= deltas[:, None]))
+    limits = [gamma_max(1, d) for d in deltas]
+    distances = [hellinger_1q((1.0 + g) / 2.0, (1.0 - g) / 2.0) for g in gammas]
+    columns = list(zip(gammas, distances))
     return LemmaA1Report(
-        pairs_checked=deltas.size * gammas.size,
-        delta_range=(float(deltas.min()), float(deltas.max())),
-        gamma_range=(float(gammas.min()), float(gammas.max())),
+        pairs_checked=len(deltas) * len(gammas),
+        delta_range=(min(deltas), max(deltas)),
+        gamma_range=(min(gammas), max(gammas)),
+        # Delta-major, then gamma order.
         counterexamples=tuple(
-            LemmaCounterexample(
-                delta=float(deltas[i]),
-                gamma=float(gammas[j]),
-                gamma_max=float(limits[i]),
-                hellinger=float(distances[j]),
-            )
-            for i, j in bad.tolist()
+            LemmaCounterexample(delta=d, gamma=g, gamma_max=limit, hellinger=h)
+            for d, limit in zip(deltas, limits)
+            for g, h in columns
+            if (g <= limit) != (h <= d)
         ),
     )
 
 
-def default_lemma_grids(points: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Standard verification grids: delta in (0, delta_star(1)], gamma in [0, 1]."""
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """``numpy.linspace(start, stop, num)`` to the bit, by its own
+    arithmetic: point i is i * step + start, the last point is stop."""
+    if num == 1:
+        return (start,)
+    step = (stop - start) / (num - 1)
+    return (*(i * step + start for i in range(num - 1)), stop)
 
+
+def default_lemma_grids(points: int = 100) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Standard verification grids: delta in (0, delta_star(1)], gamma in [0, 1]."""
+    if points < 1:
+        raise InvalidParameterError(f"grids need at least one point, got {points}")
     ceiling = delta_star(1)
-    return (
-        np.linspace(ceiling / points, ceiling, points),
-        np.linspace(0.0, 1.0, points),
-    )
+    return _linspace(ceiling / points, ceiling, points), _linspace(0.0, 1.0, points)
 
 
 def normal_quantile(p: float) -> float:

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import math
 import os
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -189,11 +190,16 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         plan = dataclasses.replace(plan, seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
-    # Files derived from the directory's earlier counts no longer describe it.
+    # Files derived from the directory's earlier counts no longer describe
+    # it, nor do the per-shot block files of releases before counts.csv.
     for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in REPORT_FILES)):
         (Path(args.out) / stale).unlink(missing_ok=True)
+    blocks = Path(args.out) / "blocks"
+    if blocks.is_dir():
+        shutil.rmtree(blocks)
     out = save_archive(archive, args.out)
-    _say(args, f"{name}: wrote the counts of {archive.counts.size} experiments to {out}")
+    experiments = len(archive.counts) * len(plan.qubits) * plan.L
+    _say(args, f"{name}: wrote the counts of {experiments} experiments to {out}")
     return EXIT_OK
 
 
@@ -324,10 +330,9 @@ def cmd_report(args) -> int:
 
     scatter_rows = []
     for i in sorted(range(len(plan.qubits)), key=lambda i: plan.qubits[i].index):
-        est = estimator.per_experiment(archive.counts[:, i], plan.S)
+        est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
         scatter_rows += [
-            [plan.qubits[i].index, l, g17(eps), g17(d)]
-            for l, (eps, d) in enumerate(zip(est.eps.tolist(), est.d.tolist()))
+            [plan.qubits[i].index, l, g17(eps), g17(d)] for l, (eps, d) in enumerate(zip(est.eps, est.d))
         ]
     write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
 

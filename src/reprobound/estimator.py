@@ -3,11 +3,12 @@
 Each experiment l of S shots yields point estimates from its ones count:
 readout fidelities from the SPAM circuits, the zero-outcome probability from
 the test circuit, and the per-experiment Hellinger distance to the ideal
-uniform output (:func:`per_experiment`, vectorised over the L experiments).
-Averaging over the L experiments gives population means with error bars
-(standard deviation of the population mean, unbiased L-1 form), the
-composite bias estimate gamma_hat = 2*mean(Pr(0)) - 1, and finally the gate
-angle estimate by inverting gamma = eps - 2*sin(2*theta)*(f - 1/2).
+uniform output (:func:`per_experiment`). Averaging over the L experiments
+gives population means with error bars (standard deviation of the
+population mean, unbiased L-1 form), the composite bias estimate
+gamma_hat = 2*mean(Pr(0)) - 1, and finally the gate angle estimate by
+inverting gamma = eps - 2*sin(2*theta)*(f - 1/2). Every sum is a correctly
+rounded ``math.fsum`` over plain floats.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .artifacts import finite, g17, read_csv, write_csv
 from .errors import (
@@ -29,12 +30,6 @@ from .errors import (
 from .noise_model import hellinger_1q
 from .sampler import RunArchive
 
-# numpy is imported inside each function that builds or reads an array:
-# the CLI imports this module for every command, and the commands that do
-# only scalar arithmetic must not pay numpy's import.
-if TYPE_CHECKING:
-    import numpy as np
-
 # Policy for the arcsin argument when inverting the gate angle: silent for
 # float-level overshoot, a warning when the data mildly disagrees with the
 # model, a hard error when it clearly cannot be explained by it.
@@ -44,22 +39,26 @@ CLAMP_ERROR = 0.01
 _F_SINGULAR = 1e-6
 
 
+def _mean(values) -> float:
+    """The correctly rounded sum of ``values``, divided by their number."""
+    return math.fsum(values) / len(values)
+
+
 def population_stats(values) -> tuple[float, float]:
     """Mean and standard deviation of the population mean of a sample.
 
     sigma^2(mean) = sum((x_l - mean)^2) / (L * (L - 1)), the unbiased form.
     """
-    import numpy as np
-
-    x = np.asarray(values, dtype=np.float64)
-    n = x.size
+    x = [float(v) for v in values]
+    n = len(x)
     if n < 2:
         raise InsufficientDataError(f"population statistics need >= 2 values, got {n}")
-    if x.min() == x.max():
+    if all(v == x[0] for v in x):
         # Constant samples: sigma is exactly zero, not mean-rounding residue.
-        return float(x[0]), 0.0
-    mean = float(x.mean())
-    var_of_mean = float(np.sum((x - mean) ** 2)) / (n * (n - 1))
+        return x[0], 0.0
+    mean = _mean(x)
+    deviations = [v - mean for v in x]
+    var_of_mean = math.fsum(d * d for d in deviations) / (n * (n - 1))
     return mean, math.sqrt(var_of_mean)
 
 
@@ -118,10 +117,16 @@ class CharacterizationEstimate:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if abs(self.eps_mean - (self.f0_mean - self.f1_mean)) > 1e-12:
-            raise InvalidParameterError("eps_mean must equal f0_mean - f1_mean")
-        if abs(self.f_mean - (self.f0_mean + self.f1_mean) / 2.0) > 1e-12:
-            raise InvalidParameterError("f_mean must equal (f0_mean + f1_mean)/2")
+        # Exact comparisons: a characterization.csv that was not edited holds
+        # the same doubles, since g17 round-trips them.
+        if self.eps_mean != self.f0_mean - self.f1_mean:
+            raise InvalidParameterError(
+                f"eps_mean={self.eps_mean!r} is not f0_mean - f1_mean={self.f0_mean - self.f1_mean!r}"
+            )
+        if self.f_mean != (self.f0_mean + self.f1_mean) / 2.0:
+            raise InvalidParameterError(
+                f"f_mean={self.f_mean!r} is not (f0_mean + f1_mean)/2={(self.f0_mean + self.f1_mean) / 2.0!r}"
+            )
         if self.eps_sigma < 0.0 or self.d_sigma < 0.0:
             raise InvalidParameterError("sigmas must be non-negative")
         if not 0.0 <= self.d_mean <= 1.0:
@@ -155,45 +160,50 @@ CSV_COLUMNS = {
 class PerExperiment(NamedTuple):
     """Point estimates of each of one qubit's L experiments."""
 
-    f0: np.ndarray
-    f1: np.ndarray
-    pr0: np.ndarray
-    eps: np.ndarray
-    d: np.ndarray
+    f0: tuple[float, ...]
+    f1: tuple[float, ...]
+    pr0: tuple[float, ...]
+    eps: tuple[float, ...]
+    d: tuple[float, ...]
 
 
 def per_experiment(ones, shots: int) -> PerExperiment:
     """Per-experiment estimates from one qubit's ones counts.
 
     ``ones`` holds the qubit's SPAM(0), SPAM(1) and test-circuit counts as
-    rows of length L (its ``counts[:, i]`` slice of the archive), each out of
-    ``shots``: f0 = 1 - ones/S, f1 = ones/S, Pr(0) = 1 - ones/S of the test
-    circuit, eps = f0 - f1, and d the Hellinger distance of (Pr(0), Pr(1))
-    to the uniform output (:func:`noise_model.hellinger_1q`).
+    three rows of length L (``[rows[i] for rows in archive.counts]`` for
+    the plan's ``i``-th qubit), each out of ``shots``: f0 = 1 - ones/S,
+    f1 = ones/S, Pr(0) = 1 - ones/S of the test circuit, eps = f0 - f1, and
+    d the Hellinger distance of (Pr(0), Pr(1)) to the uniform output
+    (:func:`noise_model.hellinger_1q`).
     """
-    import numpy as np
-
-    ones = np.asarray(ones, dtype=np.int64)
-    f0 = 1.0 - ones[0] / shots
-    f1 = ones[1] / shots
-    p1 = ones[2] / shots
-    pr0 = 1.0 - p1
-    return PerExperiment(f0=f0, f1=f1, pr0=pr0, eps=f0 - f1, d=hellinger_1q(pr0, p1))
+    spam0, spam1, c = ones
+    f0 = tuple(1.0 - k / shots for k in spam0)
+    f1 = tuple(k / shots for k in spam1)
+    p1 = [k / shots for k in c]
+    pr0 = tuple(1.0 - p for p in p1)
+    return PerExperiment(
+        f0=f0,
+        f1=f1,
+        pr0=pr0,
+        eps=tuple(a - b for a, b in zip(f0, f1)),
+        d=tuple(map(hellinger_1q, pr0, p1)),
+    )
 
 
 def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
     """Average the per-experiment estimates of the plan's ``i``-th qubit."""
     plan = archive.plan
-    est = per_experiment(archive.counts[:, i], plan.S)
+    est = per_experiment([rows[i] for rows in archive.counts], plan.S)
 
     _, eps_sigma = population_stats(est.eps)
     d_mean, d_sigma = population_stats(est.d)
-    f0_mean = float(est.f0.mean())
-    f1_mean = float(est.f1.mean())
+    f0_mean = _mean(est.f0)
+    f1_mean = _mean(est.f1)
     f_mean = (f0_mean + f1_mean) / 2.0
     eps_mean = f0_mean - f1_mean
     # Per-experiment estimates first, then the average across experiments.
-    gamma_hat = 2.0 * float(est.pr0.mean()) - 1.0
+    gamma_hat = 2.0 * _mean(est.pr0) - 1.0
 
     notes: list[str] = []
     try:
@@ -259,9 +269,19 @@ def write_characterization_csv(estimates, path: str | Path) -> None:
     )
 
 
+def _estimate_row(*cells) -> CharacterizationEstimate:
+    """The estimate of one characterization.csv row. The columns are the
+    estimate's fields plus theta_hat_deg (index 8), which must be
+    degrees(theta_hat_rad) exactly, or NaN beside a NaN angle."""
+    theta_rad, theta_deg = cells[7], cells[8]
+    if theta_deg != math.degrees(theta_rad) and not (math.isnan(theta_rad) and math.isnan(theta_deg)):
+        raise InvalidParameterError(
+            f"theta_hat_deg={theta_deg!r} is not degrees(theta_hat_rad)={math.degrees(theta_rad)!r}"
+        )
+    return CharacterizationEstimate(*cells[:8], *cells[9:])
+
+
 def read_characterization_csv(path: str | Path) -> list[CharacterizationEstimate]:
     """Read characterization.csv; ConfigError naming the file and line if a
     cell does not parse or a row is not a valid estimate."""
-    # The columns are the estimate's fields plus theta_hat_deg (index 8),
-    # which is derived from theta_hat_rad and so dropped.
-    return read_csv(path, CSV_COLUMNS, lambda *cells: CharacterizationEstimate(*cells[:8], *cells[9:]))
+    return read_csv(path, CSV_COLUMNS, _estimate_row)

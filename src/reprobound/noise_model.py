@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError
 
-# numpy is imported inside each function that builds or reads an array:
-# the CLI imports this module for every command, and the commands that do
-# only scalar arithmetic must not pay numpy's import.
+# numpy is imported only inside the functions that take or return arrays:
+# the CLI imports this module for every command, and only simulate handles
+# arrays.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -120,13 +120,12 @@ def observed_probs(params: QubitNoiseParams) -> np.ndarray:
     return np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=np.float64)
 
 
-def hellinger_1q(pr0, pr1):
+def hellinger_1q(pr0: float, pr1: float) -> float:
     """Hellinger distance of the two-outcome distribution (pr0, pr1) to the
-    uniform (1/2, 1/2), elementwise over arrays.
+    uniform (1/2, 1/2).
 
     d = sqrt(1 - sqrt(Pr(0)/2) - sqrt(Pr(1)/2)), the one-qubit closed form
     of sqrt(1 - BC) with BC the Bhattacharyya coefficient.
     """
-    import numpy as np
-
-    return np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(pr1 / 2.0)))
+    # max(x, 0.0), not max(0.0, x): a NaN stays NaN.
+    return math.sqrt(max(1.0 - math.sqrt(pr0 / 2.0) - math.sqrt(pr1 / 2.0), 0.0))

@@ -15,11 +15,15 @@ and theta of every qubit by one common N(0, SIGMA) draw each, taken from a
 Philox stream keyed by (master seed, drift, l), and clips f0 and f1 into
 [0, 1] before the table is built.
 
+A :class:`RunArchive` keeps the counts as plain ints in an immutable nested
+tuple, ``counts[kind][qubit position][experiment]``. numpy draws them;
+nothing that reads them needs it.
+
 Reproducibility of this engine is non-negotiable, so each (circuit kind,
 qubit) pair draws its L counts from its own counter-based Philox stream
 keyed purely by (master seed, circuit kind, qubit). Re-running a plan with
-the same SIGMA yields an identical count tensor, and one qubit's counts do
-not depend on the other qubits of the plan.
+the same SIGMA yields identical counts, and one qubit's counts do not
+depend on the other qubits of the plan.
 
 A plan has one document format, the device config's ``qubits`` and
 ``plan`` fields (:func:`plan_doc` writes it, :func:`plan_from_doc` reads
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -52,15 +56,14 @@ from .artifacts import field, read_csv, read_json, records, write_csv, write_jso
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, output_bias
 
-# numpy is imported inside each function that builds or reads an array:
-# the CLI imports this module for every command, and the commands that do
-# only scalar arithmetic must not pay numpy's import.
+# numpy is imported only inside the functions that draw counts: the CLI
+# imports this module for every command, and only simulate draws.
 if TYPE_CHECKING:
     import numpy as np
 
 MANIFEST_SCHEMA = "run-manifest/3"
 
-# Largest count tensor a plan may ask for (3 kinds x qubits x L). 10**6
+# Most counts a plan may ask for (3 kinds x qubits x L). 10**6
 # counts make a counts.csv of about 19 MB, 60 times the 27-qubit L=203
 # reference; a larger plan is rejected before anything is allocated.
 MAX_COUNTS = 10**6
@@ -79,14 +82,14 @@ class CircuitKind(str, Enum):
 
 # Every Philox stream id the engine reserves; part of the on-disk
 # reproducibility contract. The circuit kinds' ids double as the kind axis
-# of the count tensor; the drift draws from its own stream.
+# of the archive's counts; the drift draws from its own stream.
 _STREAM_IDS = {"spam0": 0, "spam1": 1, "c": 2, "drift": 3}
 _KIND_STREAM = {kind: _STREAM_IDS[kind.value] for kind in CircuitKind}
 
 
 def p_one(f0, f1, theta) -> np.ndarray:
     """Probability that one shot reads 1, elementwise over the noise
-    parameters, stacked along a leading kind axis in the count tensor's
+    parameters, stacked along a leading kind axis in the archive's kind
     order: 1 - f0 for SPAM(0), f1 for SPAM(1) and, with Pr(0) = (1 + gamma)/2
     after the noisy Hadamard and readout, (1 - gamma)/2 for the test circuit C.
     """
@@ -158,42 +161,54 @@ def _check_drift(drift: float | None) -> float | None:
     return float(drift)
 
 
+Counts = tuple[tuple[tuple[int, ...], ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class RunArchive:
     """The outcome counts of one executed plan and the drift SIGMA they were
     drawn under (None for stationary noise).
 
-    ``counts[k, i, l]`` is how many of the S shots of experiment ``l`` read 1,
-    for circuit kind ``k`` (0 SPAM(0), 1 SPAM(1), 2 C) on the plan's ``i``-th
-    qubit (``plan.qubits[i]``). The counts are fully determined by (plan,
-    drift): ``run_plan(archive.plan, drift=archive.drift)`` draws them again.
+    ``counts[k][i][l]`` is how many of the S shots of experiment ``l`` read
+    1, for circuit kind ``k`` (0 SPAM(0), 1 SPAM(1), 2 C) on the plan's
+    ``i``-th qubit (``plan.qubits[i]``), an int. Any nested sequence of that
+    shape is accepted and kept as nested tuples. The counts are fully
+    determined by (plan, drift): ``run_plan(archive.plan,
+    drift=archive.drift)`` draws them again.
     """
 
     plan: ExperimentPlan
-    counts: np.ndarray
+    counts: Counts
     drift: float | None = None
 
     def __post_init__(self):
-        import numpy as np
-
         object.__setattr__(self, "drift", _check_drift(self.drift))
-        counts = np.array(self.counts, dtype=np.int64)
-        shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
-        if counts.shape != shape:
-            raise InvalidParameterError(f"counts have shape {counts.shape}, expected {shape}")
-        if not (0 <= counts.min() and counts.max() <= self.plan.S):
+        kinds, qubits, L = shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
+        try:
+            counts = tuple(tuple(tuple(row) for row in rows) for rows in self.counts)
+        except TypeError:
+            raise InvalidParameterError(f"counts must be nested sequences of shape {shape}") from None
+        rows = list(chain.from_iterable(counts))
+        lengths = (len(counts), {len(per_kind) for per_kind in counts}, {len(row) for row in rows})
+        if lengths != (kinds, {qubits}, {L}):
+            raise InvalidParameterError(f"counts must have the shape {shape}")
+        flat = list(chain.from_iterable(rows))
+        # Exactly int: a float would be truncated and a bool is no count.
+        if {type(value) for value in flat} != {int}:
+            raise InvalidParameterError("every count must be an int")
+        if not (0 <= min(flat) and max(flat) <= self.plan.S):
             raise InvalidParameterError(f"counts must lie in [0, S={self.plan.S}]")
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
-    def ones(self, kind: CircuitKind, qubit: int) -> np.ndarray:
+    def ones(self, kind: CircuitKind, qubit: int) -> tuple[int, ...]:
         """The L ones counts of circuit ``kind`` on the qubit with index ``qubit``."""
-        return self.counts[_KIND_STREAM[CircuitKind(kind)], self.plan.qubit_indices.index(qubit)]
+        return self.counts[_KIND_STREAM[CircuitKind(kind)]][self.plan.qubit_indices.index(qubit)]
 
 
 def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str, str]]:
     """The (kind, qubit, experiment) cells of counts.csv's rows, in file
-    order: the C order of the count tensor."""
+    order: kind, then qubit position, then experiment, as ``counts[k][i][l]``
+    nests them."""
     return product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices), map(str, range(plan.L)))
 
 
@@ -236,9 +251,13 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
         df0, df1, dtheta = np.array([_philox(plan.seed, "drift", l).normal(0.0, drift, 3) for l in range(plan.L)]).T
         f0, f1, theta = np.clip(f0 + df0, 0.0, 1.0), np.clip(f1 + df1, 0.0, 1.0), theta + dtheta
     p = p_one(f0, f1, theta)
-    counts = np.empty((len(CircuitKind), len(plan.qubits), plan.L), dtype=np.int64)
-    for (k, kind), (i, q) in product(enumerate(CircuitKind), enumerate(plan.qubits)):
-        counts[k, i] = count_stream(plan.seed, kind, q.index).binomial(plan.S, p[k, i], size=plan.L)
+    counts = [
+        [
+            count_stream(plan.seed, kind, q.index).binomial(plan.S, p[k, i], size=plan.L).tolist()
+            for i, q in enumerate(plan.qubits)
+        ]
+        for k, kind in enumerate(CircuitKind)
+    ]
     return RunArchive(plan=plan, counts=counts, drift=drift)
 
 
@@ -312,7 +331,7 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         COUNTS_COLUMNS,
         (
             (*key, ones, shots)
-            for key, ones in zip(count_keys(archive.plan), archive.counts.ravel().tolist())
+            for key, ones in zip(count_keys(archive.plan), chain.from_iterable(chain.from_iterable(archive.counts)))
         ),
     )
 
@@ -369,14 +388,12 @@ def _count_cell(cell: str) -> int | None:
     return value if str(value) == cell else None
 
 
-def _read_counts(path: Path, plan: ExperimentPlan) -> np.ndarray:
-    """Parse counts.csv into the count tensor of ``plan``.
+def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
+    """Parse counts.csv into the nested count tuples of ``plan``.
 
     Every row must sit where :func:`save_archive` writes it, with a
     canonical integer ``ones`` in [0, S] and ``shots`` equal to S.
     """
-    import numpy as np
-
     error = _archive_error(path)
     if not path.is_file():
         raise error(f"{path}: no counts file")
@@ -405,4 +422,6 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> np.ndarray:
     key = next(keys, None)
     if key is not None:
         raise error(f"{path}: ends after {len(counts)} rows; the row of {','.join(key)} and all later rows are missing")
-    return np.array(counts, dtype=np.int64).reshape(len(CircuitKind), len(plan.qubits), plan.L)
+    rows = [tuple(counts[start : start + plan.L]) for start in range(0, size, plan.L)]
+    n = len(plan.qubits)
+    return tuple(tuple(rows[start : start + n]) for start in range(0, len(rows), n))

@@ -233,6 +233,17 @@ class TestLemmaA1:
         assert found == expected
         assert found
 
+    @pytest.mark.parametrize("points", [1, 2, 3, 7, 100, 300, 1000, 4097])
+    def test_default_grids_are_numpy_linspace_to_the_bit(self, points):
+        deltas, gammas = default_lemma_grids(points)
+        ceiling = delta_star(1)
+        assert [x.hex() for x in deltas] == [x.hex() for x in np.linspace(ceiling / points, ceiling, points).tolist()]
+        assert [x.hex() for x in gammas] == [x.hex() for x in np.linspace(0.0, 1.0, points).tolist()]
+
+    def test_default_grids_need_a_point(self):
+        with pytest.raises(InvalidParameterError):
+            default_lemma_grids(0)
+
     def test_report_serialization(self, tmp_path):
         report = lemma_a1_check(*default_lemma_grids(10))
         path = tmp_path / "lemma_report.json"

@@ -172,6 +172,15 @@ class TestSimulate:
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert "run characterize and verdict first" in capsys.readouterr().err
 
+    def test_resimulating_removes_block_files(self, small_run):
+        # The per-shot block files of releases before counts.csv.
+        block = small_run / "blocks" / "spam0" / "q0_l0.bin"
+        block.parent.mkdir(parents=True)
+        block.write_bytes(b"\x00" * 64)
+        (small_run / "notes.txt").write_text("kept")
+        assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
+        assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "notes.txt"]
+
 
 class TestCharacterize:
     def test_perfect_device_rows(self, tmp_path):
@@ -576,13 +585,17 @@ def run_cli_child(start, argv, **env):
 
 
 def test_scalar_commands_load_no_numpy(small_run):
+    # Only simulate draws counts, so only simulate loads numpy.
     snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
     for argv, loads_numpy in (
+        (["characterize", str(small_run)], False),
+        # verdict writes the verdicts.csv that report reads.
         (["verdict", str(small_run / "characterization.csv"), "--delta-from-observed"], False),
+        (["report", str(small_run)], False),
         (["import-calibration", str(snapshot)], False),
         (PLAN_SAMPLES, False),
-        # A command that handles arrays does load it, so the probe sees numpy.
-        (["characterize", str(small_run)], True),
+        # The command that draws counts does load it, so the probe sees numpy.
+        (["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run.parent / "again")], True),
     ):
         code, _, modules = run_cli_child("python-m", argv)
         assert (code, "numpy" in modules) == (0, loads_numpy), argv
@@ -670,6 +683,16 @@ def break_input(tmp_path, run, case):
     if case == "characterization-edited-eps":
         edit_lines(char, lambda lines: set_csv_cell(lines, 1, 3, "0.5"))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
+    if case in ("characterization-eps-off-by-5e-13", "characterization-f-mean-off-by-5e-13"):
+        # Columns 3 and 5 are eps_mean and f_mean.
+        column = 3 if "eps" in case else 5
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, column, repr(float(lines[1].split(",")[column]) + 5e-13)))
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
+    if case == "characterization-edited-degrees":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        # Column 8 is theta_hat_deg.
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 8, "45.0"))
+        return ["report", str(run)], f"{char}: line 2", 2
     if case == "characterization-nan-fidelities":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         # Columns 1, 3 and 5 are f0_mean, eps_mean and f_mean.
@@ -720,6 +743,9 @@ def break_input(tmp_path, run, case):
     [
         "characterization-text-cell",
         "characterization-edited-eps",
+        "characterization-eps-off-by-5e-13",
+        "characterization-f-mean-off-by-5e-13",
+        "characterization-edited-degrees",
         "characterization-nan-fidelities",
         "verdicts-nan-gamma",
         "verdicts-edited-gamma-max",

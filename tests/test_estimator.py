@@ -1,7 +1,9 @@
 """Tests for the per-experiment estimators and the characterization pipeline."""
 
+import dataclasses
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import Distribution, hellinger, uniform_ideal
 from reprobound.errors import (
+    ConfigError,
     InsufficientDataError,
     ModelMismatchError,
     ModelMismatchWarning,
@@ -76,41 +79,54 @@ class TestHellingerSingle:
         assert hellinger_1q(1.0, 0.0) == pytest.approx(0.5411961001461969, abs=1e-15)
 
     def test_matches_general_route(self):
-        pr = np.array([0.52, 0.48])
+        pr = [0.52, 0.48]
         general = hellinger(uniform_ideal(1), Distribution(1, pr))
         assert hellinger_1q(*pr) == pytest.approx(general, abs=1e-15)
 
     def test_grid_agreement_with_general(self):
-        p0 = np.linspace(0.0, 1.0, 1000)
+        p0 = np.linspace(0.0, 1.0, 1000).tolist()
         shots = 1000
-        ones = np.arange(shots + 1)
-        p1 = ones / shots
+        ones = list(range(shots + 1))
+        p1 = [k / shots for k in ones]
         # The kernel on a grid, and per_experiment's d at every count 0..S.
         cases = [
-            (p0, 1.0 - p0, hellinger_1q(p0, 1.0 - p0)),
-            (1.0 - p1, p1, per_experiment(np.stack([ones, ones, ones]), shots).d),
+            (p0, [1.0 - p for p in p0], [hellinger_1q(p, 1.0 - p) for p in p0]),
+            ([1.0 - p for p in p1], p1, per_experiment([ones, ones, ones], shots).d),
         ]
         for pr0, pr1, d in cases:
-            for a, b, d_ab in zip(pr0.tolist(), pr1.tolist(), d.tolist()):
+            for a, b, d_ab in zip(pr0, pr1, d, strict=True):
                 general = hellinger(uniform_ideal(1), Distribution(1, [a, b]))
                 assert abs(d_ab - general) <= 1e-12
+
+    def test_matches_the_array_form(self):
+        # The scalar closed form gives the doubles of the elementwise numpy
+        # expression it replaced, at every count 0..S of S = 8192.
+        pr1 = np.arange(8193) / 8192
+        pr0 = 1.0 - pr1
+        array_form = np.sqrt(np.maximum(0.0, 1.0 - np.sqrt(pr0 / 2.0) - np.sqrt(pr1 / 2.0)))
+        assert list(map(hellinger_1q, pr0.tolist(), pr1.tolist())) == array_form.tolist()
+
+    def test_nan_propagates(self):
+        assert math.isnan(hellinger_1q(math.nan, 0.5))
 
 
 class TestPerExperiment:
     def test_hellinger_matches_hellinger_1q(self):
         shots = 1000
-        ones = np.arange(shots + 1)
-        est = per_experiment(np.stack([ones, ones, ones]), shots)
-        for c, d in zip(ones.tolist(), est.d.tolist()):
+        ones = tuple(range(shots + 1))
+        est = per_experiment([ones, ones, ones], shots)
+        assert len(est.d) == len(ones)
+        for c, d in zip(ones, est.d):
             assert d == hellinger_1q(1.0 - c / shots, c / shots)
 
     def test_matches_point_estimators(self):
         archive = make_archive(QubitNoiseParams(0.9, 0.8, 0.05), L=5, S=64, seed=8)
-        est = per_experiment(archive.counts[:, 0], 64)
-        np.testing.assert_array_equal(est.f0, 1.0 - archive.ones(CircuitKind.SPAM0, 0) / 64)
-        np.testing.assert_array_equal(est.f1, archive.ones(CircuitKind.SPAM1, 0) / 64)
-        np.testing.assert_array_equal(est.pr0, 1.0 - archive.ones(CircuitKind.C, 0) / 64)
-        np.testing.assert_array_equal(est.eps, est.f0 - est.f1)
+        est = per_experiment([rows[0] for rows in archive.counts], 64)
+        assert est.f0 == tuple(1.0 - k / 64 for k in archive.ones(CircuitKind.SPAM0, 0))
+        assert est.f1 == tuple(k / 64 for k in archive.ones(CircuitKind.SPAM1, 0))
+        assert est.pr0 == tuple(1.0 - k / 64 for k in archive.ones(CircuitKind.C, 0))
+        assert est.eps == tuple(a - b for a, b in zip(est.f0, est.f1))
+        assert {type(x) for field in est for x in field} == {float}
 
 
 class TestPopulationStats:
@@ -138,6 +154,27 @@ class TestPopulationStats:
             ref_sigma = math.sqrt(statistics.variance(xs) / len(xs))
             assert mean == pytest.approx(ref_mean, abs=1e-12)
             assert sigma == pytest.approx(ref_sigma, abs=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100)),
+            min_size=2,
+            max_size=250,
+        )
+    )
+    def test_against_exact_rationals(self, xs):
+        # Every sum is correctly rounded, so the mean is within 1.5 ulp of
+        # the exact one: half an ulp from the sum, one from the division.
+        mean, sigma = population_stats(xs)
+        n = len(xs)
+        exact_mean = sum(map(Fraction, xs)) / n
+        assert abs(Fraction(mean) - exact_mean) <= Fraction(math.ulp(float(exact_mean))) * 3 / 2
+        # sigma is the exact two-pass value about the returned mean (which
+        # adds n * (mean - exact_mean)**2 to the sum of squares) to within the
+        # rounding of the deviations, their squares, the division and sqrt.
+        exact_var = sum((Fraction(x) - Fraction(mean)) ** 2 for x in xs) / (n * (n - 1))
+        reference = math.sqrt(exact_var)
+        assert abs(sigma - reference) <= 4 * math.ulp(reference)
 
 
 class TestInvertTheta:
@@ -215,8 +252,8 @@ class TestCharacterize:
 
     def test_estimate_field_identities(self):
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
-        assert est.eps_mean == pytest.approx(est.f0_mean - est.f1_mean, abs=1e-12)
-        assert est.f_mean == pytest.approx((est.f0_mean + est.f1_mean) / 2, abs=1e-12)
+        assert est.eps_mean == est.f0_mean - est.f1_mean
+        assert est.f_mean == (est.f0_mean + est.f1_mean) / 2
         assert est.eps_sigma >= 0.0 and est.d_sigma >= 0.0
 
     def test_singular_qubit_recorded_not_raised(self):
@@ -237,7 +274,7 @@ class TestCharacterize:
         # (eps - gamma) / (2f - 1) = -2, far outside [-1, 1].
         qubit = PlanQubit(0, QubitNoiseParams(0.75, 0.75, 0.0))
         plan = ExperimentPlan(L=4, S=256, qubits=(qubit,), seed=5)
-        counts = np.array([[[64] * 4], [[192] * 4], [[0] * 4]])
+        counts = [[[64] * 4], [[192] * 4], [[0] * 4]]
         est = characterize(RunArchive(plan=plan, counts=counts))[0]
         assert math.isnan(est.theta_hat)
         assert any("ModelMismatchError" in w for w in est.warnings)
@@ -259,6 +296,19 @@ class TestCharacterizationCsv:
         loaded = read_characterization_csv(path)
         assert loaded == estimates
 
+    # Columns 7 and 8 are theta_hat_rad and theta_hat_deg.
+    @pytest.mark.parametrize("column,value", [(8, "45.0"), (8, "nan"), (8, "inf"), (7, "nan")])
+    def test_edited_angle_rejected(self, tmp_path, column, value):
+        archive = make_archive(QubitNoiseParams(0.98, 0.91, 0.02), L=5, S=64, seed=13)
+        path = tmp_path / "characterization.csv"
+        write_characterization_csv(characterize(archive), path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[column] = value
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(ConfigError, match=f"{path}: line 2: theta_hat_deg"):
+            read_characterization_csv(path)
+
     def test_nan_theta_round_trip(self, tmp_path):
         archive = make_archive(QubitNoiseParams(1.0, 0.0, 0.0), L=4, S=64, seed=1)
         estimates = characterize(archive)
@@ -270,6 +320,14 @@ class TestCharacterizationCsv:
 
 
 class TestEstimateValidation:
+    @pytest.mark.parametrize("field", ["eps_mean", "f_mean"])
+    def test_derived_means_must_be_exact(self, field):
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(est, **{field: getattr(est, field) + 5e-13})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(est, **{field: math.nextafter(getattr(est, field), 2.0)})
+
     def test_inconsistent_eps_rejected(self):
         with pytest.raises(ValueError):
             CharacterizationEstimate(

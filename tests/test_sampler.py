@@ -40,16 +40,16 @@ class TestSingleBlocks:
     """One experiment of each circuit kind: its ones count out of S shots."""
 
     def test_spam0_perfect(self):
-        assert counts_of(CircuitKind.SPAM0, PERFECT).tolist() == [0, 0]
+        assert counts_of(CircuitKind.SPAM0, PERFECT) == (0, 0)
 
     def test_spam0_fully_flipped(self):
-        assert counts_of(CircuitKind.SPAM0, QubitNoiseParams(0.0, 1.0, 0.0)).tolist() == [64, 64]
+        assert counts_of(CircuitKind.SPAM0, QubitNoiseParams(0.0, 1.0, 0.0)) == (64, 64)
 
     def test_spam1_perfect(self):
-        assert counts_of(CircuitKind.SPAM1, PERFECT).tolist() == [64, 64]
+        assert counts_of(CircuitKind.SPAM1, PERFECT) == (64, 64)
 
     def test_spam1_fully_flipped(self):
-        assert counts_of(CircuitKind.SPAM1, QubitNoiseParams(1.0, 0.0, 0.0)).tolist() == [0, 0]
+        assert counts_of(CircuitKind.SPAM1, QubitNoiseParams(1.0, 0.0, 0.0)) == (0, 0)
 
     def test_circuit_c_quarter_turn(self):
         # theta = pi/4 sends |0> to |1> deterministically. QubitNoiseParams
@@ -70,7 +70,7 @@ class TestSingleBlocks:
         s = 8192
         ones = counts_of(kind, params, S=s)
         band = 5 * math.sqrt(p * (1 - p) / s)
-        assert np.all(np.abs(ones / s - p) <= band)
+        assert all(abs(k / s - p) <= band for k in ones)
 
     def test_circuit_c_five_sigma(self):
         # gamma = 0.04 device: Pr(0) = 0.52, so Pr(bit=1) = 0.48.
@@ -79,7 +79,7 @@ class TestSingleBlocks:
         s = 8192
         ones = counts_of(CircuitKind.C, params, S=s)
         band = 5 * math.sqrt(0.48 * 0.52 / s)
-        assert np.all(np.abs(ones / s - 0.48) <= band)
+        assert all(abs(k / s - 0.48) <= band for k in ones)
 
 
 class TestPlanValidation:
@@ -112,19 +112,27 @@ class TestPlanValidation:
 class TestRunPlan:
     def test_trivial_plan(self):
         archive = run_plan(make_plan([PERFECT], L=2, S=4))
-        assert archive.counts.shape == (3, 1, 2)
-        assert archive.counts.dtype == np.int64
-        assert archive.ones(CircuitKind.SPAM0, 0).tolist() == [0, 0]
-        assert archive.ones(CircuitKind.SPAM1, 0).tolist() == [4, 4]
+        # Three kinds of one qubit of two experiments, tuples of ints all through.
+        assert type(archive.counts) is tuple and len(archive.counts) == 3
+        for rows in archive.counts:
+            assert type(rows) is tuple and len(rows) == 1
+            assert type(rows[0]) is tuple and [type(k) for k in rows[0]] == [int, int]
+        assert archive.ones(CircuitKind.SPAM0, 0) == (0, 0)
+        assert archive.ones(CircuitKind.SPAM1, 0) == (4, 4)
 
     def test_counts_are_read_only(self):
         archive = run_plan(make_plan([NOISY], L=2, S=4))
-        with pytest.raises(ValueError):
-            archive.counts[0, 0, 0] = 1
+        with pytest.raises(TypeError):
+            archive.counts[0][0][0] = 1
+        # The archive keeps its own copy of mutable counts it was given.
+        given = [[[1, 2]], [[3, 4]], [[0, 0]]]
+        archive = RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=given)
+        given[0][0][0] = 4
+        assert archive.counts == (((1, 2),), ((3, 4),), ((0, 0),))
 
     def test_deterministic_across_runs(self):
         plan = make_plan([NOISY, PERFECT], L=3, S=128, seed=11)
-        np.testing.assert_array_equal(run_plan(plan).counts, run_plan(plan).counts)
+        assert run_plan(plan).counts == run_plan(plan).counts
 
     def test_seed_changes_every_block(self):
         # Each (kind, qubit) stream changes with the seed; a single count of
@@ -134,15 +142,15 @@ class TestRunPlan:
         a, b = run_plan(base).counts, run_plan(other).counts
         for kind in range(3):
             for i in range(2):
-                assert not np.array_equal(a[kind, i], b[kind, i])
+                assert a[kind][i] != b[kind][i]
 
     def test_params_change_is_isolated_to_that_qubit(self):
         loud = QubitNoiseParams(0.55, 0.6, 0.3)
         a = run_plan(make_plan([NOISY, NOISY], L=3, S=256, seed=5)).counts
         b = run_plan(make_plan([NOISY, loud], L=3, S=256, seed=5)).counts
-        np.testing.assert_array_equal(a[:, 0], b[:, 0])
+        assert [rows[0] for rows in a] == [rows[0] for rows in b]
         for kind in range(3):
-            assert not np.array_equal(a[kind, 1], b[kind, 1])
+            assert a[kind][1] != b[kind][1]
 
     def test_qubit_counts_independent_of_plan_position(self):
         # Streams are keyed by qubit index, not by position in the plan.
@@ -151,7 +159,7 @@ class TestRunPlan:
             ExperimentPlan(L=3, S=256, qubits=(PlanQubit(9, PERFECT), PlanQubit(4, NOISY)), seed=5)
         )
         for kind in CircuitKind:
-            np.testing.assert_array_equal(a.ones(kind, 4), b.ones(kind, 4))
+            assert a.ones(kind, 4) == b.ones(kind, 4)
 
     def test_pooled_frequency_within_five_sigma(self):
         plan = make_plan([NOISY], L=8, S=1024, seed=3)
@@ -163,34 +171,51 @@ class TestRunPlan:
         }
         total = plan.L * plan.S
         for kind, p in expected.items():
-            ones = int(archive.ones(kind, 0).sum())
+            ones = sum(archive.ones(kind, 0))
             band = 5 * math.sqrt(p * (1 - p) / total)
             assert abs(ones / total - p) <= band
 
     def test_full_protocol_block_count(self):
         plan = make_plan([NOISY], L=203, S=8192, seed=42)
-        archive = run_plan(plan)
-        assert archive.counts.size == 609
-        assert archive.counts.min() >= 0 and archive.counts.max() <= 8192
+        counts = [k for rows in run_plan(plan).counts for row in rows for k in row]
+        assert len(counts) == 609
+        assert min(counts) >= 0 and max(counts) <= 8192
 
     def test_zero_drift_is_stationary(self):
         plan = make_plan([NOISY, PERFECT], L=4, S=256, seed=9)
-        np.testing.assert_array_equal(run_plan(plan, drift=0.0).counts, run_plan(plan).counts)
+        assert run_plan(plan, drift=0.0).counts == run_plan(plan).counts
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, 1e308])
     def test_bad_drift_rejected(self, sigma):
         with pytest.raises(InvalidParameterError, match="drift SIGMA"):
             run_plan(make_plan([NOISY]), drift=sigma)
         with pytest.raises(InvalidParameterError, match="drift SIGMA"):
-            RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=np.zeros((3, 1, 2)), drift=sigma)
+            RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=[[[0, 0]]] * 3, drift=sigma)
 
     @pytest.mark.parametrize(
-        "counts",
-        [np.zeros((3, 1, 3)), np.full((3, 1, 2), 5), np.full((3, 1, 2), -1)],
-        ids=["shape", "above-S", "negative"],
+        "counts,message",
+        [
+            ([[[0, 0, 0]]] * 3, "shape"),
+            ([[[0, 0]]] * 2, "shape"),
+            ([[[0, 0]], [[0]], [[0, 0]]], "shape"),
+            ([[[0, 0], [0, 0]]] * 3, "shape"),
+            ([0, 0, 0], "nested"),
+            ([[[5, 5]]] * 3, r"\[0, S=4\]"),
+            ([[[-1, -1]]] * 3, r"\[0, S=4\]"),
+            # A float or bool count is not truncated to an int.
+            ([[[3.7, 2]], [[True, 1]], [[4, 5]]], "int"),
+            ([[[3.7, 2]], [[1, 1]], [[0, 0]]], "int"),
+            ([[[2.0, 2]], [[1, 1]], [[0, 0]]], "int"),
+            ([[[True, 1]], [[1, 1]], [[0, 0]]], "int"),
+            ([[["1", 1]], [[1, 1]], [[0, 0]]], "int"),
+        ],
+        ids=[
+            "shape", "two-kinds", "ragged", "two-qubits", "flat", "above-S", "negative",
+            "float-and-bool", "float", "integral-float", "bool", "text",
+        ],
     )
-    def test_archive_rejects_bad_counts(self, counts):
-        with pytest.raises(InvalidParameterError):
+    def test_archive_rejects_bad_counts(self, counts, message):
+        with pytest.raises(InvalidParameterError, match=message):
             RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=counts)
 
 
@@ -225,8 +250,8 @@ class TestArchiveIO:
         loaded = load_archive(out)
         assert loaded.plan == archive.plan
         assert loaded.drift is None
-        np.testing.assert_array_equal(loaded.counts, archive.counts)
-        assert loaded.counts.dtype == np.int64
+        assert loaded.counts == archive.counts
+        assert {type(k) for rows in loaded.counts for row in rows for k in row} == {int}
 
     def test_run_directory_holds_two_files(self, tmp_path):
         out = saved_run(tmp_path)
@@ -273,7 +298,7 @@ class TestArchiveIO:
         loaded = load_archive(out)
         assert loaded.drift == 0.05
         rerun = run_plan(loaded.plan, drift=loaded.drift)
-        np.testing.assert_array_equal(rerun.counts, loaded.counts)
+        assert rerun.counts == loaded.counts
 
     def test_missing_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
@@ -391,7 +416,7 @@ class TestStreams:
     def test_run_plan_draws_from_the_kind_qubit_stream(self):
         plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(3, NOISY),), seed=17)
         expected = count_stream(17, CircuitKind.SPAM1, 3).binomial(1000, NOISY.f1, size=5)
-        np.testing.assert_array_equal(run_plan(plan).ones(CircuitKind.SPAM1, 3), expected)
+        assert run_plan(plan).ones(CircuitKind.SPAM1, 3) == tuple(expected.tolist())
 
     def test_drift_follows_the_documented_streams(self):
         # Stream 3 keyed by (seed, l) perturbs experiment l of every qubit;
@@ -414,9 +439,9 @@ class TestStreams:
                 seq = np.random.SeedSequence(17, spawn_key=(k, q.index))
                 expected[k, i] = np.random.Generator(np.random.Philox(seq)).binomial(S, [row[k] for row in p])
         drifted = run_plan(ExperimentPlan(L=L, S=S, qubits=qubits, seed=17), drift=sigma).counts
-        np.testing.assert_array_equal(drifted, expected)
+        assert drifted == tuple(tuple(map(tuple, rows)) for rows in expected.tolist())
         # The perfect qubit's f0 clips at 1 in the experiments whose df0 > 0.
-        assert [count == 0 for count in drifted[0, 1]] == [df0 >= 0 for df0, _, _ in perturbations]
+        assert [count == 0 for count in drifted[0][1]] == [df0 >= 0 for df0, _, _ in perturbations]
 
     def test_drift_builds_one_generator_per_experiment(self, monkeypatch):
         # One count stream per (kind, qubit), one drift stream per experiment.
