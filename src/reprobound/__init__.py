@@ -38,7 +38,6 @@ _SOURCES = {
         "QubitNoiseParams",
         "gamma_of",
         "hellinger_1q",
-        "observed_probs",
     ),
     "sampler": (
         "CircuitKind",

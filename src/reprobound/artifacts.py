@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable
 
@@ -61,7 +62,7 @@ def read_csv(
             first = next(reader, None)
             line = reader.line_num
             if first != header:
-                raise ValueError(f"header {first} is not {header}")
+                raise ValueError(_header_mismatch(first, header))
             for cells in reader:
                 line = reader.line_num
                 if len(cells) != len(header):
@@ -72,6 +73,16 @@ def read_csv(
     except (ValueError, TypeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise error(f"{path}: line {line}: {exc}") from exc
     return rows
+
+
+def _header_mismatch(first: list[str] | None, header: list[str]) -> str:
+    """Where the header line ``first`` departs from ``header``; names one
+    cell, since a header can hold thousands (counts.csv has one per
+    experiment)."""
+    if first is None:
+        return "header None: the file is empty"
+    i, got, want = next((i, *pair) for i, pair in enumerate(zip_longest(first, header)) if pair[0] != pair[1])
+    return f"header has {len(first)} cells, expected {len(header)}; cell {i + 1} is {got!r}, expected {want!r}"
 
 
 def finite(text: str, parse=float):

@@ -18,15 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError
-
-# numpy is imported only inside the functions that take or return arrays:
-# the CLI imports this module for every command, and only simulate handles
-# arrays.
-if TYPE_CHECKING:
-    import numpy as np
 
 # Validity region |theta| < THETA_BOUND of the gate angle error. The
 # closed-form model only needs |theta| small; pi/4 keeps sin(2*theta)
@@ -106,18 +99,6 @@ def output_bias(eps, theta, f):
 def gamma_of(params: QubitNoiseParams) -> float:
     """The composite output bias :func:`output_bias` of one qubit's noise."""
     return float(output_bias(params.eps, params.theta, params.f))
-
-
-def observed_probs(params: QubitNoiseParams) -> np.ndarray:
-    """Observed circuit distribution ((1+gamma)/2, (1-gamma)/2).
-
-    Identical to the assignment-matrix and Kraus readout routes applied to
-    the noisy Hadamard's output; the closed form avoids the matrix product.
-    """
-    import numpy as np
-
-    g = gamma_of(params)
-    return np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=np.float64)
 
 
 def hellinger_1q(pr0: float, pr1: float) -> float:

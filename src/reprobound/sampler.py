@@ -30,15 +30,16 @@ A plan has one document format, the device config's ``qubits`` and
 it). A run archive persists as a directory::
 
     manifest.json     schema, toolkit version, status, that plan document,
-                      drift SIGMA, UTC timestamps
-    counts.csv        kind, qubit, experiment, ones, shots
+                      drift SIGMA, numpy version and bit generator that drew
+                      the counts, UTC timestamps
+    counts.csv        kind, qubit, then the L counts of experiments 0..L-1
 
 :func:`save_archive` is the only writer of both files and
 :func:`load_archive` their only reader. ``counts.csv`` is the archive's only
-data: one row per (kind, qubit, experiment), kinds in the order spam0,
-spam1, c, then qubits in plan order, then experiments, as
-:func:`count_keys` yields them; the reader rejects any file that deviates
-from that layout.
+data: one row per (kind, qubit), kinds in the order spam0, spam1, c, then
+qubits in plan order, as :func:`count_keys` yields them, each row holding
+``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
+manifest's. The reader rejects any file that deviates from that layout.
 """
 
 from __future__ import annotations
@@ -61,15 +62,12 @@ from .noise_model import QubitNoiseParams, output_bias
 if TYPE_CHECKING:
     import numpy as np
 
-MANIFEST_SCHEMA = "run-manifest/3"
+MANIFEST_SCHEMA = "run-manifest/4"
 
 # Most counts a plan may ask for (3 kinds x qubits x L). 10**6
-# counts make a counts.csv of about 19 MB, 60 times the 27-qubit L=203
+# counts make a counts.csv of about 4.7 MB, 60 times the 27-qubit L=203
 # reference; a larger plan is rejected before anything is allocated.
 MAX_COUNTS = 10**6
-
-# Cells stay text: _read_counts compares them with the rows save_archive writes.
-COUNTS_COLUMNS = {"kind": str, "qubit": str, "experiment": str, "ones": str, "shots": str}
 
 
 class CircuitKind(str, Enum):
@@ -205,11 +203,15 @@ class RunArchive:
         return self.counts[_KIND_STREAM[CircuitKind(kind)]][self.plan.qubit_indices.index(qubit)]
 
 
-def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str, str]]:
-    """The (kind, qubit, experiment) cells of counts.csv's rows, in file
-    order: kind, then qubit position, then experiment, as ``counts[k][i][l]``
-    nests them."""
-    return product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices), map(str, range(plan.L)))
+def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str]]:
+    """The (kind, qubit) cells that open counts.csv's rows, in file order:
+    kind, then qubit position, as ``counts[k][i]`` nests them."""
+    return product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices))
+
+
+def _counts_header(plan: ExperimentPlan) -> list[str]:
+    """counts.csv's header: ``kind,qubit`` and then experiments 0..L-1."""
+    return ["kind", "qubit", *map(str, range(plan.L))]
 
 
 def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generator:
@@ -312,6 +314,8 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
     storage failure mid-run leaves an explicit marker, then rewritten with
     status "complete" once counts.csv is on disk.
     """
+    import numpy as np
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -321,18 +325,19 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         "status": "partial",
         **plan_doc(archive.plan),
         "drift": archive.drift,
+        # What drew the counts (see _philox). numpy does not promise that
+        # Generator.binomial keeps its stream across versions; the reader
+        # ignores both fields.
+        "numpy_version": np.__version__,
+        "bit_generator": "Philox",
         "started_at": _utc_now(),
     }
     write_json(out / "manifest.json", manifest)
 
-    shots = archive.plan.S
     write_csv(
         out / "counts.csv",
-        COUNTS_COLUMNS,
-        (
-            (*key, ones, shots)
-            for key, ones in zip(count_keys(archive.plan), chain.from_iterable(chain.from_iterable(archive.counts)))
-        ),
+        _counts_header(archive.plan),
+        ((*key, *ones) for key, ones in zip(count_keys(archive.plan), chain.from_iterable(archive.counts))),
     )
 
     manifest["status"] = "complete"
@@ -379,49 +384,51 @@ def _read_manifest(run: Path) -> dict:
     return manifest
 
 
-def _count_cell(cell: str) -> int | None:
-    """The integer a counts.csv cell holds in canonical form, else None."""
+def _counts_in_range(cells: tuple[str, ...], S: int) -> tuple[int, ...] | None:
+    """The integers ``cells`` hold if every cell is a canonical integer (as
+    ``str`` writes it) in [0, S], else None."""
     try:
-        value = int(cell)
+        values = tuple(map(int, cells))
     except ValueError:
         return None
-    return value if str(value) == cell else None
+    if tuple(map(str, values)) != cells or min(values) < 0 or max(values) > S:
+        return None
+    return values
 
 
 def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
     """Parse counts.csv into the nested count tuples of ``plan``.
 
-    Every row must sit where :func:`save_archive` writes it, with a
-    canonical integer ``ones`` in [0, S] and ``shots`` equal to S.
+    Every row must sit where :func:`save_archive` writes it and hold L
+    canonical integers in [0, S].
     """
     error = _archive_error(path)
     if not path.is_file():
         raise error(f"{path}: no counts file")
 
-    shots = str(plan.S)
-    size = len(CircuitKind) * len(plan.qubits) * plan.L
     keys = count_keys(plan)
 
-    def row(kind: str, qubit: str, experiment: str, ones: str, shots_cell: str) -> int:
+    def row(kind: str, qubit: str, *cells: str) -> tuple[int, ...]:
         key = next(keys, None)
         if key is None:
-            raise ValueError(f"more rows than the plan's {size}")
-        if (kind, qubit, experiment) != key:
+            raise ValueError(f"more rows than the plan's {len(CircuitKind) * len(plan.qubits)}")
+        if (kind, qubit) != key:
             raise ValueError(
-                f"expected the row of {','.join(key)}, got {[kind, qubit, experiment]} "
+                f"expected the row of {','.join(key)}, got {[kind, qubit]} "
                 "(a row is missing, duplicated or out of order)"
             )
-        if shots_cell != shots:
-            raise ValueError(f"shots {shots_cell!r} is not the plan's S={shots}")
-        value = _count_cell(ones)
-        if value is None or not 0 <= value <= plan.S:
-            raise ValueError(f"ones {ones!r} is not an integer in [0, {shots}]")
-        return value
+        # The whole row is checked at once; only a bad row is searched for its first bad cell.
+        values = _counts_in_range(cells, plan.S)
+        if values is None:
+            l = next(l for l, cell in enumerate(cells) if _counts_in_range((cell,), plan.S) is None)
+            raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer in [0, {plan.S}]")
+        return values
 
-    counts = read_csv(path, COUNTS_COLUMNS, row, error)
+    rows = read_csv(path, dict.fromkeys(_counts_header(plan), str), row, error)
     key = next(keys, None)
     if key is not None:
-        raise error(f"{path}: ends after {len(counts)} rows; the row of {','.join(key)} and all later rows are missing")
-    rows = [tuple(counts[start : start + plan.L]) for start in range(0, size, plan.L)]
+        raise error(
+            f"{path}: line {len(rows) + 1}: the file ends; the row of {','.join(key)} and all later rows are missing"
+        )
     n = len(plan.qubits)
     return tuple(tuple(rows[start : start + n]) for start in range(0, len(rows), n))

@@ -2,15 +2,16 @@
 against.
 
 The package ships only the one-qubit closed forms its pipeline runs
-(``noise_model.gamma_of``, ``observed_probs`` and ``hellinger_1q``). The
-routes here compute the same quantities the long way, so that the tests
-have an oracle independent of the code under test:
+(``noise_model.gamma_of`` and ``hellinger_1q``). The routes here compute
+the same quantities the long way, so that the tests have an oracle
+independent of the code under test:
 
 * dense distributions over n-bit outcomes and the two statistics built on
   them, the Bhattacharyya coefficient and the Hellinger distance;
 * the single-qubit gate and readout channels: the noisy Hadamard unitary,
   its control error, the column-stochastic assignment matrix and the
-  two-operator Kraus readout.
+  two-operator Kraus readout, and the closed form ``observed_probs`` that
+  both reduce to.
 
 Bitstrings are indexed by the integer s = sum_i 2**i * s_i, i.e. register
 element i is bit i, least significant first. Device vendors disagree on this
@@ -32,7 +33,7 @@ from functools import reduce
 import numpy as np
 
 from reprobound.errors import InvalidParameterError
-from reprobound.noise_model import QubitNoiseParams, check_angle
+from reprobound.noise_model import QubitNoiseParams, check_angle, gamma_of
 
 logger = logging.getLogger(__name__)
 
@@ -305,3 +306,13 @@ def kraus_readout(params: QubitNoiseParams, rho) -> np.ndarray:
     pr1 = (1.0 - params.f0) * pop0 + params.f1 * pop1
     probs = np.clip(np.array([pr0, pr1], dtype=np.float64), 0.0, 1.0)
     return probs / probs.sum()
+
+
+def observed_probs(params: QubitNoiseParams) -> np.ndarray:
+    """Observed circuit distribution ((1+gamma)/2, (1-gamma)/2).
+
+    Identical to the assignment-matrix and Kraus readout routes applied to
+    the noisy Hadamard's output; the closed form avoids the matrix product.
+    """
+    g = gamma_of(params)
+    return np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=np.float64)

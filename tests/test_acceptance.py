@@ -20,6 +20,7 @@ from oracles import (
     hellinger,
     kraus_readout,
     noisy_hadamard,
+    observed_probs,
     pre_readout_probs,
     readout_matrix,
     uniform_ideal,
@@ -36,7 +37,7 @@ from reprobound.bounds import (
 )
 from reprobound.cli import main
 from reprobound.estimator import characterize
-from reprobound.noise_model import QubitNoiseParams, observed_probs
+from reprobound.noise_model import QubitNoiseParams
 from reprobound.sampler import ExperimentPlan, PlanQubit, run_plan
 
 

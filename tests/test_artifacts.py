@@ -32,19 +32,28 @@ class TestCsv:
     @pytest.mark.parametrize(
         "lines,message",
         [
-            (["name,count"], "line 1: header"),
+            (["name,count"], "line 1: header has 2 cells, expected 3; cell 3 is None, expected 'value'"),
+            (["name,value,count"], "line 1: header has 3 cells, expected 3; cell 2 is 'value', expected 'count'"),
             ([], "line 0: header None"),
             (["name,count,value", "a,1,0.5", "b,2"], "line 3: 2 cells, expected 3"),
             (["name,count,value", "a,one,0.5"], "line 2: invalid literal"),
             (["name,count,value", "a,1,0.5", "b,2,x"], "line 3: could not convert"),
         ],
-        ids=["header", "empty", "width", "int-cell", "float-cell"],
+        ids=["header", "header-order", "empty", "width", "int-cell", "float-cell"],
     )
     def test_malformed_names_file_and_line(self, tmp_path, lines, message):
         path = write_lines(tmp_path / "t.csv", *lines)
         with pytest.raises(ConfigError, match=message) as excinfo:
             read_csv(path, COLUMNS, lambda *cells: cells)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_wide_header_mismatch_names_one_cell(self, tmp_path):
+        columns = dict.fromkeys(map(str, range(3000)), str)
+        path = write_lines(tmp_path / "t.csv", ",".join([*columns, "3000"]))
+        with pytest.raises(ConfigError) as excinfo:
+            read_csv(path, columns, lambda *cells: cells)
+        message = f"{path}: line 1: header has 3001 cells, expected 3000; cell 3001 is '3000', expected None"
+        assert str(excinfo.value) == message
 
     def test_build_errors_name_the_line(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", "name,count,value", "a,1,0.5", "b,-2,0.5")

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import Distribution, hellinger, product_noisy, uniform_ideal
+from oracles import Distribution, hellinger, observed_probs, product_noisy, uniform_ideal
 from reprobound.bounds import (
     LemmaA1Report,
     ReproVerdict,
@@ -29,7 +29,7 @@ from reprobound.bounds import (
     write_verdicts_csv,
 )
 from reprobound.errors import InvalidParameterError, OutOfRegimeError
-from reprobound.noise_model import QubitNoiseParams, gamma_of, observed_probs
+from reprobound.noise_model import QubitNoiseParams, gamma_of
 
 DELTA_STAR_1 = 0.5411961001461969  # sqrt(1 - 2**-0.5)
 

@@ -81,6 +81,21 @@ def small_run(tmp_path):
     return run
 
 
+def write_manifest_3_run(run):
+    """Rewrite ``run`` as a run-manifest/3 release wrote it: one counts.csv
+    row per experiment, ending in S."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["numpy_version"], manifest["bit_generator"]
+    manifest["schema"] = "run-manifest/3"
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    S = manifest["plan"]["S"]
+    lines = ["kind,qubit,experiment,ones,shots"]
+    for line in (run / "counts.csv").read_text().splitlines()[1:]:
+        kind, qubit, *ones = line.split(",")
+        lines += [f"{kind},{qubit},{l},{k},{S}" for l, k in enumerate(ones)]
+    (run / "counts.csv").write_text("".join(line + "\n" for line in lines))
+
+
 class TestSimulate:
     def test_trivial_run_layout(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT], L=2, S=4)
@@ -89,17 +104,11 @@ class TestSimulate:
         assert sorted(p.name for p in run.iterdir()) == ["counts.csv", "manifest.json"]
         lines = (run / "counts.csv").read_text().splitlines()
         # The perfect qubit's SPAM counts are certain; its test circuit's are not.
-        assert lines[:5] == [
-            "kind,qubit,experiment,ones,shots",
-            "spam0,0,0,0,4",
-            "spam0,0,1,0,4",
-            "spam1,0,0,4,4",
-            "spam1,0,1,4,4",
-        ]
-        assert [line.split(",")[:3] for line in lines[5:]] == [["c", "0", "0"], ["c", "0", "1"]]
+        assert lines[:3] == ["kind,qubit,0,1", "spam0,0,0,0", "spam1,0,4,4"]
+        assert [line.split(",")[:2] for line in lines[3:]] == [["c", "0"]]
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] == "complete"
-        assert manifest["schema"] == "run-manifest/3"
+        assert manifest["schema"] == "run-manifest/4"
 
     def test_duplicate_qubit_index_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
@@ -181,6 +190,18 @@ class TestSimulate:
         assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
         assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "notes.txt"]
 
+    def test_rebuilds_a_run_manifest_3_directory(self, small_run, capsys):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        counts = (small_run / "counts.csv").read_bytes()
+        write_manifest_3_run(small_run)
+        capsys.readouterr()
+        assert main(["characterize", str(small_run), "--quiet"]) == 4
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert capsys.readouterr().err.count("schema must be 'run-manifest/4', got 'run-manifest/3'") == 2
+        assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
+        assert (small_run / "counts.csv").read_bytes() == counts
+        assert main(["characterize", str(small_run), "--quiet"]) == 0
+
 
 class TestCharacterize:
     def test_perfect_device_rows(self, tmp_path):
@@ -200,7 +221,7 @@ class TestCharacterize:
         counts = run / "counts.csv"
         counts.write_text("".join(counts.read_text().splitlines(keepends=True)[:-1]))
         assert main(["characterize", str(run)]) == 4
-        assert "c,0,1" in capsys.readouterr().err
+        assert f"{counts}: line 3: the file ends; the row of c,0 " in capsys.readouterr().err
 
     def test_missing_run_dir_is_incomplete(self, tmp_path):
         assert main(["characterize", str(tmp_path / "ghost")]) == 4
@@ -405,10 +426,11 @@ class TestReport:
     def test_scatter_matches_counts(self, small_run):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
-        counts = {
-            (r["kind"], r["qubit"], r["experiment"]): int(r["ones"]) / int(r["shots"])
-            for r in read_rows(small_run / "counts.csv")
-        }
+        S = json.loads((small_run / "manifest.json").read_text())["plan"]["S"]
+        counts = {}
+        for line in (small_run / "counts.csv").read_text().splitlines()[1:]:
+            kind, qubit, *ones = line.split(",")
+            counts.update({(kind, qubit, str(l)): int(k) / S for l, k in enumerate(ones)})
         for row in read_rows(small_run / "report" / "fig_scatter.csv"):
             key = (row["qubit"], row["experiment"])
             p1 = counts[("c", *key)]
@@ -429,8 +451,9 @@ class TestReport:
             '{"schema": "run-manifest/1", "status": "complete"}',
             '{"schema": "run-manifest/2", "status": "complete"}',
             '{"schema": "run-manifest/3", "status": "complete"}',
+            '{"schema": "run-manifest/4", "status": "complete"}',
         ],
-        ids=["not-json", "old-schema", "old-schema-2", "missing-keys"],
+        ids=["not-json", "old-schema", "old-schema-2", "old-schema-3", "missing-keys"],
     )
     def test_bad_manifest_is_incomplete(self, small_run, manifest, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -474,10 +497,41 @@ class TestReport:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         counts = small_run / "counts.csv"
         lines = counts.read_text().splitlines(keepends=True)
-        lines[1] = "spam0,0,0,x,512\n"
+        lines[1] = "spam0,0,0,x,0,0,0,0\n"
         counts.write_text("".join(lines))
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert "counts.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines.pop(3),
+            lambda lines: lines.insert(3, lines[2]),
+            lambda lines: lines.insert(1, lines.pop(2)),
+            lambda lines: lines.append(lines[-1]),
+            lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones,shots"),
+            lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2,3,4"),
+            lambda lines: lines.__setitem__(2, lines[2] + ",0"),
+            lambda lines: set_csv_cell(lines, 2, 4, "+3"),
+            lambda lines: set_csv_cell(lines, 2, 4, "05"),
+            lambda lines: set_csv_cell(lines, 2, 4, "1_0"),
+            lambda lines: set_csv_cell(lines, 2, 4, " 3"),
+            lambda lines: set_csv_cell(lines, 2, 4, "\u0663"),
+            lambda lines: set_csv_cell(lines, 2, 4, "-1"),
+            lambda lines: set_csv_cell(lines, 2, 4, "513"),
+        ],
+        ids=[
+            "missing-row", "duplicated-row", "reordered-rows", "extra-row", "old-header", "wrong-L", "wide-row",
+            "plus-sign", "leading-zero", "underscore", "leading-space", "unicode-digit", "negative", "above-S",
+        ],
+    )
+    def test_malformed_counts_exit_4_naming_the_line(self, small_run, edit, capsys):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        counts = edit_lines(small_run / "counts.csv", edit)
+        capsys.readouterr()
+        assert main(["characterize", str(small_run), "--quiet"]) == 4
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert capsys.readouterr().err.count(f"{counts}: line ") == 2
 
     @pytest.mark.parametrize(
         "name,edit",

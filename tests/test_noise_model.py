@@ -14,11 +14,12 @@ from oracles import (
     control_error_operator,
     kraus_readout,
     noisy_hadamard,
+    observed_probs,
     pre_readout_probs,
     readout_matrix,
 )
 from reprobound.errors import InvalidParameterError
-from reprobound.noise_model import QubitNoiseParams, gamma_of, observed_probs, output_bias
+from reprobound.noise_model import QubitNoiseParams, gamma_of, output_bias
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)

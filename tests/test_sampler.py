@@ -1,5 +1,6 @@
 """Tests for the deterministic count sampler and the run-directory format."""
 
+import hashlib
 import json
 import math
 
@@ -264,33 +265,53 @@ class TestArchiveIO:
         raw = (out / "counts.csv").read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
         lines = raw.decode().splitlines()
-        assert lines[0] == "kind,qubit,experiment,ones,shots"
-        # Kind-major, then qubits in plan order, then experiments.
-        keys = [tuple(line.split(",")[:3]) for line in lines[1:]]
-        assert keys == [
-            (kind, q, l) for kind in ("spam0", "spam1", "c") for q in ("3", "1") for l in ("0", "1")
-        ]
+        # S is the manifest's; the header numbers the experiments.
+        assert lines[0] == "kind,qubit,0,1"
+        # One row per kind and qubit: kind-major, then qubits in plan order.
+        rows = [line.split(",") for line in lines[1:]]
+        assert [tuple(row[:2]) for row in rows] == [(kind, q) for kind in ("spam0", "spam1", "c") for q in ("3", "1")]
+        assert {len(row) for row in rows} == {2 + 2}
 
     def test_counts_cache_matches_blocks(self, tmp_path):
         archive = run_plan(make_plan([NOISY], L=2, S=50, seed=8))
         out = save_archive(archive, tmp_path / "run")
         lines = (out / "counts.csv").read_text().splitlines()
-        assert len(lines) == 1 + 6
+        assert len(lines) == 1 + 3
         for line in lines[1:]:
-            kind, qubit, experiment, ones, shots = line.split(",")
-            assert int(ones) == archive.ones(CircuitKind(kind), int(qubit))[int(experiment)]
-            assert int(shots) == 50
+            kind, qubit, *ones = line.split(",")
+            assert tuple(map(int, ones)) == archive.ones(CircuitKind(kind), int(qubit))
 
     def test_manifest_contents(self, tmp_path):
         archive = run_plan(make_plan([NOISY], L=2, S=8, seed=123))
         out = save_archive(archive, tmp_path / "run")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema"] == "run-manifest/3"
+        assert manifest["schema"] == "run-manifest/4"
         assert manifest["status"] == "complete"
         assert manifest["plan"] == {"L": 2, "S": 8, "seed": 123}
         assert manifest["qubits"] == [{"index": 0, "f0": NOISY.f0, "f1": NOISY.f1, "theta_rad": NOISY.theta}]
         assert manifest["drift"] is None
+        # What drew the counts, as provenance.
+        assert (manifest["numpy_version"], manifest["bit_generator"]) == (np.__version__, "Philox")
         assert "started_at" in manifest and "finished_at" in manifest
+
+    @pytest.mark.parametrize(
+        "drift,sha256",
+        [
+            (None, "37b4ce3f5ba2ab7d447756496ff34cbdfc493e1f6939d4a75d3fa1d30a7776b1"),
+            (0.05, "34996329618fc96b32e7a84662f15b581daea50c58a4d43825fc3eaaf1ebf3fc"),
+        ],
+        ids=["stationary", "drifted"],
+    )
+    def test_counts_bytes_are_pinned(self, tmp_path, drift, sha256):
+        # Every other test compares runs with runs, so only this one sees numpy
+        # change the Philox streams of Generator.binomial or .normal (NEP 19
+        # does not promise to keep them), or the layout of counts.csv drift.
+        plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(0, NOISY), PlanQubit(1, PERFECT)), seed=2024)
+        raw = (save_archive(run_plan(plan, drift=drift), tmp_path / "run") / "counts.csv").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == sha256, (
+            f"counts.csv of the pinned plan changed under numpy {np.__version__}: either numpy's "
+            f"Philox-driven binomial/normal streams changed, or the counts.csv layout did:\n{raw.decode()}"
+        )
 
     def test_drifted_run_reproduces_its_counts(self, tmp_path):
         archive = run_plan(make_plan([NOISY, PERFECT], L=6, S=256, seed=5), drift=0.05)
@@ -302,10 +323,10 @@ class TestArchiveIO:
 
     def test_missing_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        edit_counts_lines(out, lambda lines: lines.pop(6))  # spam1,0,1
+        edit_counts_lines(out, lambda lines: lines.pop(3))  # spam1,0
         with pytest.raises(IncompleteArchiveError) as excinfo:
             load_archive(out)
-        assert "spam1,0,1" in str(excinfo.value)
+        assert "line 4: expected the row of spam1,0," in str(excinfo.value)
         assert excinfo.value.missing == ("counts.csv",)
 
     def test_truncated_block_detected(self, tmp_path):
@@ -330,7 +351,7 @@ class TestArchiveIO:
 
     def test_manifest_not_json_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        (out / "manifest.json").write_text('{"schema": "run-manifest/3", ')
+        (out / "manifest.json").write_text('{"schema": "run-manifest/4", ')
         with pytest.raises(IncompleteArchiveError, match="not valid JSON"):
             load_archive(out)
 
@@ -356,29 +377,48 @@ class TestArchiveIO:
 
     def test_old_manifest_schema_rejected(self, tmp_path):
         out = saved_run(tmp_path)
-        edit_manifest(out, lambda m: m.update(schema="run-manifest/2"))
-        with pytest.raises(IncompleteArchiveError, match="run-manifest/2"):
-            load_archive(out)
+        # /3 wrote one counts.csv row per experiment, /2 per-shot block files.
+        for old in ("run-manifest/2", "run-manifest/3"):
+            edit_manifest(out, lambda m: m.update(schema=old))
+            with pytest.raises(IncompleteArchiveError, match=old) as excinfo:
+                load_archive(out)
+            assert excinfo.value.missing == ("manifest.json",)
+
+    def test_other_numpy_version_loads(self, tmp_path):
+        # The provenance fields are recorded, not checked.
+        out = saved_run(tmp_path)
+        edit_manifest(out, lambda m: m.update(numpy_version="1.24.0", bit_generator="PCG64"))
+        assert load_archive(out).counts == run_plan(make_plan([NOISY, PERFECT], L=2, S=16, seed=1)).counts
 
     @pytest.mark.parametrize(
         "change,message",
         [
-            (lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones"), "header"),
-            (lambda lines: set_cell(lines, 3, 3, "2.5"), "integer"),
-            (lambda lines: set_cell(lines, 3, 3, "x"), "integer"),
-            (lambda lines: set_cell(lines, 3, 3, "+3"), "integer"),
-            (lambda lines: lines.insert(3, lines[2]), "duplicated"),
-            (lambda lines: lines.append(lines[-1]), "more rows"),
-            (lambda lines: lines.pop(), "missing"),
-            (lambda lines: set_cell(lines, 2, 3, "-1"), r"\[0, 16\]"),
-            (lambda lines: set_cell(lines, 2, 3, "17"), r"\[0, 16\]"),
-            (lambda lines: set_cell(lines, 2, 4, "15"), "S=16"),
-            (lambda lines: set_cell(lines, 2, 1, "9"), "expected the row"),
-            (lambda lines: lines.__setitem__(5, lines[5] + ",0"), "cells"),
+            # counts.csv of run-manifest/3: one row per experiment.
+            (lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones,shots"), "line 1: header has 5 cells, expected 4; cell 3 is 'experiment'"),
+            (lambda lines: set_cell(lines, 3, 3, "2.5"), "line 4: experiment 1: count '2.5' is not an integer"),
+            (lambda lines: set_cell(lines, 3, 3, "x"), "line 4: experiment 1: count 'x' is not an integer"),
+            (lambda lines: set_cell(lines, 3, 3, "+3"), r"line 4: experiment 1: count '\+3' is not an integer"),
+            (lambda lines: lines.insert(3, lines[2]), "line 4: .*duplicated"),
+            (lambda lines: lines.append(lines[-1]), "line 8: more rows"),
+            (lambda lines: lines.pop(), "line 6: .*c,1 and all later rows are missing"),
+            (lambda lines: set_cell(lines, 2, 3, "-1"), r"line 3: experiment 1: count '-1' is not an integer in \[0, 16\]"),
+            (lambda lines: set_cell(lines, 2, 2, "17"), r"line 3: experiment 0: count '17' is not an integer in \[0, 16\]"),
+            # A header for another L: S and L are the manifest's.
+            (lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2"), "line 1: header has 5 cells, expected 4; cell 5 is '2'"),
+            (lambda lines: set_cell(lines, 2, 1, "9"), "line 3: expected the row"),
+            (lambda lines: lines.__setitem__(5, lines[5] + ",0"), "line 6: 5 cells, expected 4"),
+            (lambda lines: set_cell(lines, 3, 2, "05"), "line 4: experiment 0: count '05' is not an integer"),
+            (lambda lines: set_cell(lines, 3, 2, "1_0"), "line 4: experiment 0: count '1_0' is not an integer"),
+            (lambda lines: set_cell(lines, 3, 2, "\u0663"), "line 4: experiment 0: count '\u0663' is not an integer"),
+            (lambda lines: set_cell(lines, 3, 2, " 3"), "line 4: experiment 0: count ' 3' is not an integer"),
+            (lambda lines: set_cell(lines, 1, 0, "spam2"), "line 2: expected the row of spam0,0, got"),
+            (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), "line 6: 3 cells, expected 4"),
+            (lambda lines: lines.insert(1, lines.pop(2)), "line 2: expected the row of spam0,0, got"),
         ],
         ids=[
             "header", "float", "text", "plus-sign", "duplicate", "extra", "truncated",
             "negative", "above-S", "shots", "unknown-qubit", "extra-cell",
+            "leading-zero", "underscore", "unicode-digit", "leading-space", "wrong-kind", "short-row", "reordered",
         ],
     )
     def test_malformed_counts_rejected(self, tmp_path, change, message):
@@ -390,7 +430,7 @@ class TestArchiveIO:
 
     def test_counts_not_utf8_rejected(self, tmp_path):
         out = saved_run(tmp_path)
-        (out / "counts.csv").write_bytes(b"kind,qubit,experiment,ones,shots\n\xff\xfe\n")
+        (out / "counts.csv").write_bytes(b"kind,qubit,0,1\n\xff\xfe\n")
         with pytest.raises(IncompleteArchiveError):
             load_archive(out)
 
