@@ -85,6 +85,19 @@ def _header_mismatch(first: list[str] | None, header: list[str]) -> str:
     return f"header has {len(first)} cells, expected {len(header)}; cell {i + 1} is {got!r}, expected {want!r}"
 
 
+def check_derived(record, **cells):
+    """``record``, once each parsed cell equals the record's attribute of the
+    same name (NaN matches NaN); else ValueError naming the first column
+    that differs. The readers' one check on a row's derived columns: a file
+    that was not edited holds the same doubles, since g17 round-trips them.
+    """
+    for name, cell in cells.items():
+        value = getattr(record, name)
+        if cell != value and not (cell != cell and value != value):
+            raise ValueError(f"{name}={cell!r} is not the {value!r} that the row's other columns give")
+    return record
+
+
 def finite(text: str, parse=float):
     """``parse(text)``; ValueError unless it is a finite number."""
     value = parse(text)

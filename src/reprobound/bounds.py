@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import finite, g17, read_csv, write_csv, write_json
+from .artifacts import check_derived, finite, g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import check_angle, hellinger_1q, output_bias
 
@@ -76,31 +76,40 @@ def gamma_max(n: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class ReproVerdict:
-    """Outcome of the reproducibility test for one circuit instance."""
+    """Outcome of the reproducibility test for one circuit instance.
+
+    The fields are the test's independent inputs: the register size, the
+    tolerance and the device bias. The bound, the margin and the flag are
+    derived from them.
+    """
 
     n: int
     delta: float
     gamma_D: float
-    gamma_max: float
-    reproducible: bool
-    margin: float
 
     def __post_init__(self):
         if self.gamma_D < 0.0:
             raise InvalidParameterError("gamma_D must be non-negative")
-        # Exact comparisons: a verdicts.csv that was not edited holds the
-        # same doubles, since g17 round-trips them.
-        expected = gamma_max(self.n, self.delta)
-        if self.gamma_max != expected:
-            raise InvalidParameterError(
-                f"gamma_max={self.gamma_max!r} is not gamma_max(n={self.n}, delta={self.delta!r})={expected!r}"
-            )
-        if self.margin != self.gamma_max - self.gamma_D:
-            raise InvalidParameterError(
-                f"margin={self.margin!r} is not gamma_max - gamma_D={self.gamma_max - self.gamma_D!r}"
-            )
-        if self.reproducible != (self.gamma_D <= self.gamma_max):
-            raise InvalidParameterError("verdict flag inconsistent with gamma_D vs gamma_max")
+        gamma_max(self.n, self.delta)  # raises unless (n, delta) is in the bound's regime
+
+    @property
+    def gamma_max(self) -> float:
+        return gamma_max(self.n, self.delta)
+
+    @property
+    def margin(self) -> float:
+        return self.gamma_max - self.gamma_D
+
+    @property
+    def reproducible(self) -> bool:
+        """gamma_D <= gamma_max: a tie counts as reproducible."""
+        return self.gamma_D <= self.gamma_max
+
+
+def _flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"reproducible={cell!r} is neither true nor false")
+    return cell == "true"
 
 
 # verdicts.csv: column name -> cell parser, in file order.
@@ -111,7 +120,7 @@ VERDICT_COLUMNS = {
     "gamma_D": finite,
     "gamma_max": finite,
     "margin": finite,
-    "reproducible": lambda cell: cell == "true",
+    "reproducible": _flag,
 }
 
 
@@ -120,16 +129,7 @@ def verdict(n: int, delta: float, eps: float, theta: float, f: float) -> ReproVe
 
     A tie (gamma_D equal to gamma_max) counts as reproducible.
     """
-    gd = gamma_device(eps, theta, f)
-    gm = gamma_max(n, delta)
-    return ReproVerdict(
-        n=_check_n(n),
-        delta=float(delta),
-        gamma_D=gd,
-        gamma_max=gm,
-        reproducible=gd <= gm,
-        margin=gm - gd,
-    )
+    return ReproVerdict(_check_n(n), float(delta), gamma_device(eps, theta, f))
 
 
 def min_delta(n: int, gamma_d: float) -> float:
@@ -200,7 +200,7 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
         raise InvalidParameterError("grids must not contain NaN")
 
     limits = [gamma_max(1, d) for d in deltas]
-    distances = [hellinger_1q((1.0 + g) / 2.0, (1.0 - g) / 2.0) for g in gammas]
+    distances = [exact_hellinger_1q(g) for g in gammas]
     columns = list(zip(gammas, distances))
     return LemmaA1Report(
         pairs_checked=len(deltas) * len(gammas),
@@ -311,14 +311,15 @@ def write_verdicts_csv(rows, path: str | Path) -> None:
 
 
 def _verdict_row(qubit, n, delta, gamma_D, gamma_max, margin, reproducible):
-    return qubit, ReproVerdict(
-        n=n, delta=delta, gamma_D=gamma_D, gamma_max=gamma_max, reproducible=reproducible, margin=margin
+    return qubit, check_derived(
+        ReproVerdict(n, delta, gamma_D), gamma_max=gamma_max, margin=margin, reproducible=reproducible
     )
 
 
 def read_verdicts_csv(path: str | Path) -> list[tuple[int, ReproVerdict]]:
     """Read verdicts.csv as (qubit, ReproVerdict) pairs; ConfigError naming
-    the file and line if a cell does not parse or a verdict is inconsistent."""
+    the file and line if a cell does not parse, the row is not a valid
+    verdict, or a derived column differs from the verdict's value."""
     return read_csv(path, VERDICT_COLUMNS, _verdict_row)
 
 

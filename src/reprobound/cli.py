@@ -269,9 +269,7 @@ def cmd_report(args) -> int:
     char_path, verdicts_path = run_dir / "characterization.csv", run_dir / "verdicts.csv"
     missing = tuple(path.name for path in (char_path, verdicts_path) if not path.is_file())
     if missing:
-        raise IncompleteArchiveError(
-            f"{run_dir}: run characterize and verdict first", missing=missing
-        )
+        raise IncompleteArchiveError(f"{run_dir}: no {' or '.join(missing)}; run characterize and verdict first")
     estimates = estimator.read_characterization_csv(char_path)
     verdicts = bounds.read_verdicts_csv(verdicts_path)
     plan = archive.plan
@@ -285,8 +283,7 @@ def cmd_report(args) -> int:
         if found != expected:
             raise IncompleteArchiveError(
                 f"{path}: {what} {found} do not match {expected} of the run's earlier stages; "
-                "re-run characterize and verdict",
-                missing=(path.name,),
+                "re-run characterize and verdict"
             )
     out = Path(args.out) if args.out else run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
@@ -420,10 +417,6 @@ def main(argv=None) -> int:
         return EXIT_REGIME
     except IncompleteArchiveError as exc:
         _fail(str(exc))
-        for name in exc.missing[:20]:
-            print(f"  missing: {name}", file=sys.stderr)
-        if len(exc.missing) > 20:
-            print(f"  ... and {len(exc.missing) - 20} more", file=sys.stderr)
         return EXIT_INCOMPLETE
     except OSError as exc:
         _fail(str(exc))

@@ -42,11 +42,8 @@ class OutOfRegimeError(ReproBoundError, ValueError):
 
 class IncompleteArchiveError(ReproBoundError, RuntimeError):
     """A run archive file is missing, malformed or not finalized, or an
-    artifact in the run directory does not match the run's plan."""
-
-    def __init__(self, message: str, missing: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.missing = missing
+    artifact in the run directory does not match the run's plan. The
+    message names the file."""
 
 
 class ConfigError(ReproBoundError, ValueError):

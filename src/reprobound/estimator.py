@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import finite, g17, read_csv, write_csv
+from .artifacts import check_derived, finite, g17, read_csv, write_csv
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -100,14 +100,14 @@ class CharacterizationEstimate:
 
     ``theta_hat`` is NaN (with an explanatory warning token) when the angle
     inversion failed for this qubit; all other fields are still valid.
+    ``eps_mean``, ``f_mean`` and ``theta_hat_deg`` are derived from the
+    fields.
     """
 
     qubit: int
     f0_mean: float
     f1_mean: float
-    eps_mean: float
     eps_sigma: float
-    f_mean: float
     gamma_hat: float
     theta_hat: float
     d_mean: float
@@ -117,20 +117,18 @@ class CharacterizationEstimate:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Exact comparisons: a characterization.csv that was not edited holds
-        # the same doubles, since g17 round-trips them.
-        if self.eps_mean != self.f0_mean - self.f1_mean:
-            raise InvalidParameterError(
-                f"eps_mean={self.eps_mean!r} is not f0_mean - f1_mean={self.f0_mean - self.f1_mean!r}"
-            )
-        if self.f_mean != (self.f0_mean + self.f1_mean) / 2.0:
-            raise InvalidParameterError(
-                f"f_mean={self.f_mean!r} is not (f0_mean + f1_mean)/2={(self.f0_mean + self.f1_mean) / 2.0!r}"
-            )
         if self.eps_sigma < 0.0 or self.d_sigma < 0.0:
             raise InvalidParameterError("sigmas must be non-negative")
         if not 0.0 <= self.d_mean <= 1.0:
             raise InvalidParameterError(f"d_mean must be in [0, 1], got {self.d_mean!r}")
+
+    @property
+    def eps_mean(self) -> float:
+        return self.f0_mean - self.f1_mean
+
+    @property
+    def f_mean(self) -> float:
+        return (self.f0_mean + self.f1_mean) / 2.0
 
     @property
     def theta_hat_deg(self) -> float:
@@ -198,40 +196,32 @@ def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
 
     _, eps_sigma = population_stats(est.eps)
     d_mean, d_sigma = population_stats(est.d)
-    f0_mean = _mean(est.f0)
-    f1_mean = _mean(est.f1)
-    f_mean = (f0_mean + f1_mean) / 2.0
-    eps_mean = f0_mean - f1_mean
-    # Per-experiment estimates first, then the average across experiments.
-    gamma_hat = 2.0 * _mean(est.pr0) - 1.0
+    estimate = CharacterizationEstimate(
+        qubit=plan.qubits[i].index,
+        f0_mean=_mean(est.f0),
+        f1_mean=_mean(est.f1),
+        eps_sigma=eps_sigma,
+        # Per-experiment estimates first, then the average across experiments.
+        gamma_hat=2.0 * _mean(est.pr0) - 1.0,
+        theta_hat=math.nan,
+        d_mean=d_mean,
+        d_sigma=d_sigma,
+        L=plan.L,
+        S=plan.S,
+    )
 
     notes: list[str] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ModelMismatchWarning)
-            theta_hat = invert_theta(gamma_hat, eps_mean, f_mean)
+            theta_hat = invert_theta(estimate.gamma_hat, estimate.eps_mean, estimate.f_mean)
         notes.extend(
             str(w.message) for w in caught if issubclass(w.category, ModelMismatchWarning)
         )
     except (SingularFidelityError, ModelMismatchError) as exc:
         theta_hat = math.nan
         notes.append(f"{type(exc).__name__}: {exc}")
-
-    return CharacterizationEstimate(
-        qubit=plan.qubits[i].index,
-        f0_mean=f0_mean,
-        f1_mean=f1_mean,
-        eps_mean=eps_mean,
-        eps_sigma=eps_sigma,
-        f_mean=f_mean,
-        gamma_hat=gamma_hat,
-        theta_hat=theta_hat,
-        d_mean=d_mean,
-        d_sigma=d_sigma,
-        L=plan.L,
-        S=plan.S,
-        warnings=tuple(notes),
-    )
+    return replace(estimate, theta_hat=theta_hat, warnings=tuple(notes))
 
 
 def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
@@ -269,19 +259,15 @@ def write_characterization_csv(estimates, path: str | Path) -> None:
     )
 
 
-def _estimate_row(*cells) -> CharacterizationEstimate:
-    """The estimate of one characterization.csv row. The columns are the
-    estimate's fields plus theta_hat_deg (index 8), which must be
-    degrees(theta_hat_rad) exactly, or NaN beside a NaN angle."""
-    theta_rad, theta_deg = cells[7], cells[8]
-    if theta_deg != math.degrees(theta_rad) and not (math.isnan(theta_rad) and math.isnan(theta_deg)):
-        raise InvalidParameterError(
-            f"theta_hat_deg={theta_deg!r} is not degrees(theta_hat_rad)={math.degrees(theta_rad)!r}"
-        )
-    return CharacterizationEstimate(*cells[:8], *cells[9:])
+def _estimate_row(qubit, f0_mean, f1_mean, eps_mean, eps_sigma, f_mean, gamma_hat, theta_hat, theta_hat_deg, *rest):
+    """The estimate of one characterization.csv row; ``rest`` is d_mean,
+    d_sigma, L, S and the warnings."""
+    estimate = CharacterizationEstimate(qubit, f0_mean, f1_mean, eps_sigma, gamma_hat, theta_hat, *rest)
+    return check_derived(estimate, eps_mean=eps_mean, f_mean=f_mean, theta_hat_deg=theta_hat_deg)
 
 
 def read_characterization_csv(path: str | Path) -> list[CharacterizationEstimate]:
     """Read characterization.csv; ConfigError naming the file and line if a
-    cell does not parse or a row is not a valid estimate."""
+    cell does not parse, the row is not a valid estimate, or a derived
+    column differs from the estimate's value."""
     return read_csv(path, CSV_COLUMNS, _estimate_row)

@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
 from itertools import chain, product
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -361,26 +360,17 @@ def load_archive(run_dir: str | Path) -> RunArchive:
         plan = plan_from_doc(manifest, "manifest")
         drift = _check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
     except (ConfigError, InvalidParameterError) as exc:
-        raise IncompleteArchiveError(
-            f"{run}: manifest.json does not describe a valid run: {exc}",
-            missing=("manifest.json",),
-        ) from exc
+        raise IncompleteArchiveError(f"{run}: manifest.json does not describe a valid run: {exc}") from exc
     return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), drift=drift)
-
-
-def _archive_error(path: Path):
-    """Error factory for the artifact readers: exit 4, naming the file."""
-    return partial(IncompleteArchiveError, missing=(path.name,))
 
 
 def _read_manifest(run: Path) -> dict:
     path = run / "manifest.json"
-    error = _archive_error(path)
     if not path.is_file():
-        raise error(f"{run}: no manifest.json")
-    manifest = read_json(path, MANIFEST_SCHEMA, error)
+        raise IncompleteArchiveError(f"{run}: no manifest.json")
+    manifest = read_json(path, MANIFEST_SCHEMA, IncompleteArchiveError)
     if manifest.get("status") != "complete":
-        raise error(f"{path}: status is {manifest.get('status')!r}, run was not finalized")
+        raise IncompleteArchiveError(f"{path}: status is {manifest.get('status')!r}, run was not finalized")
     return manifest
 
 
@@ -402,9 +392,8 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
     Every row must sit where :func:`save_archive` writes it and hold L
     canonical integers in [0, S].
     """
-    error = _archive_error(path)
     if not path.is_file():
-        raise error(f"{path}: no counts file")
+        raise IncompleteArchiveError(f"{path}: no counts file")
 
     keys = count_keys(plan)
 
@@ -424,10 +413,10 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
             raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer in [0, {plan.S}]")
         return values
 
-    rows = read_csv(path, dict.fromkeys(_counts_header(plan), str), row, error)
+    rows = read_csv(path, dict.fromkeys(_counts_header(plan), str), row, IncompleteArchiveError)
     key = next(keys, None)
     if key is not None:
-        raise error(
+        raise IncompleteArchiveError(
             f"{path}: line {len(rows) + 1}: the file ends; the row of {','.join(key)} and all later rows are missing"
         )
     n = len(plan.qubits)

@@ -1,5 +1,6 @@
 """Tests for the reproducibility bound, lemma verifier, and sample planner."""
 
+import dataclasses
 import json
 import math
 import time
@@ -28,7 +29,7 @@ from reprobound.bounds import (
     write_lemma_report,
     write_verdicts_csv,
 )
-from reprobound.errors import InvalidParameterError, OutOfRegimeError
+from reprobound.errors import ConfigError, InvalidParameterError, OutOfRegimeError
 from reprobound.noise_model import QubitNoiseParams, gamma_of
 
 DELTA_STAR_1 = 0.5411961001461969  # sqrt(1 - 2**-0.5)
@@ -117,26 +118,33 @@ class TestVerdict:
         assert v.gamma_D == v.gamma_max == 0.0
         assert v.reproducible
 
-    def test_inconsistent_flag_rejected(self):
-        gm = gamma_max(1, 0.1)
-        with pytest.raises(InvalidParameterError, match="flag"):
-            ReproVerdict(n=1, delta=0.1, gamma_D=0.5, gamma_max=gm, reproducible=True, margin=gm - 0.5)
+    def test_fields_are_the_independent_inputs(self):
+        assert [f.name for f in dataclasses.fields(ReproVerdict)] == ["n", "delta", "gamma_D"]
 
     @pytest.mark.parametrize(
-        "edit,message",
-        [
-            ({"gamma_max": 0.9}, "is not gamma_max"),
-            ({"margin": 0.123}, "margin"),
-            ({"delta": 0.2}, "is not gamma_max"),
-            ({"n": 2}, "is not gamma_max"),
-        ],
-        ids=["gamma_max", "margin", "delta", "n"],
+        "n,delta,eps,theta,f",
+        [(1, 0.1, 0.04, 0.0, 0.97), (1, 0.01, 0.04, 0.0, 0.97), (3, 0.2, 0.05, 0.02, 0.9), (2, 0.0, 0.0, 0.0, 1.0)],
     )
-    def test_fields_must_agree_with_the_bound(self, edit, message):
-        v = verdict(1, 0.1, eps=0.04, theta=0.0, f=0.97)
-        fields = {**vars(v), **edit}
-        with pytest.raises(InvalidParameterError, match=message):
-            ReproVerdict(**fields)
+    def test_derived_properties_are_the_closed_forms(self, n, delta, eps, theta, f):
+        v = verdict(n, delta, eps, theta, f)
+        assert (v.n, v.delta, v.gamma_D) == (n, delta, gamma_device(eps, theta, f))
+        assert v.gamma_max == gamma_max(n, delta)
+        assert v.margin == gamma_max(n, delta) - v.gamma_D
+        assert v.reproducible == (v.gamma_D <= gamma_max(n, delta))
+
+    @pytest.mark.parametrize(
+        "n,delta,gamma_D,error",
+        [
+            (0, 0.1, 0.1, InvalidParameterError),
+            (1, 0.9, 0.1, OutOfRegimeError),
+            (1, -0.1, 0.1, InvalidParameterError),
+            (1, 0.1, -0.1, InvalidParameterError),
+        ],
+        ids=["n", "delta-above-ceiling", "delta-negative", "gamma-negative"],
+    )
+    def test_invalid_inputs_rejected(self, n, delta, gamma_D, error):
+        with pytest.raises(error):
+            ReproVerdict(n, delta, gamma_D)
 
 
 class TestMinDelta:
@@ -357,3 +365,28 @@ class TestVerdictCsv:
         assert read_verdicts_csv(path) == rows
         header = path.read_text().splitlines()[0]
         assert header == "qubit,n,delta,gamma_D,gamma_max,margin,reproducible"
+
+    @pytest.mark.parametrize(
+        "column,edit,named",
+        [
+            (4, lambda cell: repr(math.nextafter(float(cell), 1.0)), "gamma_max"),
+            (5, lambda cell: repr(math.nextafter(float(cell), 1.0)), "margin"),
+            (6, lambda cell: "false" if cell == "true" else "true", "reproducible"),
+            (6, lambda cell: "garbage", "reproducible"),
+            # The bound no longer fits the register size or the tolerance.
+            (2, lambda cell: "0.2", "gamma_max"),
+            (1, lambda cell: "2", "gamma_max"),
+        ],
+        ids=["gamma_max", "margin", "reproducible", "flag-not-a-flag", "delta", "n"],
+    )
+    def test_edited_column_rejected(self, tmp_path, column, edit, named):
+        path = tmp_path / "verdicts.csv"
+        # Qubit 1 is not reproducible, so a flag that reads as false would pass.
+        write_verdicts_csv([(0, verdict(1, 0.1, 0.0, 0.0, 1.0)), (1, verdict(1, 0.01, 0.04, 0.0, 0.97))], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = edit(cells[column])
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"{path}: line 3: {named}="):
+            read_verdicts_csv(path)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -179,7 +180,7 @@ class TestSimulate:
         assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "report"]
         assert [p.name for p in (small_run / "report").iterdir()] == ["notes.txt"]
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert "run characterize and verdict first" in capsys.readouterr().err
+        assert "no characterization.csv or verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
 
     def test_resimulating_removes_block_files(self, small_run):
         # The per-shot block files of releases before counts.csv.
@@ -531,7 +532,10 @@ class TestReport:
         capsys.readouterr()
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert capsys.readouterr().err.count(f"{counts}: line ") == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{counts}: line ") == 2
+        # The message names the file; no "missing:" line claims an existing file is absent.
+        assert "missing:" not in err
 
     @pytest.mark.parametrize(
         "name,edit",
@@ -547,7 +551,25 @@ class TestReport:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         edit_lines(small_run / name, edit)
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert f"{small_run / name}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{small_run / name}: " in err
+        assert "missing:" not in err
+
+    def test_report_names_the_absent_verdicts(self, small_run, capsys):
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert f"{small_run}: no verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
+
+    def test_benchmark_check_passes(self, small_run):
+        # perfbench/check.py recomputes bounds.verdict and reads its derived
+        # values; an API slip there would fail every benchmark run.
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("perfbench_check", root / "perfbench" / "check.py")
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        config = json.loads((small_run.parent / "cfg.json").read_text())
+        assert check.check_run(config, small_run) == {"characterize": [], "verdict": [], "report": []}
 
 
 def run_pipeline(tmp_path, tag, seed=77):
@@ -762,6 +784,15 @@ def break_input(tmp_path, run, case):
         # Columns 4 and 5 are gamma_max and margin; the flag stays consistent.
         edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, 4, "0.9"), set_csv_cell(lines, 1, 5, "0.123")])
         return ["report", str(run)], f"{verdicts}: line 2", 2
+    if case in ("verdicts-edited-margin", "verdicts-flipped-flag"):
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        # Column 5 is margin, column 6 the flag; each is edited alone.
+        if case == "verdicts-edited-margin":
+            edit_lines(verdicts, lambda lines: set_csv_cell(lines, 1, 5, "0.123"))
+        else:
+            flip = {"true": "false", "false": "true"}
+            edit_lines(verdicts, lambda lines: set_csv_cell(lines, 1, 6, flip[lines[1].split(",")[6]]))
+        return ["report", str(run)], f"{verdicts}: line 2", 2
     if case == "verdicts-text-cell":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
@@ -803,6 +834,8 @@ def break_input(tmp_path, run, case):
         "characterization-nan-fidelities",
         "verdicts-nan-gamma",
         "verdicts-edited-gamma-max",
+        "verdicts-edited-margin",
+        "verdicts-flipped-flag",
         "verdicts-text-cell",
         "config-not-utf8",
         "config-list",

@@ -254,6 +254,8 @@ class TestCharacterize:
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
         assert est.eps_mean == est.f0_mean - est.f1_mean
         assert est.f_mean == (est.f0_mean + est.f1_mean) / 2
+        assert est.theta_hat_deg == math.degrees(est.theta_hat)
+        assert est.theta_hat == invert_theta(est.gamma_hat, est.f0_mean - est.f1_mean, (est.f0_mean + est.f1_mean) / 2)
         assert est.eps_sigma >= 0.0 and est.d_sigma >= 0.0
 
     def test_singular_qubit_recorded_not_raised(self):
@@ -309,6 +311,19 @@ class TestCharacterizationCsv:
         with pytest.raises(ConfigError, match=f"{path}: line 2: theta_hat_deg"):
             read_characterization_csv(path)
 
+    # Columns 3, 5 and 8 are eps_mean, f_mean and theta_hat_deg.
+    @pytest.mark.parametrize("column,named", [(3, "eps_mean"), (5, "f_mean"), (8, "theta_hat_deg")])
+    def test_derived_column_one_ulp_off_rejected(self, tmp_path, column, named):
+        archive = make_archive(QubitNoiseParams(0.98, 0.91, 0.02), L=5, S=64, seed=13)
+        path = tmp_path / "characterization.csv"
+        write_characterization_csv(characterize(archive), path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[column] = repr(math.nextafter(float(cells[column]), 2.0))
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(ConfigError, match=f"{path}: line 2: {named}="):
+            read_characterization_csv(path)
+
     def test_nan_theta_round_trip(self, tmp_path):
         archive = make_archive(QubitNoiseParams(1.0, 0.0, 0.0), L=4, S=64, seed=1)
         estimates = characterize(archive)
@@ -319,28 +334,17 @@ class TestCharacterizationCsv:
         assert loaded[0].warnings == estimates[0].warnings
 
 
-class TestEstimateValidation:
-    @pytest.mark.parametrize("field", ["eps_mean", "f_mean"])
-    def test_derived_means_must_be_exact(self, field):
-        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
-        with pytest.raises(ValueError, match=field):
-            dataclasses.replace(est, **{field: getattr(est, field) + 5e-13})
-        with pytest.raises(ValueError, match=field):
-            dataclasses.replace(est, **{field: math.nextafter(getattr(est, field), 2.0)})
+class TestEstimateFields:
+    def test_fields_hold_no_derived_value(self):
+        names = {f.name for f in dataclasses.fields(CharacterizationEstimate)}
+        assert not names & {"eps_mean", "f_mean", "theta_hat_deg"}
 
-    def test_inconsistent_eps_rejected(self):
-        with pytest.raises(ValueError):
-            CharacterizationEstimate(
-                qubit=0,
-                f0_mean=0.9,
-                f1_mean=0.8,
-                eps_mean=0.2,
-                eps_sigma=0.0,
-                f_mean=0.85,
-                gamma_hat=0.1,
-                theta_hat=0.0,
-                d_mean=0.1,
-                d_sigma=0.0,
-                L=2,
-                S=4,
-            )
+    def test_invalid_fields_rejected(self):
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
+        for edit, message in (
+            ({"eps_sigma": -1e-3}, "sigmas must be non-negative"),
+            ({"d_sigma": -1e-3}, "sigmas must be non-negative"),
+            ({"d_mean": 1.5}, r"d_mean must be in \[0, 1\]"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(est, **edit)
