@@ -20,7 +20,22 @@ from pathlib import Path
 
 from .artifacts import check_derived, finite, g17, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
-from .noise_model import check_angle, hellinger_1q, output_bias
+from .noise_model import check_angle, check_int, hellinger_1q, output_bias
+
+__all__ = [
+    "LemmaA1Report",
+    "ReproVerdict",
+    "SamplePlan",
+    "delta_star",
+    "exact_hellinger_1q",
+    "gamma_device",
+    "gamma_max",
+    "lemma_a1_check",
+    "min_delta",
+    "normal_quantile",
+    "plan_samples",
+    "verdict",
+]
 
 
 def delta_star(n: int) -> float:
@@ -34,8 +49,7 @@ def delta_star(n: int) -> float:
 
 
 def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
+    if check_int("qubit count n", n) < 1:
         raise InvalidParameterError(f"qubit count must be >= 1, got {n}")
     # The closed forms evaluate n as a float.
     if n > sys.float_info.max:

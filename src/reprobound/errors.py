@@ -2,7 +2,9 @@
 
 The CLI maps these onto stable exit codes (see ``cli.py``): bad inputs exit
 with 2, I/O failures with 3, incomplete run artifacts with 4, and parameters
-outside the bound's validity regime with 5.
+outside the bound's validity regime with 5. A gate angle that cannot be
+recovered from a qubit's data is no error: ``estimator.invert_theta``
+returns NaN and a note, and ``characterize`` goes on with the other qubits.
 """
 
 from __future__ import annotations
@@ -18,18 +20,6 @@ class InvalidParameterError(ReproBoundError, ValueError):
 
 class InsufficientDataError(ReproBoundError, ValueError):
     """Fewer experiments than population statistics require (L >= 2)."""
-
-
-class SingularFidelityError(ReproBoundError, ValueError):
-    """Average readout fidelity too close to 1/2: gate angle unidentifiable."""
-
-
-class ModelMismatchError(ReproBoundError, ValueError):
-    """Observed data cannot be explained by the single-qubit noise model."""
-
-
-class ModelMismatchWarning(UserWarning):
-    """Mild inconsistency between observed data and the noise model."""
 
 
 class OutOfRegimeError(ReproBoundError, ValueError):

@@ -7,32 +7,29 @@ uniform output (:func:`per_experiment`). Averaging over the L experiments
 gives population means with error bars (standard deviation of the
 population mean, unbiased L-1 form), the composite bias estimate
 gamma_hat = 2*mean(Pr(0)) - 1, and finally the gate angle estimate by
-inverting gamma = eps - 2*sin(2*theta)*(f - 1/2). Every sum is a correctly
-rounded ``math.fsum`` over plain floats.
+inverting gamma = eps - 2*sin(2*theta)*(f - 1/2). The inversion returns
+its note with the angle (:func:`invert_theta`): a clamped or failed
+inversion is a value in the estimate, not a warning or an exception. Every
+sum is a correctly rounded ``math.fsum`` over plain floats.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 from .artifacts import check_derived, finite, g17, read_csv, write_csv
-from .errors import (
-    InsufficientDataError,
-    InvalidParameterError,
-    ModelMismatchError,
-    ModelMismatchWarning,
-    SingularFidelityError,
-)
+from .errors import InsufficientDataError, InvalidParameterError
 from .noise_model import hellinger_1q
 from .sampler import RunArchive
 
+__all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
+
 # Policy for the arcsin argument when inverting the gate angle: silent for
-# float-level overshoot, a warning when the data mildly disagrees with the
-# model, a hard error when it clearly cannot be explained by it.
+# float-level overshoot, a clamp with a note when the data mildly disagrees
+# with the model, no angle when it clearly cannot be explained by it.
 CLAMP_SILENT = 1e-9
 CLAMP_ERROR = 0.01
 
@@ -62,44 +59,45 @@ def population_stats(values) -> tuple[float, float]:
     return mean, math.sqrt(var_of_mean)
 
 
-def invert_theta(gamma_hat: float, eps_hat: float, f_hat: float) -> float:
-    """Gate angle estimate theta = arcsin((eps - gamma) / (2f - 1)) / 2.
+def invert_theta(gamma_hat: float, eps_hat: float, f_hat: float) -> tuple[float, str]:
+    """Gate angle estimate theta = arcsin((eps - gamma) / (2f - 1)) / 2 and
+    the note that ``characterization.csv`` records for it.
 
-    Raises SingularFidelityError when f is too close to 1/2 (the angle drops
-    out of gamma and is unidentifiable). An arcsin argument outside [-1, 1]
-    means the data disagrees with the noise model: overshoot up to 1e-9 is
-    clamped silently, up to 0.01 clamped with a ModelMismatchWarning, beyond
-    that a ModelMismatchError is raised.
+    When f is too close to 1/2 the angle drops out of gamma and is
+    unidentifiable: theta is NaN and the note starts with
+    ``SingularFidelityError:``. An arcsin argument outside [-1, 1] means the
+    data disagrees with the noise model: an overshoot up to 1e-9 is clamped
+    with an empty note, up to 0.01 clamped with a note that says so, and
+    beyond that theta is NaN and the note starts with ``ModelMismatchError:``.
+    Otherwise the note is empty.
     """
     denom = 2.0 * f_hat - 1.0
     if abs(denom) < _F_SINGULAR:
-        raise SingularFidelityError(
-            f"average fidelity {f_hat!r} too close to 1/2, gate angle unidentifiable"
+        return math.nan, (
+            f"SingularFidelityError: average fidelity {f_hat!r} too close to 1/2, gate angle unidentifiable"
         )
     x = (eps_hat - gamma_hat) / denom
     overshoot = abs(x) - 1.0
     if overshoot > CLAMP_ERROR:
-        raise ModelMismatchError(
-            f"arcsin argument {x!r} exceeds 1 by {overshoot:.3g}; "
+        return math.nan, (
+            f"ModelMismatchError: arcsin argument {x!r} exceeds 1 by {overshoot:.3g}; "
             "the single-qubit noise model does not explain this data"
         )
+    note = ""
     if overshoot > CLAMP_SILENT:
-        warnings.warn(
-            f"arcsin argument {x!r} clamped to [-1, 1] (overshoot {overshoot:.3g})",
-            ModelMismatchWarning,
-            stacklevel=2,
-        )
+        note = f"arcsin argument {x!r} clamped to [-1, 1] (overshoot {overshoot:.3g})"
     if overshoot > 0.0:
         x = math.copysign(1.0, x)
-    return 0.5 * math.asin(x)
+    return 0.5 * math.asin(x), note
 
 
 @dataclass(frozen=True)
 class CharacterizationEstimate:
     """Aggregated noise estimates for one register element.
 
-    ``theta_hat`` is NaN (with an explanatory warning token) when the angle
-    inversion failed for this qubit; all other fields are still valid.
+    ``theta_hat`` is NaN when the angle inversion failed for this qubit; all
+    other fields are still valid. ``warnings`` holds :func:`invert_theta`'s
+    note if it made one: why the inversion failed, or that it was clamped.
     ``eps_mean``, ``f_mean`` and ``theta_hat_deg`` are derived from the
     fields.
     """
@@ -119,8 +117,12 @@ class CharacterizationEstimate:
     def __post_init__(self):
         if self.eps_sigma < 0.0 or self.d_sigma < 0.0:
             raise InvalidParameterError("sigmas must be non-negative")
-        if not 0.0 <= self.d_mean <= 1.0:
-            raise InvalidParameterError(f"d_mean must be in [0, 1], got {self.d_mean!r}")
+        for name in ("f0_mean", "f1_mean", "d_mean"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
+        if not abs(self.gamma_hat) <= 1.0:
+            raise InvalidParameterError(f"gamma_hat must be in [-1, 1], got {self.gamma_hat!r}")
 
     @property
     def eps_mean(self) -> float:
@@ -210,25 +212,15 @@ def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
         S=plan.S,
     )
 
-    notes: list[str] = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ModelMismatchWarning)
-            theta_hat = invert_theta(estimate.gamma_hat, estimate.eps_mean, estimate.f_mean)
-        notes.extend(
-            str(w.message) for w in caught if issubclass(w.category, ModelMismatchWarning)
-        )
-    except (SingularFidelityError, ModelMismatchError) as exc:
-        theta_hat = math.nan
-        notes.append(f"{type(exc).__name__}: {exc}")
-    return replace(estimate, theta_hat=theta_hat, warnings=tuple(notes))
+    theta_hat, note = invert_theta(estimate.gamma_hat, estimate.eps_mean, estimate.f_mean)
+    return replace(estimate, theta_hat=theta_hat, warnings=(note,) if note else ())
 
 
 def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
     """Characterize every register element of an archive.
 
     A qubit whose angle inversion fails does not abort the others: its
-    estimate carries theta_hat = NaN and the error text as a warning token.
+    estimate carries theta_hat = NaN and :func:`invert_theta`'s note.
     """
     return [_aggregate(archive, i) for i in range(len(archive.plan.qubits))]
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
+__all__ = ["QubitNoiseParams", "gamma_of", "hellinger_1q"]
+
 # Validity region |theta| < THETA_BOUND of the gate angle error. The
 # closed-form model only needs |theta| small; pi/4 keeps sin(2*theta)
 # injective so the angle stays recoverable from gamma.
@@ -40,6 +42,15 @@ def check_angle(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(2.0 * value):
         raise InvalidParameterError(f"{name} must be finite and so must 2*{name}, got {value!r}")
+    return value
+
+
+def check_int(name: str, value: int) -> int:
+    """``value`` if it is an int and not a bool, the rule that
+    ``artifacts.field`` applies to config fields; else InvalidParameterError
+    naming ``name``. A float is not truncated into one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an int, got {type(value).__name__} {value!r}")
     return value
 
 

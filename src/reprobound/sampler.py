@@ -54,7 +54,19 @@ from typing import TYPE_CHECKING, Iterator
 from ._version import __version__
 from .artifacts import field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
-from .noise_model import QubitNoiseParams, output_bias
+from .noise_model import QubitNoiseParams, check_int, output_bias
+
+__all__ = [
+    "CircuitKind",
+    "ExperimentPlan",
+    "PlanQubit",
+    "RunArchive",
+    "count_stream",
+    "load_archive",
+    "p_one",
+    "run_plan",
+    "save_archive",
+]
 
 # numpy is imported only inside the functions that draw counts: the CLI
 # imports this module for every command, and only simulate draws.
@@ -105,9 +117,8 @@ class PlanQubit:
     params: QubitNoiseParams
 
     def __post_init__(self):
-        if int(self.index) < 0:
+        if check_int("qubit index", self.index) < 0:
             raise InvalidParameterError(f"qubit index must be non-negative, got {self.index}")
-        object.__setattr__(self, "index", int(self.index))
 
 
 @dataclass(frozen=True)
@@ -120,28 +131,25 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        if int(self.L) < 2:
+        if check_int("L", self.L) < 2:
             raise InvalidParameterError(f"L must be >= 2 for population statistics, got {self.L}")
         # numpy draws binomial counts with an int64 number of trials.
-        if not 1 <= int(self.S) < 2**63:
+        if not 1 <= check_int("S", self.S) < 2**63:
             raise InvalidParameterError(f"S must be in [1, 2**63), got {self.S}")
         qubits = tuple(self.qubits)
         indices = [q.index for q in qubits]
         if not qubits:
             raise InvalidParameterError("plan needs at least one qubit")
-        if len(CircuitKind) * len(qubits) * int(self.L) > MAX_COUNTS:
+        if len(CircuitKind) * len(qubits) * self.L > MAX_COUNTS:
             raise InvalidParameterError(
                 f"plan asks for {len(CircuitKind)} kinds x {len(qubits)} qubits x L={self.L} counts, "
                 f"more than the supported {MAX_COUNTS}"
             )
         if len(set(indices)) != len(indices):
             raise InvalidParameterError(f"duplicate qubit indices in plan: {indices}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= check_int("seed", self.seed) < 2**64:
             raise InvalidParameterError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "L", int(self.L))
-        object.__setattr__(self, "S", int(self.S))
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def qubit_indices(self) -> tuple[int, ...]:

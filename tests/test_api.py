@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reprobound
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_star_import_binds_every_exported_name():
@@ -17,8 +21,8 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_every_public_name_is_exported():
-    # The package binds its names lazily, so resolve each one: a name in
-    # __all__ that its submodule does not define raises AttributeError here.
+    # The package star-imports each submodule's __all__: a name bound in the
+    # package but missing from __all__, or the reverse, fails here.
     public = {
         name
         for name in dir(reprobound)
@@ -27,16 +31,24 @@ def test_every_public_name_is_exported():
     assert public == set(reprobound.__all__) - {"__version__"}
 
 
+def test_version_has_one_source():
+    # pyproject.toml reads the version that the package reports.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "reprobound._version.__version__"}
+
+
 def test_benchmark_tracer_finds_its_layers(tmp_path):
     # perfbench/traced.py wraps layer functions by name; a layer it cannot
     # find reads 0 in the benchmark instead of failing. Only block_stream,
     # which the counts-first sampler no longer has, may be missing.
-    root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.json"
     argv = ["plan-samples", "--p", "0.5", "--precision", "0.1", "--confidence", "0.9"]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), *argv],
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -143,13 +143,20 @@ def test_only_artifacts_imports_csv_or_json():
 def test_cli_import_loads_no_heavy_modules():
     """A fresh import of the package or of the CLI loads no numpy (each
     command loads it only if it handles arrays) and pulls in no test-only
-    or optional package."""
+    or optional package. Both load the same submodules apart from the CLI
+    itself: the package imports its names eagerly because every command
+    loads every submodule anyway, and a submodule that the CLI does not
+    need fails here by name."""
     env_path = str(PACKAGE.parent)
+    own = {}
     for module in ("reprobound", "reprobound.cli"):
         code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
             capture_output=True, text=True, check=True, timeout=60,
         )
-        loaded = {name.split(".")[0] for name in result.stdout.split()}
+        names = result.stdout.split()
+        loaded = {name.split(".")[0] for name in names}
         assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis"}), module
+        own[module] = {name for name in names if name.startswith("reprobound.")}
+    assert own["reprobound"] == own["reprobound.cli"] - {"reprobound.cli"}

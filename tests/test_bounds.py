@@ -146,6 +146,14 @@ class TestVerdict:
         with pytest.raises(error):
             ReproVerdict(n, delta, gamma_D)
 
+    @pytest.mark.parametrize("n", [1.5, 1.9, 1.0, True])
+    def test_n_must_be_an_int(self, n):
+        # Not truncated: verdicts.csv's reader refuses any n but an int.
+        with pytest.raises(InvalidParameterError, match="qubit count n must be an int"):
+            ReproVerdict(n, 0.1, 0.01)
+        with pytest.raises(InvalidParameterError, match="qubit count n must be an int"):
+            verdict(n, 0.1, 0.0, 0.0, 1.0)
+
 
 class TestMinDelta:
     def test_zero(self):

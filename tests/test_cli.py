@@ -764,6 +764,11 @@ def break_input(tmp_path, run, case):
         column = 3 if "eps" in case else 5
         edit_lines(char, lambda lines: set_csv_cell(lines, 1, column, repr(float(lines[1].split(",")[column]) + 5e-13)))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
+    if case == "characterization-fidelity-out-of-range":
+        # f0_mean, f1_mean, eps_mean and f_mean (columns 1, 2, 3 and 5), consistent with each other.
+        cells = {1: "1.5", 2: "0.25", 3: "1.25", 5: "0.875"}
+        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, cell) for column, cell in cells.items()])
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: f0_mean must be in [0, 1]", 2
     if case == "characterization-edited-degrees":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         # Column 8 is theta_hat_deg.
@@ -830,6 +835,7 @@ def break_input(tmp_path, run, case):
         "characterization-edited-eps",
         "characterization-eps-off-by-5e-13",
         "characterization-f-mean-off-by-5e-13",
+        "characterization-fidelity-out-of-range",
         "characterization-edited-degrees",
         "characterization-nan-fidelities",
         "verdicts-nan-gamma",

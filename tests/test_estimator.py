@@ -11,13 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import Distribution, hellinger, uniform_ideal
-from reprobound.errors import (
-    ConfigError,
-    InsufficientDataError,
-    ModelMismatchError,
-    ModelMismatchWarning,
-    SingularFidelityError,
-)
+from reprobound.errors import ConfigError, InsufficientDataError
 from reprobound.estimator import (
     CharacterizationEstimate,
     characterize,
@@ -179,28 +173,36 @@ class TestPopulationStats:
 
 class TestInvertTheta:
     def test_no_gate_error(self):
-        assert invert_theta(0.04, 0.04, 0.97) == 0.0
+        assert invert_theta(0.04, 0.04, 0.97) == (0.0, "")
 
     def test_reference_value(self):
-        assert invert_theta(0.0, 0.04, 0.97) == pytest.approx(THETA_HAT_REFERENCE, abs=1e-14)
+        theta, note = invert_theta(0.0, 0.04, 0.97)
+        assert theta == pytest.approx(THETA_HAT_REFERENCE, abs=1e-14)
+        assert note == ""
 
     def test_singular_fidelity(self):
-        with pytest.raises(SingularFidelityError):
-            invert_theta(0.0, 0.0, 0.5)
+        theta, note = invert_theta(0.0, 0.0, 0.5)
+        assert math.isnan(theta)
+        assert note == "SingularFidelityError: average fidelity 0.5 too close to 1/2, gate angle unidentifiable"
 
     def test_silent_clamp(self):
         # eps - gamma barely exceeds the denominator: float-level overshoot.
-        theta = invert_theta(0.0, 0.5 * (1 + 5e-10), 0.75)
+        theta, note = invert_theta(0.0, 0.5 * (1 + 5e-10), 0.75)
         assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+        assert note == ""
 
     def test_warning_clamp(self):
-        with pytest.warns(ModelMismatchWarning):
-            theta = invert_theta(0.0, 0.5 * 1.005, 0.75)
+        theta, note = invert_theta(0.0, 0.5 * 1.005, 0.75)
         assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+        assert note == "arcsin argument 1.005 clamped to [-1, 1] (overshoot 0.005)"
 
     def test_hard_mismatch(self):
-        with pytest.raises(ModelMismatchError):
-            invert_theta(0.0, 0.5 * 1.02, 0.75)
+        theta, note = invert_theta(0.0, 0.5 * 1.02, 0.75)
+        assert math.isnan(theta)
+        assert note == (
+            "ModelMismatchError: arcsin argument 1.02 exceeds 1 by 0.02; "
+            "the single-qubit noise model does not explain this data"
+        )
 
     @given(
         f0=st.floats(0.6, 1.0),
@@ -209,8 +211,9 @@ class TestInvertTheta:
     )
     def test_round_trip_through_gamma(self, f0, f1, theta):
         params = QubitNoiseParams(f0, f1, theta)
-        recovered = invert_theta(gamma_of(params), params.eps, params.f)
+        recovered, note = invert_theta(gamma_of(params), params.eps, params.f)
         assert recovered == pytest.approx(theta, abs=1e-10)
+        assert note == ""
 
 
 class TestCharacterize:
@@ -255,7 +258,8 @@ class TestCharacterize:
         assert est.eps_mean == est.f0_mean - est.f1_mean
         assert est.f_mean == (est.f0_mean + est.f1_mean) / 2
         assert est.theta_hat_deg == math.degrees(est.theta_hat)
-        assert est.theta_hat == invert_theta(est.gamma_hat, est.f0_mean - est.f1_mean, (est.f0_mean + est.f1_mean) / 2)
+        assert (est.theta_hat, "") == invert_theta(est.gamma_hat, est.f0_mean - est.f1_mean, (est.f0_mean + est.f1_mean) / 2)
+        assert est.warnings == ()
         assert est.eps_sigma >= 0.0 and est.d_sigma >= 0.0
 
     def test_singular_qubit_recorded_not_raised(self):
@@ -345,6 +349,10 @@ class TestEstimateFields:
             ({"eps_sigma": -1e-3}, "sigmas must be non-negative"),
             ({"d_sigma": -1e-3}, "sigmas must be non-negative"),
             ({"d_mean": 1.5}, r"d_mean must be in \[0, 1\]"),
+            ({"f0_mean": 1.5}, r"f0_mean must be in \[0, 1\]"),
+            ({"f1_mean": -0.25}, r"f1_mean must be in \[0, 1\]"),
+            ({"f1_mean": math.nan}, r"f1_mean must be in \[0, 1\]"),
+            ({"gamma_hat": -1.5}, r"gamma_hat must be in \[-1, 1\]"),
         ):
             with pytest.raises(ValueError, match=message):
                 dataclasses.replace(est, **edit)

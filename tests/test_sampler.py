@@ -104,6 +104,17 @@ class TestPlanValidation:
         with pytest.raises(InvalidParameterError, match="S must be"):
             make_plan([PERFECT], S=2**63)
 
+    @pytest.mark.parametrize("name,value", [("L", 2.9), ("S", True), ("seed", 3.99), ("seed", 3.0)])
+    def test_integer_fields_must_be_ints(self, name, value):
+        settings = {"L": 2, "S": 4, "seed": 3, name: value}
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an int"):
+            ExperimentPlan(qubits=(PlanQubit(0, PERFECT),), **settings)
+
+    @pytest.mark.parametrize("index", [0.7, 1.0, False])
+    def test_qubit_index_must_be_an_int(self, index):
+        with pytest.raises(InvalidParameterError, match="qubit index must be an int"):
+            PlanQubit(index, PERFECT)
+
     def test_rejects_oversized_count_tensor(self):
         assert make_plan([PERFECT, NOISY], L=MAX_COUNTS // 6).L == MAX_COUNTS // 6
         with pytest.raises(InvalidParameterError, match="supported"):
