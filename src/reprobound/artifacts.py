@@ -1,8 +1,9 @@
 """Every on-disk format of the toolkit: how CSV and JSON files are written
 and read.
 
-Writers fix the bytes: UTF-8, LF line endings, floats with 17 significant
-digits in CSV and two-space indented JSON. Readers validate while they parse
+Writers fix the bytes: UTF-8, LF line endings and two-space indented JSON.
+A float prints the same in both formats, as its ``repr``: the shortest text
+that reads back as the same double. Readers validate while they parse
 and turn every way a file can be malformed into one exception chosen by the
 caller, naming the file (and for CSV the line): ``ConfigError`` (exit 2) for
 inputs a user hands in, ``IncompleteArchiveError`` (exit 4) for the files of
@@ -24,13 +25,10 @@ from .errors import ConfigError
 ErrorFactory = Callable[[str], Exception]
 
 
-def g17(value: float) -> str:
-    """Format a float with 17 significant digits (exact double round trip)."""
-    return format(float(value), ".17g")
-
-
 def write_csv(path: str | Path, header, rows) -> None:
-    """Write ``header`` and then each row of ``rows`` as one CSV line."""
+    """Write ``header`` and then each row of ``rows`` as one CSV line. A
+    float cell, ``numpy.float64`` included, prints as its shortest
+    round-trip text, the same text that :func:`write_json` gives it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -89,7 +87,8 @@ def check_derived(record, **cells):
     """``record``, once each parsed cell equals the record's attribute of the
     same name (NaN matches NaN); else ValueError naming the first column
     that differs. The readers' one check on a row's derived columns: a file
-    that was not edited holds the same doubles, since g17 round-trips them.
+    that was not edited holds the same doubles, since every writer prints a
+    float as the shortest text that reads back as it.
     """
     for name, cell in cells.items():
         value = getattr(record, name)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .artifacts import check_derived, finite, g17, read_csv, write_csv, write_json
+from .artifacts import check_derived, finite, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import check_angle, check_int, hellinger_1q, output_bias
 
@@ -94,7 +95,8 @@ class ReproVerdict:
 
     The fields are the test's independent inputs: the register size, the
     tolerance and the device bias. The bound, the margin and the flag are
-    derived from them.
+    derived from them; the bound is evaluated once, when the verdict is
+    built.
     """
 
     n: int
@@ -102,11 +104,12 @@ class ReproVerdict:
     gamma_D: float
 
     def __post_init__(self):
-        if self.gamma_D < 0.0:
-            raise InvalidParameterError("gamma_D must be non-negative")
-        gamma_max(self.n, self.delta)  # raises unless (n, delta) is in the bound's regime
+        # |gamma| is Pr(0) - Pr(1) of the circuit, never above 1; NaN fails too.
+        if not 0.0 <= self.gamma_D <= 1.0:
+            raise InvalidParameterError(f"gamma_D must be in [0, 1], got {self.gamma_D!r}")
+        self.gamma_max  # raises unless (n, delta) is in the bound's regime
 
-    @property
+    @cached_property
     def gamma_max(self) -> float:
         return gamma_max(self.n, self.delta)
 
@@ -313,10 +316,10 @@ def write_verdicts_csv(rows, path: str | Path) -> None:
             [
                 qubit,
                 v.n,
-                g17(v.delta),
-                g17(v.gamma_D),
-                g17(v.gamma_max),
-                g17(v.margin),
+                v.delta,
+                v.gamma_D,
+                v.gamma_max,
+                v.margin,
                 "true" if v.reproducible else "false",
             ]
             for qubit, v in rows

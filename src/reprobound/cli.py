@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import bounds, estimator
-from .artifacts import field, g17, read_json, records, write_csv, write_json
+from .artifacts import field, read_json, records, write_csv, write_json
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -140,7 +140,7 @@ def normalize_snapshot(path: str | Path) -> dict:
 
 def _verdict_rows(path: Path) -> list[dict]:
     """Rows of {qubit, eps, f, theta (may be None), d_mean (may be None)};
-    ConfigError if a qubit appears twice."""
+    ConfigError if there is none or a qubit appears twice."""
     rows = []
     if path.suffix == ".json":
         for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
@@ -166,6 +166,8 @@ def _verdict_rows(path: Path) -> list[dict]:
                     "d_mean": e.d_mean,
                 }
             )
+    if not rows:
+        raise ConfigError(f"{path}: holds no qubit rows")
     repeated = [q for q, n in Counter(row["qubit"] for row in rows).items() if n > 1]
     if repeated:
         raise ConfigError(f"{path}: qubit {repeated[0]} appears more than once")
@@ -259,7 +261,7 @@ def cmd_plan_samples(args) -> int:
         raise ConfigError(f"--confidence must be in (0, 1), got {args.confidence!r}")
     plan = bounds.plan_samples(args.p, args.precision, 1.0 - args.confidence)
     print(f"T = {plan.T}")
-    print(f"z = {g17(plan.z)}")
+    print(f"z = {plan.z!r}")
     return EXIT_OK
 
 
@@ -294,42 +296,42 @@ def cmd_report(args) -> int:
     write_csv(
         table1,
         ["register", "gamma_max", "gamma_D"],
-        [[q, g17(v.gamma_max), g17(v.gamma_D)] for q, v in verdicts],
+        [[q, v.gamma_max, v.gamma_D] for q, v in verdicts],
     )
 
     finite_thetas = [abs(e.theta_hat_deg) for e in estimates if not math.isnan(e.theta_hat)]
-    theta_mean = sum(finite_thetas) / len(finite_thetas) if finite_thetas else math.nan
+    theta_mean = estimator._mean(finite_thetas) if finite_thetas else math.nan
     write_csv(
         fig_theta,
         ["qubit", "theta_abs_deg", "register_mean_deg"],
-        [[e.qubit, g17(abs(e.theta_hat_deg)), g17(theta_mean)] for e in estimates],
+        [[e.qubit, abs(e.theta_hat_deg), theta_mean] for e in estimates],
     )
 
     write_csv(
         fig_hellinger,
         ["qubit", "d_mean", "d_sigma"],
-        [[e.qubit, g17(e.d_mean), g17(e.d_sigma)] for e in estimates],
+        [[e.qubit, e.d_mean, e.d_sigma] for e in estimates],
     )
 
     write_csv(
         fig_asymmetry,
         ["qubit", "eps_mean", "eps_sigma"],
-        [[e.qubit, g17(e.eps_mean), g17(e.eps_sigma)] for e in estimates],
+        [[e.qubit, e.eps_mean, e.eps_sigma] for e in estimates],
     )
 
     gammas = {q: v.gamma_D for q, v in verdicts}
-    gamma_mean = sum(gammas.values()) / len(gammas)
+    gamma_mean = estimator._mean(gammas.values())
     write_csv(
         fig_gamma,
         ["qubit", "gamma_D", "register_mean"],
-        [[q, g17(gd), g17(gamma_mean)] for q, gd in sorted(gammas.items())],
+        [[q, gd, gamma_mean] for q, gd in sorted(gammas.items())],
     )
 
     scatter_rows = []
     for i in sorted(range(len(plan.qubits)), key=lambda i: plan.qubits[i].index):
         est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
         scatter_rows += [
-            [plan.qubits[i].index, l, g17(eps), g17(d)] for l, (eps, d) in enumerate(zip(est.eps, est.d))
+            [plan.qubits[i].index, l, eps, d] for l, (eps, d) in enumerate(zip(est.eps, est.d))
         ]
     write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
 
@@ -413,7 +415,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OutOfRegimeError as exc:
-        _fail(f"{exc} (largest valid tolerance: {g17(exc.delta_star)})")
+        _fail(f"{exc} (largest valid tolerance: {exc.delta_star!r})")
         return EXIT_REGIME
     except IncompleteArchiveError as exc:
         _fail(str(exc))

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import check_derived, finite, g17, read_csv, write_csv
+from .artifacts import check_derived, finite, read_csv, write_csv
 from .errors import InsufficientDataError, InvalidParameterError
-from .noise_model import hellinger_1q
+from .noise_model import THETA_BOUND, hellinger_1q
 from .sampler import RunArchive
 
 __all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
@@ -95,8 +95,9 @@ def invert_theta(gamma_hat: float, eps_hat: float, f_hat: float) -> tuple[float,
 class CharacterizationEstimate:
     """Aggregated noise estimates for one register element.
 
-    ``theta_hat`` is NaN when the angle inversion failed for this qubit; all
-    other fields are still valid. ``warnings`` holds :func:`invert_theta`'s
+    ``theta_hat`` is NaN when the angle inversion failed for this qubit, and
+    else within [-pi/4, pi/4], the range of the inversion; all other fields
+    are still valid. ``warnings`` holds :func:`invert_theta`'s
     note if it made one: why the inversion failed, or that it was clamped.
     ``eps_mean``, ``f_mean`` and ``theta_hat_deg`` are derived from the
     fields.
@@ -123,6 +124,9 @@ class CharacterizationEstimate:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
         if not abs(self.gamma_hat) <= 1.0:
             raise InvalidParameterError(f"gamma_hat must be in [-1, 1], got {self.gamma_hat!r}")
+        # Inclusive: a clamped inversion gives exactly 0.5 * asin(1.0) == pi/4.
+        if not (math.isnan(self.theta_hat) or abs(self.theta_hat) <= THETA_BOUND):
+            raise InvalidParameterError(f"theta_hat must be NaN or in [-pi/4, pi/4], got {self.theta_hat!r}")
 
     @property
     def eps_mean(self) -> float:
@@ -232,16 +236,16 @@ def write_characterization_csv(estimates, path: str | Path) -> None:
         (
             [
                 e.qubit,
-                g17(e.f0_mean),
-                g17(e.f1_mean),
-                g17(e.eps_mean),
-                g17(e.eps_sigma),
-                g17(e.f_mean),
-                g17(e.gamma_hat),
-                g17(e.theta_hat),
-                g17(e.theta_hat_deg),
-                g17(e.d_mean),
-                g17(e.d_sigma),
+                e.f0_mean,
+                e.f1_mean,
+                e.eps_mean,
+                e.eps_sigma,
+                e.f_mean,
+                e.gamma_hat,
+                e.theta_hat,
+                e.theta_hat_deg,
+                e.d_mean,
+                e.d_sigma,
                 e.L,
                 e.S,
                 "|".join(e.warnings),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reprobound
-from reprobound.artifacts import field, g17, read_csv, read_json, records, write_csv, write_json
+from reprobound.artifacts import field, read_csv, read_json, records, write_csv, write_json
 from reprobound.errors import ConfigError, IncompleteArchiveError
 
 PACKAGE = Path(reprobound.__file__).parent
@@ -24,8 +24,8 @@ def write_lines(path, *lines):
 class TestCsv:
     def test_round_trip_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, COLUMNS, [["a", 1, g17(0.1)], ["b,c", 2, g17(1 / 3)]])
-        assert path.read_bytes() == b'name,count,value\na,1,0.10000000000000001\n"b,c",2,0.33333333333333331\n'
+        write_csv(path, COLUMNS, [["a", 1, 0.1], ["b,c", 2, 1 / 3]])
+        assert path.read_bytes() == b'name,count,value\na,1,0.1\n"b,c",2,0.3333333333333333\n'
         assert read_csv(path, COLUMNS, lambda *cells: cells) == [("a", 1, 0.1), ("b,c", 2, 1 / 3)]
 
     @pytest.mark.parametrize(

@@ -3,15 +3,17 @@
 import dataclasses
 import json
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import Distribution, hellinger, observed_probs, product_noisy, uniform_ideal
+from reprobound import bounds
 from reprobound.bounds import (
     LemmaA1Report,
     ReproVerdict,
@@ -62,6 +64,20 @@ class TestGammaDevice:
             assert gamma_device(params.eps, params.theta, params.f) == pytest.approx(
                 abs(gamma_of(params)), abs=1e-15
             )
+
+    @given(
+        f0=st.floats(0.0, 1.0),
+        f1=st.floats(0.0, 1.0),
+        theta=st.floats(-sys.float_info.max / 2, sys.float_info.max / 2),
+    )
+    # sin(2*theta) = -1: f0 + f1 rounds up, eps is exact, and the last sum
+    # is exactly 1 + 2**-53, half an ulp above 1, which rounds back to 1.
+    @example(f0=1.0, f1=3 * 2.0**-53, theta=-math.pi / 4)
+    @example(f0=0.0, f1=1.0, theta=math.pi / 4)
+    def test_never_above_one(self, f0, f1, theta):
+        """|gamma| is Pr(0) - Pr(1), so no readout fidelities and no finite
+        angle give more than 1, in floating point too."""
+        assert gamma_device(f0 - f1, theta, (f0 + f1) / 2.0) <= 1.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -139,12 +155,32 @@ class TestVerdict:
             (1, 0.9, 0.1, OutOfRegimeError),
             (1, -0.1, 0.1, InvalidParameterError),
             (1, 0.1, -0.1, InvalidParameterError),
+            (1, 0.1, 1.5, InvalidParameterError),
+            (1, 0.1, math.nan, InvalidParameterError),
+            (1, 0.1, math.inf, InvalidParameterError),
         ],
-        ids=["n", "delta-above-ceiling", "delta-negative", "gamma-negative"],
+        ids=["n", "delta-above-ceiling", "delta-negative", "gamma-negative", "gamma-above-one", "gamma-nan",
+             "gamma-infinite"],
     )
     def test_invalid_inputs_rejected(self, n, delta, gamma_D, error):
         with pytest.raises(error):
             ReproVerdict(n, delta, gamma_D)
+
+    def test_bound_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(n, delta):
+            calls.append((n, delta))
+            return gamma_max(n, delta)
+
+        monkeypatch.setattr(bounds, "gamma_max", counted)
+        v = verdict(1, 0.1, 0.04, 0.0, 0.97)
+        assert len(calls) == 1
+        path = tmp_path / "verdicts.csv"
+        write_verdicts_csv([(0, v)], path)  # writes the bound, the margin and the flag
+        assert len(calls) == 1
+        assert read_verdicts_csv(path) == [(0, v)]  # builds one verdict, checks the same three cells
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("n", [1.5, 1.9, 1.0, True])
     def test_n_must_be_an_int(self, n):
@@ -373,6 +409,16 @@ class TestVerdictCsv:
         assert read_verdicts_csv(path) == rows
         header = path.read_text().splitlines()[0]
         assert header == "qubit,n,delta,gamma_D,gamma_max,margin,reproducible"
+
+    def test_impossible_gamma_rejected(self, tmp_path):
+        # gamma_D = 2 with the margin and flag it would give: only the range check is left.
+        path = tmp_path / "verdicts.csv"
+        bound = gamma_max(1, 0.1)
+        path.write_text(
+            f"qubit,n,delta,gamma_D,gamma_max,margin,reproducible\n0,1,0.1,2.0,{bound!r},{bound - 2.0!r},false\n"
+        )
+        with pytest.raises(ConfigError, match=rf"{path}: line 2: gamma_D must be in \[0, 1\], got 2.0"):
+            read_verdicts_csv(path)
 
     @pytest.mark.parametrize(
         "column,edit,named",

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import csv
 import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -63,9 +65,27 @@ def set_csv_cell(lines, row, column, value):
     lines[row] = ",".join(cells)
 
 
+def float_cells(path):
+    """The cells below a CSV file's header that read as a float and are not
+    integer literals."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cells = [cell for row in rows for cell in row if not re.fullmatch(r"-?[0-9]+", cell)]
+    return [cell for cell in cells if is_float(cell)]
+
+
+def is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False  # text: a kind, a flag or a note
+    return True
+
+
 @pytest.fixture
-def small_run(tmp_path):
-    """A characterized noisy two-qubit run directory."""
+def small_run(tmp_path, request):
+    """A characterized noisy two-qubit run directory, of 512 shots per
+    experiment unless a test passes another count as the fixture's param."""
     cfg = write_config(
         tmp_path / "cfg.json",
         [
@@ -73,7 +93,7 @@ def small_run(tmp_path):
             {"index": 1, "f0": 0.97, "f1": 0.9, "theta_rad": -0.01},
         ],
         L=6,
-        S=512,
+        S=getattr(request, "param", 512),
         seed=20,
     )
     run = tmp_path / "run"
@@ -438,6 +458,20 @@ class TestReport:
             assert float(row["eps"]) == (1.0 - counts[("spam0", *key)]) - counts[("spam1", *key)]
             assert float(row["hellinger"]) == hellinger_1q(1.0 - p1, p1)
 
+    # Each column holds a float that a 17-digit format would print otherwise
+    # (0.9871 as 0.98709999999999998) in at least one of the two runs.
+    @pytest.mark.parametrize("small_run", [512, 10000], indirect=True)
+    def test_every_float_cell_is_its_shortest_text(self, small_run):
+        """Every CSV of a run prints a float as its repr, as the JSON files do:
+        the shortest text that reads back as the same double."""
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        paths = sorted(small_run.rglob("*.csv"))
+        assert len(paths) == 9  # counts, characterization, verdicts and the six report tables
+        floats = [(path.name, cell) for path in paths for cell in float_cells(path)]
+        assert floats
+        assert [(name, cell) for name, cell in floats if cell != repr(float(cell))] == []
+
     def test_empty_verdicts_is_incomplete(self, small_run, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         verdicts = small_run / "verdicts.csv"
@@ -774,6 +808,13 @@ def break_input(tmp_path, run, case):
         # Column 8 is theta_hat_deg.
         edit_lines(char, lambda lines: set_csv_cell(lines, 1, 8, "45.0"))
         return ["report", str(run)], f"{char}: line 2", 2
+    if case == "characterization-infinite-angle":
+        # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
+        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat must be NaN or in", 2
+    if case == "characterization-header-only":
+        char.write_text(char.read_text().splitlines(keepends=True)[0])
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: holds no qubit rows", 2
     if case == "characterization-nan-fidelities":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         # Columns 1, 3 and 5 are f0_mean, eps_mean and f_mean.
@@ -838,6 +879,8 @@ def break_input(tmp_path, run, case):
         "characterization-fidelity-out-of-range",
         "characterization-edited-degrees",
         "characterization-nan-fidelities",
+        "characterization-infinite-angle",
+        "characterization-header-only",
         "verdicts-nan-gamma",
         "verdicts-edited-gamma-max",
         "verdicts-edited-margin",

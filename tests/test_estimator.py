@@ -353,6 +353,13 @@ class TestEstimateFields:
             ({"f1_mean": -0.25}, r"f1_mean must be in \[0, 1\]"),
             ({"f1_mean": math.nan}, r"f1_mean must be in \[0, 1\]"),
             ({"gamma_hat": -1.5}, r"gamma_hat must be in \[-1, 1\]"),
+            ({"theta_hat": 1.2}, r"theta_hat must be NaN or in \[-pi/4, pi/4\], got 1.2"),
         ):
             with pytest.raises(ValueError, match=message):
                 dataclasses.replace(est, **edit)
+
+    def test_clamped_angle_accepted(self):
+        # A clamped inversion gives exactly 0.5 * asin(+-1.0) == +-pi/4.
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
+        for x in (1.0, -1.0):
+            assert dataclasses.replace(est, theta_hat=0.5 * math.asin(x)).theta_hat == math.copysign(math.pi / 4, x)
