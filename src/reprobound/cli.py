@@ -2,8 +2,10 @@
 errors onto exit codes. Every file is written and read through ``artifacts``.
 
 Subcommands: simulate, characterize, verdict, import-calibration,
-plan-samples, report. Global flags ``--seed``, ``--out``, ``--quiet`` may be
-given before or after the subcommand.
+plan-samples, report. Global flags ``--seed``, ``--out``, ``--quiet`` may
+be given before or after the subcommand. Every ``qubits[]`` record, of a
+device config, a calibration snapshot or a normalized calibration, is read
+by ``sampler.qubit_from_record``, so each passes the same checks.
 
 Exit codes are stable: 0 success, 2 input error, 3 I/O failure, 4 incomplete
 run artifacts, 5 tolerance outside the bound's validity regime.
@@ -19,6 +21,7 @@ import shutil
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bounds, estimator
 from .artifacts import field, read_json, records, write_csv, write_json
@@ -26,10 +29,12 @@ from ._version import __version__
 from .errors import (
     ConfigError,
     IncompleteArchiveError,
+    InvalidParameterError,
     OutOfRegimeError,
     ReproBoundError,
 )
-from .sampler import ExperimentPlan, load_archive, plan_from_doc, run_plan, save_archive
+from .noise_model import check_theta
+from .sampler import ExperimentPlan, load_archive, plan_from_doc, qubit_from_record, run_plan, save_archive
 
 DEVICE_CONFIG_SCHEMA = "device-config/1"
 SNAPSHOT_SCHEMA = "calibration-snapshot/1"
@@ -85,22 +90,13 @@ def _theta_from_gate_error(loc: str, entry: dict) -> float:
     raise ConfigError(f"{loc}: unknown gate error unit {unit!r} (use rad, deg, or infidelity)")
 
 
-def _fidelities(q: dict, loc: str, index: int) -> tuple[float, float]:
-    """A calibration qubit's (f0, f1); ConfigError naming the qubit unless
-    each is a number in [0, 1]."""
-    f0, f1 = (float(field(q, loc, name, (int, float))) for name in ("f0", "f1"))
-    for name, value in (("f0", f0), ("f1", f1)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{loc}: qubit {index}: {name}={value!r} outside [0, 1]")
-    return f0, f1
-
-
 def normalize_snapshot(path: str | Path) -> dict:
     """Validate a calibration snapshot and normalize angles to radians.
 
     A qubit may give the gate angle directly (``theta_rad``) or as a tagged
-    ``gate_error`` object with an explicit unit; a missing angle is accepted
-    and flagged, never guessed.
+    ``gate_error`` object with an explicit unit, not both; a missing angle
+    is accepted and flagged, never guessed. Each qubit must pass
+    :func:`qubit_from_record` with its angle.
     """
     doc = read_json(path, SNAPSHOT_SCHEMA)
     where = str(path)
@@ -110,16 +106,21 @@ def normalize_snapshot(path: str | Path) -> dict:
     normalized = []
     flags = []
     for loc, q in records(doc, where, "qubits"):
-        index = field(q, loc, "index", int)
-        f0, f1 = _fidelities(q, loc, index)
+        if "theta_rad" in q and "gate_error" in q:
+            raise ConfigError(f"{loc}: gives both theta_rad and gate_error; give one of them")
         if "theta_rad" in q:
             theta = float(field(q, loc, "theta_rad", (int, float)))
         elif "gate_error" in q:
             theta = _theta_from_gate_error(f"{loc}: gate_error", field(q, loc, "gate_error", dict))
         else:
             theta = None
-            flags.append(f"qubit {index}: gate angle missing; verdict will need --theta")
-        normalized.append({"index": index, "f0": f0, "f1": f1, "theta_rad": theta})
+        # Without an angle, 0 (a valid one) stands in so that the other fields are checked.
+        qubit = qubit_from_record(q, loc, 0.0 if theta is None else theta)
+        if theta is None:
+            flags.append(f"qubit {qubit.index}: gate angle missing; verdict will need --theta")
+        normalized.append(
+            {"index": qubit.index, "f0": float(qubit.params.f0), "f1": float(qubit.params.f1), "theta_rad": theta}
+        )
 
     indices = [q["index"] for q in normalized]
     if len(set(indices)) != len(indices):
@@ -138,37 +139,48 @@ def normalize_snapshot(path: str | Path) -> dict:
 # verdict inputs: characterization CSV or normalized calibration JSON
 
 
-def _verdict_rows(path: Path) -> list[dict]:
-    """Rows of {qubit, eps, f, theta (may be None), d_mean (may be None)};
+# One qubit's inputs to the bound; d_mean, its observed mean distance, is None for a calibration.
+VerdictRow = NamedTuple(
+    "VerdictRow", [("qubit", int), ("eps", float), ("f", float), ("theta", float), ("d_mean", float | None)]
+)
+
+
+def _stand_in(loc: str, theta: float | None) -> float:
+    """The ``--theta`` angle ``theta`` for the qubit at ``loc``, which has
+    none of its own; ConfigError naming ``loc`` unless it is given and passes
+    the angle rule of every other angle."""
+    if theta is None:
+        raise ConfigError(f"{loc}: no gate angle available; pass --theta RADIANS")
+    try:
+        return check_theta(theta)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{loc}: --theta: {exc}") from exc
+
+
+def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
+    """The rows of a characterization CSV or normalized calibration JSON,
+    ``theta`` (``--theta``) standing in for each missing gate angle;
     ConfigError if there is none or a qubit appears twice."""
-    rows = []
     if path.suffix == ".json":
+        rows = []
         for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
-            index = field(q, loc, "index", int)
-            f0, f1 = _fidelities(q, loc, index)
-            rows.append(
-                {
-                    "qubit": index,
-                    "eps": f0 - f1,
-                    "f": (f0 + f1) / 2.0,
-                    "theta": field(q, loc, "theta_rad", (int, float, type(None))),
-                    "d_mean": None,
-                }
-            )
+            own = field(q, loc, "theta_rad", (int, float, type(None)))
+            qubit = qubit_from_record(q, loc, _stand_in(loc, theta) if own is None else None)
+            rows.append(VerdictRow(qubit.index, qubit.params.eps, qubit.params.f, qubit.params.theta, None))
     else:
-        for e in estimator.read_characterization_csv(path):
-            rows.append(
-                {
-                    "qubit": e.qubit,
-                    "eps": e.eps_mean,
-                    "f": e.f_mean,
-                    "theta": None if math.isnan(e.theta_hat) else e.theta_hat,
-                    "d_mean": e.d_mean,
-                }
+        rows = [
+            VerdictRow(
+                e.qubit,
+                e.eps_mean,
+                e.f_mean,
+                _stand_in(f"{path}: qubit {e.qubit}", theta) if math.isnan(e.theta_hat) else e.theta_hat,
+                e.d_mean,
             )
+            for e in estimator.read_characterization_csv(path)
+        ]
     if not rows:
         raise ConfigError(f"{path}: holds no qubit rows")
-    repeated = [q for q, n in Counter(row["qubit"] for row in rows).items() if n > 1]
+    repeated = [q for q, n in Counter(row.qubit for row in rows).items() if n > 1]
     if repeated:
         raise ConfigError(f"{path}: qubit {repeated[0]} appears more than once")
     return rows
@@ -218,25 +230,14 @@ def cmd_characterize(args) -> int:
 
 def cmd_verdict(args) -> int:
     source = Path(args.source)
-    rows = _verdict_rows(source)
-    results = []
-    for row in sorted(rows, key=lambda r: r["qubit"]):
-        theta = row["theta"]
-        if theta is None:
-            if args.theta is None:
-                raise ConfigError(
-                    f"qubit {row['qubit']}: no gate angle available; pass --theta RADIANS"
-                )
-            theta = args.theta
-        if args.delta_from_observed:
-            if row["d_mean"] is None:
-                raise ConfigError(
-                    "--delta-from-observed needs characterization input with observed distances"
-                )
-            delta = row["d_mean"]
-        else:
-            delta = args.delta
-        results.append((row["qubit"], bounds.verdict(args.n, delta, row["eps"], theta, row["f"])))
+    rows = sorted(_verdict_rows(source, args.theta), key=lambda row: row.qubit)
+    # One source gives every row an observed distance or none.
+    if args.delta_from_observed and rows[0].d_mean is None:
+        raise ConfigError("--delta-from-observed needs characterization input with observed distances")
+    results = [
+        (r.qubit, bounds.verdict(args.n, r.d_mean if args.delta_from_observed else args.delta, r.eps, r.theta, r.f))
+        for r in rows
+    ]
 
     out = Path(args.out) if args.out else source.parent / "verdicts.csv"
     bounds.write_verdicts_csv(results, out)

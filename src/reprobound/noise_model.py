@@ -45,6 +45,14 @@ def check_angle(name: str, value: float) -> float:
     return value
 
 
+def check_theta(value: float) -> float:
+    """``value`` as a float; InvalidParameterError unless it is a gate angle
+    of the model's validity region: 2*theta finite and |theta| < pi/4."""
+    if not abs(check_angle("theta", value)) < THETA_BOUND:
+        raise InvalidParameterError(f"|theta|={abs(value)!r} outside validity region |theta| < pi/4")
+    return float(value)
+
+
 def check_int(name: str, value: int) -> int:
     """``value`` if it is an int and not a bool, the rule that
     ``artifacts.field`` applies to config fields; else InvalidParameterError
@@ -72,10 +80,7 @@ class QubitNoiseParams:
     def __post_init__(self):
         _check_probability("f0", self.f0)
         _check_probability("f1", self.f1)
-        if not abs(check_angle("theta", self.theta)) < THETA_BOUND:
-            raise InvalidParameterError(
-                f"|theta|={abs(self.theta)!r} outside validity region |theta| < pi/4"
-            )
+        check_theta(self.theta)
 
     @property
     def f(self) -> float:

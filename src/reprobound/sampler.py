@@ -27,7 +27,9 @@ depend on the other qubits of the plan.
 
 A plan has one document format, the device config's ``qubits`` and
 ``plan`` fields (:func:`plan_doc` writes it, :func:`plan_from_doc` reads
-it). A run archive persists as a directory::
+it). :func:`qubit_from_record` reads every ``qubits[]`` record, those of a
+calibration snapshot and a normalized calibration too. A run archive
+persists as a directory::
 
     manifest.json     schema, toolkit version, status, that plan document,
                       drift SIGMA, numpy version and bit generator that drew
@@ -281,22 +283,31 @@ def plan_doc(plan: ExperimentPlan) -> dict:
     }
 
 
+def qubit_from_record(q: dict, loc: str, theta: float | None = None) -> PlanQubit:
+    """The qubit that the ``qubits[]`` record ``q`` describes by its
+    ``index``, ``f0``, ``f1`` and ``theta_rad`` fields, with ``theta``, when
+    given, standing in for ``theta_rad``; ConfigError naming ``loc`` unless
+    they make a valid :class:`PlanQubit`. The one reader of a qubit record:
+    device config, run manifest, calibration snapshot and normalized
+    calibration."""
+    try:
+        return PlanQubit(
+            field(q, loc, "index", int),
+            QubitNoiseParams(
+                f0=field(q, loc, "f0", (int, float)),
+                f1=field(q, loc, "f1", (int, float)),
+                theta=field(q, loc, "theta_rad", (int, float)) if theta is None else theta,
+            ),
+        )
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{loc}: {exc}") from exc
+
+
 def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
     """The plan that the ``qubits`` and ``plan`` fields of a device config or
     run manifest describe; ConfigError naming ``where`` and the offending
     field (``qubits[i]`` or ``plan``) if they do not describe one."""
-    qubits = []
-    for loc, q in records(doc, where, "qubits"):
-        index = field(q, loc, "index", int)
-        try:
-            params = QubitNoiseParams(
-                f0=field(q, loc, "f0", (int, float)),
-                f1=field(q, loc, "f1", (int, float)),
-                theta=field(q, loc, "theta_rad", (int, float)),
-            )
-            qubits.append(PlanQubit(index, params))
-        except InvalidParameterError as exc:
-            raise ConfigError(f"{loc}: {exc}") from exc
+    qubits = [qubit_from_record(q, loc) for loc, q in records(doc, where, "qubits")]
     settings = field(doc, where, "plan", dict)
     loc = f"{where}: plan"
     try:

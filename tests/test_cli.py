@@ -703,6 +703,8 @@ def test_scalar_commands_load_no_numpy(small_run):
         (["verdict", str(small_run / "characterization.csv"), "--delta-from-observed"], False),
         (["report", str(small_run)], False),
         (["import-calibration", str(snapshot)], False),
+        # verdict reads a normalized calibration's qubits through sampler.
+        (["verdict", str(snapshot.with_suffix(".normalized.json")), "--delta", "0.3"], False),
         (PLAN_SAMPLES, False),
         # The command that draws counts does load it, so the probe sees numpy.
         (["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run.parent / "again")], True),
@@ -783,6 +785,28 @@ def test_mutated_counts_never_raise(pristine_run, ops):
         assert main(["report", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
 
 
+# A normalized calibration's one qubit record (index 3, f0 0.9, f1 0.8 unless
+# overridden), the verdict options it is read with, and what the error names.
+NORMALIZED_QUBITS = {
+    "normalized-fidelity-out-of-range": ({"f0": 1.2, "theta_rad": 0.0}, [], "f0 must be in [0, 1], got 1.2"),
+    "normalized-angle-out-of-range": ({"theta_rad": 1.2}, [], "|theta|=1.2 outside validity region"),
+    "normalized-null-angle-bad-override": ({"theta_rad": None}, ["--theta", "2.5"], "--theta: |theta|=2.5"),
+    "normalized-negative-index": ({"index": -3, "theta_rad": 0.01}, [], "qubit index must be non-negative"),
+}
+# A calibration snapshot's one qubit record (index 0, f0 0.9, f1 0.8 unless
+# overridden) and what import-calibration's error names.
+SNAPSHOT_QUBITS = {
+    "snapshot-angle-out-of-range": ({"theta_rad": 1.2}, "|theta|=1.2 outside validity region"),
+    "snapshot-gate-error-60-deg": ({"gate_error": {"value": 60, "unit": "deg"}}, "|theta|=1.047"),
+    "snapshot-infidelity-0.6": ({"gate_error": {"value": 0.6, "unit": "infidelity"}}, "|theta|=1.249"),
+    "snapshot-negative-index": ({"index": -3, "theta_rad": 0.01}, "qubit index must be non-negative"),
+    "snapshot-both-angles": (
+        {"theta_rad": 0.01, "gate_error": {"value": 30, "unit": "deg"}},
+        "gives both theta_rad and gate_error",
+    ),
+}
+
+
 def break_input(tmp_path, run, case):
     """Write the malformed input named by ``case``; returns (argv, the file
     the error must name, expected exit code)."""
@@ -812,6 +836,10 @@ def break_input(tmp_path, run, case):
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat must be NaN or in", 2
+    if case == "characterization-nan-angle-bad-override":
+        # Columns 7 and 8 are theta_hat_rad and theta_hat_deg: a failed inversion.
+        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in (7, 8)])
+        return ["verdict", str(char), "--delta", "0.3", "--theta", "2.5"], f"{char}: qubit 0: --theta: |theta|=2.5", 2
     if case == "characterization-header-only":
         char.write_text(char.read_text().splitlines(keepends=True)[0])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: holds no qubit rows", 2
@@ -859,11 +887,14 @@ def break_input(tmp_path, run, case):
         doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
         path.write_text(json.dumps(doc))
         return ["verdict", str(path), "--delta", "0.3"], f"{path}: qubits[0]: field 'f0'", 2
-    if case == "normalized-fidelity-out-of-range":
-        qubit = {"index": 3, "f0": 1.2, "f1": 0.4, "theta_rad": 0.0}
-        doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
-        path.write_text(json.dumps(doc))
-        return ["verdict", str(path), "--delta", "0.1"], f"{path}: qubits[0]: qubit 3: f0=1.2 outside [0, 1]", 2
+    if case in NORMALIZED_QUBITS:
+        qubit, override, named = NORMALIZED_QUBITS[case]
+        write_snapshot(path, [{"index": 3, "f0": 0.9, "f1": 0.8, **qubit}], schema="calibration-normalized/1")
+        return ["verdict", str(path), "--delta", "0.1", *override], f"{path}: qubits[0]: {named}", 2
+    if case in SNAPSHOT_QUBITS:
+        qubit, named = SNAPSHOT_QUBITS[case]
+        write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.8, **qubit}])
+        return ["import-calibration", str(path)], f"{path}: qubits[0]: {named}", 2
     assert case == "snapshot-nan-angle"
     write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": math.nan}])
     return ["import-calibration", str(path)], f"{path}: not valid JSON", 2
@@ -880,6 +911,7 @@ def break_input(tmp_path, run, case):
         "characterization-edited-degrees",
         "characterization-nan-fidelities",
         "characterization-infinite-angle",
+        "characterization-nan-angle-bad-override",
         "characterization-header-only",
         "verdicts-nan-gamma",
         "verdicts-edited-gamma-max",
@@ -890,7 +922,8 @@ def break_input(tmp_path, run, case):
         "config-list",
         "normalized-no-qubits",
         "normalized-string-f0",
-        "normalized-fidelity-out-of-range",
+        *NORMALIZED_QUBITS,
+        *SNAPSHOT_QUBITS,
         "snapshot-nan-angle",
     ],
 )
