@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .artifacts import check_derived, finite, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
-from .noise_model import check_angle, check_int, hellinger_1q, output_bias
+from .noise_model import Record, check_angle, check_int, hellinger_1q, output_bias
 
 __all__ = [
     "LemmaA1Report",
@@ -89,8 +88,7 @@ def gamma_max(n: int, delta: float) -> float:
     return 2.0 * u * math.sqrt(max(0.0, 1.0 - u * u))
 
 
-@dataclass(frozen=True)
-class ReproVerdict:
+class ReproVerdict(Record):
     """Outcome of the reproducibility test for one circuit instance.
 
     The fields are the test's independent inputs: the register size, the
@@ -172,16 +170,14 @@ def exact_hellinger_1q(gamma: float) -> float:
     return hellinger_1q((1.0 + gamma) / 2.0, (1.0 - gamma) / 2.0)
 
 
-@dataclass(frozen=True)
-class LemmaCounterexample:
+class LemmaCounterexample(Record):
     delta: float
     gamma: float
     gamma_max: float
     hellinger: float
 
 
-@dataclass(frozen=True)
-class LemmaA1Report:
+class LemmaA1Report(Record):
     """Exhaustive check that the gamma test equals the distance test (n=1)."""
 
     pairs_checked: int
@@ -266,8 +262,7 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(Record):
     """Shots required to estimate one outcome probability to a target precision."""
 
     p_s: float

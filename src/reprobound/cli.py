@@ -14,12 +14,10 @@ run artifacts, 5 tolerance outside the bound's validity regime.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import shutil
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +32,16 @@ from .errors import (
     ReproBoundError,
 )
 from .noise_model import check_theta
-from .sampler import ExperimentPlan, load_archive, plan_from_doc, qubit_from_record, run_plan, save_archive
+from .sampler import (
+    ExperimentPlan,
+    _check_drift,
+    check_unique_indices,
+    load_archive,
+    plan_from_doc,
+    qubit_from_record,
+    run_plan,
+    save_archive,
+)
 
 DEVICE_CONFIG_SCHEMA = "device-config/1"
 SNAPSHOT_SCHEMA = "calibration-snapshot/1"
@@ -67,9 +74,10 @@ def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
     doc = read_json(path, DEVICE_CONFIG_SCHEMA)
     name = field(doc, str(path), "name", str)
     plan = plan_from_doc(doc, str(path))
+    # The plan has already rejected a repeated index.
     indices = sorted(plan.qubit_indices)
     if indices != list(range(len(indices))):
-        raise ConfigError(f"{path}: qubit indices must be unique and contiguous from 0, got {indices}")
+        raise ConfigError(f"{path}: qubit indices must be contiguous from 0, got {indices}")
     return name, plan
 
 
@@ -122,9 +130,7 @@ def normalize_snapshot(path: str | Path) -> dict:
             {"index": qubit.index, "f0": float(qubit.params.f0), "f1": float(qubit.params.f1), "theta_rad": theta}
         )
 
-    indices = [q["index"] for q in normalized]
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"{where}: duplicate qubit indices {indices}")
+    _check_unique(where, (q["index"] for q in normalized))
 
     return {
         "schema": NORMALIZED_SCHEMA,
@@ -143,6 +149,14 @@ def normalize_snapshot(path: str | Path) -> dict:
 VerdictRow = NamedTuple(
     "VerdictRow", [("qubit", int), ("eps", float), ("f", float), ("theta", float), ("d_mean", float | None)]
 )
+
+
+def _check_unique(where, indices) -> None:
+    """:func:`sampler.check_unique_indices` as a ConfigError naming ``where``."""
+    try:
+        check_unique_indices(indices)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _stand_in(loc: str, theta: float | None) -> float:
@@ -180,9 +194,7 @@ def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
         ]
     if not rows:
         raise ConfigError(f"{path}: holds no qubit rows")
-    repeated = [q for q, n in Counter(row.qubit for row in rows).items() if n > 1]
-    if repeated:
-        raise ConfigError(f"{path}: qubit {repeated[0]} appears more than once")
+    _check_unique(path, (row.qubit for row in rows))
     return rows
 
 
@@ -198,11 +210,13 @@ def _say(args, message: str) -> None:
 def cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate needs --out RUN_DIR")
-    if args.drift is not None and not 0.0 <= args.drift <= 1.0:
-        raise ConfigError(f"--drift SIGMA must be a finite number in [0, 1], got {args.drift!r}")
+    try:
+        _check_drift(args.drift)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"--drift: {exc}") from exc
     name, plan = load_device_config(args.config)
     if args.seed is not None:
-        plan = dataclasses.replace(plan, seed=args.seed)
+        plan = plan.replace(seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
     # Files derived from the directory's earlier counts no longer describe
     # it, nor do the per-shot block files of releases before counts.csv.

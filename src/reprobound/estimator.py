@@ -16,13 +16,12 @@ sum is a correctly rounded ``math.fsum`` over plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 from .artifacts import check_derived, finite, read_csv, write_csv
 from .errors import InsufficientDataError, InvalidParameterError
-from .noise_model import THETA_BOUND, hellinger_1q
+from .noise_model import THETA_BOUND, Record, hellinger_1q
 from .sampler import RunArchive
 
 __all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
@@ -91,8 +90,7 @@ def invert_theta(gamma_hat: float, eps_hat: float, f_hat: float) -> tuple[float,
     return 0.5 * math.asin(x), note
 
 
-@dataclass(frozen=True)
-class CharacterizationEstimate:
+class CharacterizationEstimate(Record):
     """Aggregated noise estimates for one register element.
 
     ``theta_hat`` is NaN when the angle inversion failed for this qubit, and
@@ -217,7 +215,7 @@ def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
     )
 
     theta_hat, note = invert_theta(estimate.gamma_hat, estimate.eps_mean, estimate.f_mean)
-    return replace(estimate, theta_hat=theta_hat, warnings=(note,) if note else ())
+    return estimate.replace(theta_hat=theta_hat, warnings=(note,) if note else ())
 
 
 def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:

@@ -12,12 +12,13 @@ The composite output bias gamma = eps - 2*sin(2*theta)*(f - 1/2) fully
 determines the circuit's observed single-qubit distribution,
 Pr(0) = (1 + gamma)/2, and with it the circuit's Hellinger distance to the
 ideal uniform output. All functions are pure and all values immutable.
+
+:class:`Record` is the immutable value type of every record in the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
@@ -62,8 +63,74 @@ def check_int(name: str, value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class QubitNoiseParams:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass's fields are its own class annotations, in order; a class
+    attribute of a field's name is its default. The constructor takes the
+    fields by position or by name, then runs ``__post_init__``, whose checks
+    may normalise a field with ``object.__setattr__``. Records compare, hash
+    and print by their fields; assigning or deleting an attribute raises
+    AttributeError. Not a dataclass: importing ``dataclasses`` loads
+    ``inspect`` and compiles each record's methods at start-up, on every
+    command.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)} positional arguments")
+        values = dict(zip(self._fields, args))
+        for field, value in kwargs.items():
+            if field not in self._fields:
+                raise TypeError(f"{name} has no field {field!r}")
+            if field in values:
+                raise TypeError(f"{name} got field {field!r} twice")
+            values[field] = value
+        for field in self._fields:
+            if field not in values:
+                if not hasattr(type(self), field):
+                    raise TypeError(f"{name} is missing field {field!r}")
+                values[field] = getattr(type(self), field)
+            self.__dict__[field] = values[field]
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[field] for field in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A new record with ``changes`` applied to this one's fields; its
+        ``__post_init__`` checks run again."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class QubitNoiseParams(Record):
     """Ground-truth noise of one register element.
 
     Attributes:

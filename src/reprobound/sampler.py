@@ -46,7 +46,6 @@ manifest's. The reader rejects any file that deviates from that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import chain, product
@@ -56,7 +55,7 @@ from typing import TYPE_CHECKING, Iterator
 from ._version import __version__
 from .artifacts import field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
-from .noise_model import QubitNoiseParams, check_int, output_bias
+from .noise_model import QubitNoiseParams, Record, check_int, output_bias
 
 __all__ = [
     "CircuitKind",
@@ -111,8 +110,7 @@ def p_one(f0, f1, theta) -> np.ndarray:
     return np.clip(np.stack(np.broadcast_arrays(1.0 - f0, f1, (1.0 - gamma) / 2.0)), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PlanQubit:
+class PlanQubit(Record):
     """One register element and its ground-truth noise parameters."""
 
     index: int
@@ -123,8 +121,18 @@ class PlanQubit:
             raise InvalidParameterError(f"qubit index must be non-negative, got {self.index}")
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+def check_unique_indices(indices) -> None:
+    """InvalidParameterError naming the first qubit index that ``indices``
+    repeats. The one duplicate check of a plan, a calibration snapshot and
+    a verdict's inputs."""
+    seen = set()
+    for index in indices:
+        if index in seen:
+            raise InvalidParameterError(f"qubit {index} appears more than once")
+        seen.add(index)
+
+
+class ExperimentPlan(Record):
     """L experiments of S shots for each circuit kind and register element."""
 
     L: int
@@ -139,7 +147,6 @@ class ExperimentPlan:
         if not 1 <= check_int("S", self.S) < 2**63:
             raise InvalidParameterError(f"S must be in [1, 2**63), got {self.S}")
         qubits = tuple(self.qubits)
-        indices = [q.index for q in qubits]
         if not qubits:
             raise InvalidParameterError("plan needs at least one qubit")
         if len(CircuitKind) * len(qubits) * self.L > MAX_COUNTS:
@@ -147,8 +154,7 @@ class ExperimentPlan:
                 f"plan asks for {len(CircuitKind)} kinds x {len(qubits)} qubits x L={self.L} counts, "
                 f"more than the supported {MAX_COUNTS}"
             )
-        if len(set(indices)) != len(indices):
-            raise InvalidParameterError(f"duplicate qubit indices in plan: {indices}")
+        check_unique_indices(q.index for q in qubits)
         if not 0 <= check_int("seed", self.seed) < 2**64:
             raise InvalidParameterError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "qubits", qubits)
@@ -171,8 +177,7 @@ def _check_drift(drift: float | None) -> float | None:
 Counts = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class RunArchive:
+class RunArchive(Record):
     """The outcome counts of one executed plan and the drift SIGMA they were
     drawn under (None for stationary noise).
 
@@ -187,6 +192,10 @@ class RunArchive:
     plan: ExperimentPlan
     counts: Counts
     drift: float | None = None
+
+    # Compared and hashed by identity, not by the counts of every experiment.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "drift", _check_drift(self.drift))

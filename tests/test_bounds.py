@@ -1,6 +1,5 @@
 """Tests for the reproducibility bound, lemma verifier, and sample planner."""
 
-import dataclasses
 import json
 import math
 import sys
@@ -135,7 +134,15 @@ class TestVerdict:
         assert v.reproducible
 
     def test_fields_are_the_independent_inputs(self):
-        assert [f.name for f in dataclasses.fields(ReproVerdict)] == ["n", "delta", "gamma_D"]
+        assert ReproVerdict._fields == ("n", "delta", "gamma_D")
+
+    def test_cached_bound_leaves_the_record_immutable(self):
+        v = verdict(1, 0.05, eps=0.04, theta=0.0, f=0.97)
+        assert v.gamma_max == gamma_max(1, 0.05)
+        with pytest.raises(AttributeError):
+            v.gamma_D = 0.0
+        assert v == ReproVerdict(1, 0.05, v.gamma_D) and hash(v) == hash(ReproVerdict(1, 0.05, v.gamma_D))
+        assert repr(v) == f"ReproVerdict(n=1, delta=0.05, gamma_D={v.gamma_D!r})"
 
     @pytest.mark.parametrize(
         "n,delta,eps,theta,f",

@@ -131,15 +131,17 @@ class TestSimulate:
         assert manifest["status"] == "complete"
         assert manifest["schema"] == "run-manifest/4"
 
-    def test_duplicate_qubit_index_rejected(self, tmp_path):
+    def test_duplicate_qubit_index_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"{cfg}: plan: qubit 0 appears more than once" in capsys.readouterr().err
 
-    def test_non_contiguous_indices_rejected(self, tmp_path):
+    def test_non_contiguous_indices_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json", [PERFECT_QUBIT, {"index": 2, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}]
         )
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"{cfg}: qubit indices must be contiguous from 0, got [0, 2]" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -327,6 +329,13 @@ class TestImportCalibration:
     def test_fidelity_above_one_rejected(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 1.02}])
         assert main(["import-calibration", str(snap)]) == 2
+
+    def test_duplicate_qubit_index_rejected(self, tmp_path, capsys):
+        entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}
+        snap = write_snapshot(tmp_path / "snap.json", [entry, {**entry, "index": 1}, entry])
+        assert main(["import-calibration", str(snap)]) == 2
+        assert f"{snap}: qubit 0 appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "snap.normalized.json").exists()
 
     def test_wrong_schema_rejected(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.9, "f1": 0.9}], schema="other/9")

@@ -1,6 +1,5 @@
 """Tests for the per-experiment estimators and the characterization pipeline."""
 
-import dataclasses
 import math
 import statistics
 from fractions import Fraction
@@ -11,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import Distribution, hellinger, uniform_ideal
-from reprobound.errors import ConfigError, InsufficientDataError
+from reprobound.errors import ConfigError, InsufficientDataError, InvalidParameterError
 from reprobound.estimator import (
     CharacterizationEstimate,
     characterize,
@@ -340,7 +339,7 @@ class TestCharacterizationCsv:
 
 class TestEstimateFields:
     def test_fields_hold_no_derived_value(self):
-        names = {f.name for f in dataclasses.fields(CharacterizationEstimate)}
+        names = set(CharacterizationEstimate._fields)
         assert not names & {"eps_mean", "f_mean", "theta_hat_deg"}
 
     def test_invalid_fields_rejected(self):
@@ -356,10 +355,23 @@ class TestEstimateFields:
             ({"theta_hat": 1.2}, r"theta_hat must be NaN or in \[-pi/4, pi/4\], got 1.2"),
         ):
             with pytest.raises(ValueError, match=message):
-                dataclasses.replace(est, **edit)
+                est.replace(**edit)
+
+    def test_replace_reruns_the_checks(self):
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
+        with pytest.raises(InvalidParameterError, match=r"f0_mean must be in \[0, 1\]"):
+            est.replace(f0_mean=1.5)
+        assert est.replace(warnings=("note",)).warnings == ("note",)
+        assert est.warnings == ()
+        assert est.replace() == est and hash(est.replace()) == hash(est)
+
+    def test_repr_names_every_field(self):
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
+        assert repr(est).startswith("CharacterizationEstimate(qubit=0, f0_mean=")
+        assert all(f"{name}={getattr(est, name)!r}" in repr(est) for name in CharacterizationEstimate._fields)
 
     def test_clamped_angle_accepted(self):
         # A clamped inversion gives exactly 0.5 * asin(+-1.0) == +-pi/4.
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
         for x in (1.0, -1.0):
-            assert dataclasses.replace(est, theta_hat=0.5 * math.asin(x)).theta_hat == math.copysign(math.pi / 4, x)
+            assert est.replace(theta_hat=0.5 * math.asin(x)).theta_hat == math.copysign(math.pi / 4, x)

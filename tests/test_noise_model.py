@@ -97,6 +97,52 @@ class TestParamsValidation:
             QubitNoiseParams(1.0, 1.0, math.pi / 4)
 
 
+class TestRecord:
+    """QubitNoiseParams stands for every record: they share one base."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        params = QubitNoiseParams(0.9, 0.8, 0.05)
+        with pytest.raises(AttributeError):
+            params.f0 = 0.5
+        with pytest.raises(AttributeError):
+            del params.f0
+        with pytest.raises(AttributeError):
+            params.extra = 1
+        assert params.f0 == 0.9
+
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [
+            ((0.9, 0.8), {}, "missing field 'theta'"),
+            ((0.9, 0.8, 0.05), {"phi": 0.0}, "no field 'phi'"),
+            ((0.9, 0.8, 0.05), {"f0": 0.9}, "field 'f0' twice"),
+            ((0.9, 0.8, 0.05, 0.0), {}, "takes 3 fields"),
+        ],
+        ids=["missing", "unknown", "repeated", "too-many"],
+    )
+    def test_constructor_takes_each_field_once(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            QubitNoiseParams(*args, **kwargs)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        a, b = QubitNoiseParams(0.9, 0.8, 0.05), QubitNoiseParams(f0=0.9, theta=0.05, f1=0.8)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != QubitNoiseParams(0.9, 0.8, 0.04)
+        assert a != (0.9, 0.8, 0.05)
+
+    def test_repr_names_every_field(self):
+        assert repr(QubitNoiseParams(0.9, 0.8, 0.05)) == "QubitNoiseParams(f0=0.9, f1=0.8, theta=0.05)"
+
+    def test_replace_reruns_the_checks(self):
+        params = QubitNoiseParams(0.9, 0.8, 0.05)
+        assert params.replace(f1=0.7) == QubitNoiseParams(0.9, 0.7, 0.05)
+        assert params.f1 == 0.8
+        with pytest.raises(InvalidParameterError, match="f1 must be in"):
+            params.replace(f1=1.5)
+        with pytest.raises(TypeError, match="no field 'phi'"):
+            params.replace(phi=0.0)
+
+
 class TestReadoutMatrix:
     def test_noiseless_is_identity(self):
         m = readout_matrix(QubitNoiseParams(1.0, 1.0, 0.0))

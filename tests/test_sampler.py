@@ -89,7 +89,7 @@ class TestPlanValidation:
             make_plan([PERFECT], L=1)
 
     def test_rejects_duplicate_indices(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^qubit 0 appears more than once$"):
             ExperimentPlan(L=2, S=4, qubits=(PlanQubit(0, PERFECT), PlanQubit(0, NOISY)), seed=1)
 
     def test_rejects_bad_seed(self):
@@ -114,6 +114,26 @@ class TestPlanValidation:
     def test_qubit_index_must_be_an_int(self, index):
         with pytest.raises(InvalidParameterError, match="qubit index must be an int"):
             PlanQubit(index, PERFECT)
+
+    def test_replace_reruns_the_checks(self):
+        plan = make_plan([PERFECT, NOISY])
+        assert plan.replace(seed=9) == make_plan([PERFECT, NOISY], seed=9)
+        with pytest.raises(InvalidParameterError, match="seed must be"):
+            plan.replace(seed=-1)
+
+    def test_plan_equality_is_by_value(self):
+        assert make_plan([PERFECT, NOISY]) == make_plan([PERFECT, NOISY])
+        assert hash(make_plan([PERFECT, NOISY])) == hash(make_plan([PERFECT, NOISY]))
+        assert make_plan([PERFECT, NOISY]) != make_plan([NOISY, PERFECT])
+        assert repr(PlanQubit(0, PERFECT)) == f"PlanQubit(index=0, params={PERFECT!r})"
+
+    def test_archive_equals_only_itself(self):
+        plan = make_plan([NOISY], L=2, S=4)
+        archive = RunArchive(plan, [[[0, 1]]] * 3)
+        twin = RunArchive(plan, [[[0, 1]]] * 3)
+        assert archive == archive and archive != twin
+        assert len({archive, twin}) == 2
+        assert archive.drift is None and archive.counts == twin.counts
 
     def test_rejects_oversized_count_tensor(self):
         assert make_plan([PERFECT, NOISY], L=MAX_COUNTS // 6).L == MAX_COUNTS // 6
