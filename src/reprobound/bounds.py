@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .artifacts import check_derived, finite, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
-from .noise_model import Record, check_angle, check_int, hellinger_1q, output_bias
+from .noise_model import Record, check_angle, check_int, check_probability, hellinger_1q, output_bias
 
 __all__ = [
     "LemmaA1Report",
@@ -64,11 +64,10 @@ def gamma_device(eps: float, theta: float, f: float) -> float:
     angle error can cancel each other, so a small value does not imply a
     clean device, only a reproducible one for this circuit family.
     """
-    eps, f = float(eps), float(f)
+    eps = float(eps)
     if not (math.isfinite(eps) and abs(eps) <= 1.0):
         raise InvalidParameterError(f"eps must be in [-1, 1], got {eps!r}")
-    if not (math.isfinite(f) and 0.0 <= f <= 1.0):
-        raise InvalidParameterError(f"f must be in [0, 1], got {f!r}")
+    f = check_probability("f", f)
     return abs(float(output_bias(eps, check_angle("theta", theta), f)))
 
 
@@ -102,9 +101,8 @@ class ReproVerdict(Record):
     gamma_D: float
 
     def __post_init__(self):
-        # |gamma| is Pr(0) - Pr(1) of the circuit, never above 1; NaN fails too.
-        if not 0.0 <= self.gamma_D <= 1.0:
-            raise InvalidParameterError(f"gamma_D must be in [0, 1], got {self.gamma_D!r}")
+        # |gamma| is Pr(0) - Pr(1) of the circuit, never above 1.
+        check_probability("gamma_D", self.gamma_D)
         self.gamma_max  # raises unless (n, delta) is in the bound's regime
 
     @cached_property
@@ -154,9 +152,7 @@ def min_delta(n: int, gamma_d: float) -> float:
     error bar than this will fail the distance test.
     """
     n = _check_n(n)
-    gamma_d = float(gamma_d)
-    if not math.isfinite(gamma_d) or not 0.0 <= gamma_d <= 1.0:
-        raise InvalidParameterError(f"gamma_D must be in [0, 1], got {gamma_d!r}")
+    gamma_d = check_probability("gamma_D", gamma_d)
     return 0.5 * math.sqrt(n / 2.0) * gamma_d
 
 
@@ -291,7 +287,9 @@ def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
         raise InvalidParameterError(f"epsilon_rel must be in (0, 1), got {epsilon_rel!r}")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha!r}")
-    z = normal_quantile(1.0 - alpha / 2.0)
+    # The lower tail's quantile, negated: 1 - alpha/2 would round, to 1.0
+    # itself once alpha/2 is below 2**-54.
+    z = -normal_quantile(alpha / 2.0)
     try:
         t = max(1, math.ceil((1.0 / p_s - 1.0) * z * z / (epsilon_rel * epsilon_rel)))
     except (OverflowError, ZeroDivisionError):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .artifacts import check_derived, finite, read_csv, write_csv
 from .errors import InsufficientDataError, InvalidParameterError
-from .noise_model import THETA_BOUND, Record, hellinger_1q
+from .noise_model import THETA_BOUND, Record, check_probability, hellinger_1q
 from .sampler import RunArchive
 
 __all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
@@ -117,9 +117,7 @@ class CharacterizationEstimate(Record):
         if self.eps_sigma < 0.0 or self.d_sigma < 0.0:
             raise InvalidParameterError("sigmas must be non-negative")
         for name in ("f0_mean", "f1_mean", "d_mean"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
+            check_probability(name, getattr(self, name))
         if not abs(self.gamma_hat) <= 1.0:
             raise InvalidParameterError(f"gamma_hat must be in [-1, 1], got {self.gamma_hat!r}")
         # Inclusive: a clamped inversion gives exactly 0.5 * asin(1.0) == pi/4.

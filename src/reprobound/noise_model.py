@@ -30,7 +30,9 @@ __all__ = ["QubitNoiseParams", "gamma_of", "hellinger_1q"]
 THETA_BOUND = math.pi / 4
 
 
-def _check_probability(name: str, value: float) -> float:
+def check_probability(name: str, value: float) -> float:
+    """``value`` as a float; InvalidParameterError naming ``name`` unless it
+    is a probability, a finite number in [0, 1]."""
     value = float(value)
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
@@ -145,8 +147,8 @@ class QubitNoiseParams(Record):
     theta: float
 
     def __post_init__(self):
-        _check_probability("f0", self.f0)
-        _check_probability("f1", self.f1)
+        check_probability("f0", self.f0)
+        check_probability("f1", self.f1)
         check_theta(self.theta)
 
     @property

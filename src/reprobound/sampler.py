@@ -16,8 +16,11 @@ Philox stream keyed by (master seed, drift, l), and clips f0 and f1 into
 [0, 1] before the table is built.
 
 A :class:`RunArchive` keeps the counts as plain ints in an immutable nested
-tuple, ``counts[kind][qubit position][experiment]``. numpy draws them;
-nothing that reads them needs it.
+tuple, ``counts[kind][qubit position][experiment]``. numpy's
+``Generator.binomial`` on Philox draws them, or, for a stationary plan of
+at most :data:`PORT_MAX_COUNTS` counts, ``_stream``, a plain-Python port of
+that stream which returns the same ints without loading numpy
+(:func:`_draws_with_numpy` chooses). Nothing that reads them needs numpy.
 
 Reproducibility of this engine is non-negotiable, so each (circuit kind,
 qubit) pair draws its L counts from its own counter-based Philox stream
@@ -32,8 +35,8 @@ calibration snapshot and a normalized calibration too. A run archive
 persists as a directory::
 
     manifest.json     schema, toolkit version, status, that plan document,
-                      drift SIGMA, numpy version and bit generator that drew
-                      the counts, UTC timestamps
+                      drift SIGMA, numpy version that drew the counts (null
+                      when _stream did) and bit generator, UTC timestamps
     counts.csv        kind, qubit, then the L counts of experiments 0..L-1
 
 :func:`save_archive` is the only writer of both files and
@@ -97,17 +100,23 @@ _STREAM_IDS = {"spam0": 0, "spam1": 1, "c": 2, "drift": 3}
 _KIND_STREAM = {kind: _STREAM_IDS[kind.value] for kind in CircuitKind}
 
 
-def p_one(f0, f1, theta) -> np.ndarray:
+def p_one(f0, f1, theta) -> np.ndarray | tuple[float, float, float]:
     """Probability that one shot reads 1, elementwise over the noise
     parameters, stacked along a leading kind axis in the archive's kind
     order: 1 - f0 for SPAM(0), f1 for SPAM(1) and, with Pr(0) = (1 + gamma)/2
     after the noisy Hadamard and readout, (1 - gamma)/2 for the test circuit C.
+
+    Python floats give a tuple of three floats without loading numpy, the
+    doubles that the elementwise array form gives; arrays give an array.
     """
+    gamma = output_bias(f0 - f1, theta, (f0 + f1) / 2.0)
+    p = (1.0 - f0, f1, (1.0 - gamma) / 2.0)
+    # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
+    if isinstance(theta, float):
+        return tuple(min(max(x, 0.0), 1.0) for x in p)
     import numpy as np
 
-    gamma = output_bias(f0 - f1, theta, (f0 + f1) / 2.0)
-    # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
-    return np.clip(np.stack(np.broadcast_arrays(1.0 - f0, f1, (1.0 - gamma) / 2.0)), 0.0, 1.0)
+    return np.clip(np.stack(np.broadcast_arrays(*p)), 0.0, 1.0)
 
 
 class PlanQubit(Record):
@@ -143,7 +152,8 @@ class ExperimentPlan(Record):
     def __post_init__(self):
         if check_int("L", self.L) < 2:
             raise InvalidParameterError(f"L must be >= 2 for population statistics, got {self.L}")
-        # numpy draws binomial counts with an int64 number of trials.
+        # Both draws reproduce numpy's binomial, which takes an int64
+        # number of trials; the port takes over below 2**53 only.
         if not 1 <= check_int("S", self.S) < 2**63:
             raise InvalidParameterError(f"S must be in [1, 2**63), got {self.S}")
         qubits = tuple(self.qubits)
@@ -250,6 +260,26 @@ def _philox(seed: int, stream: str, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+# The most counts that run_plan draws with _stream rather than numpy: about
+# where the two cost the same CPU. numpy costs a fixed 121 ms per process
+# (a fresh interpreter drawing a 6-count plan: 220 ms with numpy, 99 ms with
+# the port; medians of 41 pairs, Python 3.11 on a shared 2-core x86 box).
+# The port costs more per count: 1.4-2.4 us more than numpy in the
+# benchmark's plans and up to 3.3-3.9 us at S = 512-1024, the dearest regime
+# measured (127 qubits, L = 101, S from 64 to 131072). 121 ms / 3.9 us is
+# 31,000 counts, rounded down.
+PORT_MAX_COUNTS = 30_000
+
+
+def _draws_with_numpy(plan: ExperimentPlan, drift: float | None) -> bool:
+    """Whether numpy draws the counts of ``plan`` under ``drift``, and not
+    ``_stream``, its plain-Python port; both draw the same ints. Drift needs
+    numpy's normals, which the port does not reproduce; S >= 2**53
+    (``_stream.MAX_N``) needs numpy's int64 arithmetic; past
+    PORT_MAX_COUNTS counts numpy costs less CPU."""
+    return drift is not None or plan.S >= 2**53 or len(CircuitKind) * len(plan.qubits) * plan.L > PORT_MAX_COUNTS
+
+
 def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     """Draw the ones count of every experiment of a plan.
 
@@ -260,9 +290,23 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
             and f1 are clipped into [0, 1]. Off by default; the baseline
             protocol assumes stationary noise.
     """
+    drift = _check_drift(drift)
+    if not _draws_with_numpy(plan, drift):
+        from . import _stream
+
+        p = [p_one(float(q.params.f0), float(q.params.f1), float(q.params.theta)) for q in plan.qubits]
+        # The streams of count_stream(seed, kind, qubit), drawn without numpy.
+        counts = [
+            [
+                _stream.binomials(_stream.philox_key(plan.seed, (stream, q.index)), plan.S, [p[i][k]] * plan.L)
+                for i, q in enumerate(plan.qubits)
+            ]
+            for k, stream in enumerate(_KIND_STREAM.values())
+        ]
+        return RunArchive(plan=plan, counts=counts, drift=drift)
+
     import numpy as np
 
-    drift = _check_drift(drift)
     # Parameters indexed [qubit, experiment]; one column serves all L
     # experiments while the noise is stationary.
     f0, f1, theta = np.array([[q.params.f0, q.params.f1, q.params.theta] for q in plan.qubits]).T[:, :, None]
@@ -330,6 +374,12 @@ def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
         raise ConfigError(f"{loc}: {exc}") from exc
 
 
+def _numpy_version() -> str:
+    import numpy as np
+
+    return np.__version__
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -341,8 +391,6 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
     storage failure mid-run leaves an explicit marker, then rewritten with
     status "complete" once counts.csv is on disk.
     """
-    import numpy as np
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -352,10 +400,11 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         "status": "partial",
         **plan_doc(archive.plan),
         "drift": archive.drift,
-        # What drew the counts (see _philox). numpy does not promise that
+        # What drew the counts (see _philox): numpy's version when numpy
+        # drew them, null when _stream did. numpy does not promise that
         # Generator.binomial keeps its stream across versions; the reader
         # ignores both fields.
-        "numpy_version": np.__version__,
+        "numpy_version": _numpy_version() if _draws_with_numpy(archive.plan, archive.drift) else None,
         "bit_generator": "Philox",
         "started_at": _utc_now(),
     }

@@ -148,7 +148,9 @@ def test_cli_import_loads_no_heavy_modules():
     from ``noise_model.Record`` instead. Both load the same submodules apart
     from the CLI itself: the package imports its names eagerly because
     every command loads every submodule anyway, and a submodule that the CLI
-    does not need fails here by name."""
+    does not need fails here by name. ``reprobound._stream``, the
+    plain-Python draw, is the exception: ``simulate`` imports it when it
+    uses it."""
     env_path = str(PACKAGE.parent)
     own = {}
     for module in ("reprobound", "reprobound.cli"):
@@ -162,3 +164,5 @@ def test_cli_import_loads_no_heavy_modules():
         assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis", "dataclasses", "inspect"}), module
         own[module] = {name for name in names if name.startswith("reprobound.")}
     assert own["reprobound"] == own["reprobound.cli"] - {"reprobound.cli"}
+    # The plain-Python draw is compiled only when simulate uses it.
+    assert "reprobound._stream" not in own["reprobound.cli"]

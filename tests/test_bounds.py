@@ -386,6 +386,12 @@ class TestPlanSamples:
         t_coarse = plan_samples(2**-4, 0.01, 0.05).T
         assert t_fine / t_coarse == pytest.approx(255 / 15, rel=1e-3)
 
+    @given(alpha=st.floats(1e-15, 0.5))
+    def test_z_is_the_upper_quantile_to_the_last_digits(self, alpha):
+        # z comes from the lower tail, where alpha/2 keeps its digits; from
+        # 1 - alpha/2 it lost them (2e-9 relative at alpha = 1e-10).
+        assert plan_samples(0.5, 0.01, alpha).z == pytest.approx(stats.norm.isf(alpha / 2), rel=1e-14)
+
     def test_no_confidence_limit(self):
         assert plan_samples(0.5, 0.01, 0.9999).T == 1
 

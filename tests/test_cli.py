@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reprobound
+from reprobound import sampler
 from reprobound.cli import main
 from reprobound.noise_model import hellinger_1q
 
@@ -409,6 +410,11 @@ class TestPlanSamples:
         assert main(["plan-samples", "--p", "0.5", "--precision", "0.02", "--confidence", "0.95"]) == 0
         assert "T = 9604" in capsys.readouterr().out
 
+    def test_confidence_next_to_one_accepted(self, capsys):
+        # alpha = 2**-53: 1 - alpha/2 rounds to 1.0, the quantile's pole.
+        assert main(["plan-samples", "--p", "0.5", "--precision", "0.01", "--confidence", "0.9999999999999999"]) == 0
+        assert "z = 8.29" in capsys.readouterr().out
+
     def test_zero_confidence_rejected(self):
         assert main(["plan-samples", "--p", "0.5", "--precision", "0.01", "--confidence", "0"]) == 2
 
@@ -704,8 +710,15 @@ def run_cli_child(start, argv, **env):
 
 
 def test_scalar_commands_load_no_numpy(small_run):
-    # Only simulate draws counts, so only simulate loads numpy.
+    # Only simulate draws counts, and it loads numpy only for a drifted plan
+    # or one of more than PORT_MAX_COUNTS counts.
     snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
+    cfg = small_run.parent / "cfg.json"
+    large = write_config(
+        small_run.parent / "large.json",
+        [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}],
+        L=sampler.PORT_MAX_COUNTS // 3 + 1,
+    )
     for argv, loads_numpy in (
         (["characterize", str(small_run)], False),
         # verdict writes the verdicts.csv that report reads.
@@ -715,8 +728,10 @@ def test_scalar_commands_load_no_numpy(small_run):
         # verdict reads a normalized calibration's qubits through sampler.
         (["verdict", str(snapshot.with_suffix(".normalized.json")), "--delta", "0.3"], False),
         (PLAN_SAMPLES, False),
-        # The command that draws counts does load it, so the probe sees numpy.
-        (["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run.parent / "again")], True),
+        (["simulate", str(cfg), "--out", str(small_run.parent / "again")], False),
+        # The probe sees numpy where numpy draws the counts.
+        (["simulate", str(cfg), "--drift", "0.05", "--out", str(small_run.parent / "drifted")], True),
+        (["simulate", str(large), "--out", str(small_run.parent / "large")], True),
     ):
         code, _, modules = run_cli_child("python-m", argv)
         assert (code, "numpy" in modules) == (0, loads_numpy), argv

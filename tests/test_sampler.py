@@ -313,17 +313,19 @@ class TestArchiveIO:
             assert tuple(map(int, ones)) == archive.ones(CircuitKind(kind), int(qubit))
 
     def test_manifest_contents(self, tmp_path):
-        archive = run_plan(make_plan([NOISY], L=2, S=8, seed=123))
-        out = save_archive(archive, tmp_path / "run")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema"] == "run-manifest/4"
-        assert manifest["status"] == "complete"
-        assert manifest["plan"] == {"L": 2, "S": 8, "seed": 123}
-        assert manifest["qubits"] == [{"index": 0, "f0": NOISY.f0, "f1": NOISY.f1, "theta_rad": NOISY.theta}]
-        assert manifest["drift"] is None
-        # What drew the counts, as provenance.
-        assert (manifest["numpy_version"], manifest["bit_generator"]) == (np.__version__, "Philox")
-        assert "started_at" in manifest and "finished_at" in manifest
+        # What drew the counts, as provenance: numpy's version only when
+        # numpy drew them, as it does a drifted plan, and null for the port.
+        for drift, numpy_version in ((None, None), (0.05, np.__version__)):
+            archive = run_plan(make_plan([NOISY], L=2, S=8, seed=123), drift=drift)
+            out = save_archive(archive, tmp_path / f"run-{drift}")
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["schema"] == "run-manifest/4"
+            assert manifest["status"] == "complete"
+            assert manifest["plan"] == {"L": 2, "S": 8, "seed": 123}
+            assert manifest["qubits"] == [{"index": 0, "f0": NOISY.f0, "f1": NOISY.f1, "theta_rad": NOISY.theta}]
+            assert manifest["drift"] == drift
+            assert (manifest["numpy_version"], manifest["bit_generator"]) == (numpy_version, "Philox")
+            assert "started_at" in manifest and "finished_at" in manifest
 
     @pytest.mark.parametrize(
         "drift,sha256",
@@ -488,6 +490,39 @@ class TestStreams:
         plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(3, NOISY),), seed=17)
         expected = count_stream(17, CircuitKind.SPAM1, 3).binomial(1000, NOISY.f1, size=5)
         assert run_plan(plan).ones(CircuitKind.SPAM1, 3) == tuple(expected.tolist())
+
+    def test_qubit_counts_do_not_depend_on_which_draw_serves_the_plan(self):
+        # Below PORT_MAX_COUNTS the port draws, above it numpy does; a qubit's
+        # counts are the same in both plans.
+        L, S = 4, 1000
+        small = ExperimentPlan(L=L, S=S, qubits=(PlanQubit(3, NOISY),), seed=17)
+        others = sampler.PORT_MAX_COUNTS // (3 * L) + 1
+        qubits = (PlanQubit(3, NOISY), *(PlanQubit(100 + i, PERFECT) for i in range(others)))
+        large = ExperimentPlan(L=L, S=S, qubits=qubits, seed=17)
+        assert (sampler._draws_with_numpy(small, None), sampler._draws_with_numpy(large, None)) == (False, True)
+        for kind in CircuitKind:
+            assert run_plan(small).ones(kind, 3) == run_plan(large).ones(kind, 3)
+
+    @pytest.mark.parametrize(
+        "L,S",
+        [(203, 131072), (203, 8192), (101, 64), (7, 1), (5, 2**53 - 1)],
+        ids=["narrow-deep", "reference", "wide-shallow", "one-shot", "largest-port-S"],
+    )
+    def test_port_and_numpy_draw_the_same_plan(self, monkeypatch, L, S):
+        params = [QubitNoiseParams(0.95, 0.9, 0.01), NOISY, PERFECT, QubitNoiseParams(0.5, 0.0, -0.3)]
+        plan = make_plan(params, L=L, S=S, seed=2**64 - 1)
+        assert not sampler._draws_with_numpy(plan, None)
+        port = run_plan(plan)
+        monkeypatch.setattr(sampler, "PORT_MAX_COUNTS", 0)
+        assert sampler._draws_with_numpy(plan, None)
+        assert run_plan(plan).counts == port.counts
+
+    @pytest.mark.parametrize(
+        "S,drift,expected",
+        [(8, None, False), (8, 0.0, True), (2**53 - 1, None, False), (2**53, None, True)],
+    )
+    def test_numpy_draws_drift_and_huge_shot_counts(self, S, drift, expected):
+        assert sampler._draws_with_numpy(make_plan([NOISY], L=2, S=S), drift) is expected
 
     def test_drift_follows_the_documented_streams(self):
         # Stream 3 keyed by (seed, l) perturbs experiment l of every qubit;

@@ -1,0 +1,107 @@
+"""The plain-Python Philox binomial stream against numpy's, draw for draw."""
+
+import math
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reprobound import _stream
+
+SEEDS = st.integers(0, 2**64 - 1)
+# Spawn keys like the sampler's (stream id, qubit index), with words above 2**32 too.
+SPAWN_KEYS = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=3).map(tuple)
+EDGE_P = [0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]
+# Tiny p too, where inversion serves a large n.
+PROBABILITIES = st.one_of(st.floats(0.0, 1.0), st.floats(1e-15, 1e-3), st.sampled_from(EDGE_P))
+
+
+def numpy_generator(seed, spawn_key, counter=0):
+    bit_generator = np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    if counter:
+        state = bit_generator.state
+        state["state"]["counter"] = np.array([counter >> 64 * i & (2**64 - 1) for i in range(4)], dtype=np.uint64)
+        bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+@st.composite
+def binomial_args(draw):
+    """(n, ps): n over [0, 2**53) with its edges and the n * p = 30 switch
+    between inversion and BTPE, and one p for every draw or one per draw."""
+    p = draw(PROBABILITIES)
+    r = min(p, 1.0 - p)
+    edges = [0, 1, 2, _stream.MAX_N - 1]
+    if r > 0.0 and 30.0 / r < _stream.MAX_N:
+        edges += [max(0, math.floor(30.0 / r) + d) for d in (-1, 0, 1)]
+    n = draw(st.one_of(st.integers(0, _stream.MAX_N - 1), st.integers(0, 10**5), st.sampled_from(edges)))
+    size = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return n, [p] * size
+    return n, draw(st.lists(PROBABILITIES, min_size=1, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, spawn_key=SPAWN_KEYS, args=binomial_args())
+def test_binomials_match_numpy(seed, spawn_key, args):
+    n, ps = args
+    expected = numpy_generator(seed, spawn_key).binomial(n, np.array(ps)).tolist()
+    assert _stream.binomials(_stream.philox_key(seed, spawn_key), n, ps) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.one_of(SEEDS, st.integers(0, 2**200)), spawn_key=SPAWN_KEYS)
+def test_key_is_seed_sequence_state(seed, spawn_key):
+    words = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64).tolist()
+    assert _stream.philox_key(seed, spawn_key) == tuple(words)
+
+
+@pytest.mark.parametrize(
+    "counter", [0, 2**64 - 1, 2**128 - 2, 2**256 - 1], ids=["zero", "word-carry", "two-words", "wrap"]
+)
+def test_doubles_follow_the_counter(counter):
+    # Blocks past a carry out of the low word, and the 256-bit wrap, match
+    # numpy's counter; 1,000 doubles span several batches of blocks.
+    key = _stream.philox_key(11, (2, 5))
+    expected = numpy_generator(11, (2, 5), counter).random(1000).tolist()
+    assert list(islice(_stream.doubles(key, counter), 1000)) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, args=binomial_args())
+def test_binomials_match_numpy_across_a_counter_carry(seed, args):
+    n, ps = args
+    expected = numpy_generator(seed, (1, 3), 2**64 - 1).binomial(n, np.array(ps)).tolist()
+    assert _stream.binomials(_stream.philox_key(seed, (1, 3)), n, ps, counter=2**64 - 1) == expected
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [
+        (131072, 0.03), (8192, 0.98), (64, 0.5), (45, 0.3), (1000, 0.03), (2**52, 0.2),
+        # Inversion at a large n, where q**n would differ from exp(n log1p(-p)).
+        (2 * 10**15, 1e-14),
+        # n * min(p, 1 - p) == 30 exactly is inversion's; one more trial is BTPE's.
+        (60, 0.5), (61, 0.5), (120, 0.75), (121, 0.25),
+    ],
+)
+def test_long_runs_match_numpy(n, p):
+    # Enough draws at one p for BTPE's rarer branches (its tails, the
+    # squeeze of step 52, the F product of step 50) and inversion's restart.
+    expected = numpy_generator(3, (0, 1)).binomial(n, p, size=5000).tolist()
+    assert _stream.binomials(_stream.philox_key(3, (0, 1)), n, [p] * 5000) == expected
+
+
+@pytest.mark.parametrize("n", [-1, _stream.MAX_N])
+def test_rejects_n_outside_the_exact_range(n):
+    with pytest.raises(ValueError, match=r"n must be in \[0, 2\*\*53\)"):
+        _stream.binomials((0, 0), n, [0.5])
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_rejects_p_outside_the_unit_interval(p):
+    # numpy's binomial rejects them too; a NaN would never leave BTPE's loop.
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        _stream.binomials((0, 0), 100, [0.5, p])
