@@ -8,9 +8,11 @@ parts follow numpy's C and Cython sources:
 * ``SeedSequence``: its 4-word entropy pool and ``generate_state(2,
   uint64)``, which is Philox's key;
 * Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-  3", SC'11): the 256-bit counter is incremented before each block and the
-  block's 4 words are used in order, each as the double ``(word >> 11) *
-  2**-53``;
+  3", SC'11): the 256-bit counter starts at 0 and is incremented before
+  each block, and the block's 4 words are used in order, each as the double
+  ``(word >> 11) * 2**-53``. Only the counter's low word moves: it would
+  carry after 2**64 blocks, and a stream of the sampler draws at most
+  ``sampler.MAX_COUNTS`` counts, a few doubles each;
 * ``random_binomial``: inversion when ``n * min(p, 1 - p) <= 30``, else
   BTPE (Kachitvichyanukul & Schmeiser, CACM 31, 1988), drawing for
   ``1 - p`` and flipping when ``p > 0.5``, with the setup of either
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 from itertools import groupby, islice
 from typing import Iterator
+
+from .noise_model import check_probability
 
 # SeedSequence (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -45,7 +49,6 @@ _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
 _ROUNDS = 10
 _MASK64 = (1 << 64) - 1
-_MASK256 = (1 << 256) - 1
 # Philox blocks computed at once.
 _LANES = 32
 _DOUBLE_UNIT = 2.0**-53
@@ -107,9 +110,9 @@ def philox_key(entropy: int, spawn_key: tuple[int, ...] = ()) -> tuple[int, int]
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
-def doubles(key: tuple[int, int], counter: int = 0) -> Iterator[float]:
-    """The doubles in [0, 1) that a Philox bit generator with this key and
-    256-bit counter hands ``Generator``, without end.
+def doubles(key: tuple[int, int]) -> Iterator[float]:
+    """The doubles in [0, 1) that a new Philox bit generator with this key
+    hands ``Generator``, without end.
 
     Philox is counter-based, so the port computes ``_LANES`` blocks at once:
     block j sits in bits [128 j, 128 j + 64) of one Python int per counter
@@ -121,15 +124,11 @@ def doubles(key: tuple[int, int], counter: int = 0) -> Iterator[float]:
     # Every round's key, one copy per block.
     schedule = [(((k0 + r * _W0) & _MASK64) * ones, ((k1 + r * _W1) & _MASK64) * ones) for r in range(_ROUNDS)]
     m0, m1, unit = _M0, _M1, _DOUBLE_UNIT
+    # The counter's low word before the batch; its three high words stay 0.
+    counter = 0
     while True:
-        words = [counter >> shift & _MASK64 for shift in (0, 64, 128, 192)]
-        if words[0] + _LANES <= _MASK64:
-            # No carry out of the low word in this batch.
-            x0, x1, x2, x3 = words[0] * ones + steps, words[1] * ones, words[2] * ones, words[3] * ones
-        else:
-            counters = [(counter + j) & _MASK256 for j in range(1, _LANES + 1)]
-            x0, x1, x2, x3 = (_lanes([c >> shift & _MASK64 for c in counters]) for shift in (0, 64, 128, 192))
-        counter = (counter + _LANES) & _MASK256
+        x0, x1, x2, x3 = counter * ones + steps, 0, 0, 0
+        counter += _LANES
         for a, b in schedule:
             lo, hi = m0 * x0, m1 * x2
             x0, x1, x2, x3 = (hi >> 64 & low) ^ x1 ^ a, hi & low, (lo >> 64 & low) ^ x3 ^ b, lo & low
@@ -150,19 +149,18 @@ _LOW = _MASK64 * _ONES
 _STEPS = _lanes(range(1, _LANES + 1))
 
 
-def binomials(key: tuple[int, int], n: int, ps, counter: int = 0) -> list[int]:
+def binomials(key: tuple[int, int], n: int, ps) -> list[int]:
     """One Binomial(n, p) draw per ``p`` in ``ps``, in order, from the
-    Philox stream of ``key`` and ``counter``: the ints that numpy's
-    ``Generator.binomial(n, ps)`` returns on that bit generator."""
+    Philox stream of ``key``: the ints that numpy's ``Generator.binomial(n,
+    ps)`` returns on a new bit generator of that key."""
     if not 0 <= n < MAX_N:
         raise ValueError(f"n must be in [0, 2**53), got {n}")
-    next_double = doubles(key, counter).__next__
+    next_double = doubles(key).__next__
     out = []
     # numpy keeps an algorithm's setup while p repeats; so does each run of equal p here.
     for p, run in groupby(ps):
         size = len(list(run))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p!r}")
+        check_probability("p", p)
         if n == 0 or p == 0.0:
             out += [0] * size
         elif p > 0.5:

@@ -20,7 +20,16 @@ from pathlib import Path
 
 from .artifacts import check_derived, finite, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
-from .noise_model import Record, check_angle, check_int, check_probability, hellinger_1q, output_bias
+from .noise_model import (
+    Record,
+    check_angle,
+    check_bias,
+    check_int,
+    check_open_probability,
+    check_probability,
+    hellinger_1q,
+    output_bias,
+)
 
 __all__ = [
     "LemmaA1Report",
@@ -64,10 +73,7 @@ def gamma_device(eps: float, theta: float, f: float) -> float:
     angle error can cancel each other, so a small value does not imply a
     clean device, only a reproducible one for this circuit family.
     """
-    eps = float(eps)
-    if not (math.isfinite(eps) and abs(eps) <= 1.0):
-        raise InvalidParameterError(f"eps must be in [-1, 1], got {eps!r}")
-    f = check_probability("f", f)
+    eps, f = check_bias("eps", eps), check_probability("f", f)
     return abs(float(output_bias(eps, check_angle("theta", theta), f)))
 
 
@@ -160,9 +166,7 @@ def exact_hellinger_1q(gamma: float) -> float:
     """Exact one-qubit Hellinger distance to uniform at output bias gamma:
     :func:`noise_model.hellinger_1q` of the outputs ((1+gamma)/2, (1-gamma)/2).
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or abs(gamma) > 1.0:
-        raise InvalidParameterError(f"gamma must be in [-1, 1], got {gamma!r}")
+    gamma = check_bias("gamma", gamma)
     return hellinger_1q((1.0 + gamma) / 2.0, (1.0 - gamma) / 2.0)
 
 
@@ -190,23 +194,15 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
     """Verify (gamma <= gamma_max(1, delta)) <=> (d(gamma) <= delta) pairwise.
 
     Counterexamples are returned as data, not raised; with valid grids the
-    expected count is zero. Grid preconditions: every delta in
-    [0, delta_star(1)], every gamma in [0, 1].
+    expected count is zero. Grid preconditions: every gamma passes
+    :func:`noise_model.check_probability`, and every delta passes
+    :func:`gamma_max`'s checks for n=1, which reject a negative or NaN delta
+    and raise OutOfRegimeError above delta_star(1).
     """
     deltas = [float(d) for d in delta_grid]
-    gammas = [float(g) for g in gamma_grid]
+    gammas = [check_probability("gamma", g) for g in gamma_grid]
     if not deltas or not gammas:
         raise InvalidParameterError("grids must be non-empty")
-    ceiling = delta_star(1)
-    if any(d < 0.0 or d > ceiling for d in deltas):
-        raise OutOfRegimeError(
-            f"every delta must lie in [0, {ceiling!r}]", delta_star=ceiling
-        )
-    if any(g < 0.0 or g > 1.0 for g in gammas):
-        raise InvalidParameterError("every gamma must lie in [0, 1]")
-    # NaN passes both range checks and compares false in both tests.
-    if any(map(math.isnan, deltas + gammas)):
-        raise InvalidParameterError("grids must not contain NaN")
 
     limits = [gamma_max(1, d) for d in deltas]
     distances = [exact_hellinger_1q(g) for g in gammas]
@@ -249,9 +245,7 @@ def normal_quantile(p: float) -> float:
     AS241 algorithm (Appl. Statist. 37, 1988), with a relative error below
     1e-15 against a 40-digit reference from p = 1e-300 up.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise InvalidParameterError(f"quantile probability must be in (0, 1), got {p!r}")
+    p = check_open_probability("quantile probability", p)
     # Imported here: it costs milliseconds per process and only plan-samples needs it.
     from statistics import NormalDist
 
@@ -280,13 +274,9 @@ def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
     standard-normal quantile. T grows like 2**n for uniform outcomes over n
     qubits and like 1/epsilon_rel**2 in the precision.
     """
-    p_s, epsilon_rel, alpha = float(p_s), float(epsilon_rel), float(alpha)
-    if not 0.0 < p_s < 1.0:
-        raise InvalidParameterError(f"p_s must be strictly inside (0, 1), got {p_s!r}")
-    if not 0.0 < epsilon_rel < 1.0:
-        raise InvalidParameterError(f"epsilon_rel must be in (0, 1), got {epsilon_rel!r}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha!r}")
+    p_s = check_open_probability("p_s", p_s)
+    epsilon_rel = check_open_probability("epsilon_rel", epsilon_rel)
+    alpha = check_open_probability("alpha", alpha)
     # The lower tail's quantile, negated: 1 - alpha/2 would round, to 1.0
     # itself once alpha/2 is below 2**-54.
     z = -normal_quantile(alpha / 2.0)

@@ -31,7 +31,7 @@ from .errors import (
     OutOfRegimeError,
     ReproBoundError,
 )
-from .noise_model import check_theta
+from .noise_model import check_open_probability, check_theta
 from .sampler import (
     ExperimentPlan,
     _check_drift,
@@ -226,8 +226,7 @@ def cmd_simulate(args) -> int:
     if blocks.is_dir():
         shutil.rmtree(blocks)
     out = save_archive(archive, args.out)
-    experiments = len(archive.counts) * len(plan.qubits) * plan.L
-    _say(args, f"{name}: wrote the counts of {experiments} experiments to {out}")
+    _say(args, f"{name}: wrote the counts of {plan.count_total} experiments to {out}")
     return EXIT_OK
 
 
@@ -272,9 +271,8 @@ def cmd_import_calibration(args) -> int:
 
 
 def cmd_plan_samples(args) -> int:
-    if not 0.0 < args.confidence < 1.0:
-        raise ConfigError(f"--confidence must be in (0, 1), got {args.confidence!r}")
-    plan = bounds.plan_samples(args.p, args.precision, 1.0 - args.confidence)
+    confidence = check_open_probability("--confidence", args.confidence)
+    plan = bounds.plan_samples(args.p, args.precision, 1.0 - confidence)
     print(f"T = {plan.T}")
     print(f"z = {plan.z!r}")
     return EXIT_OK

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .artifacts import check_derived, finite, read_csv, write_csv
 from .errors import InsufficientDataError, InvalidParameterError
-from .noise_model import THETA_BOUND, Record, check_probability, hellinger_1q
+from .noise_model import THETA_BOUND, Record, check_bias, check_probability, hellinger_1q
 from .sampler import RunArchive
 
 __all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
@@ -118,8 +118,7 @@ class CharacterizationEstimate(Record):
             raise InvalidParameterError("sigmas must be non-negative")
         for name in ("f0_mean", "f1_mean", "d_mean"):
             check_probability(name, getattr(self, name))
-        if not abs(self.gamma_hat) <= 1.0:
-            raise InvalidParameterError(f"gamma_hat must be in [-1, 1], got {self.gamma_hat!r}")
+        check_bias("gamma_hat", self.gamma_hat)
         # Inclusive: a clamped inversion gives exactly 0.5 * asin(1.0) == pi/4.
         if not (math.isnan(self.theta_hat) or abs(self.theta_hat) <= THETA_BOUND):
             raise InvalidParameterError(f"theta_hat must be NaN or in [-pi/4, pi/4], got {self.theta_hat!r}")

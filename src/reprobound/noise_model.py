@@ -30,12 +30,35 @@ __all__ = ["QubitNoiseParams", "gamma_of", "hellinger_1q"]
 THETA_BOUND = math.pi / 4
 
 
+# The one check of each interval rule: a raise that names [0, 1], [-1, 1]
+# or (0, 1) anywhere else is a copy (tests/test_rules.py). NaN fails every
+# comparison, so each comparison rejects it.
+
+
 def check_probability(name: str, value: float) -> float:
     """``value`` as a float; InvalidParameterError naming ``name`` unless it
-    is a probability, a finite number in [0, 1]."""
+    is a probability, a number in [0, 1]."""
     value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+    if not 0.0 <= value <= 1.0:
         raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
+def check_open_probability(name: str, value: float) -> float:
+    """``value`` as a float; InvalidParameterError naming ``name`` unless it
+    is a number in the open interval (0, 1)."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise InvalidParameterError(f"{name} must be in (0, 1), got {value!r}")
+    return value
+
+
+def check_bias(name: str, value: float) -> float:
+    """``value`` as a float; InvalidParameterError naming ``name`` unless it
+    is a bias Pr(0) - Pr(1), a number in [-1, 1]."""
+    value = float(value)
+    if not -1.0 <= value <= 1.0:
+        raise InvalidParameterError(f"{name} must be in [-1, 1], got {value!r}")
     return value
 
 
@@ -169,10 +192,11 @@ def output_bias(eps, theta, f):
     gamma is exactly Pr(0) - Pr(1) for the full noisy circuit; |gamma| <= 1
     for any valid parameters. The one implementation of the closed form:
     :func:`gamma_of`, ``bounds.gamma_device`` and ``sampler.p_one`` call it.
-    A Python float ``theta`` goes through ``math.sin``, so the scalar callers
-    never load numpy; any other ``theta`` through ``np.sin``.
+    A Python number ``theta`` (an int from JSON too) goes through
+    ``math.sin``, so the scalar callers never load numpy; any other
+    ``theta`` through ``np.sin``.
     """
-    if isinstance(theta, float):
+    if isinstance(theta, (int, float)):
         sin = math.sin
     else:
         import numpy as np

@@ -16,7 +16,9 @@ Philox stream keyed by (master seed, drift, l), and clips f0 and f1 into
 [0, 1] before the table is built.
 
 A :class:`RunArchive` keeps the counts as plain ints in an immutable nested
-tuple, ``counts[kind][qubit position][experiment]``. numpy's
+tuple, ``counts[kind][qubit position][experiment]``, and is the one home of
+the count rule: its constructor checks the shape and that each count is an
+int in [0, S], whoever built the counts. numpy's
 ``Generator.binomial`` on Philox draws them, or, for a stationary plan of
 at most :data:`PORT_MAX_COUNTS` counts, ``_stream``, a plain-Python port of
 that stream which returns the same ints without loading numpy
@@ -44,7 +46,9 @@ persists as a directory::
 data: one row per (kind, qubit), kinds in the order spam0, spam1, c, then
 qubits in plan order, as :func:`count_keys` yields them, each row holding
 ``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
-manifest's. The reader rejects any file that deviates from that layout.
+manifest's. The reader checks only the text: it rejects any file that
+deviates from that layout or holds a cell that is not an integer as ``str``
+writes one, and leaves the count rule to the :class:`RunArchive` it builds.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from typing import TYPE_CHECKING, Iterator
 from ._version import __version__
 from .artifacts import field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
-from .noise_model import QubitNoiseParams, Record, check_int, output_bias
+from .noise_model import QubitNoiseParams, Record, check_int, check_probability, output_bias
 
 __all__ = [
     "CircuitKind",
@@ -106,14 +110,14 @@ def p_one(f0, f1, theta) -> np.ndarray | tuple[float, float, float]:
     order: 1 - f0 for SPAM(0), f1 for SPAM(1) and, with Pr(0) = (1 + gamma)/2
     after the noisy Hadamard and readout, (1 - gamma)/2 for the test circuit C.
 
-    Python floats give a tuple of three floats without loading numpy, the
+    Python numbers give a tuple of three floats without loading numpy, the
     doubles that the elementwise array form gives; arrays give an array.
     """
     gamma = output_bias(f0 - f1, theta, (f0 + f1) / 2.0)
     p = (1.0 - f0, f1, (1.0 - gamma) / 2.0)
     # binomial rejects p outside [0, 1], where rounding can put (1 - gamma)/2.
-    if isinstance(theta, float):
-        return tuple(min(max(x, 0.0), 1.0) for x in p)
+    if isinstance(theta, (int, float)):
+        return tuple(min(max(float(x), 0.0), 1.0) for x in p)
     import numpy as np
 
     return np.clip(np.stack(np.broadcast_arrays(*p)), 0.0, 1.0)
@@ -156,32 +160,32 @@ class ExperimentPlan(Record):
         # number of trials; the port takes over below 2**53 only.
         if not 1 <= check_int("S", self.S) < 2**63:
             raise InvalidParameterError(f"S must be in [1, 2**63), got {self.S}")
-        qubits = tuple(self.qubits)
-        if not qubits:
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        if not self.qubits:
             raise InvalidParameterError("plan needs at least one qubit")
-        if len(CircuitKind) * len(qubits) * self.L > MAX_COUNTS:
+        if self.count_total > MAX_COUNTS:
             raise InvalidParameterError(
-                f"plan asks for {len(CircuitKind)} kinds x {len(qubits)} qubits x L={self.L} counts, "
+                f"plan asks for {len(CircuitKind)} kinds x {len(self.qubits)} qubits x L={self.L} counts, "
                 f"more than the supported {MAX_COUNTS}"
             )
-        check_unique_indices(q.index for q in qubits)
+        check_unique_indices(q.index for q in self.qubits)
         if not 0 <= check_int("seed", self.seed) < 2**64:
             raise InvalidParameterError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "qubits", qubits)
 
     @property
     def qubit_indices(self) -> tuple[int, ...]:
         return tuple(q.index for q in self.qubits)
 
+    @property
+    def count_total(self) -> int:
+        """How many counts the plan draws: one per kind, qubit and experiment."""
+        return len(CircuitKind) * len(self.qubits) * self.L
+
 
 def _check_drift(drift: float | None) -> float | None:
     """A drift SIGMA as a float, or None for stationary noise;
-    InvalidParameterError unless it is a number in [0, 1]."""
-    if drift is None:
-        return None
-    if not 0.0 <= drift <= 1.0:
-        raise InvalidParameterError(f"drift SIGMA must be a finite number in [0, 1], got {drift!r}")
-    return float(drift)
+    InvalidParameterError unless it is a probability, a number in [0, 1]."""
+    return None if drift is None else check_probability("drift SIGMA", drift)
 
 
 Counts = tuple[tuple[tuple[int, ...], ...], ...]
@@ -193,9 +197,12 @@ class RunArchive(Record):
 
     ``counts[k][i][l]`` is how many of the S shots of experiment ``l`` read
     1, for circuit kind ``k`` (0 SPAM(0), 1 SPAM(1), 2 C) on the plan's
-    ``i``-th qubit (``plan.qubits[i]``), an int. Any nested sequence of that
-    shape is accepted and kept as nested tuples. The counts are fully
-    determined by (plan, drift): ``run_plan(archive.plan,
+    ``i``-th qubit (``plan.qubits[i]``), an int in [0, S]. Any nested
+    sequence of that shape is accepted and kept as nested tuples. The
+    constructor is the one check of the count rule, for counts that
+    ``run_plan`` drew, that ``load_archive`` read or that a caller built;
+    its error names the first bad count by kind, qubit and experiment. The
+    counts are fully determined by (plan, drift): ``run_plan(archive.plan,
     drift=archive.drift)`` draws them again.
     """
 
@@ -219,11 +226,16 @@ class RunArchive(Record):
         if lengths != (kinds, {qubits}, {L}):
             raise InvalidParameterError(f"counts must have the shape {shape}")
         flat = list(chain.from_iterable(rows))
-        # Exactly int: a float would be truncated and a bool is no count.
-        if {type(value) for value in flat} != {int}:
-            raise InvalidParameterError("every count must be an int")
-        if not (0 <= min(flat) and max(flat) <= self.plan.S):
-            raise InvalidParameterError(f"counts must lie in [0, S={self.plan.S}]")
+        S = self.plan.S
+        # Exactly int: a float would be truncated and a bool is no count. The
+        # whole table is checked at once; only a bad one is searched.
+        if {type(value) for value in flat} != {int} or min(flat) < 0 or max(flat) > S:
+            for (kind, qubit), row in zip(count_keys(self.plan), rows):
+                for l, value in enumerate(row):
+                    if type(value) is not int or not 0 <= value <= S:
+                        raise InvalidParameterError(
+                            f"{kind} qubit {qubit} experiment {l}: count {value!r} must be an int in [0, S={S}]"
+                        )
         object.__setattr__(self, "counts", counts)
 
     def ones(self, kind: CircuitKind, qubit: int) -> tuple[int, ...]:
@@ -277,7 +289,7 @@ def _draws_with_numpy(plan: ExperimentPlan, drift: float | None) -> bool:
     numpy's normals, which the port does not reproduce; S >= 2**53
     (``_stream.MAX_N``) needs numpy's int64 arithmetic; past
     PORT_MAX_COUNTS counts numpy costs less CPU."""
-    return drift is not None or plan.S >= 2**53 or len(CircuitKind) * len(plan.qubits) * plan.L > PORT_MAX_COUNTS
+    return drift is not None or plan.S >= 2**53 or plan.count_total > PORT_MAX_COUNTS
 
 
 def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
@@ -438,7 +450,12 @@ def load_archive(run_dir: str | Path) -> RunArchive:
         drift = _check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
     except (ConfigError, InvalidParameterError) as exc:
         raise IncompleteArchiveError(f"{run}: manifest.json does not describe a valid run: {exc}") from exc
-    return RunArchive(plan=plan, counts=_read_counts(run / "counts.csv", plan), drift=drift)
+    path = run / "counts.csv"
+    counts = _read_counts(path, plan)
+    try:
+        return RunArchive(plan=plan, counts=counts, drift=drift)
+    except InvalidParameterError as exc:
+        raise IncompleteArchiveError(f"{path}: {exc}") from exc
 
 
 def _read_manifest(run: Path) -> dict:
@@ -451,23 +468,22 @@ def _read_manifest(run: Path) -> dict:
     return manifest
 
 
-def _counts_in_range(cells: tuple[str, ...], S: int) -> tuple[int, ...] | None:
-    """The integers ``cells`` hold if every cell is a canonical integer (as
-    ``str`` writes it) in [0, S], else None."""
+def _ints(cells: tuple[str, ...]) -> tuple[int, ...] | None:
+    """The integers ``cells`` hold if every cell is an integer as ``str``
+    writes it, else None."""
     try:
         values = tuple(map(int, cells))
     except ValueError:
         return None
-    if tuple(map(str, values)) != cells or min(values) < 0 or max(values) > S:
-        return None
-    return values
+    return values if tuple(map(str, values)) == cells else None
 
 
 def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
     """Parse counts.csv into the nested count tuples of ``plan``.
 
     Every row must sit where :func:`save_archive` writes it and hold L
-    canonical integers in [0, S].
+    integers as ``str`` writes them. Whether each is a count in [0, S] is
+    the :class:`RunArchive` rule, checked when the archive is built.
     """
     if not path.is_file():
         raise IncompleteArchiveError(f"{path}: no counts file")
@@ -484,10 +500,10 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
                 "(a row is missing, duplicated or out of order)"
             )
         # The whole row is checked at once; only a bad row is searched for its first bad cell.
-        values = _counts_in_range(cells, plan.S)
+        values = _ints(cells)
         if values is None:
-            l = next(l for l, cell in enumerate(cells) if _counts_in_range((cell,), plan.S) is None)
-            raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer in [0, {plan.S}]")
+            l = next(l for l, cell in enumerate(cells) if _ints((cell,)) is None)
+            raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer as str writes one")
         return values
 
     rows = read_csv(path, dict.fromkeys(_counts_header(plan), str), row, IncompleteArchiveError)

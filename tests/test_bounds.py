@@ -252,17 +252,24 @@ class TestLemmaA1:
             lemma_a1_check([0.6], [0.5])
 
     def test_rejects_gamma_outside_unit(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
             lemma_a1_check([0.3], [1.5])
 
+    # gamma_max(1, delta) is the lemma's one check of each delta.
     @pytest.mark.parametrize(
-        "deltas, gammas",
-        [([0.3, math.nan], [0.5]), ([0.3], [0.5, math.nan]), ([math.nan], [math.nan])],
-        ids=["delta", "gamma", "both"],
+        "deltas, gammas, message",
+        [
+            ([0.3, math.nan], [0.5], r"^delta must be a finite non-negative value, got nan$"),
+            ([0.3], [0.5, math.nan], r"^gamma must be in \[0, 1\], got nan$"),
+            ([math.nan], [math.nan], r"^gamma must be in \[0, 1\], got nan$"),
+            ([-0.1], [0.5], r"^delta must be a finite non-negative value, got -0.1$"),
+        ],
+        ids=["delta", "gamma", "both", "negative-delta"],
     )
-    def test_rejects_nan_grid(self, deltas, gammas):
-        with pytest.raises(InvalidParameterError):
+    def test_rejects_nan_grid(self, deltas, gammas, message):
+        with pytest.raises(InvalidParameterError, match=message) as excinfo:
             lemma_a1_check(deltas, gammas)
+        assert not isinstance(excinfo.value, OutOfRegimeError)
 
     def test_dense_grid_no_counterexamples(self):
         start = time.perf_counter()
@@ -397,7 +404,7 @@ class TestPlanSamples:
 
     @pytest.mark.parametrize("p_s", [0.0, 1.0])
     def test_degenerate_probability(self, p_s):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=rf"^p_s must be in \(0, 1\), got {p_s!r}$"):
             plan_samples(p_s, 0.01, 0.05)
 
     @given(

@@ -415,8 +415,9 @@ class TestPlanSamples:
         assert main(["plan-samples", "--p", "0.5", "--precision", "0.01", "--confidence", "0.9999999999999999"]) == 0
         assert "z = 8.29" in capsys.readouterr().out
 
-    def test_zero_confidence_rejected(self):
+    def test_zero_confidence_rejected(self, capsys):
         assert main(["plan-samples", "--p", "0.5", "--precision", "0.01", "--confidence", "0"]) == 2
+        assert capsys.readouterr().err == "reprobound: error: --confidence must be in (0, 1), got 0.0\n"
 
     @pytest.mark.parametrize(
         "p, precision",
@@ -553,36 +554,37 @@ class TestReport:
         assert "counts.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,where",
         [
-            lambda lines: lines.pop(3),
-            lambda lines: lines.insert(3, lines[2]),
-            lambda lines: lines.insert(1, lines.pop(2)),
-            lambda lines: lines.append(lines[-1]),
-            lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones,shots"),
-            lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2,3,4"),
-            lambda lines: lines.__setitem__(2, lines[2] + ",0"),
-            lambda lines: set_csv_cell(lines, 2, 4, "+3"),
-            lambda lines: set_csv_cell(lines, 2, 4, "05"),
-            lambda lines: set_csv_cell(lines, 2, 4, "1_0"),
-            lambda lines: set_csv_cell(lines, 2, 4, " 3"),
-            lambda lines: set_csv_cell(lines, 2, 4, "\u0663"),
-            lambda lines: set_csv_cell(lines, 2, 4, "-1"),
-            lambda lines: set_csv_cell(lines, 2, 4, "513"),
+            (lambda lines: lines.pop(3), "line "),
+            (lambda lines: lines.insert(3, lines[2]), "line "),
+            (lambda lines: lines.insert(1, lines.pop(2)), "line "),
+            (lambda lines: lines.append(lines[-1]), "line "),
+            (lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones,shots"), "line "),
+            (lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2,3,4"), "line "),
+            (lambda lines: lines.__setitem__(2, lines[2] + ",0"), "line "),
+            (lambda lines: set_csv_cell(lines, 2, 4, "+3"), "line "),
+            (lambda lines: set_csv_cell(lines, 2, 4, "05"), "line "),
+            (lambda lines: set_csv_cell(lines, 2, 4, "1_0"), "line "),
+            (lambda lines: set_csv_cell(lines, 2, 4, " 3"), "line "),
+            (lambda lines: set_csv_cell(lines, 2, 4, "\u0663"), "line "),
+            # A count outside [0, S] is the archive's rule, which names the row by kind and qubit.
+            (lambda lines: set_csv_cell(lines, 2, 4, "-1"), "spam0 qubit 1 experiment 2: "),
+            (lambda lines: set_csv_cell(lines, 2, 4, "513"), "spam0 qubit 1 experiment 2: "),
         ],
         ids=[
             "missing-row", "duplicated-row", "reordered-rows", "extra-row", "old-header", "wrong-L", "wide-row",
             "plus-sign", "leading-zero", "underscore", "leading-space", "unicode-digit", "negative", "above-S",
         ],
     )
-    def test_malformed_counts_exit_4_naming_the_line(self, small_run, edit, capsys):
+    def test_malformed_counts_exit_4_naming_the_line(self, small_run, edit, where, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         counts = edit_lines(small_run / "counts.csv", edit)
         capsys.readouterr()
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
         err = capsys.readouterr().err
-        assert err.count(f"{counts}: line ") == 2
+        assert err.count(f"{counts}: {where}") == 2
         # The message names the file; no "missing:" line claims an existing file is absent.
         assert "missing:" not in err
 

@@ -2,6 +2,10 @@
 channel oracles it is checked against."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from oracles import (
     pre_readout_probs,
     readout_matrix,
 )
+import reprobound
 from reprobound.errors import InvalidParameterError
 from reprobound.noise_model import QubitNoiseParams, gamma_of, output_bias
 
@@ -191,6 +196,22 @@ class TestGamma:
         # (the sampler's table): both must give the same doubles.
         eps, f = f0 - f1, (f0 + f1) / 2.0
         assert output_bias(eps, float(theta), f) == output_bias(eps, np.array([theta]), f)[0]
+
+    def test_integer_parameters_stay_on_the_scalar_path(self):
+        # JSON reads 1 and 0 as ints: they take math.sin as floats do, and
+        # p_one returns its tuple of floats. A fresh interpreter shows that
+        # neither call loads numpy.
+        code = (
+            "import sys; from reprobound.noise_model import QubitNoiseParams, gamma_of; "
+            "from reprobound.sampler import p_one; "
+            "print(repr(p_one(1, 1, 0)), repr(gamma_of(QubitNoiseParams(1, 1, 0))), 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(reprobound.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout == "(0.0, 1.0, 0.5) 0.0 False\n", proc.stderr
 
 
 class TestObservedProbs:

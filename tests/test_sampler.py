@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,9 +220,10 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, 1e308])
     def test_bad_drift_rejected(self, sigma):
-        with pytest.raises(InvalidParameterError, match="drift SIGMA"):
+        message = rf"^drift SIGMA must be in \[0, 1\], got {re.escape(repr(sigma))}$"
+        with pytest.raises(InvalidParameterError, match=message):
             run_plan(make_plan([NOISY]), drift=sigma)
-        with pytest.raises(InvalidParameterError, match="drift SIGMA"):
+        with pytest.raises(InvalidParameterError, match=message):
             RunArchive(plan=make_plan([NOISY], L=2, S=4), counts=[[[0, 0]]] * 3, drift=sigma)
 
     @pytest.mark.parametrize(
@@ -434,8 +436,9 @@ class TestArchiveIO:
             (lambda lines: lines.insert(3, lines[2]), "line 4: .*duplicated"),
             (lambda lines: lines.append(lines[-1]), "line 8: more rows"),
             (lambda lines: lines.pop(), "line 6: .*c,1 and all later rows are missing"),
-            (lambda lines: set_cell(lines, 2, 3, "-1"), r"line 3: experiment 1: count '-1' is not an integer in \[0, 16\]"),
-            (lambda lines: set_cell(lines, 2, 2, "17"), r"line 3: experiment 0: count '17' is not an integer in \[0, 16\]"),
+            # A count outside [0, S] is the archive's rule; it names the row by kind and qubit.
+            (lambda lines: set_cell(lines, 2, 3, "-1"), r"spam0 qubit 1 experiment 1: count -1 must be an int in \[0, S=16\]"),
+            (lambda lines: set_cell(lines, 2, 2, "17"), r"spam0 qubit 1 experiment 0: count 17 must be an int in \[0, S=16\]"),
             # A header for another L: S and L are the manifest's.
             (lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2"), "line 1: header has 5 cells, expected 4; cell 5 is '2'"),
             (lambda lines: set_cell(lines, 2, 1, "9"), "line 3: expected the row"),
