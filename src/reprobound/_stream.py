@@ -1,9 +1,9 @@
 """numpy's Philox binomial stream in plain Python, bit for bit.
 
-``binomials(philox_key(seed, spawn_key), n, ps)`` returns the ints of
+``binomials(philox_key(seed, spawn_key), n, p, size)`` returns the ints of
 ``numpy.random.Generator(Philox(SeedSequence(seed, spawn_key=spawn_key)))
-.binomial(n, ps)`` for every ``n < 2**53``, without loading numpy. The three
-parts follow numpy's C and Cython sources:
+.binomial(n, p, size=size)`` for every ``n < 2**53``, without loading
+numpy. The three parts follow numpy's C and Cython sources:
 
 * ``SeedSequence``: its 4-word entropy pool and ``generate_state(2,
   uint64)``, which is Philox's key;
@@ -15,8 +15,9 @@ parts follow numpy's C and Cython sources:
   ``sampler.MAX_COUNTS`` counts, a few doubles each;
 * ``random_binomial``: inversion when ``n * min(p, 1 - p) <= 30``, else
   BTPE (Kachitvichyanukul & Schmeiser, CACM 31, 1988), drawing for
-  ``1 - p`` and flipping when ``p > 0.5``, with the setup of either
-  algorithm kept while ``p`` repeats.
+  ``1 - p`` and flipping when ``p > 0.5``. numpy keeps either algorithm's
+  setup while ``p`` repeats; a stream here has one ``p``, so the setup is
+  computed once.
 
 Where C mixes int64 and double, the port converts where C does: an int64
 becomes a double in a mixed expression, and BTPE's ``x1``, ``f1``, ``z`` and
@@ -27,7 +28,7 @@ where plain ints do not, so ``n`` must stay below ``2**53``.
 from __future__ import annotations
 
 import math
-from itertools import groupby, islice
+from itertools import islice
 from typing import Iterator
 
 from .noise_model import check_probability
@@ -149,26 +150,19 @@ _LOW = _MASK64 * _ONES
 _STEPS = _lanes(range(1, _LANES + 1))
 
 
-def binomials(key: tuple[int, int], n: int, ps) -> list[int]:
-    """One Binomial(n, p) draw per ``p`` in ``ps``, in order, from the
-    Philox stream of ``key``: the ints that numpy's ``Generator.binomial(n,
-    ps)`` returns on a new bit generator of that key."""
+def binomials(key: tuple[int, int], n: int, p: float, size: int) -> list[int]:
+    """``size`` Binomial(n, p) draws, in order, from the Philox stream of
+    ``key``: the ints that numpy's ``Generator.binomial(n, p, size=size)``
+    returns on a new bit generator of that key."""
     if not 0 <= n < MAX_N:
         raise ValueError(f"n must be in [0, 2**53), got {n}")
-    next_double = doubles(key).__next__
-    out = []
-    # numpy keeps an algorithm's setup while p repeats; so does each run of equal p here.
-    for p, run in groupby(ps):
-        size = len(list(run))
-        check_probability("p", p)
-        if n == 0 or p == 0.0:
-            out += [0] * size
-        elif p > 0.5:
-            q = 1.0 - p
-            out += [n - y for y in islice((_inversion if q * n <= 30.0 else _btpe)(next_double, n, q), size)]
-        else:
-            out += islice((_inversion if p * n <= 30.0 else _btpe)(next_double, n, p), size)
-    return out
+    p = check_probability("p", p)
+    if n == 0 or p == 0.0:
+        return [0] * size
+    flip = p > 0.5
+    r = 1.0 - p if flip else p
+    draws = islice((_inversion if r * n <= 30.0 else _btpe)(doubles(key).__next__, n, r), size)
+    return [n - y for y in draws] if flip else list(draws)
 
 
 def _inversion(next_double, n: int, p: float) -> Iterator[int]:

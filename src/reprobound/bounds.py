@@ -22,6 +22,7 @@ from .artifacts import check_derived, finite, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import (
     Record,
+    _float,
     check_angle,
     check_bias,
     check_int,
@@ -80,8 +81,8 @@ def gamma_device(eps: float, theta: float, f: float) -> float:
 def gamma_max(n: int, delta: float) -> float:
     """Largest device bias compatible with Hellinger distance <= delta."""
     n = _check_n(n)
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
+    delta = _float(delta)
+    if not (isinstance(delta, float) and math.isfinite(delta) and delta >= 0.0):
         raise InvalidParameterError(f"delta must be a finite non-negative value, got {delta!r}")
     ceiling = delta_star(n)
     if delta > ceiling:
@@ -148,7 +149,7 @@ def verdict(n: int, delta: float, eps: float, theta: float, f: float) -> ReproVe
 
     A tie (gamma_D equal to gamma_max) counts as reproducible.
     """
-    return ReproVerdict(_check_n(n), float(delta), gamma_device(eps, theta, f))
+    return ReproVerdict(_check_n(n), delta, gamma_device(eps, theta, f))
 
 
 def min_delta(n: int, gamma_d: float) -> float:
@@ -196,10 +197,10 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
     Counterexamples are returned as data, not raised; with valid grids the
     expected count is zero. Grid preconditions: every gamma passes
     :func:`noise_model.check_probability`, and every delta passes
-    :func:`gamma_max`'s checks for n=1, which reject a negative or NaN delta
-    and raise OutOfRegimeError above delta_star(1).
+    :func:`gamma_max`'s checks for n=1, which reject a delta that is not a
+    number, negative or NaN and raise OutOfRegimeError above delta_star(1).
     """
-    deltas = [float(d) for d in delta_grid]
+    deltas = list(delta_grid)
     gammas = [check_probability("gamma", g) for g in gamma_grid]
     if not deltas or not gammas:
         raise InvalidParameterError("grids must be non-empty")

@@ -285,15 +285,16 @@ def cmd_report(args) -> int:
     missing = tuple(path.name for path in (char_path, verdicts_path) if not path.is_file())
     if missing:
         raise IncompleteArchiveError(f"{run_dir}: no {' or '.join(missing)}; run characterize and verdict first")
-    estimates = estimator.read_characterization_csv(char_path)
-    verdicts = bounds.read_verdicts_csv(verdicts_path)
+    # Every per-qubit file lists the qubits by index, whatever order the plan has.
+    estimates = sorted(estimator.read_characterization_csv(char_path), key=lambda e: e.qubit)
+    verdicts = sorted(bounds.read_verdicts_csv(verdicts_path), key=lambda pair: pair[0])
     plan = archive.plan
-    char_qubits = sorted(e.qubit for e in estimates)
+    char_qubits = [e.qubit for e in estimates]
     # Each artifact must describe the run it sits in: (file, what, found, expected).
     for path, what, found, expected in (
         (char_path, "qubits", char_qubits, sorted(plan.qubit_indices)),
         (char_path, "(L, S)", sorted({(e.L, e.S) for e in estimates}), [(plan.L, plan.S)]),
-        (verdicts_path, "qubits", sorted(q for q, _ in verdicts), char_qubits),
+        (verdicts_path, "qubits", [q for q, _ in verdicts], char_qubits),
     ):
         if found != expected:
             raise IncompleteArchiveError(
@@ -332,21 +333,21 @@ def cmd_report(args) -> int:
         [[e.qubit, e.eps_mean, e.eps_sigma] for e in estimates],
     )
 
-    gammas = {q: v.gamma_D for q, v in verdicts}
-    gamma_mean = estimator._mean(gammas.values())
+    gamma_mean = estimator._mean([v.gamma_D for _, v in verdicts])
     write_csv(
         fig_gamma,
         ["qubit", "gamma_D", "register_mean"],
-        [[q, gd, gamma_mean] for q, gd in sorted(gammas.items())],
+        [[q, v.gamma_D, gamma_mean] for q, v in verdicts],
     )
 
-    scatter_rows = []
-    for i in sorted(range(len(plan.qubits)), key=lambda i: plan.qubits[i].index):
-        est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
-        scatter_rows += [
-            [plan.qubits[i].index, l, eps, d] for l, (eps, d) in enumerate(zip(est.eps, est.d))
-        ]
-    write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows)
+    def scatter_rows():
+        # One qubit at a time: at the plan limit the file has 333,248 rows.
+        for e in estimates:
+            i = plan.qubit_indices.index(e.qubit)
+            est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
+            yield from ([e.qubit, l, eps, d] for l, (eps, d) in enumerate(zip(est.eps, est.d)))
+
+    write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows())
 
     report = bounds.lemma_a1_check(*bounds.default_lemma_grids())
     bounds.write_lemma_report(report, lemma_report)

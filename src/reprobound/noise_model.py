@@ -32,14 +32,24 @@ THETA_BOUND = math.pi / 4
 
 # The one check of each interval rule: a raise that names [0, 1], [-1, 1]
 # or (0, 1) anywhere else is a copy (tests/test_rules.py). NaN fails every
-# comparison, so each comparison rejects it.
+# comparison, so each comparison rejects it. A number is an int or a float
+# (numpy.float64 too), never a bool; each rule rejects anything else, such
+# as a str or None, with its own message.
+
+
+def _float(value):
+    """``value`` as a float if it is a number, else ``value`` itself, for
+    the caller's rule to reject."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 def check_probability(name: str, value: float) -> float:
     """``value`` as a float; InvalidParameterError naming ``name`` unless it
     is a probability, a number in [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
+    value = _float(value)
+    if not (isinstance(value, float) and 0.0 <= value <= 1.0):
         raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
     return value
 
@@ -47,8 +57,8 @@ def check_probability(name: str, value: float) -> float:
 def check_open_probability(name: str, value: float) -> float:
     """``value`` as a float; InvalidParameterError naming ``name`` unless it
     is a number in the open interval (0, 1)."""
-    value = float(value)
-    if not 0.0 < value < 1.0:
+    value = _float(value)
+    if not (isinstance(value, float) and 0.0 < value < 1.0):
         raise InvalidParameterError(f"{name} must be in (0, 1), got {value!r}")
     return value
 
@@ -56,17 +66,18 @@ def check_open_probability(name: str, value: float) -> float:
 def check_bias(name: str, value: float) -> float:
     """``value`` as a float; InvalidParameterError naming ``name`` unless it
     is a bias Pr(0) - Pr(1), a number in [-1, 1]."""
-    value = float(value)
-    if not -1.0 <= value <= 1.0:
+    value = _float(value)
+    if not (isinstance(value, float) and -1.0 <= value <= 1.0):
         raise InvalidParameterError(f"{name} must be in [-1, 1], got {value!r}")
     return value
 
 
 def check_angle(name: str, value: float) -> float:
-    """``value`` as a float; InvalidParameterError naming ``name`` unless the
-    angle and its double, the argument of sin(2*theta), are finite."""
-    value = float(value)
-    if not math.isfinite(2.0 * value):
+    """``value`` as a float; InvalidParameterError naming ``name`` unless it
+    is a number and the angle and its double, the argument of sin(2*theta),
+    are finite."""
+    value = _float(value)
+    if not (isinstance(value, float) and math.isfinite(2.0 * value)):
         raise InvalidParameterError(f"{name} must be finite and so must 2*{name}, got {value!r}")
     return value
 

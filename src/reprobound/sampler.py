@@ -21,8 +21,10 @@ the count rule: its constructor checks the shape and that each count is an
 int in [0, S], whoever built the counts. numpy's
 ``Generator.binomial`` on Philox draws them, or, for a stationary plan of
 at most :data:`PORT_MAX_COUNTS` counts, ``_stream``, a plain-Python port of
-that stream which returns the same ints without loading numpy
-(:func:`_draws_with_numpy` chooses). Nothing that reads them needs numpy.
+that stream which returns the same ints without loading numpy.
+:func:`run_plan` makes that choice, with :func:`_draws_with_numpy`, and
+records it as the archive's ``numpy_version``, which the manifest carries
+through a save and a load. Nothing that reads the counts needs numpy.
 
 Reproducibility of this engine is non-negotiable, so each (circuit kind,
 qubit) pair draws its L counts from its own counter-based Philox stream
@@ -37,8 +39,8 @@ calibration snapshot and a normalized calibration too. A run archive
 persists as a directory::
 
     manifest.json     schema, toolkit version, status, that plan document,
-                      drift SIGMA, numpy version that drew the counts (null
-                      when _stream did) and bit generator, UTC timestamps
+                      drift SIGMA, the archive's numpy_version and bit
+                      generator, UTC timestamps
     counts.csv        kind, qubit, then the L counts of experiments 0..L-1
 
 :func:`save_archive` is the only writer of both files and
@@ -192,8 +194,9 @@ Counts = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class RunArchive(Record):
-    """The outcome counts of one executed plan and the drift SIGMA they were
-    drawn under (None for stationary noise).
+    """The outcome counts of one executed plan, the drift SIGMA they were
+    drawn under (None for stationary noise) and the version of numpy that
+    drew them (None when ``_stream`` drew them or a caller built them).
 
     ``counts[k][i][l]`` is how many of the S shots of experiment ``l`` read
     1, for circuit kind ``k`` (0 SPAM(0), 1 SPAM(1), 2 C) on the plan's
@@ -203,12 +206,14 @@ class RunArchive(Record):
     ``run_plan`` drew, that ``load_archive`` read or that a caller built;
     its error names the first bad count by kind, qubit and experiment. The
     counts are fully determined by (plan, drift): ``run_plan(archive.plan,
-    drift=archive.drift)`` draws them again.
+    drift=archive.drift)`` draws them again. ``numpy_version`` is
+    provenance, a str or None, and is not checked against the counts.
     """
 
     plan: ExperimentPlan
     counts: Counts
     drift: float | None = None
+    numpy_version: str | None = None
 
     # Compared and hashed by identity, not by the counts of every experiment.
     __eq__ = object.__eq__
@@ -216,6 +221,8 @@ class RunArchive(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "drift", _check_drift(self.drift))
+        if not isinstance(self.numpy_version, (str, type(None))):
+            raise InvalidParameterError(f"numpy_version must be a str or None, got {self.numpy_version!r}")
         kinds, qubits, L = shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
         try:
             counts = tuple(tuple(tuple(row) for row in rows) for rows in self.counts)
@@ -295,6 +302,9 @@ def _draws_with_numpy(plan: ExperimentPlan, drift: float | None) -> bool:
 def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     """Draw the ones count of every experiment of a plan.
 
+    The archive's ``numpy_version`` is numpy's version when numpy drew the
+    counts and None when ``_stream`` did.
+
     Args:
         plan: what to run.
         drift: optional common-mode drift SIGMA: experiment l adds one
@@ -306,11 +316,11 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     if not _draws_with_numpy(plan, drift):
         from . import _stream
 
-        p = [p_one(float(q.params.f0), float(q.params.f1), float(q.params.theta)) for q in plan.qubits]
+        p = [p_one(q.params.f0, q.params.f1, q.params.theta) for q in plan.qubits]
         # The streams of count_stream(seed, kind, qubit), drawn without numpy.
         counts = [
             [
-                _stream.binomials(_stream.philox_key(plan.seed, (stream, q.index)), plan.S, [p[i][k]] * plan.L)
+                _stream.binomials(_stream.philox_key(plan.seed, (stream, q.index)), plan.S, p[i][k], plan.L)
                 for i, q in enumerate(plan.qubits)
             ]
             for k, stream in enumerate(_KIND_STREAM.values())
@@ -334,7 +344,7 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
         ]
         for k, kind in enumerate(CircuitKind)
     ]
-    return RunArchive(plan=plan, counts=counts, drift=drift)
+    return RunArchive(plan=plan, counts=counts, drift=drift, numpy_version=np.__version__)
 
 
 def plan_doc(plan: ExperimentPlan) -> dict:
@@ -386,12 +396,6 @@ def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
         raise ConfigError(f"{loc}: {exc}") from exc
 
 
-def _numpy_version() -> str:
-    import numpy as np
-
-    return np.__version__
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -412,11 +416,11 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         "status": "partial",
         **plan_doc(archive.plan),
         "drift": archive.drift,
-        # What drew the counts (see _philox): numpy's version when numpy
-        # drew them, null when _stream did. numpy does not promise that
-        # Generator.binomial keeps its stream across versions; the reader
-        # ignores both fields.
-        "numpy_version": _numpy_version() if _draws_with_numpy(archive.plan, archive.drift) else None,
+        # What drew the counts, as run_plan recorded it: numpy does not
+        # promise that Generator.binomial keeps its stream across versions.
+        # The reader keeps numpy_version and ignores bit_generator, since
+        # every path draws Philox.
+        "numpy_version": archive.numpy_version,
         "bit_generator": "Philox",
         "started_at": _utc_now(),
     }
@@ -439,21 +443,23 @@ def load_archive(run_dir: str | Path) -> RunArchive:
 
     Raises IncompleteArchiveError, naming the offending file, if the manifest
     is absent, not valid JSON, of another schema, not finalized or does not
-    describe a valid plan and drift SIGMA, or if counts.csv is absent or
-    deviates in any way from the layout :func:`save_archive` writes for the
-    manifest's plan.
+    describe a valid plan, drift SIGMA and numpy version (a string or null),
+    or if counts.csv is absent or deviates in any way from the layout
+    :func:`save_archive` writes for the manifest's plan. The archive keeps
+    the manifest's numpy version, so saving it again writes the same one.
     """
     run = Path(run_dir)
     manifest = _read_manifest(run)
     try:
         plan = plan_from_doc(manifest, "manifest")
         drift = _check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
+        numpy_version = field(manifest, "manifest", "numpy_version", (str, type(None)))
     except (ConfigError, InvalidParameterError) as exc:
         raise IncompleteArchiveError(f"{run}: manifest.json does not describe a valid run: {exc}") from exc
     path = run / "counts.csv"
     counts = _read_counts(path, plan)
     try:
-        return RunArchive(plan=plan, counts=counts, drift=drift)
+        return RunArchive(plan=plan, counts=counts, drift=drift, numpy_version=numpy_version)
     except InvalidParameterError as exc:
         raise IncompleteArchiveError(f"{path}: {exc}") from exc
 

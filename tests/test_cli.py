@@ -460,6 +460,29 @@ class TestReport:
         lemma = json.loads((report / "lemma_report.json").read_text())
         assert lemma["passed"] is True
 
+    def test_files_list_qubits_by_index_whatever_the_plan_order(self, tmp_path):
+        # A qubit's counts depend on its index, not its place in the plan, so
+        # a config listing the qubits out of order gives the same bundle.
+        qubits = [
+            {"index": 0, "f0": 0.99, "f1": 0.95, "theta_rad": 0.0213},
+            {"index": 1, "f0": 0.97, "f1": 0.9, "theta_rad": -0.01},
+            {"index": 2, "f0": 0.96, "f1": 0.92, "theta_rad": 0.03},
+        ]
+        bundles = []
+        for name, order in (("sorted", qubits), ("shuffled", [qubits[1], qubits[2], qubits[0]])):
+            run = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.json", order, L=4, S=256)
+            assert main(["simulate", str(cfg), "--out", str(run), "--quiet"]) == 0
+            assert main(["characterize", str(run), "--quiet"]) == 0
+            assert main(["verdict", str(run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+            assert main(["report", str(run), "--quiet"]) == 0
+            bundles.append({path.name: path.read_bytes() for path in sorted((run / "report").iterdir())})
+        assert bundles[0] == bundles[1]
+        for name, data in bundles[1].items():
+            if name.endswith(".csv"):
+                column = [line.split(",")[0] for line in data.decode().splitlines()[1:]]
+                assert column == sorted(column, key=int), name
+
     def test_scatter_matches_counts(self, small_run):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
@@ -526,10 +549,12 @@ class TestReport:
             (("qubits", 0, "f0"), True),
             (("drift",), "0.05"),
             (("drift",), 2.0),
+            (("numpy_version",), 2.4),
+            (("numpy_version",), False),
         ],
         ids=[
             "L-float", "S-string", "seed-float", "seed-string", "index-float", "index-string", "f0-string",
-            "f0-bool", "drift-string", "drift-out-of-range",
+            "f0-bool", "drift-string", "drift-out-of-range", "numpy-version-number", "numpy-version-bool",
         ],
     )
     def test_mistyped_manifest_is_incomplete(self, small_run, path, value, capsys):

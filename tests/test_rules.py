@@ -5,13 +5,25 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reprobound
+from reprobound.bounds import ReproVerdict, gamma_max
 from reprobound.errors import InvalidParameterError
-from reprobound.noise_model import check_bias, check_open_probability, check_probability
+from reprobound.noise_model import (
+    QubitNoiseParams,
+    check_angle,
+    check_bias,
+    check_open_probability,
+    check_probability,
+    check_theta,
+)
 
 PACKAGE = Path(reprobound.__file__).parent
+
+# Not numbers, though float() would turn the first into one and a bool is an int.
+NOT_NUMBERS = ["0.5", None, True]
 
 # Each interval, as a raise message names it, and the one function that owns its rule.
 OWNERS = {"[0, 1]": "check_probability", "[-1, 1]": "check_bias", "(0, 1)": "check_open_probability"}
@@ -46,9 +58,21 @@ def test_each_interval_rule_is_raised_by_its_one_function():
 @pytest.mark.parametrize(
     "check,good,bad",
     [
-        (check_probability, [0.0, 0.5, 1.0, 1], [-0.1, 1.1, math.nan, math.inf, -math.inf]),
-        (check_bias, [-1.0, 0.0, 1.0, -1], [-1.1, 1.1, math.nan, math.inf, -math.inf]),
-        (check_open_probability, [5e-324, 0.5, 1.0 - 2**-53], [0.0, 1.0, -0.1, math.nan, math.inf]),
+        (
+            check_probability,
+            [0.0, 0.5, 1.0, 1, np.float64(0.25)],
+            [-0.1, 1.1, math.nan, math.inf, -math.inf, *NOT_NUMBERS],
+        ),
+        (
+            check_bias,
+            [-1.0, 0.0, 1.0, -1, np.float64(-0.25)],
+            [-1.1, 1.1, math.nan, math.inf, -math.inf, *NOT_NUMBERS],
+        ),
+        (
+            check_open_probability,
+            [5e-324, 0.5, 1.0 - 2**-53, np.float64(0.25)],
+            [0.0, 1.0, -0.1, math.nan, math.inf, *NOT_NUMBERS],
+        ),
     ],
     ids=["probability", "bias", "open"],
 )
@@ -58,3 +82,22 @@ def test_rule_accepts_its_interval_only(check, good, bad):
     for value in bad:
         with pytest.raises(InvalidParameterError, match=rf"^x must be in .*, got {value!r}$"):
             check("x", value)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_angle_and_delta_rules_reject_a_non_number(value):
+    with pytest.raises(InvalidParameterError, match=rf"^x must be finite and so must 2\*x, got {value!r}$"):
+        check_angle("x", value)
+    with pytest.raises(InvalidParameterError, match=rf"^theta must be finite and so must 2\*theta, got {value!r}$"):
+        check_theta(value)
+    with pytest.raises(InvalidParameterError, match=rf"^delta must be a finite non-negative value, got {value!r}$"):
+        gamma_max(1, value)
+
+
+def test_records_reject_a_string_where_a_number_belongs():
+    # Each was built holding the string, which later arithmetic tripped on.
+    with pytest.raises(InvalidParameterError, match=r"^f0 must be in \[0, 1\], got '0.9'$"):
+        QubitNoiseParams(f0="0.9", f1=0.9, theta=0.0)
+    with pytest.raises(InvalidParameterError, match=r"^delta must be a finite non-negative value, got '0.1'$"):
+        ReproVerdict(1, "0.1", 0.05)
+

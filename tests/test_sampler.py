@@ -136,6 +136,11 @@ class TestPlanValidation:
         assert len({archive, twin}) == 2
         assert archive.drift is None and archive.counts == twin.counts
 
+    @pytest.mark.parametrize("version", [1.24, True, ["2.4.6"]], ids=["float", "bool", "list"])
+    def test_archive_rejects_a_numpy_version_that_is_no_string(self, version):
+        with pytest.raises(InvalidParameterError, match="numpy_version must be a str or None"):
+            RunArchive(make_plan([NOISY], L=2, S=4), [[[0, 1]]] * 3, numpy_version=version)
+
     def test_rejects_oversized_count_tensor(self):
         assert make_plan([PERFECT, NOISY], L=MAX_COUNTS // 6).L == MAX_COUNTS // 6
         with pytest.raises(InvalidParameterError, match="supported"):
@@ -418,6 +423,38 @@ class TestArchiveIO:
             with pytest.raises(IncompleteArchiveError, match=old) as excinfo:
                 load_archive(out)
             assert str(excinfo.value).startswith(f"{out / 'manifest.json'}: schema must be")
+
+    @pytest.mark.parametrize("version", [1.24, True, {}], ids=["number", "bool", "object"])
+    def test_numpy_version_must_be_a_string_or_null(self, tmp_path, version):
+        out = saved_run(tmp_path)
+        edit_manifest(out, lambda m: m.update(numpy_version=version))
+        with pytest.raises(IncompleteArchiveError, match="field 'numpy_version' has wrong type") as excinfo:
+            load_archive(out)
+        assert str(excinfo.value).startswith(f"{out}: manifest.json does not describe a valid run: ")
+
+    @pytest.mark.parametrize(
+        "drift,qubits,edit,expected",
+        [
+            (None, 2, "1.24.0", "1.24.0"),
+            (None, 2, None, None),
+            (0.05, 2, None, np.__version__),
+            # 3 kinds x 2 experiments x qubits counts, past what the port draws.
+            (None, sampler.PORT_MAX_COUNTS // 6 + 1, None, np.__version__),
+        ],
+        ids=["edited", "port", "drifted", "above-port-limit"],
+    )
+    def test_numpy_version_survives_load_and_save(self, tmp_path, drift, qubits, edit, expected):
+        # The manifest says what drew the counts, and saving a loaded run
+        # again keeps it rather than deciding it anew.
+        plan = make_plan([PERFECT] * qubits, L=2, S=4)
+        run = save_archive(run_plan(plan, drift=drift), tmp_path / "run")
+        if edit is not None:
+            edit_manifest(run, lambda m: m.update(numpy_version=edit))
+        loaded = load_archive(run)
+        assert loaded.numpy_version == expected
+        again = save_archive(loaded, tmp_path / "again")
+        assert json.loads((again / "manifest.json").read_text())["numpy_version"] == expected
+        assert (again / "counts.csv").read_bytes() == (run / "counts.csv").read_bytes()
 
     def test_other_numpy_version_loads(self, tmp_path):
         # The provenance fields are recorded, not checked.

@@ -24,26 +24,23 @@ def numpy_generator(seed, spawn_key):
 
 @st.composite
 def binomial_args(draw):
-    """(n, ps): n over [0, 2**53) with its edges and the n * p = 30 switch
-    between inversion and BTPE, and one p for every draw or one per draw."""
+    """(n, p, size): n over [0, 2**53) with its edges and the n * p = 30
+    switch between inversion and BTPE, one p for all ``size`` draws."""
     p = draw(PROBABILITIES)
     r = min(p, 1.0 - p)
     edges = [0, 1, 2, _stream.MAX_N - 1]
     if r > 0.0 and 30.0 / r < _stream.MAX_N:
         edges += [max(0, math.floor(30.0 / r) + d) for d in (-1, 0, 1)]
     n = draw(st.one_of(st.integers(0, _stream.MAX_N - 1), st.integers(0, 10**5), st.sampled_from(edges)))
-    size = draw(st.integers(1, 40))
-    if draw(st.booleans()):
-        return n, [p] * size
-    return n, draw(st.lists(PROBABILITIES, min_size=1, max_size=size))
+    return n, p, draw(st.integers(1, 40))
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=SEEDS, spawn_key=SPAWN_KEYS, args=binomial_args())
 def test_binomials_match_numpy(seed, spawn_key, args):
-    n, ps = args
-    expected = numpy_generator(seed, spawn_key).binomial(n, np.array(ps)).tolist()
-    assert _stream.binomials(_stream.philox_key(seed, spawn_key), n, ps) == expected
+    n, p, size = args
+    expected = numpy_generator(seed, spawn_key).binomial(n, p, size=size).tolist()
+    assert _stream.binomials(_stream.philox_key(seed, spawn_key), n, p, size) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,17 +74,17 @@ def test_long_runs_match_numpy(n, p):
     # Enough draws at one p for BTPE's rarer branches (its tails, the
     # squeeze of step 52, the F product of step 50) and inversion's restart.
     expected = numpy_generator(3, (0, 1)).binomial(n, p, size=5000).tolist()
-    assert _stream.binomials(_stream.philox_key(3, (0, 1)), n, [p] * 5000) == expected
+    assert _stream.binomials(_stream.philox_key(3, (0, 1)), n, p, 5000) == expected
 
 
 @pytest.mark.parametrize("n", [-1, _stream.MAX_N])
 def test_rejects_n_outside_the_exact_range(n):
     with pytest.raises(ValueError, match=r"n must be in \[0, 2\*\*53\)"):
-        _stream.binomials((0, 0), n, [0.5])
+        _stream.binomials((0, 0), n, 0.5, 1)
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
 def test_rejects_p_outside_the_unit_interval(p):
     # numpy's binomial rejects them too; a NaN would never leave BTPE's loop.
     with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
-        _stream.binomials((0, 0), 100, [0.5, p])
+        _stream.binomials((0, 0), 100, p, 2)
