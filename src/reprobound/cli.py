@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -345,7 +346,7 @@ def cmd_report(args) -> int:
         for e in estimates:
             i = plan.qubit_indices.index(e.qubit)
             est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
-            yield from ([e.qubit, l, eps, d] for l, (eps, d) in enumerate(zip(est.eps, est.d)))
+            yield from zip(repeat(e.qubit), range(plan.L), est.eps, est.d)
 
     write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows())
 

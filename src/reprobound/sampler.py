@@ -11,26 +11,29 @@ i.i.d. Bernoulli(p) shots.
 :func:`run_plan` first builds one probability table ``p[kind, qubit,
 experiment]`` with :func:`p_one`, then draws every count from it. Noise is
 stationary unless a drift SIGMA is given: then experiment l perturbs f0, f1
-and theta of every qubit by one common N(0, SIGMA) draw each, taken from a
-Philox stream keyed by (master seed, drift, l), and clips f0 and f1 into
+and theta of every qubit by one common N(0, SIGMA) draw each, the normals
+3l, 3l + 1 and 3l + 2 of the run's drift stream, and clips f0 and f1 into
 [0, 1] before the table is built.
 
 A :class:`RunArchive` keeps the counts as plain ints in an immutable nested
 tuple, ``counts[kind][qubit position][experiment]``, and is the one home of
 the count rule: its constructor checks the shape and that each count is an
 int in [0, S], whoever built the counts. numpy's
-``Generator.binomial`` on Philox draws them, or, for a stationary plan of
+``Generator.binomial`` on MT19937 draws them, or, for a stationary plan of
 at most :data:`PORT_MAX_COUNTS` counts, ``_stream``, a plain-Python port of
-that stream which returns the same ints without loading numpy.
+that draw which returns the same ints from the same stream without loading
+numpy.
 :func:`run_plan` makes that choice, with :func:`_draws_with_numpy`, and
 records it as the archive's ``numpy_version``, which the manifest carries
 through a save and a load. Nothing that reads the counts needs numpy.
 
 Reproducibility of this engine is non-negotiable, so each (circuit kind,
-qubit) pair draws its L counts from its own counter-based Philox stream
-keyed purely by (master seed, circuit kind, qubit). Re-running a plan with
-the same SIGMA yields identical counts, and one qubit's counts do not
-depend on the other qubits of the plan.
+qubit) pair draws its L counts from its own MT19937 stream, seeded by
+Python's int seeder from (master seed, circuit kind, qubit) alone: stream
+(id, key) is ``random.Random(seed + 2**64 * (id + 4 * key))``, whose
+sequence CPython keeps stable across versions. Re-running a plan with the
+same SIGMA yields identical counts, and one qubit's counts do not depend on
+the other qubits of the plan.
 
 A plan has one document format, the device config's ``qubits`` and
 ``plan`` fields (:func:`plan_doc` writes it, :func:`plan_from_doc` reads
@@ -55,7 +58,7 @@ writes one, and leaves the count rule to the :class:`RunArchive` it builds.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import time
 from enum import Enum
 from itertools import chain, product
 from pathlib import Path
@@ -81,9 +84,11 @@ __all__ = [
 # numpy is imported only inside the functions that draw counts: the CLI
 # imports this module for every command, and only simulate draws.
 if TYPE_CHECKING:
+    import random
+
     import numpy as np
 
-MANIFEST_SCHEMA = "run-manifest/4"
+MANIFEST_SCHEMA = "run-manifest/5"
 
 # Most counts a plan may ask for (3 kinds x qubits x L). 10**6
 # counts make a counts.csv of about 4.7 MB, 60 times the 27-qubit L=203
@@ -99,9 +104,9 @@ class CircuitKind(str, Enum):
     C = "c"
 
 
-# Every Philox stream id the engine reserves; part of the on-disk
-# reproducibility contract. The circuit kinds' ids double as the kind axis
-# of the archive's counts; the drift draws from its own stream.
+# Every stream id the engine reserves; part of the on-disk reproducibility
+# contract. The circuit kinds' ids double as the kind axis of the archive's
+# counts, keyed by qubit index; the drift draws from stream 3, keyed by 0.
 _STREAM_IDS = {"spam0": 0, "spam1": 1, "c": 2, "drift": 3}
 _KIND_STREAM = {kind: _STREAM_IDS[kind.value] for kind in CircuitKind}
 
@@ -262,32 +267,52 @@ def _counts_header(plan: ExperimentPlan) -> list[str]:
 
 
 def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generator:
-    """Counter-based RNG stream for the counts of one (kind, qubit) pair.
+    """numpy's generator on the stream of the counts of one (kind, qubit) pair.
 
-    The stream is a Philox generator keyed by (seed, kind, qubit) only, so
-    the order in which pairs are drawn, and which other qubits the plan
-    holds, cannot change any count.
+    The stream is seeded by (seed, kind, qubit) only, so the order in which
+    pairs are drawn, and which other qubits the plan holds, cannot change
+    any count.
     """
-    return _philox(seed, CircuitKind(kind).value, qubit)
+    return _generator(_mersenne(seed, CircuitKind(kind).value, qubit))
 
 
-def _philox(seed: int, stream: str, key: int) -> np.random.Generator:
-    """The Philox generator of reserved stream ``stream``, keyed by (seed, key)."""
+def _mersenne(seed: int, stream: str, key: int) -> random.Random:
+    """The MT19937 of reserved stream ``stream``, keyed by (seed, key). The
+    map from (seed, stream id, key) to its int seed is one-to-one, since
+    the seed is below 2**64 and the ids below 4."""
+    import random
+
+    return random.Random(int(seed) + 2**64 * (_STREAM_IDS[stream] + 4 * int(key)))
+
+
+def _generator(rng: random.Random, bit_generator: np.random.MT19937 | None = None) -> np.random.Generator:
+    """numpy's generator on an MT19937 in the state of ``rng``: its doubles
+    are those of ``rng.random()``, so its binomials are ``_stream``'s.
+
+    ``bit_generator``, when given, is put in that state instead of a new
+    one: seeding a new MT19937 costs about 150 us (a shared 2-core x86 box),
+    ten times what the rest of this costs, and run_plan draws its streams
+    one after another. The key goes in as a list, which numpy's state
+    setter copies in 5 us, where an array takes 110 us.
+    """
     import numpy as np
 
-    seq = np.random.SeedSequence(int(seed), spawn_key=(_STREAM_IDS[stream], int(key)))
-    return np.random.Generator(np.random.Philox(seq))
+    *key, pos = rng.getstate()[1]
+    if bit_generator is None:
+        bit_generator = np.random.MT19937()
+    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+    return np.random.Generator(bit_generator)
 
 
 # The most counts that run_plan draws with _stream rather than numpy: about
-# where the two cost the same CPU. numpy costs a fixed 121 ms per process
-# (a fresh interpreter drawing a 6-count plan: 220 ms with numpy, 99 ms with
-# the port; medians of 41 pairs, Python 3.11 on a shared 2-core x86 box).
-# The port costs more per count: 1.4-2.4 us more than numpy in the
-# benchmark's plans and up to 3.3-3.9 us at S = 512-1024, the dearest regime
-# measured (127 qubits, L = 101, S from 64 to 131072). 121 ms / 3.9 us is
-# 31,000 counts, rounded down.
-PORT_MAX_COUNTS = 30_000
+# where the two cost the same CPU. numpy costs a fixed 170 ms per process
+# (a fresh interpreter drawing a 6-count plan: 238 ms with numpy, 66-69 ms
+# with the port; medians of 41 pairs, twice, Python 3.11 on a shared 2-core
+# x86 box). The port costs more per count: 0.14-0.85 us more than numpy
+# (medians of 5-7 pairs, two sessions), at most 0.95 us in any pair, the
+# dearest at S = 256-1024 (127 qubits, L = 101, S from 64 to 131072).
+# 170 ms / 0.95 us is 179,000 counts, rounded down.
+PORT_MAX_COUNTS = 170_000
 
 
 def _draws_with_numpy(plan: ExperimentPlan, drift: float | None) -> bool:
@@ -320,10 +345,10 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
         # The streams of count_stream(seed, kind, qubit), drawn without numpy.
         counts = [
             [
-                _stream.binomials(_stream.philox_key(plan.seed, (stream, q.index)), plan.S, p[i][k], plan.L)
+                _stream.binomials(_mersenne(plan.seed, kind.value, q.index).random, plan.S, p[i][k], plan.L)
                 for i, q in enumerate(plan.qubits)
             ]
-            for k, stream in enumerate(_KIND_STREAM.values())
+            for k, kind in enumerate(CircuitKind)
         ]
         return RunArchive(plan=plan, counts=counts, drift=drift)
 
@@ -332,14 +357,20 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     # Parameters indexed [qubit, experiment]; one column serves all L
     # experiments while the noise is stationary.
     f0, f1, theta = np.array([[q.params.f0, q.params.f1, q.params.theta] for q in plan.qubits]).T[:, :, None]
+    # Every stream in turn, each drawn to its end before the next.
+    bit_generator = np.random.MT19937()
     if drift is not None:
-        # Every qubit shares experiment l's draw: one generator per experiment.
-        df0, df1, dtheta = np.array([_philox(plan.seed, "drift", l).normal(0.0, drift, 3) for l in range(plan.L)]).T
+        # Every qubit shares experiment l's draw: normals 3l..3l+2 of one
+        # stream, so experiment l's perturbation does not depend on L.
+        normals = _generator(_mersenne(plan.seed, "drift", 0), bit_generator).normal(0.0, drift, (plan.L, 3))
+        df0, df1, dtheta = normals.T
         f0, f1, theta = np.clip(f0 + df0, 0.0, 1.0), np.clip(f1 + df1, 0.0, 1.0), theta + dtheta
     p = p_one(f0, f1, theta)
     counts = [
         [
-            count_stream(plan.seed, kind, q.index).binomial(plan.S, p[k, i], size=plan.L).tolist()
+            _generator(_mersenne(plan.seed, kind.value, q.index), bit_generator)
+            .binomial(plan.S, p[k, i], size=plan.L)
+            .tolist()
             for i, q in enumerate(plan.qubits)
         ]
         for k, kind in enumerate(CircuitKind)
@@ -397,7 +428,7 @@ def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
@@ -419,9 +450,9 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         # What drew the counts, as run_plan recorded it: numpy does not
         # promise that Generator.binomial keeps its stream across versions.
         # The reader keeps numpy_version and ignores bit_generator, since
-        # every path draws Philox.
+        # every path draws MT19937.
         "numpy_version": archive.numpy_version,
-        "bit_generator": "Philox",
+        "bit_generator": "MT19937",
         "started_at": _utc_now(),
     }
     write_json(out / "manifest.json", manifest)

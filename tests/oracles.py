@@ -11,7 +11,10 @@ independent of the code under test:
 * the single-qubit gate and readout channels: the noisy Hadamard unitary,
   its control error, the column-stochastic assignment matrix and the
   two-operator Kraus readout, and the closed form ``observed_probs`` that
-  both reduce to.
+  both reduce to;
+* numpy's generator on the MT19937 state of ``random.Random(seed)``, set
+  the documented way, which the sampler's streams and the plain-Python
+  binomial draw are checked against.
 
 Bitstrings are indexed by the integer s = sum_i 2**i * s_i, i.e. register
 element i is bit i, least significant first. Device vendors disagree on this
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from dataclasses import dataclass
 from functools import reduce
 
@@ -316,3 +320,11 @@ def observed_probs(params: QubitNoiseParams) -> np.ndarray:
     """
     g = gamma_of(params)
     return np.array([(1.0 + g) / 2.0, (1.0 - g) / 2.0], dtype=np.float64)
+
+
+def mt19937_generator(seed: int) -> np.random.Generator:
+    """numpy's Generator on an MT19937 whose state is copied from ``random.Random(seed)``."""
+    *key, pos = random.Random(seed).getstate()[1]
+    bit_generator = np.random.MT19937()
+    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+    return np.random.Generator(bit_generator)

@@ -145,7 +145,8 @@ def test_cli_import_loads_no_heavy_modules():
     command loads it only if it handles arrays) and pulls in no test-only
     or optional package. Nor does it load ``dataclasses`` or ``inspect``,
     which cost every command about 20 ms of start-up: the records derive
-    from ``noise_model.Record`` instead. Both load the same submodules apart
+    from ``noise_model.Record`` instead; nor ``datetime`` (1.2 ms): the
+    manifest's timestamps come from ``time``. Both load the same submodules apart
     from the CLI itself: the package imports its names eagerly because
     every command loads every submodule anyway, and a submodule that the CLI
     does not need fails here by name. ``reprobound._stream``, the
@@ -161,7 +162,7 @@ def test_cli_import_loads_no_heavy_modules():
         )
         names = result.stdout.split()
         loaded = {name.split(".")[0] for name in names}
-        assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis", "dataclasses", "inspect"}), module
+        assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis", "dataclasses", "inspect", "datetime"}), module
         own[module] = {name for name in names if name.startswith("reprobound.")}
     assert own["reprobound"] == own["reprobound.cli"] - {"reprobound.cli"}
     # The plain-Python draw is compiled only when simulate uses it.

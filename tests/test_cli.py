@@ -130,7 +130,7 @@ class TestSimulate:
         assert [line.split(",")[:2] for line in lines[3:]] == [["c", "0"]]
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] == "complete"
-        assert manifest["schema"] == "run-manifest/4"
+        assert manifest["schema"] == "run-manifest/5"
 
     def test_duplicate_qubit_index_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
@@ -221,7 +221,7 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert capsys.readouterr().err.count("schema must be 'run-manifest/4', got 'run-manifest/3'") == 2
+        assert capsys.readouterr().err.count("schema must be 'run-manifest/5', got 'run-manifest/3'") == 2
         assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
         assert (small_run / "counts.csv").read_bytes() == counts
         assert main(["characterize", str(small_run), "--quiet"]) == 0
@@ -526,8 +526,9 @@ class TestReport:
             '{"schema": "run-manifest/2", "status": "complete"}',
             '{"schema": "run-manifest/3", "status": "complete"}',
             '{"schema": "run-manifest/4", "status": "complete"}',
+            '{"schema": "run-manifest/5", "status": "complete"}',
         ],
-        ids=["not-json", "old-schema", "old-schema-2", "old-schema-3", "missing-keys"],
+        ids=["not-json", "old-schema", "old-schema-2", "old-schema-3", "old-schema-4", "missing-keys"],
     )
     def test_bad_manifest_is_incomplete(self, small_run, manifest, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import mt19937_generator
 from reprobound import sampler
 from reprobound.errors import IncompleteArchiveError, InvalidParameterError
 from reprobound.noise_model import QubitNoiseParams
@@ -326,31 +327,32 @@ class TestArchiveIO:
             archive = run_plan(make_plan([NOISY], L=2, S=8, seed=123), drift=drift)
             out = save_archive(archive, tmp_path / f"run-{drift}")
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["schema"] == "run-manifest/4"
+            assert manifest["schema"] == "run-manifest/5"
             assert manifest["status"] == "complete"
             assert manifest["plan"] == {"L": 2, "S": 8, "seed": 123}
             assert manifest["qubits"] == [{"index": 0, "f0": NOISY.f0, "f1": NOISY.f1, "theta_rad": NOISY.theta}]
             assert manifest["drift"] == drift
-            assert (manifest["numpy_version"], manifest["bit_generator"]) == (numpy_version, "Philox")
-            assert "started_at" in manifest and "finished_at" in manifest
+            assert (manifest["numpy_version"], manifest["bit_generator"]) == (numpy_version, "MT19937")
+            for stamp in ("started_at", "finished_at"):
+                assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", manifest[stamp]), manifest[stamp]
 
     @pytest.mark.parametrize(
         "drift,sha256",
         [
-            (None, "37b4ce3f5ba2ab7d447756496ff34cbdfc493e1f6939d4a75d3fa1d30a7776b1"),
-            (0.05, "34996329618fc96b32e7a84662f15b581daea50c58a4d43825fc3eaaf1ebf3fc"),
+            (None, "fc8a958b4b1a5988b13d106fdddd37ab83e3892ff3a07feaea31d66191626de5"),
+            (0.05, "454d8476e0141536d2b46481aed274fac1f84f0afb27ccae11b431fa38ea58b6"),
         ],
         ids=["stationary", "drifted"],
     )
     def test_counts_bytes_are_pinned(self, tmp_path, drift, sha256):
         # Every other test compares runs with runs, so only this one sees numpy
-        # change the Philox streams of Generator.binomial or .normal (NEP 19
+        # change the MT19937 streams of Generator.binomial or .normal (NEP 19
         # does not promise to keep them), or the layout of counts.csv drift.
         plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(0, NOISY), PlanQubit(1, PERFECT)), seed=2024)
         raw = (save_archive(run_plan(plan, drift=drift), tmp_path / "run") / "counts.csv").read_bytes()
         assert hashlib.sha256(raw).hexdigest() == sha256, (
             f"counts.csv of the pinned plan changed under numpy {np.__version__}: either numpy's "
-            f"Philox-driven binomial/normal streams changed, or the counts.csv layout did:\n{raw.decode()}"
+            f"MT19937-driven binomial/normal streams changed, or the counts.csv layout did:\n{raw.decode()}"
         )
 
     def test_drifted_run_reproduces_its_counts(self, tmp_path):
@@ -391,7 +393,7 @@ class TestArchiveIO:
 
     def test_manifest_not_json_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        (out / "manifest.json").write_text('{"schema": "run-manifest/4", ')
+        (out / "manifest.json").write_text('{"schema": "run-manifest/5", ')
         with pytest.raises(IncompleteArchiveError, match="not valid JSON"):
             load_archive(out)
 
@@ -417,8 +419,9 @@ class TestArchiveIO:
 
     def test_old_manifest_schema_rejected(self, tmp_path):
         out = saved_run(tmp_path)
-        # /3 wrote one counts.csv row per experiment, /2 per-shot block files.
-        for old in ("run-manifest/2", "run-manifest/3"):
+        # /4 drew its counts from Philox streams, /3 wrote one counts.csv row
+        # per experiment, /2 per-shot block files.
+        for old in ("run-manifest/2", "run-manifest/3", "run-manifest/4"):
             edit_manifest(out, lambda m: m.update(schema=old))
             with pytest.raises(IncompleteArchiveError, match=old) as excinfo:
                 load_archive(out)
@@ -540,8 +543,9 @@ class TestStreams:
         qubits = (PlanQubit(3, NOISY), *(PlanQubit(100 + i, PERFECT) for i in range(others)))
         large = ExperimentPlan(L=L, S=S, qubits=qubits, seed=17)
         assert (sampler._draws_with_numpy(small, None), sampler._draws_with_numpy(large, None)) == (False, True)
+        port, numpy = run_plan(small), run_plan(large)
         for kind in CircuitKind:
-            assert run_plan(small).ones(kind, 3) == run_plan(large).ones(kind, 3)
+            assert port.ones(kind, 3) == numpy.ones(kind, 3)
 
     @pytest.mark.parametrize(
         "L,S",
@@ -565,15 +569,13 @@ class TestStreams:
         assert sampler._draws_with_numpy(make_plan([NOISY], L=2, S=S), drift) is expected
 
     def test_drift_follows_the_documented_streams(self):
-        # Stream 3 keyed by (seed, l) perturbs experiment l of every qubit;
-        # f0 and f1 are clipped, then stream (kind, qubit) draws the counts.
+        # Normals 3l..3l+2 of stream 3, keyed by 0, perturb experiment l of
+        # every qubit; f0 and f1 are clipped, then stream (kind, qubit) draws
+        # the counts. Stream (id, key) is random.Random(seed + 2**64 * (id + 4 * key)).
         L, S, sigma = 6, 1000, 0.05
         qubits = (PlanQubit(3, NOISY), PlanQubit(1, PERFECT))
         expected = np.empty((3, len(qubits), L), dtype=np.int64)
-        perturbations = [
-            np.random.Generator(np.random.Philox(np.random.SeedSequence(17, spawn_key=(3, l)))).normal(0.0, sigma, 3)
-            for l in range(L)
-        ]
+        perturbations = mt19937_generator(17 + 2**64 * 3).normal(0.0, sigma, (L, 3))
         for i, q in enumerate(qubits):
             p = []
             for df0, df1, dtheta in perturbations:
@@ -582,17 +584,24 @@ class TestStreams:
                 gamma = (f0 - f1) - 2 * math.sin(2 * (q.params.theta + dtheta)) * ((f0 + f1) / 2 - 0.5)
                 p.append((1.0 - f0, f1, min(1.0, max(0.0, (1 - gamma) / 2))))
             for k in range(3):
-                seq = np.random.SeedSequence(17, spawn_key=(k, q.index))
-                expected[k, i] = np.random.Generator(np.random.Philox(seq)).binomial(S, [row[k] for row in p])
+                expected[k, i] = mt19937_generator(17 + 2**64 * (k + 4 * q.index)).binomial(S, [row[k] for row in p])
         drifted = run_plan(ExperimentPlan(L=L, S=S, qubits=qubits, seed=17), drift=sigma).counts
         assert drifted == tuple(tuple(map(tuple, rows)) for rows in expected.tolist())
         # The perfect qubit's f0 clips at 1 in the experiments whose df0 > 0.
         assert [count == 0 for count in drifted[0][1]] == [df0 >= 0 for df0, _, _ in perturbations]
 
-    def test_drift_builds_one_generator_per_experiment(self, monkeypatch):
-        # One count stream per (kind, qubit), one drift stream per experiment.
+    def test_drift_builds_one_generator_per_run(self, monkeypatch):
+        # One count stream per (kind, qubit) and one drift stream per run,
+        # whose first 3 L normals perturb the experiments in order.
         calls = []
-        philox = sampler._philox
-        monkeypatch.setattr(sampler, "_philox", lambda *key: calls.append(key) or philox(*key))
+        mersenne = sampler._mersenne
+        monkeypatch.setattr(sampler, "_mersenne", lambda *key: calls.append(key) or mersenne(*key))
         run_plan(make_plan([NOISY, PERFECT, NOISY], L=5), drift=0.05)
-        assert len(calls) == 3 * 3 + 5
+        streams = [(7, "drift", 0)] + [(7, kind.value, i) for kind in CircuitKind for i in (0, 1, 2)]
+        assert sorted(calls) == sorted(streams)
+
+    def test_drift_of_an_experiment_does_not_depend_on_L(self):
+        # The first experiments of a longer run see the same perturbations.
+        short = run_plan(make_plan([NOISY, PERFECT], L=3, S=1000), drift=0.05)
+        long = run_plan(make_plan([NOISY, PERFECT], L=8, S=1000), drift=0.05)
+        assert [[row[:3] for row in rows] for rows in long.counts] == [list(rows) for rows in short.counts]

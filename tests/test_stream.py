@@ -1,25 +1,26 @@
-"""The plain-Python Philox binomial stream against numpy's, draw for draw."""
+"""The plain-Python binomial draw on Python's MT19937 against numpy's, draw for draw."""
 
 import math
-from itertools import islice
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mt19937_generator
 from reprobound import _stream
 
-SEEDS = st.integers(0, 2**64 - 1)
-# Spawn keys like the sampler's (stream id, qubit index), with words above 2**32 too.
-SPAWN_KEYS = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=3).map(tuple)
+# Seeds as the sampler forms them, seed + 2**64 * (stream id + 4 * key),
+# with keys above 2**32 too.
+SEEDS = st.builds(
+    lambda seed, stream, key: seed + 2**64 * (stream + 4 * key),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3),
+    st.one_of(st.integers(0, 3), st.integers(0, 2**70)),
+)
 EDGE_P = [0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]
 # Tiny p too, where inversion serves a large n.
 PROBABILITIES = st.one_of(st.floats(0.0, 1.0), st.floats(1e-15, 1e-3), st.sampled_from(EDGE_P))
-
-
-def numpy_generator(seed, spawn_key):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 @st.composite
@@ -36,28 +37,25 @@ def binomial_args(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=SEEDS, spawn_key=SPAWN_KEYS, args=binomial_args())
-def test_binomials_match_numpy(seed, spawn_key, args):
+@given(seed=SEEDS, args=binomial_args())
+def test_binomials_match_numpy(seed, args):
     n, p, size = args
-    expected = numpy_generator(seed, spawn_key).binomial(n, p, size=size).tolist()
-    assert _stream.binomials(_stream.philox_key(seed, spawn_key), n, p, size) == expected
+    expected = mt19937_generator(seed).binomial(n, p, size=size).tolist()
+    assert _stream.binomials(random.Random(seed).random, n, p, size) == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.one_of(SEEDS, st.integers(0, 2**200)), spawn_key=SPAWN_KEYS)
-def test_key_is_seed_sequence_state(seed, spawn_key):
-    words = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64).tolist()
-    assert _stream.philox_key(seed, spawn_key) == tuple(words)
-
-
-@pytest.mark.parametrize("counter", [0], ids=["zero"])
-def test_doubles_follow_the_counter(counter):
-    # The port starts where a new numpy bit generator does, at a counter of
-    # four zero words; 1,000 doubles span several batches of blocks.
-    generator = numpy_generator(11, (2, 5))
-    assert generator.bit_generator.state["state"]["counter"].tolist() == [counter] * 4
-    expected = generator.random(1000).tolist()
-    assert list(islice(_stream.doubles(_stream.philox_key(11, (2, 5))), 1000)) == expected
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=SEEDS,
+    n=st.one_of(st.integers(0, _stream.MAX_N - 1), st.integers(0, 10**5)),
+    ps=st.lists(PROBABILITIES, min_size=1, max_size=40),
+)
+def test_one_stream_with_a_new_p_every_draw_matches_numpy(seed, n, ps):
+    # A call takes only the doubles its draws use, so one stream can serve
+    # draws of different p, as numpy's binomial does with an array of p.
+    rng = random.Random(seed)
+    port = [y for p in ps for y in _stream.binomials(rng.random, n, p, 1)]
+    assert port == mt19937_generator(seed).binomial(n, ps).tolist()
 
 
 @pytest.mark.parametrize(
@@ -73,18 +71,19 @@ def test_doubles_follow_the_counter(counter):
 def test_long_runs_match_numpy(n, p):
     # Enough draws at one p for BTPE's rarer branches (its tails, the
     # squeeze of step 52, the F product of step 50) and inversion's restart.
-    expected = numpy_generator(3, (0, 1)).binomial(n, p, size=5000).tolist()
-    assert _stream.binomials(_stream.philox_key(3, (0, 1)), n, p, 5000) == expected
+    seed = 3 + 2**64 * (0 + 4 * 1)
+    expected = mt19937_generator(seed).binomial(n, p, size=5000).tolist()
+    assert _stream.binomials(random.Random(seed).random, n, p, 5000) == expected
 
 
 @pytest.mark.parametrize("n", [-1, _stream.MAX_N])
 def test_rejects_n_outside_the_exact_range(n):
     with pytest.raises(ValueError, match=r"n must be in \[0, 2\*\*53\)"):
-        _stream.binomials((0, 0), n, 0.5, 1)
+        _stream.binomials(random.Random(0).random, n, 0.5, 1)
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
 def test_rejects_p_outside_the_unit_interval(p):
     # numpy's binomial rejects them too; a NaN would never leave BTPE's loop.
     with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
-        _stream.binomials((0, 0), 100, p, 2)
+        _stream.binomials(random.Random(0).random, 100, p, 2)
