@@ -48,14 +48,16 @@ DEVICE_CONFIG_SCHEMA = "device-config/1"
 SNAPSHOT_SCHEMA = "calibration-snapshot/1"
 NORMALIZED_SCHEMA = "calibration-normalized/1"
 
-# What `report` writes under its output directory, in the order it writes them.
+# What `report` writes under its output directory, in the order it writes
+# them: fig_scatter.csv first, since the pass that writes it also estimates
+# each qubit for the per-qubit files that follow.
 REPORT_FILES = (
+    "fig_scatter.csv",
     "table1.csv",
     "fig_theta.csv",
     "fig_hellinger.csv",
     "fig_asymmetry.csv",
     "fig_gamma.csv",
-    "fig_scatter.csv",
     "lemma_report.json",
 )
 
@@ -282,31 +284,34 @@ def cmd_plan_samples(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     archive = load_archive(run_dir)
-    char_path, verdicts_path = run_dir / "characterization.csv", run_dir / "verdicts.csv"
-    missing = tuple(path.name for path in (char_path, verdicts_path) if not path.is_file())
-    if missing:
-        raise IncompleteArchiveError(f"{run_dir}: no {' or '.join(missing)}; run characterize and verdict first")
-    # Every per-qubit file lists the qubits by index, whatever order the plan has.
-    estimates = sorted(estimator.read_characterization_csv(char_path), key=lambda e: e.qubit)
-    verdicts = sorted(bounds.read_verdicts_csv(verdicts_path), key=lambda pair: pair[0])
+    verdicts_path = run_dir / "verdicts.csv"
+    if not verdicts_path.is_file():
+        raise IncompleteArchiveError(f"{run_dir}: no verdicts.csv; run characterize and verdict first")
+    verdicts = bounds.read_verdicts_csv(verdicts_path)
     plan = archive.plan
-    char_qubits = [e.qubit for e in estimates]
-    # Each artifact must describe the run it sits in: (file, what, found, expected).
-    for path, what, found, expected in (
-        (char_path, "qubits", char_qubits, sorted(plan.qubit_indices)),
-        (char_path, "(L, S)", sorted({(e.L, e.S) for e in estimates}), [(plan.L, plan.S)]),
-        (verdicts_path, "qubits", [q for q, _ in verdicts], char_qubits),
-    ):
-        if found != expected:
-            raise IncompleteArchiveError(
-                f"{path}: {what} {found} do not match {expected} of the run's earlier stages; "
-                "re-run characterize and verdict"
-            )
+    # Every per-qubit file lists the qubits by index, whatever order the plan has.
+    by_index = sorted(enumerate(plan.qubit_indices), key=lambda pair: pair[1])
+    found, expected = [q for q, _ in verdicts], [q for _, q in by_index]
+    if found != expected:
+        raise IncompleteArchiveError(
+            f"{verdicts_path}: qubits {found} do not match {expected} of the run; re-run characterize and verdict"
+        )
     out = Path(args.out) if args.out else run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
-    table1, fig_theta, fig_hellinger, fig_asymmetry, fig_gamma, fig_scatter, lemma_report = (
+    fig_scatter, table1, fig_theta, fig_hellinger, fig_asymmetry, fig_gamma, lemma_report = (
         out / name for name in REPORT_FILES
     )
+
+    estimates = []
+
+    def scatter_rows():
+        # One qubit at a time: at the plan limit the file has 333,248 rows.
+        for i, q in by_index:
+            est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
+            estimates.append(estimator._aggregate(q, est, plan.S))
+            yield from zip(repeat(q), range(plan.L), est.eps, est.d)
+
+    write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows())
 
     write_csv(
         table1,
@@ -340,15 +345,6 @@ def cmd_report(args) -> int:
         ["qubit", "gamma_D", "register_mean"],
         [[q, v.gamma_D, gamma_mean] for q, v in verdicts],
     )
-
-    def scatter_rows():
-        # One qubit at a time: at the plan limit the file has 333,248 rows.
-        for e in estimates:
-            i = plan.qubit_indices.index(e.qubit)
-            est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
-            yield from zip(repeat(e.qubit), range(plan.L), est.eps, est.d)
-
-    write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows())
 
     report = bounds.lemma_a1_check(*bounds.default_lemma_grids())
     bounds.write_lemma_report(report, lemma_report)

@@ -16,6 +16,7 @@ sum is a correctly rounded ``math.fsum`` over plain floats.
 from __future__ import annotations
 
 import math
+from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ def population_stats(values) -> tuple[float, float]:
 
     sigma^2(mean) = sum((x_l - mean)^2) / (L * (L - 1)), the unbiased form.
     """
-    x = [float(v) for v in values]
+    x = list(map(float, values))
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"population statistics need >= 2 values, got {n}")
@@ -54,7 +55,7 @@ def population_stats(values) -> tuple[float, float]:
         return x[0], 0.0
     mean = _mean(x)
     deviations = [v - mean for v in x]
-    var_of_mean = math.fsum(d * d for d in deviations) / (n * (n - 1))
+    var_of_mean = math.fsum(map(mul, deviations, deviations)) / (n * (n - 1))
     return mean, math.sqrt(var_of_mean)
 
 
@@ -179,26 +180,26 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     spam0, spam1, c = ones
     f0 = tuple(1.0 - k / shots for k in spam0)
     f1 = tuple(k / shots for k in spam1)
-    p1 = [k / shots for k in c]
-    pr0 = tuple(1.0 - p for p in p1)
+    pr0 = tuple(1.0 - k / shots for k in c)
+    # d depends on the count alone, and counts repeat across the L experiments.
+    d_of = {k: hellinger_1q(1.0 - k / shots, k / shots) for k in set(c)}
     return PerExperiment(
         f0=f0,
         f1=f1,
         pr0=pr0,
-        eps=tuple(a - b for a, b in zip(f0, f1)),
-        d=tuple(map(hellinger_1q, pr0, p1)),
+        eps=tuple(map(sub, f0, f1)),
+        d=tuple(map(d_of.__getitem__, c)),
     )
 
 
-def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
-    """Average the per-experiment estimates of the plan's ``i``-th qubit."""
-    plan = archive.plan
-    est = per_experiment([rows[i] for rows in archive.counts], plan.S)
-
+def _aggregate(qubit: int, est: PerExperiment, shots: int) -> CharacterizationEstimate:
+    """The estimate of qubit ``qubit`` from its per-experiment estimates
+    ``est``, L experiments of ``shots`` shots: the one per-qubit step of
+    :func:`characterize` and of ``report``."""
     _, eps_sigma = population_stats(est.eps)
     d_mean, d_sigma = population_stats(est.d)
     estimate = CharacterizationEstimate(
-        qubit=plan.qubits[i].index,
+        qubit=qubit,
         f0_mean=_mean(est.f0),
         f1_mean=_mean(est.f1),
         eps_sigma=eps_sigma,
@@ -207,8 +208,8 @@ def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
         theta_hat=math.nan,
         d_mean=d_mean,
         d_sigma=d_sigma,
-        L=plan.L,
-        S=plan.S,
+        L=len(est.d),
+        S=shots,
     )
 
     theta_hat, note = invert_theta(estimate.gamma_hat, estimate.eps_mean, estimate.f_mean)
@@ -216,12 +217,16 @@ def _aggregate(archive: RunArchive, i: int) -> CharacterizationEstimate:
 
 
 def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
-    """Characterize every register element of an archive.
+    """Characterize every register element of an archive, in plan order.
 
     A qubit whose angle inversion fails does not abort the others: its
     estimate carries theta_hat = NaN and :func:`invert_theta`'s note.
     """
-    return [_aggregate(archive, i) for i in range(len(archive.plan.qubits))]
+    S = archive.plan.S
+    return [
+        _aggregate(q.index, per_experiment([rows[i] for rows in archive.counts], S), S)
+        for i, q in enumerate(archive.plan.qubits)
+    ]
 
 
 def write_characterization_csv(estimates, path: str | Path) -> None:

@@ -19,10 +19,12 @@ A :class:`RunArchive` keeps the counts as plain ints in an immutable nested
 tuple, ``counts[kind][qubit position][experiment]``, and is the one home of
 the count rule: its constructor checks the shape and that each count is an
 int in [0, S], whoever built the counts. numpy's
-``Generator.binomial`` on MT19937 draws them, or, for a stationary plan of
-at most :data:`PORT_MAX_COUNTS` counts, ``_stream``, a plain-Python port of
-that draw which returns the same ints from the same stream without loading
-numpy.
+``Generator.binomial`` on MT19937 draws them, or ``_stream``, a plain-Python
+port of that draw which returns the same ints from the same stream without
+loading numpy. The port draws every stationary plan whose streams are too
+few or too short to repay numpy's cost per process and per stream: beyond
+the first ``_STREAM_SETUP_COUNTS`` counts of each stream, they must hold
+more than :data:`PORT_MAX_COUNTS` counts for numpy to draw.
 :func:`run_plan` makes that choice, with :func:`_draws_with_numpy`, and
 records it as the archive's ``numpy_version``, which the manifest carries
 through a save and a load. Nothing that reads the counts needs numpy.
@@ -74,7 +76,6 @@ __all__ = [
     "ExperimentPlan",
     "PlanQubit",
     "RunArchive",
-    "count_stream",
     "load_archive",
     "p_one",
     "run_plan",
@@ -266,16 +267,6 @@ def _counts_header(plan: ExperimentPlan) -> list[str]:
     return ["kind", "qubit", *map(str, range(plan.L))]
 
 
-def count_stream(seed: int, kind: CircuitKind, qubit: int) -> np.random.Generator:
-    """numpy's generator on the stream of the counts of one (kind, qubit) pair.
-
-    The stream is seeded by (seed, kind, qubit) only, so the order in which
-    pairs are drawn, and which other qubits the plan holds, cannot change
-    any count.
-    """
-    return _generator(_mersenne(seed, CircuitKind(kind).value, qubit))
-
-
 def _mersenne(seed: int, stream: str, key: int) -> random.Random:
     """The MT19937 of reserved stream ``stream``, keyed by (seed, key). The
     map from (seed, stream id, key) to its int seed is one-to-one, since
@@ -285,33 +276,38 @@ def _mersenne(seed: int, stream: str, key: int) -> random.Random:
     return random.Random(int(seed) + 2**64 * (_STREAM_IDS[stream] + 4 * int(key)))
 
 
-def _generator(rng: random.Random, bit_generator: np.random.MT19937 | None = None) -> np.random.Generator:
-    """numpy's generator on an MT19937 in the state of ``rng``: its doubles
-    are those of ``rng.random()``, so its binomials are ``_stream``'s.
+def _generator(rng: random.Random, bit_generator: np.random.MT19937) -> np.random.Generator:
+    """numpy's generator on ``bit_generator`` put in the state of ``rng``:
+    its doubles are those of ``rng.random()``, so its binomials are
+    ``_stream``'s.
 
-    ``bit_generator``, when given, is put in that state instead of a new
-    one: seeding a new MT19937 costs about 150 us (a shared 2-core x86 box),
-    ten times what the rest of this costs, and run_plan draws its streams
-    one after another. The key goes in as a list, which numpy's state
-    setter copies in 5 us, where an array takes 110 us.
+    run_plan draws its streams one after another on one bit generator:
+    seeding a new MT19937 costs about 150 us (a shared 2-core x86 box), ten
+    times what the rest of this costs. The key goes in as a list, which
+    numpy's state setter copies in 5 us, where an array takes 110 us.
     """
     import numpy as np
 
     *key, pos = rng.getstate()[1]
-    if bit_generator is None:
-        bit_generator = np.random.MT19937()
     bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
     return np.random.Generator(bit_generator)
 
 
-# The most counts that run_plan draws with _stream rather than numpy: about
-# where the two cost the same CPU. numpy costs a fixed 170 ms per process
-# (a fresh interpreter drawing a 6-count plan: 238 ms with numpy, 66-69 ms
-# with the port; medians of 41 pairs, twice, Python 3.11 on a shared 2-core
-# x86 box). The port costs more per count: 0.14-0.85 us more than numpy
-# (medians of 5-7 pairs, two sessions), at most 0.95 us in any pair, the
-# dearest at S = 256-1024 (127 qubits, L = 101, S from 64 to 131072).
-# 170 ms / 0.95 us is 179,000 counts, rounded down.
+# When run_plan draws with _stream rather than numpy. Each costs CPU per
+# process, per stream and per count; numpy's path costs more for the first
+# two and less for the last. Measured with time.process_time and os.wait4,
+# Python 3.11 on a shared 2-core x86 box:
+# - per process, numpy costs 172-197 ms more (a fresh interpreter drawing a
+#   6-count plan; medians of 41 pairs, twice);
+# - per stream, numpy costs 28-38 us more, mostly in getstate and the state
+#   setter, and per count the port costs 0.65-0.93 us more, the dearest at
+#   S = 1024.
+#   Both come from one least-squares fit per S, over medians of 7 pairs at
+#   L = 2, 26, 101 and 203, for S from 64 to 131072.
+# So a stream's first 33-54 counts pay for numpy's set-up of it: 40 here.
+# Past them, 170 ms / 0.93 us is 183,000 counts, rounded down to
+# PORT_MAX_COUNTS.
+_STREAM_SETUP_COUNTS = 40
 PORT_MAX_COUNTS = 170_000
 
 
@@ -319,9 +315,11 @@ def _draws_with_numpy(plan: ExperimentPlan, drift: float | None) -> bool:
     """Whether numpy draws the counts of ``plan`` under ``drift``, and not
     ``_stream``, its plain-Python port; both draw the same ints. Drift needs
     numpy's normals, which the port does not reproduce; S >= 2**53
-    (``_stream.MAX_N``) needs numpy's int64 arithmetic; past
-    PORT_MAX_COUNTS counts numpy costs less CPU."""
-    return drift is not None or plan.S >= 2**53 or plan.count_total > PORT_MAX_COUNTS
+    (``_stream.MAX_N``) needs numpy's int64 arithmetic; numpy costs less
+    CPU once its streams hold more than PORT_MAX_COUNTS counts past the
+    first _STREAM_SETUP_COUNTS of each."""
+    streams = len(CircuitKind) * len(plan.qubits)
+    return drift is not None or plan.S >= 2**53 or streams * (plan.L - _STREAM_SETUP_COUNTS) > PORT_MAX_COUNTS
 
 
 def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
@@ -342,7 +340,7 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
         from . import _stream
 
         p = [p_one(q.params.f0, q.params.f1, q.params.theta) for q in plan.qubits]
-        # The streams of count_stream(seed, kind, qubit), drawn without numpy.
+        # The (kind, qubit) streams that numpy's path draws too.
         counts = [
             [
                 _stream.binomials(_mersenne(plan.seed, kind.value, q.index).random, plan.S, p[i][k], plan.L)

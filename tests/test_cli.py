@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reprobound
-from reprobound import sampler
+from reprobound import estimator, sampler
 from reprobound.cli import main
 from reprobound.noise_model import hellinger_1q
 
@@ -203,7 +203,7 @@ class TestSimulate:
         assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "report"]
         assert [p.name for p in (small_run / "report").iterdir()] == ["notes.txt"]
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert "no characterization.csv or verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
+        assert f"{small_run}: no verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
 
     def test_resimulating_removes_block_files(self, small_run):
         # The per-shot block files of releases before counts.csv.
@@ -483,6 +483,41 @@ class TestReport:
                 column = [line.split(",")[0] for line in data.decode().splitlines()[1:]]
                 assert column == sorted(column, key=int), name
 
+    def test_bundle_does_not_read_the_characterization(self, small_run):
+        # report estimates each qubit from counts.csv; characterization.csv
+        # is verdict's input only.
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        bundle = {path.name: path.read_bytes() for path in (small_run / "report").iterdir()}
+        (small_run / "characterization.csv").unlink()
+        shutil.rmtree(small_run / "report")
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        assert {path.name: path.read_bytes() for path in (small_run / "report").iterdir()} == bundle
+
+    def test_hellinger_mean_is_the_mean_of_the_scatter(self, small_run):
+        # An edited characterization.csv cannot reach the report: each
+        # qubit's d_mean is the mean of its own per-experiment distances.
+        char = small_run / "characterization.csv"
+        assert main(["verdict", str(char), "--delta-from-observed", "--quiet"]) == 0
+        # Column 9 is d_mean.
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 9, "0.25"))
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        distances = {}
+        for row in read_rows(small_run / "report" / "fig_scatter.csv"):
+            distances.setdefault(row["qubit"], []).append(float(row["hellinger"]))
+        means = {row["qubit"]: float(row["d_mean"]) for row in read_rows(small_run / "report" / "fig_hellinger.csv")}
+        assert means == {q: math.fsum(d) / len(d) for q, d in distances.items()}
+
+    def test_estimates_each_qubit_once(self, small_run, monkeypatch):
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        calls = []
+        per_experiment = estimator.per_experiment
+        monkeypatch.setattr(estimator, "per_experiment", lambda *a: calls.append(a) or per_experiment(*a))
+        for command in ("characterize", "report"):
+            calls.clear()
+            assert main([command, str(small_run), "--quiet"]) == 0
+            assert len(calls) == 2, command  # small_run's qubits
+
     def test_scatter_matches_counts(self, small_run):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
@@ -618,11 +653,9 @@ class TestReport:
         "name,edit",
         [
             ("verdicts.csv", lambda lines: lines.pop()),
-            ("characterization.csv", lambda lines: set_csv_cell(lines, 2, 0, "5")),
-            ("characterization.csv", lambda lines: set_csv_cell(lines, 1, 11, "7")),
-            ("characterization.csv", lambda lines: set_csv_cell(lines, 1, 12, "511")),
+            ("verdicts.csv", lambda lines: lines.insert(1, lines.pop(2))),
         ],
-        ids=["verdicts-fewer-qubits", "qubit-not-in-plan", "other-L", "other-S"],
+        ids=["verdicts-fewer-qubits", "verdicts-out-of-order"],
     )
     def test_mismatched_artifacts_are_incomplete(self, small_run, name, edit, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -739,13 +772,14 @@ def run_cli_child(start, argv, **env):
 
 def test_scalar_commands_load_no_numpy(small_run):
     # Only simulate draws counts, and it loads numpy only for a drifted plan
-    # or one of more than PORT_MAX_COUNTS counts.
+    # or one whose streams hold more than PORT_MAX_COUNTS counts past the
+    # first _STREAM_SETUP_COUNTS of each.
     snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
     cfg = small_run.parent / "cfg.json"
     large = write_config(
         small_run.parent / "large.json",
         [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}],
-        L=sampler.PORT_MAX_COUNTS // 3 + 1,
+        L=sampler.PORT_MAX_COUNTS // 3 + sampler._STREAM_SETUP_COUNTS + 1,
     )
     for argv, loads_numpy in (
         (["characterize", str(small_run)], False),
@@ -880,10 +914,9 @@ def break_input(tmp_path, run, case):
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, cell) for column, cell in cells.items()])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: f0_mean must be in [0, 1]", 2
     if case == "characterization-edited-degrees":
-        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         # Column 8 is theta_hat_deg.
         edit_lines(char, lambda lines: set_csv_cell(lines, 1, 8, "45.0"))
-        return ["report", str(run)], f"{char}: line 2", 2
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case == "characterization-infinite-angle":
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
@@ -896,10 +929,9 @@ def break_input(tmp_path, run, case):
         char.write_text(char.read_text().splitlines(keepends=True)[0])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: holds no qubit rows", 2
     if case == "characterization-nan-fidelities":
-        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         # Columns 1, 3 and 5 are f0_mean, eps_mean and f_mean.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in (1, 3, 5)])
-        return ["report", str(run)], f"{char}: line 2", 2
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case == "verdicts-nan-gamma":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         # Columns 3 and 6 are gamma_D and reproducible.
@@ -1003,10 +1035,7 @@ def pristine_inputs(pristine_run):
 
 # Each mutated artifact, relative to pristine_inputs, and the commands that read it.
 ARTIFACT_COMMANDS = {
-    "run/characterization.csv": [
-        ["verdict", "{base}/run/characterization.csv", "--delta-from-observed"],
-        ["report", "{base}/run"],
-    ],
+    "run/characterization.csv": [["verdict", "{base}/run/characterization.csv", "--delta-from-observed"]],
     "run/verdicts.csv": [["report", "{base}/run"]],
     "run/manifest.json": [["characterize", "{base}/run"], ["report", "{base}/run"]],
     "cfg.json": [["simulate", "{base}/cfg.json", "--out", "{base}/sim"]],

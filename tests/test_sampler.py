@@ -18,7 +18,6 @@ from reprobound.sampler import (
     ExperimentPlan,
     PlanQubit,
     RunArchive,
-    count_stream,
     load_archive,
     p_one,
     run_plan,
@@ -32,6 +31,13 @@ NOISY = QubitNoiseParams(0.93, 0.88, 0.04)
 def make_plan(params_list, L=4, S=64, seed=7):
     qubits = tuple(PlanQubit(i, p) for i, p in enumerate(params_list))
     return ExperimentPlan(L=L, S=S, qubits=qubits, seed=seed)
+
+
+def count_stream(seed, kind, qubit):
+    """The reference generator on the stream of one (kind, qubit) pair:
+    ``random.Random(seed + 2**64 * (id + 4 * qubit))``, ``id`` the kind's
+    place in the archive's kind order."""
+    return mt19937_generator(seed + 2**64 * (list(CircuitKind).index(kind) + 4 * qubit))
 
 
 def counts_of(kind, params, S=64):
@@ -436,20 +442,21 @@ class TestArchiveIO:
         assert str(excinfo.value).startswith(f"{out}: manifest.json does not describe a valid run: ")
 
     @pytest.mark.parametrize(
-        "drift,qubits,edit,expected",
+        "drift,L,edit,expected",
         [
             (None, 2, "1.24.0", "1.24.0"),
             (None, 2, None, None),
             (0.05, 2, None, np.__version__),
-            # 3 kinds x 2 experiments x qubits counts, past what the port draws.
-            (None, sampler.PORT_MAX_COUNTS // 6 + 1, None, np.__version__),
+            # 3 streams whose counts past the first _STREAM_SETUP_COUNTS of
+            # each are more than the port draws.
+            (None, sampler.PORT_MAX_COUNTS // 3 + sampler._STREAM_SETUP_COUNTS + 1, None, np.__version__),
         ],
         ids=["edited", "port", "drifted", "above-port-limit"],
     )
-    def test_numpy_version_survives_load_and_save(self, tmp_path, drift, qubits, edit, expected):
+    def test_numpy_version_survives_load_and_save(self, tmp_path, drift, L, edit, expected):
         # The manifest says what drew the counts, and saving a loaded run
         # again keeps it rather than deciding it anew.
-        plan = make_plan([PERFECT] * qubits, L=2, S=4)
+        plan = make_plan([PERFECT], L=L, S=4)
         run = save_archive(run_plan(plan, drift=drift), tmp_path / "run")
         if edit is not None:
             edit_manifest(run, lambda m: m.update(numpy_version=edit))
@@ -535,11 +542,11 @@ class TestStreams:
         assert run_plan(plan).ones(CircuitKind.SPAM1, 3) == tuple(expected.tolist())
 
     def test_qubit_counts_do_not_depend_on_which_draw_serves_the_plan(self):
-        # Below PORT_MAX_COUNTS the port draws, above it numpy does; a qubit's
+        # The port draws the one-qubit plan and numpy the wide one; a qubit's
         # counts are the same in both plans.
-        L, S = 4, 1000
+        L, S = 1000, 1000
         small = ExperimentPlan(L=L, S=S, qubits=(PlanQubit(3, NOISY),), seed=17)
-        others = sampler.PORT_MAX_COUNTS // (3 * L) + 1
+        others = sampler.PORT_MAX_COUNTS // (3 * (L - sampler._STREAM_SETUP_COUNTS)) + 1
         qubits = (PlanQubit(3, NOISY), *(PlanQubit(100 + i, PERFECT) for i in range(others)))
         large = ExperimentPlan(L=L, S=S, qubits=qubits, seed=17)
         assert (sampler._draws_with_numpy(small, None), sampler._draws_with_numpy(large, None)) == (False, True)
@@ -558,6 +565,7 @@ class TestStreams:
         assert not sampler._draws_with_numpy(plan, None)
         port = run_plan(plan)
         monkeypatch.setattr(sampler, "PORT_MAX_COUNTS", 0)
+        monkeypatch.setattr(sampler, "_STREAM_SETUP_COUNTS", 0)
         assert sampler._draws_with_numpy(plan, None)
         assert run_plan(plan).counts == port.counts
 
@@ -567,6 +575,19 @@ class TestStreams:
     )
     def test_numpy_draws_drift_and_huge_shot_counts(self, S, drift, expected):
         assert sampler._draws_with_numpy(make_plan([NOISY], L=2, S=S), drift) is expected
+
+    @pytest.mark.parametrize(
+        "qubits,L,expected",
+        [
+            # 170,004 counts, but each stream too short to repay numpy's set-up of it.
+            (sampler.PORT_MAX_COUNTS // 6 + 1, 2, False),
+            (1, sampler.PORT_MAX_COUNTS // 3 + sampler._STREAM_SETUP_COUNTS, False),
+            (1, sampler.PORT_MAX_COUNTS // 3 + sampler._STREAM_SETUP_COUNTS + 1, True),
+        ],
+        ids=["wide-short", "long-below-limit", "long-past-limit"],
+    )
+    def test_numpy_draws_long_streams_past_the_port_limit(self, qubits, L, expected):
+        assert sampler._draws_with_numpy(make_plan([PERFECT] * qubits, L=L), None) is expected
 
     def test_drift_follows_the_documented_streams(self):
         # Normals 3l..3l+2 of stream 3, keyed by 0, perturb experiment l of
