@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shutil
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -221,13 +220,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         plan = plan.replace(seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
-    # Files derived from the directory's earlier counts no longer describe
-    # it, nor do the per-shot block files of releases before counts.csv.
+    # Files derived from the directory's earlier counts no longer describe it.
     for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in REPORT_FILES)):
         (Path(args.out) / stale).unlink(missing_ok=True)
-    blocks = Path(args.out) / "blocks"
-    if blocks.is_dir():
-        shutil.rmtree(blocks)
     out = save_archive(archive, args.out)
     _say(args, f"{name}: wrote the counts of {plan.count_total} experiments to {out}")
     return EXIT_OK
@@ -290,8 +285,8 @@ def cmd_report(args) -> int:
     verdicts = bounds.read_verdicts_csv(verdicts_path)
     plan = archive.plan
     # Every per-qubit file lists the qubits by index, whatever order the plan has.
-    by_index = sorted(enumerate(plan.qubit_indices), key=lambda pair: pair[1])
-    found, expected = [q for q, _ in verdicts], [q for _, q in by_index]
+    qubits = sorted(archive.qubit_counts())
+    found, expected = [q for q, _ in verdicts], [q for q, _ in qubits]
     if found != expected:
         raise IncompleteArchiveError(
             f"{verdicts_path}: qubits {found} do not match {expected} of the run; re-run characterize and verdict"
@@ -306,8 +301,8 @@ def cmd_report(args) -> int:
 
     def scatter_rows():
         # One qubit at a time: at the plan limit the file has 333,248 rows.
-        for i, q in by_index:
-            est = estimator.per_experiment([rows[i] for rows in archive.counts], plan.S)
+        for q, rows in qubits:
+            est = estimator.per_experiment(rows, plan.S)
             estimates.append(estimator._aggregate(q, est, plan.S))
             yield from zip(repeat(q), range(plan.L), est.eps, est.d)
 

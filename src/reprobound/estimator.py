@@ -171,8 +171,8 @@ def per_experiment(ones, shots: int) -> PerExperiment:
     """Per-experiment estimates from one qubit's ones counts.
 
     ``ones`` holds the qubit's SPAM(0), SPAM(1) and test-circuit counts as
-    three rows of length L (``[rows[i] for rows in archive.counts]`` for
-    the plan's ``i``-th qubit), each out of ``shots``: f0 = 1 - ones/S,
+    three rows of length L (as :meth:`RunArchive.qubit_counts` pairs them
+    with the qubit's index), each out of ``shots``: f0 = 1 - ones/S,
     f1 = ones/S, Pr(0) = 1 - ones/S of the test circuit, eps = f0 - f1, and
     d the Hellinger distance of (Pr(0), Pr(1)) to the uniform output
     (:func:`noise_model.hellinger_1q`).
@@ -223,10 +223,7 @@ def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
     estimate carries theta_hat = NaN and :func:`invert_theta`'s note.
     """
     S = archive.plan.S
-    return [
-        _aggregate(q.index, per_experiment([rows[i] for rows in archive.counts], S), S)
-        for i, q in enumerate(archive.plan.qubits)
-    ]
+    return [_aggregate(q, per_experiment(rows, S), S) for q, rows in archive.qubit_counts()]
 
 
 def write_characterization_csv(estimates, path: str | Path) -> None:

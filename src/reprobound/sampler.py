@@ -18,7 +18,10 @@ and theta of every qubit by one common N(0, SIGMA) draw each, the normals
 A :class:`RunArchive` keeps the counts as plain ints in an immutable nested
 tuple, ``counts[kind][qubit position][experiment]``, and is the one home of
 the count rule: its constructor checks the shape and that each count is an
-int in [0, S], whoever built the counts. numpy's
+int in [0, S], whoever built the counts. That nesting is this module's
+alone: every other module reads a qubit's three rows through
+:meth:`RunArchive.qubit_counts`, which pairs them with the qubit's index in
+plan order. numpy's
 ``Generator.binomial`` on MT19937 draws them, or ``_stream``, a plain-Python
 port of that draw which returns the same ints from the same stream without
 loading numpy. The port draws every stationary plan whose streams are too
@@ -55,11 +58,13 @@ qubits in plan order, as :func:`count_keys` yields them, each row holding
 ``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
 manifest's. The reader checks only the text: it rejects any file that
 deviates from that layout or holds a cell that is not an integer as ``str``
-writes one, and leaves the count rule to the :class:`RunArchive` it builds.
+writes one, which one pattern checks a stretch of a row at a time, and
+leaves the count rule to the :class:`RunArchive` it builds.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from enum import Enum
 from itertools import chain, product
@@ -109,7 +114,6 @@ class CircuitKind(str, Enum):
 # contract. The circuit kinds' ids double as the kind axis of the archive's
 # counts, keyed by qubit index; the drift draws from stream 3, keyed by 0.
 _STREAM_IDS = {"spam0": 0, "spam1": 1, "c": 2, "drift": 3}
-_KIND_STREAM = {kind: _STREAM_IDS[kind.value] for kind in CircuitKind}
 
 
 def p_one(f0, f1, theta) -> np.ndarray | tuple[float, float, float]:
@@ -210,7 +214,8 @@ class RunArchive(Record):
     sequence of that shape is accepted and kept as nested tuples. The
     constructor is the one check of the count rule, for counts that
     ``run_plan`` drew, that ``load_archive`` read or that a caller built;
-    its error names the first bad count by kind, qubit and experiment. The
+    its error names the first bad count by kind, qubit and experiment.
+    Outside this module the counts are read through :meth:`qubit_counts`. The
     counts are fully determined by (plan, drift): ``run_plan(archive.plan,
     drift=archive.drift)`` draws them again. ``numpy_version`` is
     provenance, a str or None, and is not checked against the counts.
@@ -251,9 +256,10 @@ class RunArchive(Record):
                         )
         object.__setattr__(self, "counts", counts)
 
-    def ones(self, kind: CircuitKind, qubit: int) -> tuple[int, ...]:
-        """The L ones counts of circuit ``kind`` on the qubit with index ``qubit``."""
-        return self.counts[_KIND_STREAM[CircuitKind(kind)]][self.plan.qubit_indices.index(qubit)]
+    def qubit_counts(self) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+        """Each qubit's index with its SPAM(0), SPAM(1) and test-circuit
+        rows of L counts, ``(index, (spam0, spam1, c))``, in plan order."""
+        return zip(self.plan.qubit_indices, zip(*self.counts))
 
 
 def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str]]:
@@ -503,14 +509,13 @@ def _read_manifest(run: Path) -> dict:
     return manifest
 
 
-def _ints(cells: tuple[str, ...]) -> tuple[int, ...] | None:
-    """The integers ``cells`` hold if every cell is an integer as ``str``
-    writes it, else None."""
-    try:
-        values = tuple(map(int, cells))
-    except ValueError:
-        return None
-    return values if tuple(map(str, values)) == cells else None
+# counts.csv's text rule: comma-separated counts, each an integer as str
+# writes it. [0-9], not \d, which also matches the non-ASCII digits int reads.
+_COUNTS_TEXT = r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*"
+# The repeat keeps about 270 bytes of state for each count it has matched
+# (one match over a row of 333,333 counts held 78 MB), so a row is matched
+# this many counts at a time.
+_COUNTS_PER_MATCH = 256
 
 
 def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
@@ -523,6 +528,8 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
     if not path.is_file():
         raise IncompleteArchiveError(f"{path}: no counts file")
 
+    # Compiled here, so that only the commands that load an archive pay for it.
+    counts_text = re.compile(_COUNTS_TEXT).fullmatch
     keys = count_keys(plan)
 
     def row(kind: str, qubit: str, *cells: str) -> tuple[int, ...]:
@@ -534,12 +541,15 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
                 f"expected the row of {','.join(key)}, got {[kind, qubit]} "
                 "(a row is missing, duplicated or out of order)"
             )
-        # The whole row is checked at once; only a bad row is searched for its first bad cell.
-        values = _ints(cells)
-        if values is None:
-            l = next(l for l, cell in enumerate(cells) if _ints((cell,)) is None)
+        # A stretch of the row is checked at once; only a bad row is searched
+        # for its first bad cell, and a stretch fails only if one of its cells does.
+        starts = range(0, len(cells), _COUNTS_PER_MATCH)
+        if not all(counts_text(",".join(cells[i : i + _COUNTS_PER_MATCH])) for i in starts):
+            l = next(l for l, cell in enumerate(cells) if counts_text(cell) is None)
             raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer as str writes one")
-        return values
+        # A quoted cell holding a comma, or a count past int's digit limit,
+        # matches and makes int raise the ValueError that names the line.
+        return tuple(map(int, cells))
 
     rows = read_csv(path, dict.fromkeys(_counts_header(plan), str), row, IncompleteArchiveError)
     key = next(keys, None)

@@ -205,15 +205,6 @@ class TestSimulate:
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert f"{small_run}: no verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
 
-    def test_resimulating_removes_block_files(self, small_run):
-        # The per-shot block files of releases before counts.csv.
-        block = small_run / "blocks" / "spam0" / "q0_l0.bin"
-        block.parent.mkdir(parents=True)
-        block.write_bytes(b"\x00" * 64)
-        (small_run / "notes.txt").write_text("kept")
-        assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
-        assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "notes.txt"]
-
     def test_rebuilds_a_run_manifest_3_directory(self, small_run, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         counts = (small_run / "counts.csv").read_bytes()
@@ -629,13 +620,16 @@ class TestReport:
             (lambda lines: set_csv_cell(lines, 2, 4, "1_0"), "line "),
             (lambda lines: set_csv_cell(lines, 2, 4, " 3"), "line "),
             (lambda lines: set_csv_cell(lines, 2, 4, "\u0663"), "line "),
+            # Past int's digit limit, int raises where str would have written it.
+            (lambda lines: set_csv_cell(lines, 2, 4, "1" * 5000), "line 3: "),
             # A count outside [0, S] is the archive's rule, which names the row by kind and qubit.
             (lambda lines: set_csv_cell(lines, 2, 4, "-1"), "spam0 qubit 1 experiment 2: "),
             (lambda lines: set_csv_cell(lines, 2, 4, "513"), "spam0 qubit 1 experiment 2: "),
         ],
         ids=[
             "missing-row", "duplicated-row", "reordered-rows", "extra-row", "old-header", "wrong-L", "wide-row",
-            "plus-sign", "leading-zero", "underscore", "leading-space", "unicode-digit", "negative", "above-S",
+            "plus-sign", "leading-zero", "underscore", "leading-space", "unicode-digit", "5000-digits",
+            "negative", "above-S",
         ],
     )
     def test_malformed_counts_exit_4_naming_the_line(self, small_run, edit, where, capsys):

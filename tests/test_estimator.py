@@ -21,7 +21,7 @@ from reprobound.estimator import (
     write_characterization_csv,
 )
 from reprobound.noise_model import QubitNoiseParams, gamma_of, hellinger_1q
-from reprobound.sampler import CircuitKind, ExperimentPlan, PlanQubit, RunArchive, run_plan
+from reprobound.sampler import ExperimentPlan, PlanQubit, RunArchive, run_plan
 
 THETA_HAT_REFERENCE = 0.021283022167392  # 0.5 * asin(0.04 / 0.94)
 
@@ -114,10 +114,11 @@ class TestPerExperiment:
 
     def test_matches_point_estimators(self):
         archive = make_archive(QubitNoiseParams(0.9, 0.8, 0.05), L=5, S=64, seed=8)
-        est = per_experiment([rows[0] for rows in archive.counts], 64)
-        assert est.f0 == tuple(1.0 - k / 64 for k in archive.ones(CircuitKind.SPAM0, 0))
-        assert est.f1 == tuple(k / 64 for k in archive.ones(CircuitKind.SPAM1, 0))
-        assert est.pr0 == tuple(1.0 - k / 64 for k in archive.ones(CircuitKind.C, 0))
+        ((_, (spam0, spam1, c)),) = archive.qubit_counts()
+        est = per_experiment((spam0, spam1, c), 64)
+        assert est.f0 == tuple(1.0 - k / 64 for k in spam0)
+        assert est.f1 == tuple(k / 64 for k in spam1)
+        assert est.pr0 == tuple(1.0 - k / 64 for k in c)
         assert est.eps == tuple(a - b for a, b in zip(est.f0, est.f1))
         assert {type(x) for field in est for x in field} == {float}
 
@@ -247,7 +248,8 @@ class TestCharacterize:
     def test_gamma_hat_identity(self):
         archive = make_archive(QubitNoiseParams(0.97, 0.9, 0.01), L=6, S=128, seed=3)
         est = characterize(archive)[0]
-        pr1 = [int(ones) / 128 for ones in archive.ones(CircuitKind.C, 0)]
+        ((_, (_, _, c)),) = archive.qubit_counts()
+        pr1 = [int(ones) / 128 for ones in c]
         pr0 = [1.0 - p for p in pr1]
         direct = statistics.fmean(pr0) - statistics.fmean(pr1)
         assert est.gamma_hat == pytest.approx(direct, abs=1e-12)

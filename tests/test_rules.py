@@ -1,5 +1,6 @@
 """Each interval rule of an input has one check: the function that owns
-it, and no copy elsewhere in the package."""
+it, and no copy elsewhere in the package. Likewise the run archive's count
+table has one module that knows its layout, ``sampler``."""
 
 import ast
 import math
@@ -53,6 +54,17 @@ def test_each_interval_rule_is_raised_by_its_one_function():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         found += visitor.found
     assert sorted(found) == sorted(("noise_model", owner, interval) for interval, owner in OWNERS.items())
+
+
+def test_only_sampler_reads_the_count_table():
+    # Every other module reads a qubit's rows through RunArchive.qubit_counts.
+    readers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "counts"
+    }
+    assert readers == {"sampler"}
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,12 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import mt19937_generator
 from reprobound import sampler
@@ -40,9 +43,14 @@ def count_stream(seed, kind, qubit):
     return mt19937_generator(seed + 2**64 * (list(CircuitKind).index(kind) + 4 * qubit))
 
 
+def ones(archive, kind, qubit):
+    """The L counts of circuit ``kind`` on the qubit with index ``qubit``."""
+    return dict(archive.qubit_counts())[qubit][list(CircuitKind).index(CircuitKind(kind))]
+
+
 def counts_of(kind, params, S=64):
     """The ones counts of ``kind`` in a two-experiment one-qubit plan."""
-    return run_plan(make_plan([params], L=2, S=S, seed=0)).ones(kind, 0)
+    return ones(run_plan(make_plan([params], L=2, S=S, seed=0)), kind, 0)
 
 
 class TestSingleBlocks:
@@ -162,8 +170,8 @@ class TestRunPlan:
         for rows in archive.counts:
             assert type(rows) is tuple and len(rows) == 1
             assert type(rows[0]) is tuple and [type(k) for k in rows[0]] == [int, int]
-        assert archive.ones(CircuitKind.SPAM0, 0) == (0, 0)
-        assert archive.ones(CircuitKind.SPAM1, 0) == (4, 4)
+        assert ones(archive, CircuitKind.SPAM0, 0) == (0, 0)
+        assert ones(archive, CircuitKind.SPAM1, 0) == (4, 4)
 
     def test_counts_are_read_only(self):
         archive = run_plan(make_plan([NOISY], L=2, S=4))
@@ -204,7 +212,17 @@ class TestRunPlan:
             ExperimentPlan(L=3, S=256, qubits=(PlanQubit(9, PERFECT), PlanQubit(4, NOISY)), seed=5)
         )
         for kind in CircuitKind:
-            assert a.ones(kind, 4) == b.ones(kind, 4)
+            assert ones(a, kind, 4) == ones(b, kind, 4)
+        # Listed as (3, 1), each index comes with the rows of its own streams.
+        plan = ExperimentPlan(L=3, S=256, qubits=(PlanQubit(3, NOISY), PlanQubit(1, PERFECT)), seed=5)
+        expected = [
+            (q.index, tuple(
+                tuple(count_stream(5, kind, q.index).binomial(256, p, size=3).tolist())
+                for kind, p in zip(CircuitKind, p_one(q.params.f0, q.params.f1, q.params.theta))
+            ))
+            for q in plan.qubits
+        ]
+        assert list(run_plan(plan).qubit_counts()) == expected
 
     def test_pooled_frequency_within_five_sigma(self):
         plan = make_plan([NOISY], L=8, S=1024, seed=3)
@@ -216,9 +234,9 @@ class TestRunPlan:
         }
         total = plan.L * plan.S
         for kind, p in expected.items():
-            ones = sum(archive.ones(kind, 0))
+            pooled = sum(ones(archive, kind, 0))
             band = 5 * math.sqrt(p * (1 - p) / total)
-            assert abs(ones / total - p) <= band
+            assert abs(pooled / total - p) <= band
 
     def test_full_protocol_block_count(self):
         plan = make_plan([NOISY], L=203, S=8192, seed=42)
@@ -323,8 +341,8 @@ class TestArchiveIO:
         lines = (out / "counts.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
         for line in lines[1:]:
-            kind, qubit, *ones = line.split(",")
-            assert tuple(map(int, ones)) == archive.ones(CircuitKind(kind), int(qubit))
+            kind, qubit, *cells = line.split(",")
+            assert tuple(map(int, cells)) == ones(archive, kind, int(qubit))
 
     def test_manifest_contents(self, tmp_path):
         # What drew the counts, as provenance: numpy's version only when
@@ -497,11 +515,14 @@ class TestArchiveIO:
             (lambda lines: set_cell(lines, 1, 0, "spam2"), "line 2: expected the row of spam0,0, got"),
             (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), "line 6: 3 cells, expected 4"),
             (lambda lines: lines.insert(1, lines.pop(2)), "line 2: expected the row of spam0,0, got"),
+            # Each side of the comma is a count, but the quoted cell is not one.
+            (lambda lines: set_cell(lines, 3, 3, '"1,2"'), "line 4: invalid literal for int"),
         ],
         ids=[
             "header", "float", "text", "plus-sign", "duplicate", "extra", "truncated",
             "negative", "above-S", "shots", "unknown-qubit", "extra-cell",
             "leading-zero", "underscore", "unicode-digit", "leading-space", "wrong-kind", "short-row", "reordered",
+            "quoted-comma",
         ],
     )
     def test_malformed_counts_rejected(self, tmp_path, change, message):
@@ -510,6 +531,42 @@ class TestArchiveIO:
         with pytest.raises(IncompleteArchiveError, match=message) as excinfo:
             load_archive(out)
         assert str(excinfo.value).startswith(f"{out / 'counts.csv'}: ")
+
+    @given(cell=st.text(alphabet="0139-+_ \u0663", max_size=6))
+    @example(cell="-0")
+    @example(cell="007")
+    @example(cell="-12")
+    def test_count_text_is_an_int_as_str_writes_it(self, cell):
+        try:
+            round_trips = str(int(cell)) == cell
+        except ValueError:
+            round_trips = False
+        assert (re.fullmatch(sampler._COUNTS_TEXT, cell) is not None) == round_trips
+
+    @pytest.mark.parametrize(
+        "where", [lambda n: 0, lambda n: n - 1, lambda n: n, lambda n: 2 * n + 4], ids=["first", "n-1", "n", "last"]
+    )
+    def test_bad_count_is_found_in_every_stretch_of_a_long_row(self, tmp_path, where):
+        # A row is matched _COUNTS_PER_MATCH counts at a time; it has three such stretches here.
+        n = sampler._COUNTS_PER_MATCH
+        l = where(n)
+        out = saved_run(tmp_path, L=2 * n + 5)
+        edit_counts_lines(out, lambda lines: set_cell(lines, 4, 2 + l, "07"))
+        with pytest.raises(IncompleteArchiveError, match=f"line 5: experiment {l}: count '07' is not"):
+            load_archive(out)
+
+    def test_long_row_is_read_in_bounded_memory(self, tmp_path):
+        # 100,000 cells of one row take about 5 MB as str, and reading the
+        # file peaks near 26 MB; one match over the whole row held 24 MB more.
+        plan = ExperimentPlan(L=100_000, S=16, qubits=(PlanQubit(0, NOISY),), seed=1)
+        path = save_archive(run_plan(plan), tmp_path / "run") / "counts.csv"
+        tracemalloc.start()
+        try:
+            sampler._read_counts(path, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 38e6
 
     def test_counts_not_utf8_rejected(self, tmp_path):
         out = saved_run(tmp_path)
@@ -539,7 +596,7 @@ class TestStreams:
     def test_run_plan_draws_from_the_kind_qubit_stream(self):
         plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(3, NOISY),), seed=17)
         expected = count_stream(17, CircuitKind.SPAM1, 3).binomial(1000, NOISY.f1, size=5)
-        assert run_plan(plan).ones(CircuitKind.SPAM1, 3) == tuple(expected.tolist())
+        assert ones(run_plan(plan), CircuitKind.SPAM1, 3) == tuple(expected.tolist())
 
     def test_qubit_counts_do_not_depend_on_which_draw_serves_the_plan(self):
         # The port draws the one-qubit plan and numpy the wide one; a qubit's
@@ -552,7 +609,7 @@ class TestStreams:
         assert (sampler._draws_with_numpy(small, None), sampler._draws_with_numpy(large, None)) == (False, True)
         port, numpy = run_plan(small), run_plan(large)
         for kind in CircuitKind:
-            assert port.ones(kind, 3) == numpy.ones(kind, 3)
+            assert ones(port, kind, 3) == ones(numpy, kind, 3)
 
     @pytest.mark.parametrize(
         "L,S",
