@@ -58,8 +58,8 @@ qubits in plan order, as :func:`count_keys` yields them, each row holding
 ``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
 manifest's. The reader checks only the text: it rejects any file that
 deviates from that layout or holds a cell that is not an integer as ``str``
-writes one, which one pattern checks a stretch of a row at a time, and
-leaves the count rule to the :class:`RunArchive` it builds.
+writes one, which one pattern checks with one match per row, and leaves the
+count rule to the :class:`RunArchive` it builds.
 """
 
 from __future__ import annotations
@@ -196,8 +196,9 @@ class ExperimentPlan(Record):
 
 def _check_drift(drift: float | None) -> float | None:
     """A drift SIGMA as a float, or None for stationary noise;
-    InvalidParameterError unless it is a probability, a number in [0, 1]."""
-    return None if drift is None else check_probability("drift SIGMA", drift)
+    InvalidParameterError unless it is a probability, a number in [0, 1].
+    A zero SIGMA is +0.0: numpy's normal rejects a scale of -0.0."""
+    return None if drift is None else abs(check_probability("drift SIGMA", drift))
 
 
 Counts = tuple[tuple[tuple[int, ...], ...], ...]
@@ -511,11 +512,9 @@ def _read_manifest(run: Path) -> dict:
 
 # counts.csv's text rule: comma-separated counts, each an integer as str
 # writes it. [0-9], not \d, which also matches the non-ASCII digits int reads.
-_COUNTS_TEXT = r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*"
-# The repeat keeps about 270 bytes of state for each count it has matched
-# (one match over a row of 333,333 counts held 78 MB), so a row is matched
-# this many counts at a time.
-_COUNTS_PER_MATCH = 256
+# The repeats are possessive: a plain outer one keeps about 270 bytes of
+# backtracking state per count it has matched (78 MB over a row of 333,333).
+_COUNTS_TEXT = r"(?:0|-?[1-9][0-9]*+)(?:,(?:0|-?[1-9][0-9]*+))*+"
 
 
 def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
@@ -541,10 +540,9 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
                 f"expected the row of {','.join(key)}, got {[kind, qubit]} "
                 "(a row is missing, duplicated or out of order)"
             )
-        # A stretch of the row is checked at once; only a bad row is searched
-        # for its first bad cell, and a stretch fails only if one of its cells does.
-        starts = range(0, len(cells), _COUNTS_PER_MATCH)
-        if not all(counts_text(",".join(cells[i : i + _COUNTS_PER_MATCH])) for i in starts):
+        # The row is checked at once; only a bad row is searched for its
+        # first bad cell, and the row fails only if one of its cells does.
+        if counts_text(",".join(cells)) is None:
             l = next(l for l, cell in enumerate(cells) if counts_text(cell) is None)
             raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer as str writes one")
         # A quoted cell holding a comma, or a count past int's digit limit,

@@ -5,9 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 import reprobound
 
@@ -33,11 +32,17 @@ def test_every_public_name_is_exported():
 
 def test_version_has_one_source():
     # pyproject.toml reads the version that the package reports.
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert "version" not in project["project"]
     assert "version" in project["project"]["dynamic"]
     assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "reprobound._version.__version__"}
+
+
+def test_python_floor_has_possessive_repeats():
+    # sampler's counts.csv pattern uses possessive repeats, which re has
+    # from Python 3.11 on.
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["requires-python"] == ">=3.11"
 
 
 def test_benchmark_tracer_finds_its_layers(tmp_path):

@@ -186,6 +186,14 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--drift", "0.05"]) == 0
         assert (run_a / "counts.csv").read_text() != (run_b / "counts.csv").read_text()
 
+    def test_negative_zero_drift_is_zero_drift(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": 0.0}], L=4, S=256)
+        run_a, run_b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet", "--drift", "0"]) == 0
+        assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--drift", "-0.0"]) == 0
+        assert '"drift": 0.0' in (run_b / "manifest.json").read_text()
+        assert (run_a / "counts.csv").read_bytes() == (run_b / "counts.csv").read_bytes()
+
     @pytest.mark.parametrize("sigma", ["-0.1", "inf", "nan", "1e308"])
     def test_bad_drift_rejected(self, tmp_path, sigma, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])

@@ -307,6 +307,18 @@ def set_cell(lines, row, column, value):
     lines[row] = ",".join(cells)
 
 
+# Digits, a non-ASCII digit, signs, an underscore and a space: every way a
+# cell can read as an int without being one as str writes it.
+COUNT_ALPHABET = "0139-+_ \u0663"
+
+
+def round_trips(cell):
+    try:
+        return str(int(cell)) == cell
+    except ValueError:
+        return False
+
+
 class TestArchiveIO:
     def test_round_trip(self, tmp_path):
         archive = run_plan(make_plan([NOISY, PERFECT], L=3, S=100, seed=21))
@@ -386,6 +398,15 @@ class TestArchiveIO:
         assert loaded.drift == 0.05
         rerun = run_plan(loaded.plan, drift=loaded.drift)
         assert rerun.counts == loaded.counts
+
+    def test_negative_zero_drift_is_drawn_again(self, tmp_path):
+        # numpy's normal rejects a scale of -0.0, which a manifest may hold.
+        out = save_archive(run_plan(make_plan([NOISY], L=4, S=256, seed=5), drift=0.0), tmp_path / "run")
+        edit_manifest(out, lambda m: m.__setitem__("drift", -0.0))
+        assert '"drift": -0.0' in (out / "manifest.json").read_text()
+        loaded = load_archive(out)
+        assert math.copysign(1.0, loaded.drift) == 1.0
+        assert run_plan(loaded.plan, drift=loaded.drift).counts == loaded.counts
 
     def test_missing_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
@@ -532,32 +553,31 @@ class TestArchiveIO:
             load_archive(out)
         assert str(excinfo.value).startswith(f"{out / 'counts.csv'}: ")
 
-    @given(cell=st.text(alphabet="0139-+_ \u0663", max_size=6))
+    @given(cell=st.text(alphabet=COUNT_ALPHABET, max_size=6))
     @example(cell="-0")
     @example(cell="007")
     @example(cell="-12")
     def test_count_text_is_an_int_as_str_writes_it(self, cell):
-        try:
-            round_trips = str(int(cell)) == cell
-        except ValueError:
-            round_trips = False
-        assert (re.fullmatch(sampler._COUNTS_TEXT, cell) is not None) == round_trips
+        assert (re.fullmatch(sampler._COUNTS_TEXT, cell) is not None) == round_trips(cell)
 
-    @pytest.mark.parametrize(
-        "where", [lambda n: 0, lambda n: n - 1, lambda n: n, lambda n: 2 * n + 4], ids=["first", "n-1", "n", "last"]
-    )
-    def test_bad_count_is_found_in_every_stretch_of_a_long_row(self, tmp_path, where):
-        # A row is matched _COUNTS_PER_MATCH counts at a time; it has three such stretches here.
-        n = sampler._COUNTS_PER_MATCH
-        l = where(n)
-        out = saved_run(tmp_path, L=2 * n + 5)
-        edit_counts_lines(out, lambda lines: set_cell(lines, 4, 2 + l, "07"))
-        with pytest.raises(IncompleteArchiveError, match=f"line 5: experiment {l}: count '07' is not"):
+    @given(cells=st.lists(st.text(alphabet=COUNT_ALPHABET, max_size=6), min_size=1, max_size=4))
+    @example(cells=["12", "0", "-3"])
+    @example(cells=["12", "", "3"])
+    @example(cells=["1", "-0"])
+    def test_row_text_matches_exactly_when_every_count_does(self, cells):
+        matched = re.fullmatch(sampler._COUNTS_TEXT, ",".join(cells)) is not None
+        assert matched == all(map(round_trips, cells))
+
+    @pytest.mark.parametrize("where", [0, 300, 599], ids=["first", "middle", "last"])
+    def test_bad_count_is_found_anywhere_in_a_long_row(self, tmp_path, where):
+        out = saved_run(tmp_path, L=600)
+        edit_counts_lines(out, lambda lines: set_cell(lines, 4, 2 + where, "07"))
+        with pytest.raises(IncompleteArchiveError, match=f"line 5: experiment {where}: count '07' is not"):
             load_archive(out)
 
     def test_long_row_is_read_in_bounded_memory(self, tmp_path):
         # 100,000 cells of one row take about 5 MB as str, and reading the
-        # file peaks near 26 MB; one match over the whole row held 24 MB more.
+        # file peaks near 26 MB; the row's one match adds almost nothing.
         plan = ExperimentPlan(L=100_000, S=16, qubits=(PlanQubit(0, NOISY),), seed=1)
         path = save_archive(run_plan(plan), tmp_path / "run") / "counts.csv"
         tracemalloc.start()
@@ -567,6 +587,20 @@ class TestArchiveIO:
         finally:
             tracemalloc.stop()
         assert peak < 38e6
+
+    def test_one_match_over_a_long_row_keeps_no_state_per_count(self):
+        # An outer repeat that is not possessive keeps about 20 MB of
+        # backtracking state over this row.
+        row = ",".join(str(l % 8193) for l in range(100_000))
+        counts_text = re.compile(sampler._COUNTS_TEXT).fullmatch
+        tracemalloc.start()
+        try:
+            matched = counts_text(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matched is not None
+        assert peak < 1e6
 
     def test_counts_not_utf8_rejected(self, tmp_path):
         out = saved_run(tmp_path)
