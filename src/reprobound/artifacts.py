@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -103,6 +104,21 @@ def finite(text: str, parse=float):
     if not math.isfinite(value):  # OverflowError for an int beyond every double
         raise ValueError(f"non-finite number {text}")
     return value
+
+
+# An integer as ``str`` writes one: no leading zero, no sign on zero, and
+# [0-9], not \d, which also matches the non-ASCII digits int reads.
+# sampler._COUNTS_TEXT repeats it over a counts.csv row.
+_INT_TEXT = r"(?:0|-?[1-9][0-9]*+)"
+
+
+def integer(text: str) -> int:
+    """``int(text)``; ValueError unless ``text`` is an integer as ``str``
+    writes one, so that ``007``, ``-0``, ``1_0``, `` 1`` and non-ASCII
+    digits, which ``int`` takes, fail."""
+    if re.fullmatch(_INT_TEXT, text) is None:
+        raise ValueError(f"{text!r} is not an integer as str writes one")
+    return int(text)
 
 
 def read_json(path: str | Path, schema: str, error: ErrorFactory = ConfigError) -> dict:

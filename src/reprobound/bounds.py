@@ -18,7 +18,7 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import check_derived, finite, read_csv, write_csv, write_json
+from .artifacts import check_derived, finite, integer, read_csv, write_csv, write_json
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import (
     Record,
@@ -134,8 +134,8 @@ def _flag(cell: str) -> bool:
 
 # verdicts.csv: column name -> cell parser, in file order.
 VERDICT_COLUMNS = {
-    "qubit": int,
-    "n": int,
+    "qubit": integer,
+    "n": integer,
     "delta": finite,
     "gamma_D": finite,
     "gamma_max": finite,

@@ -49,16 +49,8 @@ NORMALIZED_SCHEMA = "calibration-normalized/1"
 
 # What `report` writes under its output directory, in the order it writes
 # them: fig_scatter.csv first, since the pass that writes it also estimates
-# each qubit for the per-qubit files that follow.
-REPORT_FILES = (
-    "fig_scatter.csv",
-    "table1.csv",
-    "fig_theta.csv",
-    "fig_hellinger.csv",
-    "fig_asymmetry.csv",
-    "fig_gamma.csv",
-    "lemma_report.json",
-)
+# each qubit for qubits.csv, the one per-qubit table of every figure.
+REPORT_FILES = ("fig_scatter.csv", "qubits.csv", "lemma_report.json")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -220,8 +212,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         plan = plan.replace(seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
-    # Files derived from the directory's earlier counts no longer describe it.
-    for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in REPORT_FILES)):
+    # Files derived from the directory's earlier counts no longer describe it;
+    # the last five are the per-figure tables that qubits.csv replaced.
+    bundle = (*REPORT_FILES, "table1.csv", "fig_theta.csv", "fig_hellinger.csv", "fig_asymmetry.csv", "fig_gamma.csv")
+    for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in bundle)):
         (Path(args.out) / stale).unlink(missing_ok=True)
     out = save_archive(archive, args.out)
     _say(args, f"{name}: wrote the counts of {plan.count_total} experiments to {out}")
@@ -284,7 +278,7 @@ def cmd_report(args) -> int:
         raise IncompleteArchiveError(f"{run_dir}: no verdicts.csv; run characterize and verdict first")
     verdicts = bounds.read_verdicts_csv(verdicts_path)
     plan = archive.plan
-    # Every per-qubit file lists the qubits by index, whatever order the plan has.
+    # qubits.csv lists the qubits by index, whatever order the plan has.
     qubits = sorted(archive.qubit_counts())
     found, expected = [q for q, _ in verdicts], [q for q, _ in qubits]
     if found != expected:
@@ -293,9 +287,7 @@ def cmd_report(args) -> int:
         )
     out = Path(args.out) if args.out else run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
-    fig_scatter, table1, fig_theta, fig_hellinger, fig_asymmetry, fig_gamma, lemma_report = (
-        out / name for name in REPORT_FILES
-    )
+    fig_scatter, table, lemma_report = (out / name for name in REPORT_FILES)
 
     estimates = []
 
@@ -308,37 +300,14 @@ def cmd_report(args) -> int:
 
     write_csv(fig_scatter, ["qubit", "experiment", "eps", "hellinger"], scatter_rows())
 
+    # Both lists are in index order: the verdicts' qubits were checked above.
     write_csv(
-        table1,
-        ["register", "gamma_max", "gamma_D"],
-        [[q, v.gamma_max, v.gamma_D] for q, v in verdicts],
-    )
-
-    finite_thetas = [abs(e.theta_hat_deg) for e in estimates if not math.isnan(e.theta_hat)]
-    theta_mean = estimator._mean(finite_thetas) if finite_thetas else math.nan
-    write_csv(
-        fig_theta,
-        ["qubit", "theta_abs_deg", "register_mean_deg"],
-        [[e.qubit, abs(e.theta_hat_deg), theta_mean] for e in estimates],
-    )
-
-    write_csv(
-        fig_hellinger,
-        ["qubit", "d_mean", "d_sigma"],
-        [[e.qubit, e.d_mean, e.d_sigma] for e in estimates],
-    )
-
-    write_csv(
-        fig_asymmetry,
-        ["qubit", "eps_mean", "eps_sigma"],
-        [[e.qubit, e.eps_mean, e.eps_sigma] for e in estimates],
-    )
-
-    gamma_mean = estimator._mean([v.gamma_D for _, v in verdicts])
-    write_csv(
-        fig_gamma,
-        ["qubit", "gamma_D", "register_mean"],
-        [[q, v.gamma_D, gamma_mean] for q, v in verdicts],
+        table,
+        ["qubit", "gamma_max", "gamma_D", "theta_abs_deg", "d_mean", "d_sigma", "eps_mean", "eps_sigma"],
+        [
+            [e.qubit, v.gamma_max, v.gamma_D, abs(e.theta_hat_deg), e.d_mean, e.d_sigma, e.eps_mean, e.eps_sigma]
+            for e, (_, v) in zip(estimates, verdicts)
+        ],
     )
 
     report = bounds.lemma_a1_check(*bounds.default_lemma_grids())

@@ -20,10 +20,10 @@ from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import check_derived, finite, read_csv, write_csv
+from .artifacts import check_derived, finite, integer, read_csv, write_csv
 from .errors import InsufficientDataError, InvalidParameterError
 from .noise_model import THETA_BOUND, Record, check_bias, check_probability, hellinger_1q
-from .sampler import RunArchive
+from .sampler import RunArchive, _check_experiments
 
 __all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
 
@@ -115,14 +115,15 @@ class CharacterizationEstimate(Record):
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.eps_sigma < 0.0 or self.d_sigma < 0.0:
-            raise InvalidParameterError("sigmas must be non-negative")
-        for name in ("f0_mean", "f1_mean", "d_mean"):
+        # eps is in [-1, 1] and d in [0, 1], so with L >= 2 the standard
+        # error of either mean is at most 1.
+        for name in ("f0_mean", "f1_mean", "eps_sigma", "d_mean", "d_sigma"):
             check_probability(name, getattr(self, name))
         check_bias("gamma_hat", self.gamma_hat)
         # Inclusive: a clamped inversion gives exactly 0.5 * asin(1.0) == pi/4.
         if not (math.isnan(self.theta_hat) or abs(self.theta_hat) <= THETA_BOUND):
             raise InvalidParameterError(f"theta_hat must be NaN or in [-pi/4, pi/4], got {self.theta_hat!r}")
+        _check_experiments(self.L, self.S)
 
     @property
     def eps_mean(self) -> float:
@@ -140,7 +141,7 @@ class CharacterizationEstimate(Record):
 # characterization.csv: column name -> cell parser, in file order. Every
 # number is finite except the angle, which is NaN after a failed inversion.
 CSV_COLUMNS = {
-    "qubit": int,
+    "qubit": integer,
     "f0_mean": finite,
     "f1_mean": finite,
     "eps_mean": finite,
@@ -151,8 +152,8 @@ CSV_COLUMNS = {
     "theta_hat_deg": float,
     "d_mean": finite,
     "d_sigma": finite,
-    "L": int,
-    "S": int,
+    "L": integer,
+    "S": integer,
     "warnings": lambda cell: tuple(t for t in cell.split("|") if t),
 }
 

@@ -72,7 +72,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ._version import __version__
-from .artifacts import field, read_csv, read_json, records, write_csv, write_json
+from .artifacts import _INT_TEXT, field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import QubitNoiseParams, Record, check_int, check_probability, output_bias
 
@@ -157,6 +157,18 @@ def check_unique_indices(indices) -> None:
         seen.add(index)
 
 
+def _check_experiments(L: int, S: int) -> None:
+    """The rule for L experiments of S shots, which a plan and each
+    characterization estimate follow; InvalidParameterError unless L and S
+    are ints, L >= 2 and 1 <= S < 2**63."""
+    if check_int("L", L) < 2:
+        raise InvalidParameterError(f"L must be >= 2 for population statistics, got {L}")
+    # Both draws reproduce numpy's binomial, which takes an int64
+    # number of trials; the port takes over below 2**53 only.
+    if not 1 <= check_int("S", S) < 2**63:
+        raise InvalidParameterError(f"S must be in [1, 2**63), got {S}")
+
+
 class ExperimentPlan(Record):
     """L experiments of S shots for each circuit kind and register element."""
 
@@ -166,12 +178,7 @@ class ExperimentPlan(Record):
     seed: int
 
     def __post_init__(self):
-        if check_int("L", self.L) < 2:
-            raise InvalidParameterError(f"L must be >= 2 for population statistics, got {self.L}")
-        # Both draws reproduce numpy's binomial, which takes an int64
-        # number of trials; the port takes over below 2**53 only.
-        if not 1 <= check_int("S", self.S) < 2**63:
-            raise InvalidParameterError(f"S must be in [1, 2**63), got {self.S}")
+        _check_experiments(self.L, self.S)
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if not self.qubits:
             raise InvalidParameterError("plan needs at least one qubit")
@@ -511,10 +518,10 @@ def _read_manifest(run: Path) -> dict:
 
 
 # counts.csv's text rule: comma-separated counts, each an integer as str
-# writes it. [0-9], not \d, which also matches the non-ASCII digits int reads.
-# The repeats are possessive: a plain outer one keeps about 270 bytes of
-# backtracking state per count it has matched (78 MB over a row of 333,333).
-_COUNTS_TEXT = r"(?:0|-?[1-9][0-9]*+)(?:,(?:0|-?[1-9][0-9]*+))*+"
+# writes it (artifacts.integer's rule). The repeats are possessive: a plain
+# outer one keeps about 270 bytes of backtracking state per count it has
+# matched (78 MB over a row of 333,333).
+_COUNTS_TEXT = rf"{_INT_TEXT}(?:,{_INT_TEXT})*+"
 
 
 def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:

@@ -302,20 +302,17 @@ def test_criterion_8_pipeline_validation(pipeline_runs):
     )
 
 
+def _run_files(run):
+    return sorted(path.relative_to(run).as_posix() for path in run.rglob("*") if path.is_file())
+
+
 def test_criterion_9_pipeline_determinism(pipeline_runs):
+    # Every file the run writes, whatever the bundle holds; the manifest's
+    # timestamps are provenance only.
     run_a, run_b, _ = pipeline_runs
-    names = ["counts.csv", "characterization.csv", "verdicts.csv"] + [
-        f"report/{n}"
-        for n in [
-            "table1.csv",
-            "fig_theta.csv",
-            "fig_hellinger.csv",
-            "fig_asymmetry.csv",
-            "fig_gamma.csv",
-            "fig_scatter.csv",
-            "lemma_report.json",
-        ]
-    ]
-    differing = [n for n in names if (run_a / n).read_bytes() != (run_b / n).read_bytes()]
-    ok = not differing
-    _criterion(9, ok, f"{len(names)} artifacts byte-identical" + (f"; differing: {differing}" if differing else ""))
+    names, names_b = _run_files(run_a), _run_files(run_b)
+    compared = [n for n in names if n != "manifest.json"]
+    differing = [n for n in compared if (run_a / n).read_bytes() != (run_b / n).read_bytes()]
+    ok = names == names_b and not differing
+    detail = f"{len(compared)} artifacts byte-identical"
+    _criterion(9, ok, detail if ok else f"files {names} vs {names_b}; differing: {differing}")

@@ -2,14 +2,17 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import reprobound
-from reprobound.artifacts import field, read_csv, read_json, records, write_csv, write_json
+from reprobound.artifacts import field, integer, read_csv, read_json, records, write_csv, write_json
 from reprobound.errors import ConfigError, IncompleteArchiveError
 
 PACKAGE = Path(reprobound.__file__).parent
@@ -121,6 +124,25 @@ class TestJson:
             records({"q": []}, "w", "q")
         with pytest.raises(ConfigError, match=r"w: q\[1\]: expected an object"):
             records({"q": [{}, 7]}, "w", "q")
+
+
+@given(cell=st.text(alphabet="0139-+_ \u0663", max_size=6))
+@example(cell="007")
+@example(cell="-0")
+@example(cell="1_0")
+@example(cell=" 1")
+@example(cell="\u0663")
+@example(cell="-12")
+def test_integer_takes_an_int_only_as_str_writes_it(cell):
+    try:
+        value = int(cell)
+    except ValueError:
+        value = None
+    if value is not None and str(value) == cell:
+        assert integer(cell) == value
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(cell))} is not an integer as str writes one$"):
+            integer(cell)
 
 
 def test_only_artifacts_imports_csv_or_json():

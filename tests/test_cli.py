@@ -213,6 +213,15 @@ class TestSimulate:
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert f"{small_run}: no verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
 
+    def test_resimulating_clears_an_older_report_bundle(self, small_run):
+        # Before qubits.csv, report wrote one per-qubit table for each figure.
+        retired = ["table1.csv", "fig_theta.csv", "fig_hellinger.csv", "fig_asymmetry.csv", "fig_gamma.csv"]
+        (small_run / "report").mkdir()
+        for name in retired:
+            (small_run / "report" / name).write_text("qubit\n0\n1\n")
+        assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
+        assert list((small_run / "report").iterdir()) == []
+
     def test_rebuilds_a_run_manifest_3_directory(self, small_run, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         counts = (small_run / "counts.csv").read_bytes()
@@ -440,20 +449,11 @@ class TestReport:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
         report = small_run / "report"
-        for name in [
-            "table1.csv",
-            "fig_theta.csv",
-            "fig_hellinger.csv",
-            "fig_asymmetry.csv",
-            "fig_gamma.csv",
-            "fig_scatter.csv",
-            "lemma_report.json",
-        ]:
-            assert (report / name).is_file(), name
+        assert sorted(path.name for path in report.iterdir()) == ["fig_scatter.csv", "lemma_report.json", "qubits.csv"]
         scatter = read_rows(report / "fig_scatter.csv")
         assert len(scatter) == 6 * 2  # L experiments x qubits
-        table = read_rows(report / "table1.csv")
-        assert [r["register"] for r in table] == ["0", "1"]
+        table = read_rows(report / "qubits.csv")
+        assert [r["qubit"] for r in table] == ["0", "1"]
         for row in table:
             assert float(row["gamma_D"]) <= float(row["gamma_max"])
         lemma = json.loads((report / "lemma_report.json").read_text())
@@ -504,8 +504,25 @@ class TestReport:
         distances = {}
         for row in read_rows(small_run / "report" / "fig_scatter.csv"):
             distances.setdefault(row["qubit"], []).append(float(row["hellinger"]))
-        means = {row["qubit"]: float(row["d_mean"]) for row in read_rows(small_run / "report" / "fig_hellinger.csv")}
+        means = {row["qubit"]: float(row["d_mean"]) for row in read_rows(small_run / "report" / "qubits.csv")}
         assert means == {q: math.fsum(d) / len(d) for q, d in distances.items()}
+
+    def test_qubits_table_joins_the_verdicts_and_the_estimates(self, small_run):
+        # Each cell keeps the text of the artifact it comes from.
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        table = read_rows(small_run / "report" / "qubits.csv")
+        verdicts = read_rows(small_run / "verdicts.csv")
+        estimates = {row["qubit"]: row for row in read_rows(small_run / "characterization.csv")}
+        header = ["qubit", "gamma_max", "gamma_D", "theta_abs_deg", "d_mean", "d_sigma", "eps_mean", "eps_sigma"]
+        assert list(table[0]) == header
+        assert [row["qubit"] for row in table] == [row["qubit"] for row in verdicts] == sorted(estimates, key=int)
+        for row, verdict in zip(table, verdicts):
+            estimate = estimates[row["qubit"]]
+            assert [row[name] for name in header[1:3]] == [verdict[name] for name in header[1:3]]
+            assert [row[name] for name in header[4:]] == [estimate[name] for name in header[4:]]
+            # repr(abs(nan)) is "nan", after a failed inversion.
+            assert row["theta_abs_deg"] == repr(abs(float(estimate["theta_hat_deg"])))
 
     def test_estimates_each_qubit_once(self, small_run, monkeypatch):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -540,7 +557,7 @@ class TestReport:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
         paths = sorted(small_run.rglob("*.csv"))
-        assert len(paths) == 9  # counts, characterization, verdicts and the six report tables
+        assert len(paths) == 5  # counts, characterization, verdicts, fig_scatter and qubits
         floats = [(path.name, cell) for path in paths for cell in float_cells(path)]
         assert floats
         assert [(name, cell) for name, cell in floats if cell != repr(float(cell))] == []
@@ -703,24 +720,21 @@ def run_pipeline(tmp_path, tag, seed=77):
     return run
 
 
+def run_files(run):
+    """The relative path of every file under ``run``, sorted."""
+    return sorted(path.relative_to(run).as_posix() for path in run.rglob("*") if path.is_file())
+
+
 def test_end_to_end_determinism(tmp_path):
-    """The same config twice yields byte-identical CSV outputs everywhere."""
+    """The same config twice writes the same files, byte-identical but for
+    the manifest's timestamps."""
     run_a = run_pipeline(tmp_path, "a")
     run_b = run_pipeline(tmp_path, "b")
-    names = ["counts.csv", "characterization.csv", "verdicts.csv"] + [
-        f"report/{n}"
-        for n in [
-            "table1.csv",
-            "fig_theta.csv",
-            "fig_hellinger.csv",
-            "fig_asymmetry.csv",
-            "fig_gamma.csv",
-            "fig_scatter.csv",
-            "lemma_report.json",
-        ]
-    ]
+    names = run_files(run_a)
+    assert names == run_files(run_b)
     for name in names:
-        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+        if name != "manifest.json":
+            assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
 
 
 def test_threads_do_not_change_outputs(tmp_path):
@@ -894,6 +908,29 @@ SNAPSHOT_QUBITS = {
     ),
 }
 
+# One edited cell of row 1 (qubit 0, L 6, S 512, n 1) of characterization.csv,
+# which verdict reads, or of verdicts.csv, which report reads: the file, the
+# column, the text and what the error names after the line. int() reads
+# each text of the first five pairs, and each edit of the last five gives
+# a value that no plan (L, S) or population mean (a sigma) can have.
+EDITED_CELLS = {
+    "characterization-qubit-007": ("characterization.csv", 0, "007"),
+    "characterization-qubit-minus-0": ("characterization.csv", 0, "-0"),
+    "characterization-L-underscore": ("characterization.csv", 11, "1_0"),
+    "characterization-S-leading-space": ("characterization.csv", 12, " 1"),
+    "characterization-qubit-unicode-digit": ("characterization.csv", 0, "\u0663"),
+    "verdicts-qubit-007": ("verdicts.csv", 0, "007"),
+    "verdicts-qubit-minus-0": ("verdicts.csv", 0, "-0"),
+    "verdicts-n-underscore": ("verdicts.csv", 1, "1_0"),
+    "verdicts-n-leading-space": ("verdicts.csv", 1, " 1"),
+    "verdicts-qubit-unicode-digit": ("verdicts.csv", 0, "\u0663"),
+    "characterization-L-minus-1": ("characterization.csv", 11, "-1", "L must be >= 2"),
+    "characterization-S-0": ("characterization.csv", 12, "0", "S must be in [1, 2**63), got 0"),
+    "characterization-S-2**63": ("characterization.csv", 12, str(2**63), f"S must be in [1, 2**63), got {2**63}"),
+    "characterization-eps-sigma-1.5": ("characterization.csv", 4, "1.5", "eps_sigma must be in [0, 1], got 1.5"),
+    "characterization-d-sigma-1.5": ("characterization.csv", 10, "1.5", "d_sigma must be in [0, 1], got 1.5"),
+}
+
 
 def break_input(tmp_path, run, case):
     """Write the malformed input named by ``case``; returns (argv, the file
@@ -957,6 +994,14 @@ def break_input(tmp_path, run, case):
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
         return ["report", str(run)], f"{verdicts}: line 3", 2
+    if case in EDITED_CELLS:
+        name, column, text, *named = EDITED_CELLS[case]
+        named = named[0] if named else f"{text!r} is not an integer as str writes one"
+        if name == "verdicts.csv":
+            assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        edit_lines(run / name, lambda lines: set_csv_cell(lines, 1, column, text))
+        argv = ["report", str(run)] if name == "verdicts.csv" else ["verdict", str(char), "--delta", "0.3"]
+        return argv, f"{run / name}: line 2: {named}", 2
     path = tmp_path / "input.json"
     if case == "config-not-utf8":
         path.write_bytes(b'{"schema": "device-config/1", "name": "\xff"}')
@@ -1004,6 +1049,7 @@ def break_input(tmp_path, run, case):
         "verdicts-edited-margin",
         "verdicts-flipped-flag",
         "verdicts-text-cell",
+        *EDITED_CELLS,
         "config-not-utf8",
         "config-list",
         "normalized-no-qubits",

@@ -347,8 +347,12 @@ class TestEstimateFields:
     def test_invalid_fields_rejected(self):
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
         for edit, message in (
-            ({"eps_sigma": -1e-3}, "sigmas must be non-negative"),
-            ({"d_sigma": -1e-3}, "sigmas must be non-negative"),
+            ({"eps_sigma": -1e-3}, r"eps_sigma must be in \[0, 1\]"),
+            ({"d_sigma": -1e-3}, r"d_sigma must be in \[0, 1\]"),
+            ({"eps_sigma": 1.5}, r"eps_sigma must be in \[0, 1\]"),
+            ({"L": 1}, "L must be >= 2"),
+            ({"S": 0}, r"S must be in \[1, 2\*\*63\)"),
+            ({"S": 2**63}, r"S must be in \[1, 2\*\*63\)"),
             ({"d_mean": 1.5}, r"d_mean must be in \[0, 1\]"),
             ({"f0_mean": 1.5}, r"f0_mean must be in \[0, 1\]"),
             ({"f1_mean": -0.25}, r"f1_mean must be in \[0, 1\]"),
