@@ -25,6 +25,7 @@ from .noise_model import (
     _float,
     check_angle,
     check_bias,
+    check_index,
     check_int,
     check_open_probability,
     check_probability,
@@ -312,7 +313,7 @@ def write_verdicts_csv(rows, path: str | Path) -> None:
 
 
 def _verdict_row(qubit, n, delta, gamma_D, gamma_max, margin, reproducible):
-    return qubit, check_derived(
+    return check_index(qubit), check_derived(
         ReproVerdict(n, delta, gamma_D), gamma_max=gamma_max, margin=margin, reproducible=reproducible
     )
 

@@ -31,11 +31,9 @@ from .errors import (
     OutOfRegimeError,
     ReproBoundError,
 )
-from .noise_model import check_open_probability, check_theta
+from .noise_model import check_drift, check_open_probability, check_theta, check_unique_indices
 from .sampler import (
     ExperimentPlan,
-    _check_drift,
-    check_unique_indices,
     load_archive,
     plan_from_doc,
     qubit_from_record,
@@ -61,6 +59,15 @@ EXIT_REGIME = 5
 
 # ---------------------------------------------------------------------------
 # config and snapshot handling
+
+
+def _named(where, check, *args, **kwargs):
+    """``check(*args, **kwargs)``; an InvalidParameterError it raises becomes
+    a ConfigError naming ``where``, the file or option the values came from."""
+    try:
+        return check(*args, **kwargs)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
@@ -124,7 +131,7 @@ def normalize_snapshot(path: str | Path) -> dict:
             {"index": qubit.index, "f0": float(qubit.params.f0), "f1": float(qubit.params.f1), "theta_rad": theta}
         )
 
-    _check_unique(where, (q["index"] for q in normalized))
+    _named(where, check_unique_indices, (q["index"] for q in normalized))
 
     return {
         "schema": NORMALIZED_SCHEMA,
@@ -145,24 +152,13 @@ VerdictRow = NamedTuple(
 )
 
 
-def _check_unique(where, indices) -> None:
-    """:func:`sampler.check_unique_indices` as a ConfigError naming ``where``."""
-    try:
-        check_unique_indices(indices)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def _stand_in(loc: str, theta: float | None) -> float:
     """The ``--theta`` angle ``theta`` for the qubit at ``loc``, which has
     none of its own; ConfigError naming ``loc`` unless it is given and passes
     the angle rule of every other angle."""
     if theta is None:
         raise ConfigError(f"{loc}: no gate angle available; pass --theta RADIANS")
-    try:
-        return check_theta(theta)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{loc}: --theta: {exc}") from exc
+    return _named(f"{loc}: --theta", check_theta, theta)
 
 
 def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
@@ -188,7 +184,7 @@ def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
         ]
     if not rows:
         raise ConfigError(f"{path}: holds no qubit rows")
-    _check_unique(path, (row.qubit for row in rows))
+    _named(path, check_unique_indices, (row.qubit for row in rows))
     return rows
 
 
@@ -204,13 +200,10 @@ def _say(args, message: str) -> None:
 def cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate needs --out RUN_DIR")
-    try:
-        _check_drift(args.drift)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"--drift: {exc}") from exc
+    _named("--drift", check_drift, args.drift)
     name, plan = load_device_config(args.config)
     if args.seed is not None:
-        plan = plan.replace(seed=args.seed)
+        plan = _named("--seed", plan.replace, seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
     # Files derived from the directory's earlier counts no longer describe it;
     # the last five are the per-figure tables that qubits.csv replaced.

@@ -18,12 +18,24 @@ from __future__ import annotations
 import math
 from operator import mul, sub
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .artifacts import check_derived, finite, integer, read_csv, write_csv
 from .errors import InsufficientDataError, InvalidParameterError
-from .noise_model import THETA_BOUND, Record, check_bias, check_probability, hellinger_1q
-from .sampler import RunArchive, _check_experiments
+from .noise_model import (
+    THETA_BOUND,
+    Record,
+    check_bias,
+    check_experiments,
+    check_index,
+    check_probability,
+    hellinger_1q,
+)
+
+# Only characterize's annotation names the archive: estimator loads no part
+# of sampler.
+if TYPE_CHECKING:
+    from .sampler import RunArchive
 
 __all__ = ["CharacterizationEstimate", "characterize", "invert_theta", "per_experiment", "population_stats"]
 
@@ -115,6 +127,7 @@ class CharacterizationEstimate(Record):
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_index(self.qubit)
         # eps is in [-1, 1] and d in [0, 1], so with L >= 2 the standard
         # error of either mean is at most 1.
         for name in ("f0_mean", "f1_mean", "eps_sigma", "d_mean", "d_sigma"):
@@ -123,7 +136,7 @@ class CharacterizationEstimate(Record):
         # Inclusive: a clamped inversion gives exactly 0.5 * asin(1.0) == pi/4.
         if not (math.isnan(self.theta_hat) or abs(self.theta_hat) <= THETA_BOUND):
             raise InvalidParameterError(f"theta_hat must be NaN or in [-pi/4, pi/4], got {self.theta_hat!r}")
-        _check_experiments(self.L, self.S)
+        check_experiments(self.L, self.S)
 
     @property
     def eps_mean(self) -> float:

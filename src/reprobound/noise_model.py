@@ -99,6 +99,50 @@ def check_int(name: str, value: int) -> int:
     return value
 
 
+# The rules that more than one record or module applies: a qubit index,
+# unique indices, L experiments of S shots and a drift SIGMA. Each is
+# raised here and nowhere else (tests/test_rules.py).
+
+
+def check_index(value: int) -> int:
+    """``value`` if it is a qubit index, a non-negative int; else
+    InvalidParameterError. The one index check of every record that names
+    a qubit: a plan's qubit, an estimate and a verdict row."""
+    if check_int("qubit index", value) < 0:
+        raise InvalidParameterError(f"qubit index must be non-negative, got {value}")
+    return value
+
+
+def check_unique_indices(indices) -> None:
+    """InvalidParameterError naming the first qubit index that ``indices``
+    repeats. The one duplicate check of a plan, a calibration snapshot and
+    a verdict's inputs."""
+    seen = set()
+    for index in indices:
+        if index in seen:
+            raise InvalidParameterError(f"qubit {index} appears more than once")
+        seen.add(index)
+
+
+def check_experiments(L: int, S: int) -> None:
+    """The rule for L experiments of S shots, which a plan and each
+    characterization estimate follow; InvalidParameterError unless L and S
+    are ints, L >= 2 and 1 <= S < 2**63."""
+    if check_int("L", L) < 2:
+        raise InvalidParameterError(f"L must be >= 2 for population statistics, got {L}")
+    # Both draws reproduce numpy's binomial, which takes an int64
+    # number of trials; the port takes over below 2**53 only.
+    if not 1 <= check_int("S", S) < 2**63:
+        raise InvalidParameterError(f"S must be in [1, 2**63), got {S}")
+
+
+def check_drift(drift: float | None) -> float | None:
+    """A drift SIGMA as a float, or None for stationary noise;
+    InvalidParameterError unless it is a probability, a number in [0, 1].
+    A zero SIGMA is +0.0: numpy's normal rejects a scale of -0.0."""
+    return None if drift is None else abs(check_probability("drift SIGMA", drift))
+
+
 class Record:
     """Base of the package's immutable records.
 

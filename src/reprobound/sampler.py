@@ -74,7 +74,16 @@ from typing import TYPE_CHECKING, Iterator
 from ._version import __version__
 from .artifacts import _INT_TEXT, field, read_csv, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
-from .noise_model import QubitNoiseParams, Record, check_int, check_probability, output_bias
+from .noise_model import (
+    QubitNoiseParams,
+    Record,
+    check_drift,
+    check_experiments,
+    check_index,
+    check_int,
+    check_unique_indices,
+    output_bias,
+)
 
 __all__ = [
     "CircuitKind",
@@ -142,31 +151,7 @@ class PlanQubit(Record):
     params: QubitNoiseParams
 
     def __post_init__(self):
-        if check_int("qubit index", self.index) < 0:
-            raise InvalidParameterError(f"qubit index must be non-negative, got {self.index}")
-
-
-def check_unique_indices(indices) -> None:
-    """InvalidParameterError naming the first qubit index that ``indices``
-    repeats. The one duplicate check of a plan, a calibration snapshot and
-    a verdict's inputs."""
-    seen = set()
-    for index in indices:
-        if index in seen:
-            raise InvalidParameterError(f"qubit {index} appears more than once")
-        seen.add(index)
-
-
-def _check_experiments(L: int, S: int) -> None:
-    """The rule for L experiments of S shots, which a plan and each
-    characterization estimate follow; InvalidParameterError unless L and S
-    are ints, L >= 2 and 1 <= S < 2**63."""
-    if check_int("L", L) < 2:
-        raise InvalidParameterError(f"L must be >= 2 for population statistics, got {L}")
-    # Both draws reproduce numpy's binomial, which takes an int64
-    # number of trials; the port takes over below 2**53 only.
-    if not 1 <= check_int("S", S) < 2**63:
-        raise InvalidParameterError(f"S must be in [1, 2**63), got {S}")
+        check_index(self.index)
 
 
 class ExperimentPlan(Record):
@@ -178,7 +163,7 @@ class ExperimentPlan(Record):
     seed: int
 
     def __post_init__(self):
-        _check_experiments(self.L, self.S)
+        check_experiments(self.L, self.S)
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if not self.qubits:
             raise InvalidParameterError("plan needs at least one qubit")
@@ -189,7 +174,7 @@ class ExperimentPlan(Record):
             )
         check_unique_indices(q.index for q in self.qubits)
         if not 0 <= check_int("seed", self.seed) < 2**64:
-            raise InvalidParameterError("seed must be a 64-bit unsigned integer")
+            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @property
     def qubit_indices(self) -> tuple[int, ...]:
@@ -199,13 +184,6 @@ class ExperimentPlan(Record):
     def count_total(self) -> int:
         """How many counts the plan draws: one per kind, qubit and experiment."""
         return len(CircuitKind) * len(self.qubits) * self.L
-
-
-def _check_drift(drift: float | None) -> float | None:
-    """A drift SIGMA as a float, or None for stationary noise;
-    InvalidParameterError unless it is a probability, a number in [0, 1].
-    A zero SIGMA is +0.0: numpy's normal rejects a scale of -0.0."""
-    return None if drift is None else abs(check_probability("drift SIGMA", drift))
 
 
 Counts = tuple[tuple[tuple[int, ...], ...], ...]
@@ -239,7 +217,7 @@ class RunArchive(Record):
     __hash__ = object.__hash__
 
     def __post_init__(self):
-        object.__setattr__(self, "drift", _check_drift(self.drift))
+        object.__setattr__(self, "drift", check_drift(self.drift))
         if not isinstance(self.numpy_version, (str, type(None))):
             raise InvalidParameterError(f"numpy_version must be a str or None, got {self.numpy_version!r}")
         kinds, qubits, L = shape = (len(CircuitKind), len(self.plan.qubits), self.plan.L)
@@ -349,7 +327,7 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
             and f1 are clipped into [0, 1]. Off by default; the baseline
             protocol assumes stationary noise.
     """
-    drift = _check_drift(drift)
+    drift = check_drift(drift)
     if not _draws_with_numpy(plan, drift):
         from . import _stream
 
@@ -495,7 +473,7 @@ def load_archive(run_dir: str | Path) -> RunArchive:
     manifest = _read_manifest(run)
     try:
         plan = plan_from_doc(manifest, "manifest")
-        drift = _check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
+        drift = check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
         numpy_version = field(manifest, "manifest", "numpy_version", (str, type(None)))
     except (ConfigError, InvalidParameterError) as exc:
         raise IncompleteArchiveError(f"{run}: manifest.json does not describe a valid run: {exc}") from exc

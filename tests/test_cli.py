@@ -202,6 +202,19 @@ class TestSimulate:
         assert "--drift" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("before", [True, False], ids=["flag-first", "flag-last"])
+    def test_seed_out_of_range_names_the_flag(self, tmp_path, seed, before, capsys):
+        cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
+        run = tmp_path / "run"
+        command = ["simulate", str(cfg), "--out", str(run)]
+        flag = ["--seed", str(seed)]
+        assert main(flag + command if before else command + flag) == 2
+        assert capsys.readouterr().err == (
+            f"reprobound: error: --seed: seed must be a 64-bit unsigned integer, got {seed}\n"
+        )
+        assert not run.exists()
+
     def test_resimulating_clears_derived_tables(self, small_run, capsys):
         cfg = small_run.parent / "cfg.json"
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -929,6 +942,8 @@ EDITED_CELLS = {
     "characterization-S-2**63": ("characterization.csv", 12, str(2**63), f"S must be in [1, 2**63), got {2**63}"),
     "characterization-eps-sigma-1.5": ("characterization.csv", 4, "1.5", "eps_sigma must be in [0, 1], got 1.5"),
     "characterization-d-sigma-1.5": ("characterization.csv", 10, "1.5", "d_sigma must be in [0, 1], got 1.5"),
+    "characterization-qubit-minus-3": ("characterization.csv", 0, "-3", "qubit index must be non-negative, got -3"),
+    "verdicts-qubit-minus-3": ("verdicts.csv", 0, "-3", "qubit index must be non-negative, got -3"),
 }
 
 

@@ -359,6 +359,7 @@ class TestEstimateFields:
             ({"f1_mean": math.nan}, r"f1_mean must be in \[0, 1\]"),
             ({"gamma_hat": -1.5}, r"gamma_hat must be in \[-1, 1\]"),
             ({"theta_hat": 1.2}, r"theta_hat must be NaN or in \[-pi/4, pi/4\], got 1.2"),
+            ({"qubit": -1}, "qubit index must be non-negative, got -1"),
         ):
             with pytest.raises(ValueError, match=message):
                 est.replace(**edit)

@@ -1,6 +1,8 @@
 """Each interval rule of an input has one check: the function that owns
-it, and no copy elsewhere in the package. Likewise the run archive's count
-table has one module that knows its layout, ``sampler``."""
+it, and no copy elsewhere in the package. So has each rule that plans,
+estimates and verdict rows share. Likewise the run archive's count table
+has one module that knows its layout, ``sampler``, and only the front end
+and the package load it."""
 
 import ast
 import math
@@ -29,13 +31,21 @@ NOT_NUMBERS = ["0.5", None, True]
 # Each interval, as a raise message names it, and the one function that owns its rule.
 OWNERS = {"[0, 1]": "check_probability", "[-1, 1]": "check_bias", "(0, 1)": "check_open_probability"}
 
+# Each message of a rule that more than one record applies, and its one owner.
+SHARED_OWNERS = {
+    "qubit index must be non-negative": "check_index",
+    "appears more than once": "check_unique_indices",
+    "L must be >= 2": "check_experiments",
+    "S must be in [1, 2**63)": "check_experiments",
+}
+
 
 class _Raises(ast.NodeVisitor):
-    """Collects (module, innermost function, interval) for each raise whose
-    message text names one of the intervals of OWNERS."""
+    """Collects (module, innermost function, text) for each raise whose
+    message text holds one of the texts of ``owners``."""
 
-    def __init__(self, module: str):
-        self.module, self.scope, self.found = module, ["<module>"], []
+    def __init__(self, module: str, owners: dict[str, str]):
+        self.module, self.owners, self.scope, self.found = module, owners, ["<module>"], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -44,16 +54,24 @@ class _Raises(ast.NodeVisitor):
 
     def visit_Raise(self, node):
         text = "".join(n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
-        self.found += [(self.module, self.scope[-1], interval) for interval in OWNERS if interval in text]
+        self.found += [(self.module, self.scope[-1], key) for key in self.owners if key in text]
+
+
+def _raisers(owners: dict[str, str]) -> list[tuple[str, str, str]]:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _Raises(path.stem, owners)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += visitor.found
+    return sorted(found)
 
 
 def test_each_interval_rule_is_raised_by_its_one_function():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _Raises(path.stem)
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        found += visitor.found
-    assert sorted(found) == sorted(("noise_model", owner, interval) for interval, owner in OWNERS.items())
+    assert _raisers(OWNERS) == sorted(("noise_model", owner, interval) for interval, owner in OWNERS.items())
+
+
+def test_each_shared_rule_is_raised_by_its_noise_model_owner():
+    assert _raisers(SHARED_OWNERS) == sorted(("noise_model", owner, text) for text, owner in SHARED_OWNERS.items())
 
 
 def test_only_sampler_reads_the_count_table():
@@ -65,6 +83,27 @@ def test_only_sampler_reads_the_count_table():
         if isinstance(node, ast.Attribute) and node.attr == "counts"
     }
     assert readers == {"sampler"}
+
+
+def _runtime_nodes(tree: ast.Module):
+    """Every node of ``tree`` but those under ``if TYPE_CHECKING:``, which
+    only annotations use."""
+    for stmt in tree.body:
+        if not (isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name) and stmt.test.id == "TYPE_CHECKING"):
+            yield from ast.walk(stmt)
+
+
+def test_only_cli_and_the_package_import_sampler():
+    # estimator, bounds and artifacts take their shared rules from noise_model.
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in _runtime_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and (node.module == "sampler" or node.module is None and "sampler" in {a.name for a in node.names})
+    }
+    assert importers == {"__init__", "cli"}
 
 
 @pytest.mark.parametrize(
