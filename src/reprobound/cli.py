@@ -2,13 +2,18 @@
 errors onto exit codes. Every file is written and read through ``artifacts``.
 
 Subcommands: simulate, characterize, verdict, import-calibration,
-plan-samples, report. Global flags ``--seed``, ``--out``, ``--quiet`` may
-be given before or after the subcommand. Every ``qubits[]`` record, of a
-device config, a calibration snapshot or a normalized calibration, is read
-by ``sampler.qubit_from_record``, so each passes the same checks.
+plan-samples, report. Each takes only the options it reads, after the
+subcommand: ``--seed`` is simulate's, since only simulate draws random
+numbers, and every command but plan-samples takes ``--out`` and
+``--quiet``. An ``--out`` that names one of the command's own inputs is an
+input error. Every ``qubits[]`` record, of a device config, a calibration
+snapshot or a normalized calibration, is read by
+``sampler.qubit_from_record``, so each passes the same checks.
 
 Exit codes are stable: 0 success, 2 input error, 3 I/O failure, 4 incomplete
-run artifacts, 5 tolerance outside the bound's validity regime.
+run artifacts, 5 tolerance outside the bound's validity regime. A usage
+error (an unknown option, an option the command does not take, a missing
+``--out`` of simulate) exits 2 too, with argparse's message.
 """
 
 from __future__ import annotations
@@ -154,17 +159,16 @@ VerdictRow = NamedTuple(
 
 def _stand_in(loc: str, theta: float | None) -> float:
     """The ``--theta`` angle ``theta`` for the qubit at ``loc``, which has
-    none of its own; ConfigError naming ``loc`` unless it is given and passes
-    the angle rule of every other angle."""
+    none of its own; ConfigError naming ``loc`` if it is not given."""
     if theta is None:
         raise ConfigError(f"{loc}: no gate angle available; pass --theta RADIANS")
-    return _named(f"{loc}: --theta", check_theta, theta)
+    return theta
 
 
 def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
     """The rows of a characterization CSV or normalized calibration JSON,
-    ``theta`` (``--theta``) standing in for each missing gate angle;
-    ConfigError if there is none or a qubit appears twice."""
+    ``theta`` (``--theta``, already checked) standing in for each missing
+    gate angle; ConfigError if there is none or a qubit appears twice."""
     if path.suffix == ".json":
         rows = []
         for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
@@ -197,9 +201,16 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _output(args, default: Path, *inputs: Path) -> Path:
+    """Where the command writes: ``--out``, else ``default``; ConfigError
+    if that is one of ``inputs``, the files the command reads."""
+    out = Path(args.out) if args.out else default
+    if out.resolve() in {path.resolve() for path in inputs}:
+        raise ConfigError(f"--out: {out} is an input of this command")
+    return out
+
+
 def cmd_simulate(args) -> int:
-    if args.out is None:
-        raise ConfigError("simulate needs --out RUN_DIR")
     _named("--drift", check_drift, args.drift)
     name, plan = load_device_config(args.config)
     if args.seed is not None:
@@ -217,9 +228,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_characterize(args) -> int:
     run_dir = Path(args.run_dir)
-    archive = load_archive(run_dir)
-    estimates = estimator.characterize(archive)
-    out = Path(args.out) if args.out else run_dir / "characterization.csv"
+    out = _output(args, run_dir / "characterization.csv", run_dir / "manifest.json", run_dir / "counts.csv")
+    estimates = estimator.characterize(load_archive(run_dir))
     estimator.write_characterization_csv(estimates, out)
     flagged = sum(1 for e in estimates if e.warnings)
     _say(args, f"characterized {len(estimates)} qubit(s) -> {out}" + (f" ({flagged} flagged)" if flagged else ""))
@@ -227,7 +237,10 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_verdict(args) -> int:
+    if args.theta is not None:
+        _named("--theta", check_theta, args.theta)
     source = Path(args.source)
+    out = _output(args, source.parent / "verdicts.csv", source)
     rows = sorted(_verdict_rows(source, args.theta), key=lambda row: row.qubit)
     # One source gives every row an observed distance or none.
     if args.delta_from_observed and rows[0].d_mean is None:
@@ -236,18 +249,15 @@ def cmd_verdict(args) -> int:
         (r.qubit, bounds.verdict(args.n, r.d_mean if args.delta_from_observed else args.delta, r.eps, r.theta, r.f))
         for r in rows
     ]
-
-    out = Path(args.out) if args.out else source.parent / "verdicts.csv"
     bounds.write_verdicts_csv(results, out)
-    ok = sum(1 for _, v in results if v.reproducible)
-    _say(args, f"verdicts -> {out}: {ok}/{len(results)} reproducible")
+    _say(args, f"verdicts -> {out}: {sum(1 for _, v in results if v.reproducible)}/{len(results)} reproducible")
     return EXIT_OK
 
 
 def cmd_import_calibration(args) -> int:
     snapshot = Path(args.snapshot)
+    out = _output(args, snapshot.with_suffix(".normalized.json"), snapshot)
     normalized = normalize_snapshot(snapshot)
-    out = Path(args.out) if args.out else snapshot.with_suffix(".normalized.json")
     write_json(out, normalized)
     _say(args, f"normalized {len(normalized['qubits'])} qubit(s) -> {out}")
     for flag in normalized["warnings"]:
@@ -258,8 +268,7 @@ def cmd_import_calibration(args) -> int:
 def cmd_plan_samples(args) -> int:
     confidence = check_open_probability("--confidence", args.confidence)
     plan = bounds.plan_samples(args.p, args.precision, 1.0 - confidence)
-    print(f"T = {plan.T}")
-    print(f"z = {plan.z!r}")
+    print(f"T = {plan.T}\nz = {plan.z!r}")
     return EXIT_OK
 
 
@@ -278,7 +287,7 @@ def cmd_report(args) -> int:
         raise IncompleteArchiveError(
             f"{verdicts_path}: qubits {found} do not match {expected} of the run; re-run characterize and verdict"
         )
-    out = Path(args.out) if args.out else run_dir / "report"
+    out = _output(args, run_dir / "report")
     out.mkdir(parents=True, exist_ok=True)
     fig_scatter, table, lemma_report = (out / name for name in REPORT_FILES)
 
@@ -303,8 +312,7 @@ def cmd_report(args) -> int:
         ],
     )
 
-    report = bounds.lemma_a1_check(*bounds.default_lemma_grids())
-    bounds.write_lemma_report(report, lemma_report)
+    bounds.write_lemma_report(bounds.lemma_a1_check(*bounds.default_lemma_grids()), lemma_report)
 
     _say(args, f"report bundle -> {out}")
     return EXIT_OK
@@ -314,21 +322,12 @@ def cmd_report(args) -> int:
 # parser and entry point
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the config seed")
-    parser.add_argument("--out", default=argparse.SUPPRESS, help="output file or directory")
-    parser.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress progress output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprobound",
         description="Simulate, characterize, and bound the reproducibility of noisy single-qubit test circuits.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--quiet", action="store_true", default=False, help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a synthetic device config into a run directory")
@@ -338,12 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift", type=float, default=None, metavar="SIGMA",
                    help="exploratory common-mode drift, SIGMA in [0, 1]: experiment l adds one "
                         "N(0, SIGMA) draw each to f0, f1 and theta, shared by every qubit")
-    _add_shared(p)
+    p.add_argument("--seed", type=int, help="seed for the counts, in place of the config's plan seed")
+    p.add_argument("--out", required=True, metavar="RUN_DIR",
+                   help="run directory to write counts.csv and manifest.json into (required: no default)")
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("characterize", help="estimate noise parameters from a run directory")
     p.add_argument("run_dir")
-    _add_shared(p)
+    p.add_argument("--out", help="characterization CSV to write (default: run_dir/characterization.csv)")
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("verdict", help="apply the reproducibility bound per qubit")
@@ -355,24 +358,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="register size for the bound (default 1)")
     p.add_argument("--theta", type=float, default=None,
                    help="gate angle override (radians) for inputs without one")
-    _add_shared(p)
+    p.add_argument("--out", help="verdicts CSV to write (default: verdicts.csv next to source)")
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("import-calibration", help="normalize an external calibration snapshot")
     p.add_argument("snapshot", help="calibration snapshot JSON")
-    _add_shared(p)
+    p.add_argument("--out",
+                   help="normalized calibration JSON to write (default: snapshot with suffix .normalized.json)")
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_import_calibration)
 
     p = sub.add_parser("plan-samples", help="shots needed to estimate an outcome probability")
     p.add_argument("--p", type=float, required=True, help="target outcome probability")
     p.add_argument("--precision", type=float, required=True, help="relative precision")
     p.add_argument("--confidence", type=float, required=True, help="confidence level, e.g. 0.95")
-    _add_shared(p)
     p.set_defaults(func=cmd_plan_samples)
 
     p = sub.add_parser("report", help="emit plot-ready CSVs and the equivalence report")
     p.add_argument("run_dir")
-    _add_shared(p)
+    p.add_argument("--out", help="directory to write the report bundle into (default: run_dir/report)")
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_report)
 
     return parser

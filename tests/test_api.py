@@ -1,5 +1,6 @@
 """Tests of the package's public namespace."""
 
+import importlib.util
 import inspect
 import json
 import os
@@ -9,6 +10,7 @@ import tomllib
 from pathlib import Path
 
 import reprobound
+from reprobound.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,3 +60,20 @@ def test_benchmark_tracer_finds_its_layers(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(spans.read_text())["missing"]) <= {"sampler.block_stream"}
+
+
+def test_benchmark_argv_parses(tmp_path, monkeypatch):
+    # perfbench/run.py starts each command with the argv of its cli_argv; an
+    # option the parser no longer takes would fail every benchmark run.
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    parser = build_parser()
+    argv = {c: [*map(str, bench.cli_argv(c, tmp_path / "cfg.json", tmp_path / "run"))] for c in bench.COMMANDS}
+    for command in bench.COMMANDS:
+        assert parser.parse_args(argv[command]).command == command
+    # The traced simulate --threads 2 run.
+    assert parser.parse_args(argv["simulate"] + ["--threads", "2"]).threads == 2

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import reprobound
 from reprobound import estimator, sampler
-from reprobound.cli import main
+from reprobound.cli import build_parser, main
 from reprobound.noise_model import hellinger_1q
 
 PERFECT_QUBIT = {"index": 0, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}
@@ -160,13 +161,15 @@ class TestSimulate:
 
     def test_missing_out_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
-        assert main(["simulate", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(cfg)])
+        assert exc.value.code == 2
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": 0.0}], S=128)
         run_a, run_b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet"]) == 0
-        assert main(["--seed", "999", "simulate", str(cfg), "--out", str(run_b), "--quiet"]) == 0
+        assert main(["simulate", str(cfg), "--seed", "999", "--out", str(run_b), "--quiet"]) == 0
         assert (run_a / "counts.csv").read_text() != (run_b / "counts.csv").read_text()
         # The manifest records the config's qubits and plan, with --seed applied.
         config = json.loads(cfg.read_text())
@@ -203,13 +206,10 @@ class TestSimulate:
         assert not run.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    @pytest.mark.parametrize("before", [True, False], ids=["flag-first", "flag-last"])
-    def test_seed_out_of_range_names_the_flag(self, tmp_path, seed, before, capsys):
+    def test_seed_out_of_range_names_the_flag(self, tmp_path, seed, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
         run = tmp_path / "run"
-        command = ["simulate", str(cfg), "--out", str(run)]
-        flag = ["--seed", str(seed)]
-        assert main(flag + command if before else command + flag) == 2
+        assert main(["simulate", str(cfg), "--out", str(run), "--seed", str(seed)]) == 2
         assert capsys.readouterr().err == (
             f"reprobound: error: --seed: seed must be a 64-bit unsigned integer, got {seed}\n"
         )
@@ -220,7 +220,7 @@ class TestSimulate:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
         (small_run / "report" / "notes.txt").write_text("kept")
-        assert main(["--seed", "99", "simulate", str(cfg), "--out", str(small_run), "--quiet"]) == 0
+        assert main(["simulate", str(cfg), "--seed", "99", "--out", str(small_run), "--quiet"]) == 0
         assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "report"]
         assert [p.name for p in (small_run / "report").iterdir()] == ["notes.txt"]
         assert main(["report", str(small_run), "--quiet"]) == 4
@@ -333,6 +333,16 @@ class TestVerdict:
         assert main(["verdict", str(norm), "--delta", "0.2", "--quiet", *override]) == 2
         assert "theta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("theta", ["nan", "1e308", "2.5"])
+    def test_theta_is_checked_before_the_source_is_read(self, small_run, theta, capsys):
+        # Every qubit of small_run has an angle, so --theta stands in for none.
+        char = small_run / "characterization.csv"
+        assert not any(math.isnan(float(row["theta_hat_rad"])) for row in read_rows(char))
+        for source in (char, small_run / "absent.csv"):
+            assert main(["verdict", str(source), "--delta", "0.2", "--theta", theta, "--quiet"]) == 2
+            assert capsys.readouterr().err.startswith("reprobound: error: --theta: ")
+        assert not (small_run / "verdicts.csv").exists()
 
     def test_register_size_beyond_float_rejected(self, small_run, capsys):
         n = "1" + "0" * 400
@@ -841,6 +851,66 @@ def test_library_import_leaves_the_environment_alone():
     assert proc.stdout.split() == ["True"], proc.stderr
 
 
+# The options of each command besides -h and --help, each read by the command.
+COMMAND_OPTIONS = {
+    "simulate": {"--threads", "--drift", "--seed", "--out", "--quiet"},
+    "characterize": {"--out", "--quiet"},
+    "verdict": {"--delta", "--delta-from-observed", "--n", "--theta", "--out", "--quiet"},
+    "import-calibration": {"--out", "--quiet"},
+    "plan-samples": {"--p", "--precision", "--confidence"},
+    "report": {"--out", "--quiet"},
+}
+
+
+def option_strings(parser):
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert option_strings(parser) == {"-h", "--help", "--version"}
+    assert {name: option_strings(command) - {"-h", "--help"} for name, command in commands.items()} == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characterize", "RUN", "--seed", "7"],
+        [*PLAN_SAMPLES, "--out", "X"],
+        [*PLAN_SAMPLES, "--quiet"],
+        ["--quiet", "report", "RUN"],
+        ["--out", "A", "report", "RUN", "--out", "B"],
+    ],
+    ids=["characterize-seed", "plan-samples-out", "plan-samples-quiet", "quiet-before-command", "out-before-command"],
+)
+def test_an_option_the_command_does_not_take_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "reprobound: error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["characterize-counts", "characterize-manifest", "verdict", "import-calibration"])
+def test_out_naming_an_input_is_rejected(small_run, case, capsys):
+    char = small_run / "characterization.csv"
+    snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
+    argv, target = {
+        "characterize-counts": (["characterize", str(small_run)], small_run / "counts.csv"),
+        "characterize-manifest": (["characterize", str(small_run)], small_run / "manifest.json"),
+        "verdict": (["verdict", str(char), "--delta", "0.2"], char),
+        "import-calibration": (["import-calibration", str(snapshot)], snapshot),
+    }[case]
+    # The input by another path: --out is compared with each input once both are resolved.
+    out = target.parent / ".." / target.parent.name / target.name
+    before = {path: path.read_bytes() for path in small_run.parent.rglob("*") if path.is_file()}
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"reprobound: error: --out: {out} is an input of this command\n"
+    assert {path: path.read_bytes() for path in small_run.parent.rglob("*") if path.is_file()} == before
+
+
 @pytest.fixture(scope="module")
 def pristine_run(tmp_path_factory):
     """A one-qubit run directory taken through verdict."""
@@ -901,12 +971,11 @@ def test_mutated_counts_never_raise(pristine_run, ops):
 
 
 # A normalized calibration's one qubit record (index 3, f0 0.9, f1 0.8 unless
-# overridden), the verdict options it is read with, and what the error names.
+# overridden) and what verdict's error names.
 NORMALIZED_QUBITS = {
-    "normalized-fidelity-out-of-range": ({"f0": 1.2, "theta_rad": 0.0}, [], "f0 must be in [0, 1], got 1.2"),
-    "normalized-angle-out-of-range": ({"theta_rad": 1.2}, [], "|theta|=1.2 outside validity region"),
-    "normalized-null-angle-bad-override": ({"theta_rad": None}, ["--theta", "2.5"], "--theta: |theta|=2.5"),
-    "normalized-negative-index": ({"index": -3, "theta_rad": 0.01}, [], "qubit index must be non-negative"),
+    "normalized-fidelity-out-of-range": ({"f0": 1.2, "theta_rad": 0.0}, "f0 must be in [0, 1], got 1.2"),
+    "normalized-angle-out-of-range": ({"theta_rad": 1.2}, "|theta|=1.2 outside validity region"),
+    "normalized-negative-index": ({"index": -3, "theta_rad": 0.01}, "qubit index must be non-negative"),
 }
 # A calibration snapshot's one qubit record (index 0, f0 0.9, f1 0.8 unless
 # overridden) and what import-calibration's error names.
@@ -975,10 +1044,11 @@ def break_input(tmp_path, run, case):
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat must be NaN or in", 2
+    # verdict checks --theta before it reads the source, so the error names the option, not the file.
     if case == "characterization-nan-angle-bad-override":
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg: a failed inversion.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in (7, 8)])
-        return ["verdict", str(char), "--delta", "0.3", "--theta", "2.5"], f"{char}: qubit 0: --theta: |theta|=2.5", 2
+        return ["verdict", str(char), "--delta", "0.3", "--theta", "2.5"], "reprobound: error: --theta: |theta|=2.5", 2
     if case == "characterization-header-only":
         char.write_text(char.read_text().splitlines(keepends=True)[0])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: holds no qubit rows", 2
@@ -1033,10 +1103,13 @@ def break_input(tmp_path, run, case):
         doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
         path.write_text(json.dumps(doc))
         return ["verdict", str(path), "--delta", "0.3"], f"{path}: qubits[0]: field 'f0'", 2
+    if case == "normalized-null-angle-bad-override":
+        write_snapshot(path, [{"index": 3, "f0": 0.9, "f1": 0.8, "theta_rad": None}], schema="calibration-normalized/1")
+        return ["verdict", str(path), "--delta", "0.1", "--theta", "2.5"], "reprobound: error: --theta: |theta|=2.5", 2
     if case in NORMALIZED_QUBITS:
-        qubit, override, named = NORMALIZED_QUBITS[case]
+        qubit, named = NORMALIZED_QUBITS[case]
         write_snapshot(path, [{"index": 3, "f0": 0.9, "f1": 0.8, **qubit}], schema="calibration-normalized/1")
-        return ["verdict", str(path), "--delta", "0.1", *override], f"{path}: qubits[0]: {named}", 2
+        return ["verdict", str(path), "--delta", "0.1"], f"{path}: qubits[0]: {named}", 2
     if case in SNAPSHOT_QUBITS:
         qubit, named = SNAPSHOT_QUBITS[case]
         write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.8, **qubit}])
@@ -1069,6 +1142,7 @@ def break_input(tmp_path, run, case):
         "config-list",
         "normalized-no-qubits",
         "normalized-string-f0",
+        "normalized-null-angle-bad-override",
         *NORMALIZED_QUBITS,
         *SNAPSHOT_QUBITS,
         "snapshot-nan-angle",
