@@ -5,10 +5,21 @@ Subcommands: simulate, characterize, verdict, import-calibration,
 plan-samples, report. Each takes only the options it reads, after the
 subcommand: ``--seed`` is simulate's, since only simulate draws random
 numbers, and every command but plan-samples takes ``--out`` and
-``--quiet``. An ``--out`` that names one of the command's own inputs is an
-input error. Every ``qubits[]`` record, of a device config, a calibration
-snapshot or a normalized calibration, is read by
-``sampler.qubit_from_record``, so each passes the same checks.
+``--quiet``.
+
+``--out DIR`` names the directory a command writes into, and each command
+writes only its own fixed names there: simulate ``manifest.json`` and
+``counts.csv``, characterize ``characterization.csv``, verdict
+``verdicts.csv``, import-calibration ``<snapshot>.normalized.json`` and
+report the files of ``report/``. So no command writes over another's
+artifact; the one output that can still be an input, a verdict source
+named ``verdicts.csv``, is an input error. Only simulate creates ``DIR``
+and only report creates ``DIR/report``: a missing ``DIR``, or one that is
+a file, is an I/O failure.
+
+Every ``qubits[]`` record, of a device config, a calibration snapshot or a
+normalized calibration, is read by ``sampler.qubit_from_record``, so each
+passes the same checks.
 
 Exit codes are stable: 0 success, 2 input error, 3 I/O failure, 4 incomplete
 run artifacts, 5 tolerance outside the bound's validity regime. A usage
@@ -201,15 +212,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _output(args, default: Path, *inputs: Path) -> Path:
-    """Where the command writes: ``--out``, else ``default``; ConfigError
-    if that is one of ``inputs``, the files the command reads."""
-    out = Path(args.out) if args.out else default
-    if out.resolve() in {path.resolve() for path in inputs}:
-        raise ConfigError(f"--out: {out} is an input of this command")
-    return out
-
-
 def cmd_simulate(args) -> int:
     _named("--drift", check_drift, args.drift)
     name, plan = load_device_config(args.config)
@@ -228,7 +230,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_characterize(args) -> int:
     run_dir = Path(args.run_dir)
-    out = _output(args, run_dir / "characterization.csv", run_dir / "manifest.json", run_dir / "counts.csv")
+    out = Path(args.out or run_dir) / "characterization.csv"
     estimates = estimator.characterize(load_archive(run_dir))
     estimator.write_characterization_csv(estimates, out)
     flagged = sum(1 for e in estimates if e.warnings)
@@ -240,7 +242,10 @@ def cmd_verdict(args) -> int:
     if args.theta is not None:
         _named("--theta", check_theta, args.theta)
     source = Path(args.source)
-    out = _output(args, source.parent / "verdicts.csv", source)
+    out = Path(args.out or source.parent) / "verdicts.csv"
+    # Each output name is this command's own, so only a source named verdicts.csv can be it.
+    if out.resolve() == source.resolve():
+        raise ConfigError(f"--out: {out} is an input of this command")
     rows = sorted(_verdict_rows(source, args.theta), key=lambda row: row.qubit)
     # One source gives every row an observed distance or none.
     if args.delta_from_observed and rows[0].d_mean is None:
@@ -256,7 +261,7 @@ def cmd_verdict(args) -> int:
 
 def cmd_import_calibration(args) -> int:
     snapshot = Path(args.snapshot)
-    out = _output(args, snapshot.with_suffix(".normalized.json"), snapshot)
+    out = Path(args.out or snapshot.parent) / snapshot.with_suffix(".normalized.json").name
     normalized = normalize_snapshot(snapshot)
     write_json(out, normalized)
     _say(args, f"normalized {len(normalized['qubits'])} qubit(s) -> {out}")
@@ -287,8 +292,8 @@ def cmd_report(args) -> int:
         raise IncompleteArchiveError(
             f"{verdicts_path}: qubits {found} do not match {expected} of the run; re-run characterize and verdict"
         )
-    out = _output(args, run_dir / "report")
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out or run_dir) / "report"
+    out.mkdir(exist_ok=True)
     fig_scatter, table, lemma_report = (out / name for name in REPORT_FILES)
 
     estimates = []
@@ -338,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exploratory common-mode drift, SIGMA in [0, 1]: experiment l adds one "
                         "N(0, SIGMA) draw each to f0, f1 and theta, shared by every qubit")
     p.add_argument("--seed", type=int, help="seed for the counts, in place of the config's plan seed")
-    p.add_argument("--out", required=True, metavar="RUN_DIR",
-                   help="run directory to write counts.csv and manifest.json into (required: no default)")
+    p.add_argument("--out", required=True, metavar="DIR",
+                   help="run directory to write manifest.json and counts.csv into, created if missing "
+                        "(required: no default)")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("characterize", help="estimate noise parameters from a run directory")
     p.add_argument("run_dir")
-    p.add_argument("--out", help="characterization CSV to write (default: run_dir/characterization.csv)")
+    p.add_argument("--out", metavar="DIR",
+                   help="existing directory to write characterization.csv into (default: run_dir)")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_characterize)
 
@@ -358,14 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="register size for the bound (default 1)")
     p.add_argument("--theta", type=float, default=None,
                    help="gate angle override (radians) for inputs without one")
-    p.add_argument("--out", help="verdicts CSV to write (default: verdicts.csv next to source)")
+    p.add_argument("--out", metavar="DIR",
+                   help="existing directory to write verdicts.csv into (default: the directory of source)")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("import-calibration", help="normalize an external calibration snapshot")
     p.add_argument("snapshot", help="calibration snapshot JSON")
-    p.add_argument("--out",
-                   help="normalized calibration JSON to write (default: snapshot with suffix .normalized.json)")
+    p.add_argument("--out", metavar="DIR",
+                   help="existing directory to write the snapshot's name with suffix .normalized.json into "
+                        "(default: the directory of snapshot)")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_import_calibration)
 
@@ -377,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="emit plot-ready CSVs and the equivalence report")
     p.add_argument("run_dir")
-    p.add_argument("--out", help="directory to write the report bundle into (default: run_dir/report)")
+    p.add_argument("--out", metavar="DIR",
+                   help="existing directory to write the report/ bundle into (default: run_dir)")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_report)
 

@@ -402,8 +402,10 @@ class TestImportCalibration:
 
     def test_missing_angle_is_flagged_then_needs_override(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94}])
-        norm = tmp_path / "norm.json"
-        assert main(["import-calibration", str(snap), "--out", str(norm), "--quiet"]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["import-calibration", str(snap), "--out", str(out), "--quiet"]) == 0
+        norm = out / "snap.normalized.json"
         doc = json.loads(norm.read_text())
         assert doc["qubits"][0]["theta_rad"] is None
         assert doc["warnings"]
@@ -424,10 +426,11 @@ class TestImportCalibration:
                 }
             )
         snap = write_snapshot(tmp_path / "snap.json", qubits)
-        norm = tmp_path / "norm.json"
-        assert main(["import-calibration", str(snap), "--out", str(norm), "--quiet"]) == 0
-        assert main(["verdict", str(norm), "--delta", "0.3", "--out", str(tmp_path / "v.csv"), "--quiet"]) == 0
-        assert len(read_rows(tmp_path / "v.csv")) == 27
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["import-calibration", str(snap), "--out", str(out), "--quiet"]) == 0
+        assert main(["verdict", str(out / "snap.normalized.json"), "--delta", "0.3", "--out", str(out), "--quiet"]) == 0
+        assert len(read_rows(out / "verdicts.csv")) == 27
 
 
 class TestPlanSamples:
@@ -893,22 +896,110 @@ def test_an_option_the_command_does_not_take_is_a_usage_error(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("case", ["characterize-counts", "characterize-manifest", "verdict", "import-calibration"])
+def files_under(root):
+    """Every file under ``root``, by path, with its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["characterize-counts", "characterize-manifest", "verdict", "import-calibration", "verdict-source-verdicts-csv"],
+)
 def test_out_naming_an_input_is_rejected(small_run, case, capsys):
+    # --out names a directory, so the old --out FILE form naming an input
+    # is a path that is not a directory: exit 3, and no file changes.
     char = small_run / "characterization.csv"
     snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
-    argv, target = {
-        "characterize-counts": (["characterize", str(small_run)], small_run / "counts.csv"),
-        "characterize-manifest": (["characterize", str(small_run)], small_run / "manifest.json"),
-        "verdict": (["verdict", str(char), "--delta", "0.2"], char),
-        "import-calibration": (["import-calibration", str(snapshot)], snapshot),
+    verdicts = small_run.parent / "verdicts.csv"
+    shutil.copyfile(char, verdicts)
+    argv, target, code = {
+        "characterize-counts": (["characterize", str(small_run)], small_run / "counts.csv", 3),
+        "characterize-manifest": (["characterize", str(small_run)], small_run / "manifest.json", 3),
+        "verdict": (["verdict", str(char), "--delta", "0.2"], char, 3),
+        "import-calibration": (["import-calibration", str(snapshot)], snapshot, 3),
+        # The one output that can be an input: a source named verdicts.csv, written into its own directory.
+        "verdict-source-verdicts-csv": (["verdict", str(verdicts), "--delta", "0.2"], verdicts.parent, 2),
     }[case]
-    # The input by another path: --out is compared with each input once both are resolved.
+    # The path by another name: the verdict check compares resolved paths.
     out = target.parent / ".." / target.parent.name / target.name
-    before = {path: path.read_bytes() for path in small_run.parent.rglob("*") if path.is_file()}
-    assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"reprobound: error: --out: {out} is an input of this command\n"
-    assert {path: path.read_bytes() for path in small_run.parent.rglob("*") if path.is_file()} == before
+    before = files_under(small_run.parent)
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == f"reprobound: error: --out: {out / 'verdicts.csv'} is an input of this command\n"
+    else:
+        assert err.startswith("reprobound: error: ") and str(out) in err
+    assert files_under(small_run.parent) == before
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        # --out FILE naming another command's file: the run's counts, its
+        # manifest and verdict's output.
+        ("verdict", "counts.csv"),
+        ("import-calibration", "manifest.json"),
+        ("characterize", "verdicts.csv"),
+        # Only simulate creates its --out directory; report creates DIR/report, not DIR.
+        ("characterize", "absent"),
+        ("verdict", "absent"),
+        ("import-calibration", "absent"),
+        ("report", "absent"),
+    ],
+)
+def test_out_that_is_not_a_directory_writes_nothing(small_run, command, out, capsys):
+    snapshot = write_snapshot(small_run.parent / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
+    assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+    argv = {
+        "characterize": ["characterize", str(small_run)],
+        "verdict": ["verdict", str(small_run / "characterization.csv"), "--delta-from-observed"],
+        "import-calibration": ["import-calibration", str(snapshot)],
+        "report": ["report", str(small_run)],
+    }[command]
+    out = small_run / out
+    before = files_under(small_run.parent)
+    assert main([*argv, "--out", str(out), "--quiet"]) == 3
+    assert str(out) in capsys.readouterr().err
+    assert files_under(small_run.parent) == before
+    assert not (small_run / "absent").exists()
+
+
+def test_report_out_naming_the_run_writes_only_the_bundle(small_run):
+    assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+    before = files_under(small_run.parent)
+    assert main(["report", str(small_run), "--out", str(small_run), "--quiet"]) == 0
+    after = files_under(small_run.parent)
+    assert {path: after[path] for path in before} == before
+    assert sorted(path.relative_to(small_run).as_posix() for path in set(after) - set(before)) == [
+        "report/fig_scatter.csv",
+        "report/lemma_report.json",
+        "report/qubits.csv",
+    ]
+
+
+def test_each_output_name_belongs_to_one_command(tmp_path):
+    # Every command writing into one shared directory: each creates or
+    # changes only its own names, and no two share one.
+    shared = tmp_path / "shared"
+    cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}], L=3, S=16)
+    snapshot = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
+    commands = {
+        "simulate": (["simulate", str(cfg)], {"manifest.json", "counts.csv"}),
+        "characterize": (["characterize", str(shared)], {"characterization.csv"}),
+        "verdict": (["verdict", str(shared / "characterization.csv"), "--delta-from-observed"], {"verdicts.csv"}),
+        "import-calibration": (["import-calibration", str(snapshot)], {"snap.normalized.json"}),
+        "report": (["report", str(shared)], {"report/fig_scatter.csv", "report/qubits.csv", "report/lemma_report.json"}),
+    }
+    written = {}
+    for name, (argv, expected) in commands.items():
+        before = files_under(shared) if shared.exists() else {}
+        assert main([*argv, "--out", str(shared), "--quiet"]) == 0, name
+        after = files_under(shared)
+        assert set(before) <= set(after), name
+        written[name] = {path.relative_to(shared).as_posix() for path in after if before.get(path) != after[path]}
+        assert written[name] == expected, name
+    # Pairwise disjoint: no name is counted twice.
+    assert sum(map(len, written.values())) == len(set().union(*written.values()))
 
 
 @pytest.fixture(scope="module")
@@ -1157,7 +1248,7 @@ def test_malformed_input_exits_naming_the_file(tmp_path, small_run, case, capsys
 
 @pytest.fixture(scope="module")
 def pristine_inputs(pristine_run):
-    """pristine_run's directory plus a calibration snapshot and its normalized form."""
+    """pristine_run's directory plus a calibration snapshot and its normalized form, snap.normalized.json."""
     base = pristine_run.parent
     write_snapshot(
         base / "snap.json",
@@ -1166,7 +1257,7 @@ def pristine_inputs(pristine_run):
             {"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01},
         ],
     )
-    assert main(["import-calibration", str(base / "snap.json"), "--out", str(base / "norm.json"), "--quiet"]) == 0
+    assert main(["import-calibration", str(base / "snap.json"), "--out", str(base), "--quiet"]) == 0
     return base
 
 
@@ -1176,9 +1267,18 @@ ARTIFACT_COMMANDS = {
     "run/verdicts.csv": [["report", "{base}/run"]],
     "run/manifest.json": [["characterize", "{base}/run"], ["report", "{base}/run"]],
     "cfg.json": [["simulate", "{base}/cfg.json", "--out", "{base}/sim"]],
-    "snap.json": [["import-calibration", "{base}/snap.json", "--out", "{base}/snap.out.json"]],
-    "norm.json": [["verdict", "{base}/norm.json", "--delta", "0.3", "--out", "{base}/v.csv"]],
+    "snap.json": [["import-calibration", "{base}/snap.json", "--out", "{base}/run"]],
+    "snap.normalized.json": [["verdict", "{base}/snap.normalized.json", "--delta", "0.3", "--out", "{base}"]],
 }
+
+
+@pytest.mark.parametrize("artifact", list(ARTIFACT_COMMANDS))
+def test_unmutated_artifacts_succeed(pristine_inputs, artifact, tmp_path):
+    # So that the mutation test below reaches each command's success path.
+    base = tmp_path / "inputs"
+    shutil.copytree(pristine_inputs, base)
+    for argv in ARTIFACT_COMMANDS[artifact]:
+        assert main([arg.format(base=base) for arg in argv] + ["--quiet"]) == 0, argv
 
 
 @pytest.mark.parametrize("artifact", list(ARTIFACT_COMMANDS))
