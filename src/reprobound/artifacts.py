@@ -19,7 +19,7 @@ import re
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import ConfigError
 
@@ -38,50 +38,57 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def read_csv(
     path: str | Path,
-    columns: dict[str, Callable[[str], Any]],
+    columns: Iterable[tuple[str, Callable[[str], Any]]],
     build: Callable[..., Any],
     error: ErrorFactory = ConfigError,
 ) -> list:
-    """Read a CSV file whose header is exactly ``list(columns)``.
+    """Read a CSV file whose header names exactly ``columns``, its
+    (name, parser) pairs in file order.
 
     Each cell goes through its column's parser, and each row's parsed cells
     go to ``build`` as positional arguments; the list of what ``build``
     returns is the result. A wrong header or row width, undecodable bytes, a
     CSV syntax error and any ValueError or TypeError raised by a parser or
     by ``build`` raise ``error`` with a message naming the file and line.
+    ``columns`` is walked once, beside the header line, and not kept, so an
+    iterator of them costs no list of the names (counts.csv has one column
+    per experiment). A header mismatch names one cell, since a header can
+    hold thousands.
     """
-    header = list(columns)
-    # str parsers would copy the cell; skip them.
-    parsers = [(i, parse) for i, parse in enumerate(columns.values()) if parse is not str]
+    columns = iter(columns)
+    parsers = []
     rows = []
     line = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
+            # The header line, until the first row takes its name: a long
+            # header is not held while the rows are read.
+            cells = next(reader, None)
             line = reader.line_num
-            if first != header:
-                raise ValueError(_header_mismatch(first, header))
+            if cells is None:
+                raise ValueError("header None: the file is empty")
+            width = len(cells)
+            for i, (got, column) in enumerate(zip_longest(cells, columns)):
+                want, parse = column or (None, None)
+                if got != want:
+                    expected = i + (column is not None) + sum(1 for _ in columns)
+                    raise ValueError(
+                        f"header has {width} cells, expected {expected}; cell {i + 1} is {got!r}, expected {want!r}"
+                    )
+                # str parsers would copy the cell; skip them.
+                if parse is not str:
+                    parsers.append((i, parse))
             for cells in reader:
                 line = reader.line_num
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} cells, expected {len(header)}")
+                if len(cells) != width:
+                    raise ValueError(f"{len(cells)} cells, expected {width}")
                 for i, parse in parsers:
                     cells[i] = parse(cells[i])
                 rows.append(build(*cells))
     except (ValueError, TypeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise error(f"{path}: line {line}: {exc}") from exc
     return rows
-
-
-def _header_mismatch(first: list[str] | None, header: list[str]) -> str:
-    """Where the header line ``first`` departs from ``header``; names one
-    cell, since a header can hold thousands (counts.csv has one per
-    experiment)."""
-    if first is None:
-        return "header None: the file is empty"
-    i, got, want = next((i, *pair) for i, pair in enumerate(zip_longest(first, header)) if pair[0] != pair[1])
-    return f"header has {len(first)} cells, expected {len(header)}; cell {i + 1} is {got!r}, expected {want!r}"
 
 
 def check_derived(record, **cells):

@@ -255,17 +255,38 @@ def normal_quantile(p: float) -> float:
 
 
 class SamplePlan(Record):
-    """Shots required to estimate one outcome probability to a target precision."""
+    """Shots required to estimate one outcome probability to a target precision.
+
+    The fields are the plan's inputs: the outcome probability, the relative
+    error and the confidence shortfall alpha. ``z``, the upper alpha/2
+    standard-normal quantile, and the shot count ``T`` (:func:`plan_samples`)
+    are derived from them; ``T`` is evaluated once, when the plan is built.
+    """
 
     p_s: float
     epsilon_rel: float
     alpha: float
-    z: float
-    T: int
 
     def __post_init__(self):
-        if self.T < 1:
-            raise InvalidParameterError("sample count must be >= 1")
+        for name in ("p_s", "epsilon_rel", "alpha"):
+            object.__setattr__(self, name, check_open_probability(name, getattr(self, name)))
+        self.T  # raises unless the shot count is a finite number
+
+    @cached_property
+    def z(self) -> float:
+        # The lower tail's quantile, negated: 1 - alpha/2 would round, to 1.0
+        # itself once alpha/2 is below 2**-54.
+        return -normal_quantile(self.alpha / 2.0)
+
+    @cached_property
+    def T(self) -> int:
+        try:
+            return max(1, math.ceil((1.0 / self.p_s - 1.0) * self.z * self.z / (self.epsilon_rel * self.epsilon_rel)))
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidParameterError(
+                f"the shot count for p_s={self.p_s!r}, epsilon_rel={self.epsilon_rel!r} and alpha={self.alpha!r} "
+                "is not a finite number"
+            ) from None
 
 
 def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
@@ -276,20 +297,7 @@ def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
     standard-normal quantile. T grows like 2**n for uniform outcomes over n
     qubits and like 1/epsilon_rel**2 in the precision.
     """
-    p_s = check_open_probability("p_s", p_s)
-    epsilon_rel = check_open_probability("epsilon_rel", epsilon_rel)
-    alpha = check_open_probability("alpha", alpha)
-    # The lower tail's quantile, negated: 1 - alpha/2 would round, to 1.0
-    # itself once alpha/2 is below 2**-54.
-    z = -normal_quantile(alpha / 2.0)
-    try:
-        t = max(1, math.ceil((1.0 / p_s - 1.0) * z * z / (epsilon_rel * epsilon_rel)))
-    except (OverflowError, ZeroDivisionError):
-        raise InvalidParameterError(
-            f"the shot count for p_s={p_s!r}, epsilon_rel={epsilon_rel!r} and alpha={alpha!r} "
-            "is not a finite number"
-        ) from None
-    return SamplePlan(p_s=p_s, epsilon_rel=epsilon_rel, alpha=alpha, z=z, T=t)
+    return SamplePlan(p_s, epsilon_rel, alpha)
 
 
 def write_verdicts_csv(rows, path: str | Path) -> None:
@@ -322,7 +330,7 @@ def read_verdicts_csv(path: str | Path) -> list[tuple[int, ReproVerdict]]:
     """Read verdicts.csv as (qubit, ReproVerdict) pairs; ConfigError naming
     the file and line if a cell does not parse, the row is not a valid
     verdict, or a derived column differs from the verdict's value."""
-    return read_csv(path, VERDICT_COLUMNS, _verdict_row)
+    return read_csv(path, VERDICT_COLUMNS.items(), _verdict_row)
 
 
 def write_lemma_report(report: LemmaA1Report, path: str | Path) -> None:

@@ -245,7 +245,11 @@ def cmd_verdict(args) -> int:
     out = Path(args.out or source.parent) / "verdicts.csv"
     # Each output name is this command's own, so only a source named verdicts.csv can be it.
     if out.resolve() == source.resolve():
-        raise ConfigError(f"--out: {out} is an input of this command")
+        raise ConfigError(
+            f"--out: {out} is an input of this command"
+            if args.out
+            else f"{source}: the output verdicts.csv would replace this source; pass --out with another directory"
+        )
     rows = sorted(_verdict_rows(source, args.theta), key=lambda row: row.qubit)
     # One source gives every row an observed distance or none.
     if args.delta_from_observed and rows[0].d_mean is None:

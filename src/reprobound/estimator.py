@@ -9,7 +9,10 @@ population mean, unbiased L-1 form), the composite bias estimate
 gamma_hat = 2*mean(Pr(0)) - 1, and finally the gate angle estimate by
 inverting gamma = eps - 2*sin(2*theta)*(f - 1/2). The inversion returns
 its note with the angle (:func:`invert_theta`): a clamped or failed
-inversion is a value in the estimate, not a warning or an exception. Every
+inversion is a value in the estimate, not a warning or an exception. An
+estimate stores only its independent values; the means eps and f, the
+angle and the note are derived from them, so ``characterization.csv``
+cannot hold an angle or a note that its other columns do not give. Every
 sum is a correctly rounded ``math.fsum`` over plain floats.
 """
 
@@ -21,9 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .artifacts import check_derived, finite, integer, read_csv, write_csv
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InsufficientDataError
 from .noise_model import (
-    THETA_BOUND,
     Record,
     check_bias,
     check_experiments,
@@ -106,12 +108,12 @@ def invert_theta(gamma_hat: float, eps_hat: float, f_hat: float) -> tuple[float,
 class CharacterizationEstimate(Record):
     """Aggregated noise estimates for one register element.
 
-    ``theta_hat`` is NaN when the angle inversion failed for this qubit, and
-    else within [-pi/4, pi/4], the range of the inversion; all other fields
-    are still valid. ``warnings`` holds :func:`invert_theta`'s
-    note if it made one: why the inversion failed, or that it was clamped.
-    ``eps_mean``, ``f_mean`` and ``theta_hat_deg`` are derived from the
-    fields.
+    The fields are the estimate's independent values. ``eps_mean``,
+    ``f_mean``, ``theta_hat``, ``theta_hat_deg`` and ``warnings`` are
+    derived from them: :func:`invert_theta` gives ``theta_hat``, NaN when
+    the inversion failed for this qubit and else within [-pi/4, pi/4], and
+    ``warnings`` holds its note if it made one: why the inversion failed, or
+    that it was clamped.
     """
 
     qubit: int
@@ -119,12 +121,10 @@ class CharacterizationEstimate(Record):
     f1_mean: float
     eps_sigma: float
     gamma_hat: float
-    theta_hat: float
     d_mean: float
     d_sigma: float
     L: int
     S: int
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         check_index(self.qubit)
@@ -133,9 +133,6 @@ class CharacterizationEstimate(Record):
         for name in ("f0_mean", "f1_mean", "eps_sigma", "d_mean", "d_sigma"):
             check_probability(name, getattr(self, name))
         check_bias("gamma_hat", self.gamma_hat)
-        # Inclusive: a clamped inversion gives exactly 0.5 * asin(1.0) == pi/4.
-        if not (math.isnan(self.theta_hat) or abs(self.theta_hat) <= THETA_BOUND):
-            raise InvalidParameterError(f"theta_hat must be NaN or in [-pi/4, pi/4], got {self.theta_hat!r}")
         check_experiments(self.L, self.S)
 
     @property
@@ -147,8 +144,17 @@ class CharacterizationEstimate(Record):
         return (self.f0_mean + self.f1_mean) / 2.0
 
     @property
+    def theta_hat(self) -> float:
+        return invert_theta(self.gamma_hat, self.eps_mean, self.f_mean)[0]
+
+    @property
     def theta_hat_deg(self) -> float:
         return math.degrees(self.theta_hat)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        _, note = invert_theta(self.gamma_hat, self.eps_mean, self.f_mean)
+        return (note,) if note else ()
 
 
 # characterization.csv: column name -> cell parser, in file order. Every
@@ -212,22 +218,18 @@ def _aggregate(qubit: int, est: PerExperiment, shots: int) -> CharacterizationEs
     :func:`characterize` and of ``report``."""
     _, eps_sigma = population_stats(est.eps)
     d_mean, d_sigma = population_stats(est.d)
-    estimate = CharacterizationEstimate(
+    return CharacterizationEstimate(
         qubit=qubit,
         f0_mean=_mean(est.f0),
         f1_mean=_mean(est.f1),
         eps_sigma=eps_sigma,
         # Per-experiment estimates first, then the average across experiments.
         gamma_hat=2.0 * _mean(est.pr0) - 1.0,
-        theta_hat=math.nan,
         d_mean=d_mean,
         d_sigma=d_sigma,
         L=len(est.d),
         S=shots,
     )
-
-    theta_hat, note = invert_theta(estimate.gamma_hat, estimate.eps_mean, estimate.f_mean)
-    return estimate.replace(theta_hat=theta_hat, warnings=(note,) if note else ())
 
 
 def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
@@ -266,15 +268,32 @@ def write_characterization_csv(estimates, path: str | Path) -> None:
     )
 
 
-def _estimate_row(qubit, f0_mean, f1_mean, eps_mean, eps_sigma, f_mean, gamma_hat, theta_hat, theta_hat_deg, *rest):
-    """The estimate of one characterization.csv row; ``rest`` is d_mean,
-    d_sigma, L, S and the warnings."""
-    estimate = CharacterizationEstimate(qubit, f0_mean, f1_mean, eps_sigma, gamma_hat, theta_hat, *rest)
-    return check_derived(estimate, eps_mean=eps_mean, f_mean=f_mean, theta_hat_deg=theta_hat_deg)
+def _estimate_row(
+    qubit,
+    f0_mean,
+    f1_mean,
+    eps_mean,
+    eps_sigma,
+    f_mean,
+    gamma_hat,
+    theta_hat,
+    theta_hat_deg,
+    d_mean,
+    d_sigma,
+    L,
+    S,
+    warnings,
+):
+    """The estimate of one characterization.csv row, built from its nine
+    independent cells; every other cell must equal its derived value."""
+    estimate = CharacterizationEstimate(qubit, f0_mean, f1_mean, eps_sigma, gamma_hat, d_mean, d_sigma, L, S)
+    return check_derived(
+        estimate, eps_mean=eps_mean, f_mean=f_mean, theta_hat=theta_hat, warnings=warnings, theta_hat_deg=theta_hat_deg
+    )
 
 
 def read_characterization_csv(path: str | Path) -> list[CharacterizationEstimate]:
     """Read characterization.csv; ConfigError naming the file and line if a
     cell does not parse, the row is not a valid estimate, or a derived
     column differs from the estimate's value."""
-    return read_csv(path, CSV_COLUMNS, _estimate_row)
+    return read_csv(path, CSV_COLUMNS.items(), _estimate_row)

@@ -67,7 +67,7 @@ from __future__ import annotations
 import re
 import time
 from enum import Enum
-from itertools import chain, product
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -254,9 +254,10 @@ def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str]]:
     return product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices))
 
 
-def _counts_header(plan: ExperimentPlan) -> list[str]:
-    """counts.csv's header: ``kind,qubit`` and then experiments 0..L-1."""
-    return ["kind", "qubit", *map(str, range(plan.L))]
+def _counts_header(plan: ExperimentPlan) -> Iterator[str]:
+    """counts.csv's header: ``kind,qubit`` and then experiments 0..L-1,
+    made one name at a time."""
+    return chain(("kind", "qubit"), map(str, range(plan.L)))
 
 
 def _mersenne(seed: int, stream: str, key: int) -> random.Random:
@@ -534,7 +535,7 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
         # matches and makes int raise the ValueError that names the line.
         return tuple(map(int, cells))
 
-    rows = read_csv(path, dict.fromkeys(_counts_header(plan), str), row, IncompleteArchiveError)
+    rows = read_csv(path, zip(_counts_header(plan), repeat(str)), row, IncompleteArchiveError)
     key = next(keys, None)
     if key is not None:
         raise IncompleteArchiveError(

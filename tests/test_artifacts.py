@@ -29,7 +29,7 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, COLUMNS, [["a", 1, 0.1], ["b,c", 2, 1 / 3]])
         assert path.read_bytes() == b'name,count,value\na,1,0.1\n"b,c",2,0.3333333333333333\n'
-        assert read_csv(path, COLUMNS, lambda *cells: cells) == [("a", 1, 0.1), ("b,c", 2, 1 / 3)]
+        assert read_csv(path, COLUMNS.items(), lambda *cells: cells) == [("a", 1, 0.1), ("b,c", 2, 1 / 3)]
 
     @pytest.mark.parametrize(
         "lines,message",
@@ -46,14 +46,14 @@ class TestCsv:
     def test_malformed_names_file_and_line(self, tmp_path, lines, message):
         path = write_lines(tmp_path / "t.csv", *lines)
         with pytest.raises(ConfigError, match=message) as excinfo:
-            read_csv(path, COLUMNS, lambda *cells: cells)
+            read_csv(path, COLUMNS.items(), lambda *cells: cells)
         assert str(excinfo.value).startswith(f"{path}: ")
 
     def test_wide_header_mismatch_names_one_cell(self, tmp_path):
         columns = dict.fromkeys(map(str, range(3000)), str)
         path = write_lines(tmp_path / "t.csv", ",".join([*columns, "3000"]))
         with pytest.raises(ConfigError) as excinfo:
-            read_csv(path, columns, lambda *cells: cells)
+            read_csv(path, columns.items(), lambda *cells: cells)
         message = f"{path}: line 1: header has 3001 cells, expected 3000; cell 3001 is '3000', expected None"
         assert str(excinfo.value) == message
 
@@ -66,18 +66,18 @@ class TestCsv:
             return name
 
         with pytest.raises(ConfigError, match=r"t\.csv: line 3: count must be non-negative"):
-            read_csv(path, COLUMNS, build)
+            read_csv(path, COLUMNS.items(), build)
 
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"name,count,value\n\xff,1,0.5\n")
         with pytest.raises(ConfigError, match="utf-8"):
-            read_csv(path, COLUMNS, lambda *cells: cells)
+            read_csv(path, COLUMNS.items(), lambda *cells: cells)
 
     def test_error_factory(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", "name")
         with pytest.raises(IncompleteArchiveError) as excinfo:
-            read_csv(path, COLUMNS, lambda *cells: cells, IncompleteArchiveError)
+            read_csv(path, COLUMNS.items(), lambda *cells: cells, IncompleteArchiveError)
         assert str(excinfo.value).startswith(f"{path}: line 1: header has 1 cells")
 
 

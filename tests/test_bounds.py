@@ -16,6 +16,7 @@ from reprobound import bounds
 from reprobound.bounds import (
     LemmaA1Report,
     ReproVerdict,
+    SamplePlan,
     default_lemma_grids,
     delta_star,
     exact_hellinger_1q,
@@ -401,6 +402,20 @@ class TestPlanSamples:
 
     def test_no_confidence_limit(self):
         assert plan_samples(0.5, 0.01, 0.9999).T == 1
+
+    def test_fields_are_the_inputs(self):
+        assert SamplePlan._fields == ("p_s", "epsilon_rel", "alpha")
+        plan = SamplePlan(0.5, 0.01, 0.05)
+        assert plan == plan_samples(0.5, 0.01, 0.05)
+        assert plan.T == 38415
+        # z and T follow the fields, not a copy of another plan's.
+        assert plan.replace(epsilon_rel=0.02).T == 9604
+
+    def test_overflowing_plan_raises_when_built(self):
+        with pytest.raises(InvalidParameterError, match="epsilon_rel=1e-160 and alpha=0.05 is not a finite number"):
+            SamplePlan(0.5, 1e-160, 0.05)
+        with pytest.raises(InvalidParameterError, match=r"^alpha must be in \(0, 1\), got 1.0$"):
+            SamplePlan(0.5, 0.01, 1.0)
 
     @pytest.mark.parametrize("p_s", [0.0, 1.0])
     def test_degenerate_probability(self, p_s):

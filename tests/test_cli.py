@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -812,6 +813,20 @@ def run_cli_child(start, argv, **env):
     return proc.returncode, threads, set(modules)
 
 
+def test_readme_quick_start_runs(tmp_path):
+    # The sh block under README's "## Quick start", run as a user runs it,
+    # with this interpreter's ``-m reprobound`` in place of the console script.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    script = block.replace("reprobound ", f"{shlex.quote(sys.executable)} -m reprobound ")
+    proc = subprocess.run(
+        ["bash", "-euo", "pipefail", "-c", script],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "report" / "qubits.csv").is_file()
+
+
 def test_scalar_commands_load_no_numpy(small_run):
     # Only simulate draws counts, and it loads numpy only for a drifted plan
     # or one whose streams hold more than PORT_MAX_COUNTS counts past the
@@ -903,7 +918,14 @@ def files_under(root):
 
 @pytest.mark.parametrize(
     "case",
-    ["characterize-counts", "characterize-manifest", "verdict", "import-calibration", "verdict-source-verdicts-csv"],
+    [
+        "characterize-counts",
+        "characterize-manifest",
+        "verdict",
+        "import-calibration",
+        "verdict-source-verdicts-csv",
+        "verdict-source-verdicts-csv-no-out",
+    ],
 )
 def test_out_naming_an_input_is_rejected(small_run, case, capsys):
     # --out names a directory, so the old --out FILE form naming an input
@@ -919,10 +941,20 @@ def test_out_naming_an_input_is_rejected(small_run, case, capsys):
         "import-calibration": (["import-calibration", str(snapshot)], snapshot, 3),
         # The one output that can be an input: a source named verdicts.csv, written into its own directory.
         "verdict-source-verdicts-csv": (["verdict", str(verdicts), "--delta", "0.2"], verdicts.parent, 2),
+        # Without --out the source's directory is the default: the error names the source, not an option.
+        "verdict-source-verdicts-csv-no-out": (["verdict", str(verdicts), "--delta", "0.2"], None, 2),
     }[case]
+    before = files_under(small_run.parent)
+    if target is None:
+        assert main(argv) == code
+        assert capsys.readouterr().err == (
+            f"reprobound: error: {verdicts}: the output verdicts.csv would replace this source; "
+            "pass --out with another directory\n"
+        )
+        assert files_under(small_run.parent) == before
+        return
     # The path by another name: the verdict check compares resolved paths.
     out = target.parent / ".." / target.parent.name / target.name
-    before = files_under(small_run.parent)
     assert main([*argv, "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 2:
@@ -1134,7 +1166,7 @@ def break_input(tmp_path, run, case):
     if case == "characterization-infinite-angle":
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
-        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat must be NaN or in", 2
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat=inf is not the ", 2
     # verdict checks --theta before it reads the source, so the error names the option, not the file.
     if case == "characterization-nan-angle-bad-override":
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg: a failed inversion.
@@ -1244,6 +1276,36 @@ def test_malformed_input_exits_naming_the_file(tmp_path, small_run, case, capsys
     capsys.readouterr()
     assert main(argv) == code
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["angle-and-note", "made-up-note", "cleared-note"])
+def test_edited_angle_or_note_exits_2_and_writes_nothing(small_run, case, capsys):
+    # An angle and a note that the row's other cells do not give would change
+    # the verdict (angle) or hide a clamp (note): each exits 2, naming the cell.
+    char = small_run / "characterization.csv"
+    estimates = estimator.read_characterization_csv(char)
+    if case == "cleared-note":
+        # Qubit 0's gamma_hat set to overshoot the arcsin argument by 0.005: a clamp with a note.
+        e = estimates[0]
+        estimates[0] = e.replace(gamma_hat=e.eps_mean - 1.005 * (2.0 * e.f_mean - 1.0))
+        assert estimates[0].warnings
+        estimator.write_characterization_csv(estimates, char)
+    with open(char, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    # Columns 7, 8 and 13 are theta_hat_rad, theta_hat_deg and warnings.
+    edits = {
+        "angle-and-note": ({7: "0.3", 8: repr(math.degrees(0.3)), 13: "edited note"}, "theta_hat=0.3 is not the "),
+        "made-up-note": ({13: "edited note"}, "warnings=('edited note',) is not the () "),
+        "cleared-note": ({13: ""}, "warnings=() is not the ('arcsin argument "),
+    }
+    cells, named = edits[case]
+    for column, cell in cells.items():
+        rows[0][column] = cell
+    with open(char, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert main(["verdict", str(char), "--delta", "0.05"]) == 2
+    assert f"{char}: line 2: {named}" in capsys.readouterr().err
+    assert not (small_run / "verdicts.csv").exists()
 
 
 @pytest.fixture(scope="module")

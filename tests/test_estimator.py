@@ -1,5 +1,6 @@
 """Tests for the per-experiment estimators and the characterization pipeline."""
 
+import csv
 import math
 import statistics
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import Distribution, hellinger, uniform_ideal
+from reprobound.artifacts import write_csv
 from reprobound.errors import ConfigError, InsufficientDataError, InvalidParameterError
 from reprobound.estimator import (
     CharacterizationEstimate,
@@ -24,6 +26,12 @@ from reprobound.noise_model import QubitNoiseParams, gamma_of, hellinger_1q
 from reprobound.sampler import ExperimentPlan, PlanQubit, RunArchive, run_plan
 
 THETA_HAT_REFERENCE = 0.021283022167392  # 0.5 * asin(0.04 / 0.94)
+
+
+def clamped(est, sign):
+    """``est`` with the gamma_hat whose arcsin argument is ``sign`` * 1.005:
+    an overshoot that the inversion clamps to +-1, with a note."""
+    return est.replace(gamma_hat=est.eps_mean - sign * 1.005 * (2.0 * est.f_mean - 1.0))
 
 
 def make_archive(params, L=8, S=512, seed=5):
@@ -313,7 +321,27 @@ class TestCharacterizationCsv:
         cells = row.split(",")
         cells[column] = value
         path.write_text(f"{header}\n{','.join(cells)}\n")
-        with pytest.raises(ConfigError, match=f"{path}: line 2: theta_hat_deg"):
+        # Each column is checked against the value that the row's independent cells give.
+        named = "theta_hat" if column == 7 else "theta_hat_deg"
+        with pytest.raises(ConfigError, match=f"{path}: line 2: {named}="):
+            read_characterization_csv(path)
+
+    # Column 13 is warnings: a note no inversion made, and a clamp's note cleared.
+    @pytest.mark.parametrize(
+        "sign,note", [(0, "edited note"), (1, ""), (-1, "")], ids=["made-up", "cleared", "cleared-negative"]
+    )
+    def test_edited_note_rejected(self, tmp_path, sign, note):
+        est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
+        est = clamped(est, sign) if sign else est
+        assert bool(est.warnings) == bool(sign)
+        path = tmp_path / "characterization.csv"
+        write_characterization_csv([est], path)
+        # A clamp's note holds commas, so the row is edited as CSV.
+        with open(path, newline="") as fh:
+            header, cells = csv.reader(fh)
+        cells[13] = note
+        write_csv(path, header, [cells])
+        with pytest.raises(ConfigError, match=f"{path}: line 2: warnings="):
             read_characterization_csv(path)
 
     # Columns 3, 5 and 8 are eps_mean, f_mean and theta_hat_deg.
@@ -342,7 +370,20 @@ class TestCharacterizationCsv:
 class TestEstimateFields:
     def test_fields_hold_no_derived_value(self):
         names = set(CharacterizationEstimate._fields)
-        assert not names & {"eps_mean", "f_mean", "theta_hat_deg"}
+        assert not names & {"eps_mean", "f_mean", "theta_hat", "theta_hat_deg", "warnings"}
+
+    def test_fields_are_the_independent_values(self):
+        assert CharacterizationEstimate._fields == (
+            "qubit",
+            "f0_mean",
+            "f1_mean",
+            "eps_sigma",
+            "gamma_hat",
+            "d_mean",
+            "d_sigma",
+            "L",
+            "S",
+        )
 
     def test_invalid_fields_rejected(self):
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
@@ -358,7 +399,6 @@ class TestEstimateFields:
             ({"f1_mean": -0.25}, r"f1_mean must be in \[0, 1\]"),
             ({"f1_mean": math.nan}, r"f1_mean must be in \[0, 1\]"),
             ({"gamma_hat": -1.5}, r"gamma_hat must be in \[-1, 1\]"),
-            ({"theta_hat": 1.2}, r"theta_hat must be NaN or in \[-pi/4, pi/4\], got 1.2"),
             ({"qubit": -1}, "qubit index must be non-negative, got -1"),
         ):
             with pytest.raises(ValueError, match=message):
@@ -368,7 +408,9 @@ class TestEstimateFields:
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
         with pytest.raises(InvalidParameterError, match=r"f0_mean must be in \[0, 1\]"):
             est.replace(f0_mean=1.5)
-        assert est.replace(warnings=("note",)).warnings == ("note",)
+        # The note is the inversion's, not a field: no edit can set it.
+        with pytest.raises(TypeError, match="has no field 'warnings'"):
+            est.replace(warnings=("note",))
         assert est.warnings == ()
         assert est.replace() == est and hash(est.replace()) == hash(est)
 
@@ -377,8 +419,14 @@ class TestEstimateFields:
         assert repr(est).startswith("CharacterizationEstimate(qubit=0, f0_mean=")
         assert all(f"{name}={getattr(est, name)!r}" in repr(est) for name in CharacterizationEstimate._fields)
 
-    def test_clamped_angle_accepted(self):
-        # A clamped inversion gives exactly 0.5 * asin(+-1.0) == +-pi/4.
+    def test_clamped_angle_accepted(self, tmp_path):
+        # A clamped inversion gives exactly 0.5 * asin(+-1.0) == +-pi/4, and
+        # the table holds it and its note.
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
-        for x in (1.0, -1.0):
-            assert est.replace(theta_hat=0.5 * math.asin(x)).theta_hat == math.copysign(math.pi / 4, x)
+        path = tmp_path / "characterization.csv"
+        for sign in (1, -1):
+            edge = clamped(est, sign)
+            assert edge.theta_hat == math.copysign(math.pi / 4, sign)
+            assert len(edge.warnings) == 1 and "clamped to [-1, 1]" in edge.warnings[0]
+            write_characterization_csv([edge], path)
+            assert read_characterization_csv(path) == [edge]

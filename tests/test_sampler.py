@@ -577,7 +577,7 @@ class TestArchiveIO:
 
     def test_long_row_is_read_in_bounded_memory(self, tmp_path):
         # 100,000 cells of one row take about 5 MB as str, and reading the
-        # file peaks near 26 MB; the row's one match adds almost nothing.
+        # file peaks near 10 MB; the row's one match adds almost nothing.
         plan = ExperimentPlan(L=100_000, S=16, qubits=(PlanQubit(0, NOISY),), seed=1)
         path = save_archive(run_plan(plan), tmp_path / "run") / "counts.csv"
         tracemalloc.start()
@@ -587,6 +587,21 @@ class TestArchiveIO:
         finally:
             tracemalloc.stop()
         assert peak < 38e6
+
+    def test_long_header_is_walked_not_held(self, tmp_path):
+        # One qubit at L=100,000 and S=64: the counts take about 2.4 MB.
+        # Loading peaked at 30 MB while the header's names were held as a
+        # dict, a list and the header line itself, and peaks near 14 MB once
+        # they are walked and dropped.
+        plan = ExperimentPlan(L=100_000, S=64, qubits=(PlanQubit(0, NOISY),), seed=1)
+        out = save_archive(run_plan(plan), tmp_path / "run")
+        tracemalloc.start()
+        try:
+            load_archive(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_one_match_over_a_long_row_keeps_no_state_per_count(self):
         # An outer repeat that is not possessive keeps about 20 MB of
