@@ -7,7 +7,9 @@ that reads back as the same double. Readers validate while they parse
 and turn every way a file can be malformed into one exception chosen by the
 caller, naming the file (and for CSV the line): ``ConfigError`` (exit 2) for
 inputs a user hands in, ``IncompleteArchiveError`` (exit 4) for the files of
-a run archive.
+a run archive. A table of records is read back only as its writer prints
+it (:func:`read_table`): a row whose record the writer would print
+otherwise, in any cell, is malformed.
 """
 
 from __future__ import annotations
@@ -38,25 +40,22 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def read_csv(
     path: str | Path,
-    columns: Iterable[tuple[str, Callable[[str], Any]]],
+    names: Iterable[str],
     build: Callable[..., Any],
     error: ErrorFactory = ConfigError,
 ) -> list:
-    """Read a CSV file whose header names exactly ``columns``, its
-    (name, parser) pairs in file order.
+    """Read a CSV file whose header is exactly ``names``, in file order.
 
-    Each cell goes through its column's parser, and each row's parsed cells
-    go to ``build`` as positional arguments; the list of what ``build``
-    returns is the result. A wrong header or row width, undecodable bytes, a
-    CSV syntax error and any ValueError or TypeError raised by a parser or
-    by ``build`` raise ``error`` with a message naming the file and line.
-    ``columns`` is walked once, beside the header line, and not kept, so an
-    iterator of them costs no list of the names (counts.csv has one column
-    per experiment). A header mismatch names one cell, since a header can
-    hold thousands.
+    Each row's cells go to ``build`` as positional arguments, as the text
+    the file holds; the list of what ``build`` returns is the result. A
+    wrong header or row width, undecodable bytes, a CSV syntax error and any
+    ValueError or TypeError raised by ``build`` raise ``error`` with a
+    message naming the file and line. ``names`` is walked once, beside the
+    header line, and not kept, so an iterator of them costs no list (counts.csv
+    has one column per experiment). A header mismatch names one cell, since a
+    header can hold thousands.
     """
-    columns = iter(columns)
-    parsers = []
+    names = iter(names)
     rows = []
     line = 0
     try:
@@ -69,40 +68,52 @@ def read_csv(
             if cells is None:
                 raise ValueError("header None: the file is empty")
             width = len(cells)
-            for i, (got, column) in enumerate(zip_longest(cells, columns)):
-                want, parse = column or (None, None)
+            for i, (got, want) in enumerate(zip_longest(cells, names)):
                 if got != want:
-                    expected = i + (column is not None) + sum(1 for _ in columns)
+                    expected = i + (want is not None) + sum(1 for _ in names)
                     raise ValueError(
                         f"header has {width} cells, expected {expected}; cell {i + 1} is {got!r}, expected {want!r}"
                     )
-                # str parsers would copy the cell; skip them.
-                if parse is not str:
-                    parsers.append((i, parse))
             for cells in reader:
                 line = reader.line_num
                 if len(cells) != width:
                     raise ValueError(f"{len(cells)} cells, expected {width}")
-                for i, parse in parsers:
-                    cells[i] = parse(cells[i])
                 rows.append(build(*cells))
     except (ValueError, TypeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise error(f"{path}: line {line}: {exc}") from exc
     return rows
 
 
-def check_derived(record, **cells):
-    """``record``, once each parsed cell equals the record's attribute of the
-    same name (NaN matches NaN); else ValueError naming the first column
-    that differs. The readers' one check on a row's derived columns: a file
-    that was not edited holds the same doubles, since every writer prints a
-    float as the shortest text that reads back as it.
+def read_table(
+    path: str | Path,
+    columns: dict[str, Callable[[str], Any] | None],
+    build: Callable[..., Any],
+    row: Callable[[Any], Iterable],
+) -> list:
+    """Read a table that :func:`write_csv` wrote as ``row(record)`` for each
+    record: the list of records, each built from its row.
+
+    ``columns`` maps each column, in file order, to the parser of its cells,
+    or to None for a column derived from the others. A row's parsed
+    independent cells go to ``build``, and the row is valid only if every
+    cell is the text that ``row`` gives for the record built: so an edited
+    derived cell, or a value the writer would spell otherwise (``0.50`` for
+    ``0.5``), fails. Every failure raises ConfigError naming the file and
+    line; a cell that is not the writer's text is named by its column, with
+    both texts.
     """
-    for name, cell in cells.items():
-        value = getattr(record, name)
-        if cell != value and not (cell != cell and value != value):
-            raise ValueError(f"{name}={cell!r} is not the {value!r} that the row's other columns give")
-    return record
+    parsers = list(columns.values())
+
+    def record(*cells: str):
+        built = build(*(parse(cell) for parse, cell in zip(parsers, cells) if parse is not None))
+        for name, cell, written in zip(columns, cells, row(built)):
+            # What csv.writer prints: float's repr for every float, numpy.float64 too.
+            text = float.__repr__(written) if isinstance(written, float) else str(written)
+            if cell != text:
+                raise ValueError(f"{name}={cell!r} is not {text!r}, the text the writer prints for this row")
+        return built
+
+    return read_csv(path, columns, record)
 
 
 def finite(text: str, parse=float):

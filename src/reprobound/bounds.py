@@ -18,7 +18,7 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import check_derived, finite, integer, read_csv, write_csv, write_json
+from .artifacts import finite, integer, read_table, write_csv
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import (
     Record,
@@ -127,21 +127,16 @@ class ReproVerdict(Record):
         return self.gamma_D <= self.gamma_max
 
 
-def _flag(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"reproducible={cell!r} is neither true nor false")
-    return cell == "true"
-
-
-# verdicts.csv: column name -> cell parser, in file order.
+# verdicts.csv: column name -> the parser of its cells, in file order, or
+# None for a column derived from the others.
 VERDICT_COLUMNS = {
     "qubit": integer,
     "n": integer,
     "delta": finite,
     "gamma_D": finite,
-    "gamma_max": finite,
-    "margin": finite,
-    "reproducible": _flag,
+    "gamma_max": None,
+    "margin": None,
+    "reproducible": None,
 }
 
 
@@ -300,55 +295,23 @@ def plan_samples(p_s: float, epsilon_rel: float, alpha: float) -> SamplePlan:
     return SamplePlan(p_s, epsilon_rel, alpha)
 
 
+def _row(pair: tuple[int, ReproVerdict]) -> list:
+    qubit, v = pair
+    return [qubit, v.n, v.delta, v.gamma_D, v.gamma_max, v.margin, "true" if v.reproducible else "false"]
+
+
 def write_verdicts_csv(rows, path: str | Path) -> None:
     """Write (qubit, ReproVerdict) pairs as verdicts.csv."""
-    write_csv(
-        path,
-        VERDICT_COLUMNS,
-        (
-            [
-                qubit,
-                v.n,
-                v.delta,
-                v.gamma_D,
-                v.gamma_max,
-                v.margin,
-                "true" if v.reproducible else "false",
-            ]
-            for qubit, v in rows
-        ),
-    )
+    write_csv(path, VERDICT_COLUMNS, map(_row, rows))
 
 
-def _verdict_row(qubit, n, delta, gamma_D, gamma_max, margin, reproducible):
-    return check_index(qubit), check_derived(
-        ReproVerdict(n, delta, gamma_D), gamma_max=gamma_max, margin=margin, reproducible=reproducible
-    )
+def _verdict(qubit: int, n: int, delta: float, gamma_D: float) -> tuple[int, ReproVerdict]:
+    return check_index(qubit), ReproVerdict(n, delta, gamma_D)
 
 
 def read_verdicts_csv(path: str | Path) -> list[tuple[int, ReproVerdict]]:
     """Read verdicts.csv as (qubit, ReproVerdict) pairs; ConfigError naming
     the file and line if a cell does not parse, the row is not a valid
-    verdict, or a derived column differs from the verdict's value."""
-    return read_csv(path, VERDICT_COLUMNS.items(), _verdict_row)
-
-
-def write_lemma_report(report: LemmaA1Report, path: str | Path) -> None:
-    doc = {
-        "schema": "lemma-report/1",
-        "pairs_checked": report.pairs_checked,
-        "delta_range": list(report.delta_range),
-        "gamma_range": list(report.gamma_range),
-        "passed": report.passed,
-        "counterexample_count": len(report.counterexamples),
-        "counterexamples": [
-            {
-                "delta": c.delta,
-                "gamma": c.gamma,
-                "gamma_max": c.gamma_max,
-                "hellinger": c.hellinger,
-            }
-            for c in report.counterexamples
-        ],
-    }
-    write_json(path, doc)
+    verdict, or a cell is not what :func:`write_verdicts_csv` prints for
+    that pair."""
+    return read_table(path, VERDICT_COLUMNS, _verdict, _row)

@@ -64,7 +64,7 @@ NORMALIZED_SCHEMA = "calibration-normalized/1"
 # What `report` writes under its output directory, in the order it writes
 # them: fig_scatter.csv first, since the pass that writes it also estimates
 # each qubit for qubits.csv, the one per-qubit table of every figure.
-REPORT_FILES = ("fig_scatter.csv", "qubits.csv", "lemma_report.json")
+REPORT_FILES = ("fig_scatter.csv", "qubits.csv")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -218,9 +218,11 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         plan = _named("--seed", plan.replace, seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
-    # Files derived from the directory's earlier counts no longer describe it;
-    # the last five are the per-figure tables that qubits.csv replaced.
-    bundle = (*REPORT_FILES, "table1.csv", "fig_theta.csv", "fig_hellinger.csv", "fig_asymmetry.csv", "fig_gamma.csv")
+    # Files derived from the directory's earlier counts no longer describe it.
+    # The rest are retired names: the constant check of Lemma A1, and the
+    # per-figure tables that qubits.csv replaced.
+    bundle = (*REPORT_FILES, "lemma_report.json", "table1.csv", "fig_theta.csv", "fig_hellinger.csv",
+              "fig_asymmetry.csv", "fig_gamma.csv")
     for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in bundle)):
         (Path(args.out) / stale).unlink(missing_ok=True)
     out = save_archive(archive, args.out)
@@ -239,6 +241,10 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_verdict(args) -> int:
+    # The options are checked before the source is read; delta_star checks n.
+    _named("--n", bounds.delta_star, args.n)
+    if args.delta is not None:
+        _named("--delta", bounds.gamma_max, args.n, args.delta)
     if args.theta is not None:
         _named("--theta", check_theta, args.theta)
     source = Path(args.source)
@@ -298,7 +304,7 @@ def cmd_report(args) -> int:
         )
     out = Path(args.out or run_dir) / "report"
     out.mkdir(exist_ok=True)
-    fig_scatter, table, lemma_report = (out / name for name in REPORT_FILES)
+    fig_scatter, table = (out / name for name in REPORT_FILES)
 
     estimates = []
 
@@ -320,8 +326,6 @@ def cmd_report(args) -> int:
             for e, (_, v) in zip(estimates, verdicts)
         ],
     )
-
-    bounds.write_lemma_report(bounds.lemma_a1_check(*bounds.default_lemma_grids()), lemma_report)
 
     _say(args, f"report bundle -> {out}")
     return EXIT_OK
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, required=True, help="confidence level, e.g. 0.95")
     p.set_defaults(func=cmd_plan_samples)
 
-    p = sub.add_parser("report", help="emit plot-ready CSVs and the equivalence report")
+    p = sub.add_parser("report", help="emit plot-ready CSVs")
     p.add_argument("run_dir")
     p.add_argument("--out", metavar="DIR",
                    help="existing directory to write the report/ bundle into (default: run_dir)")

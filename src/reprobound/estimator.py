@@ -11,7 +11,8 @@ inverting gamma = eps - 2*sin(2*theta)*(f - 1/2). The inversion returns
 its note with the angle (:func:`invert_theta`): a clamped or failed
 inversion is a value in the estimate, not a warning or an exception. An
 estimate stores only its independent values; the means eps and f, the
-angle and the note are derived from them, so ``characterization.csv``
+angle and the note are derived from them, and ``characterization.csv`` is
+read back only as :func:`write_characterization_csv` prints it, so it
 cannot hold an angle or a note that its other columns do not give. Every
 sum is a correctly rounded ``math.fsum`` over plain floats.
 """
@@ -23,7 +24,7 @@ from operator import mul, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .artifacts import check_derived, finite, integer, read_csv, write_csv
+from .artifacts import finite, integer, read_table, write_csv
 from .errors import InsufficientDataError
 from .noise_model import (
     Record,
@@ -157,23 +158,24 @@ class CharacterizationEstimate(Record):
         return (note,) if note else ()
 
 
-# characterization.csv: column name -> cell parser, in file order. Every
-# number is finite except the angle, which is NaN after a failed inversion.
+# characterization.csv: column name -> the parser of its cells, in file
+# order, or None for a column derived from the others. The independent
+# columns are CharacterizationEstimate's fields, in order.
 CSV_COLUMNS = {
     "qubit": integer,
     "f0_mean": finite,
     "f1_mean": finite,
-    "eps_mean": finite,
+    "eps_mean": None,
     "eps_sigma": finite,
-    "f_mean": finite,
+    "f_mean": None,
     "gamma_hat": finite,
-    "theta_hat_rad": float,
-    "theta_hat_deg": float,
+    "theta_hat_rad": None,
+    "theta_hat_deg": None,
     "d_mean": finite,
     "d_sigma": finite,
     "L": integer,
     "S": integer,
-    "warnings": lambda cell: tuple(t for t in cell.split("|") if t),
+    "warnings": None,
 }
 
 
@@ -242,58 +244,31 @@ def characterize(archive: RunArchive) -> list[CharacterizationEstimate]:
     return [_aggregate(q, per_experiment(rows, S), S) for q, rows in archive.qubit_counts()]
 
 
+def _row(e: CharacterizationEstimate) -> list:
+    return [
+        e.qubit,
+        e.f0_mean,
+        e.f1_mean,
+        e.eps_mean,
+        e.eps_sigma,
+        e.f_mean,
+        e.gamma_hat,
+        e.theta_hat,
+        e.theta_hat_deg,
+        e.d_mean,
+        e.d_sigma,
+        e.L,
+        e.S,
+        "|".join(e.warnings),
+    ]
+
+
 def write_characterization_csv(estimates, path: str | Path) -> None:
-    write_csv(
-        path,
-        CSV_COLUMNS,
-        (
-            [
-                e.qubit,
-                e.f0_mean,
-                e.f1_mean,
-                e.eps_mean,
-                e.eps_sigma,
-                e.f_mean,
-                e.gamma_hat,
-                e.theta_hat,
-                e.theta_hat_deg,
-                e.d_mean,
-                e.d_sigma,
-                e.L,
-                e.S,
-                "|".join(e.warnings),
-            ]
-            for e in estimates
-        ),
-    )
-
-
-def _estimate_row(
-    qubit,
-    f0_mean,
-    f1_mean,
-    eps_mean,
-    eps_sigma,
-    f_mean,
-    gamma_hat,
-    theta_hat,
-    theta_hat_deg,
-    d_mean,
-    d_sigma,
-    L,
-    S,
-    warnings,
-):
-    """The estimate of one characterization.csv row, built from its nine
-    independent cells; every other cell must equal its derived value."""
-    estimate = CharacterizationEstimate(qubit, f0_mean, f1_mean, eps_sigma, gamma_hat, d_mean, d_sigma, L, S)
-    return check_derived(
-        estimate, eps_mean=eps_mean, f_mean=f_mean, theta_hat=theta_hat, warnings=warnings, theta_hat_deg=theta_hat_deg
-    )
+    write_csv(path, CSV_COLUMNS, map(_row, estimates))
 
 
 def read_characterization_csv(path: str | Path) -> list[CharacterizationEstimate]:
     """Read characterization.csv; ConfigError naming the file and line if a
-    cell does not parse, the row is not a valid estimate, or a derived
-    column differs from the estimate's value."""
-    return read_csv(path, CSV_COLUMNS.items(), _estimate_row)
+    cell does not parse, the row is not a valid estimate, or a cell is not
+    what :func:`write_characterization_csv` prints for that estimate."""
+    return read_table(path, CSV_COLUMNS, CharacterizationEstimate, _row)

@@ -67,7 +67,7 @@ from __future__ import annotations
 import re
 import time
 from enum import Enum
-from itertools import chain, product, repeat
+from itertools import chain, product
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -535,7 +535,7 @@ def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
         # matches and makes int raise the ValueError that names the line.
         return tuple(map(int, cells))
 
-    rows = read_csv(path, zip(_counts_header(plan), repeat(str)), row, IncompleteArchiveError)
+    rows = read_csv(path, _counts_header(plan), row, IncompleteArchiveError)
     key = next(keys, None)
     if key is not None:
         raise IncompleteArchiveError(

@@ -7,12 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reprobound
-from reprobound.artifacts import field, integer, read_csv, read_json, records, write_csv, write_json
+from reprobound.artifacts import (
+    field,
+    finite,
+    integer,
+    read_csv,
+    read_json,
+    read_table,
+    records,
+    write_csv,
+    write_json,
+)
 from reprobound.errors import ConfigError, IncompleteArchiveError
 
 PACKAGE = Path(reprobound.__file__).parent
@@ -24,12 +35,23 @@ def write_lines(path, *lines):
     return path
 
 
+def cells(*cells):
+    return cells
+
+
+def read_rows(path):
+    """The rows of a table of COLUMNS, each record the tuple of its parsed cells."""
+    return read_table(path, COLUMNS, cells, lambda record: record)
+
+
 class TestCsv:
     def test_round_trip_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, COLUMNS, [["a", 1, 0.1], ["b,c", 2, 1 / 3]])
         assert path.read_bytes() == b'name,count,value\na,1,0.1\n"b,c",2,0.3333333333333333\n'
-        assert read_csv(path, COLUMNS.items(), lambda *cells: cells) == [("a", 1, 0.1), ("b,c", 2, 1 / 3)]
+        # read_csv hands on the text; read_table parses it.
+        assert read_csv(path, COLUMNS, cells) == [("a", "1", "0.1"), ("b,c", "2", "0.3333333333333333")]
+        assert read_rows(path) == [("a", 1, 0.1), ("b,c", 2, 1 / 3)]
 
     @pytest.mark.parametrize(
         "lines,message",
@@ -46,14 +68,14 @@ class TestCsv:
     def test_malformed_names_file_and_line(self, tmp_path, lines, message):
         path = write_lines(tmp_path / "t.csv", *lines)
         with pytest.raises(ConfigError, match=message) as excinfo:
-            read_csv(path, COLUMNS.items(), lambda *cells: cells)
+            read_rows(path)
         assert str(excinfo.value).startswith(f"{path}: ")
 
     def test_wide_header_mismatch_names_one_cell(self, tmp_path):
-        columns = dict.fromkeys(map(str, range(3000)), str)
-        path = write_lines(tmp_path / "t.csv", ",".join([*columns, "3000"]))
+        names = list(map(str, range(3000)))
+        path = write_lines(tmp_path / "t.csv", ",".join([*names, "3000"]))
         with pytest.raises(ConfigError) as excinfo:
-            read_csv(path, columns.items(), lambda *cells: cells)
+            read_csv(path, iter(names), cells)
         message = f"{path}: line 1: header has 3001 cells, expected 3000; cell 3001 is '3000', expected None"
         assert str(excinfo.value) == message
 
@@ -61,24 +83,58 @@ class TestCsv:
         path = write_lines(tmp_path / "t.csv", "name,count,value", "a,1,0.5", "b,-2,0.5")
 
         def build(name, count, value):
-            if count < 0:
+            if count.startswith("-"):
                 raise ValueError("count must be non-negative")
             return name
 
         with pytest.raises(ConfigError, match=r"t\.csv: line 3: count must be non-negative"):
-            read_csv(path, COLUMNS.items(), build)
+            read_csv(path, COLUMNS, build)
 
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"name,count,value\n\xff,1,0.5\n")
         with pytest.raises(ConfigError, match="utf-8"):
-            read_csv(path, COLUMNS.items(), lambda *cells: cells)
+            read_csv(path, COLUMNS, cells)
 
     def test_error_factory(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", "name")
         with pytest.raises(IncompleteArchiveError) as excinfo:
-            read_csv(path, COLUMNS.items(), lambda *cells: cells, IncompleteArchiveError)
+            read_csv(path, COLUMNS, cells, IncompleteArchiveError)
         assert str(excinfo.value).startswith(f"{path}: line 1: header has 1 cells")
+
+
+class TestTable:
+    # "twice" is derived from "count"; the record is (name, count, value).
+    COLUMNS = {"name": str, "count": integer, "twice": None, "value": finite}
+
+    @staticmethod
+    def read(path):
+        return read_table(path, TestTable.COLUMNS, cells, lambda r: [r[0], r[1], 2 * r[1], np.float64(r[2])])
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("a,1,3,0.5", "twice='3' is not '2', the text the writer prints for this row"),
+            ("a,1,2,0.50", "value='0.50' is not '0.5', the text the writer prints for this row"),
+            ("a,1,2,5e-1", "value='5e-1' is not '0.5'"),
+            ("a,1,2,+0.5", "value='+0.5' is not '0.5'"),
+            ("a,1,2,1", "value='1' is not '1.0'"),
+            ("a,1,2,inf", "non-finite number inf"),
+            ("a,01,2,0.5", "'01' is not an integer as str writes one"),
+        ],
+        ids=["derived", "trailing-zero", "exponent", "plus-sign", "int-spelling", "parser", "int-parser"],
+    )
+    def test_a_cell_must_be_the_writers_text(self, tmp_path, row, message):
+        path = write_lines(tmp_path / "t.csv", "name,count,twice,value", "a,1,2,0.5", row)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: line 3: {message}')}"):
+            self.read(path)
+
+    def test_reads_what_the_writer_prints(self, tmp_path):
+        # A numpy.float64 cell prints as float's repr: 0.1, not np.float64(0.1).
+        path = tmp_path / "t.csv"
+        write_csv(path, self.COLUMNS, [["a", 1, 2, np.float64(0.1)], ["b", -3, -6, -0.0], ["c", 0, 0, 1e-300]])
+        assert path.read_text().splitlines()[1] == "a,1,2,0.1"
+        assert self.read(path) == [("a", 1, 0.1), ("b", -3, -0.0), ("c", 0, 1e-300)]
 
 
 class TestJson:

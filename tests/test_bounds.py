@@ -1,13 +1,14 @@
 """Tests for the reproducibility bound, lemma verifier, and sample planner."""
 
-import json
 import math
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -28,7 +29,6 @@ from reprobound.bounds import (
     plan_samples,
     read_verdicts_csv,
     verdict,
-    write_lemma_report,
     write_verdicts_csv,
 )
 from reprobound.errors import ConfigError, InvalidParameterError, OutOfRegimeError
@@ -311,16 +311,6 @@ class TestLemmaA1:
         with pytest.raises(InvalidParameterError):
             default_lemma_grids(0)
 
-    def test_report_serialization(self, tmp_path):
-        report = lemma_a1_check(*default_lemma_grids(10))
-        path = tmp_path / "lemma_report.json"
-        write_lemma_report(report, path)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "lemma-report/1"
-        assert doc["pairs_checked"] == 100
-        assert doc["passed"] is True
-        assert doc["counterexamples"] == []
-
 
 def test_bound_soundness_random_draws():
     """No (params, delta) draw may pass the gamma test yet fail the distance test."""
@@ -433,7 +423,27 @@ class TestPlanSamples:
         assert plan.T == max(1, math.ceil((1 / p_s - 1) * plan.z**2 / eps**2))
 
 
+@st.composite
+def verdict_rows(draw):
+    """A valid (qubit, verdict) pair: any tolerance up to the ceiling of its register size."""
+    n = draw(st.integers(1, 10**6))
+    return draw(st.integers(0, 2**64)), ReproVerdict(n, draw(st.floats(0.0, delta_star(n))), draw(st.floats(0.0, 1.0)))
+
+
 class TestVerdictCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(verdict_rows(), min_size=1, max_size=4))
+    def test_every_valid_table_round_trips(self, rows):
+        # Written, read back equal, and written again to the same bytes.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "verdicts.csv"
+            write_verdicts_csv(rows, path)
+            written = path.read_bytes()
+            loaded = read_verdicts_csv(path)
+            assert loaded == rows
+            write_verdicts_csv(loaded, path)
+            assert path.read_bytes() == written
+
     def test_round_trip(self, tmp_path):
         rows = [
             (0, verdict(1, 0.1, 0.0, 0.0, 1.0)),

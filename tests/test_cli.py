@@ -228,8 +228,10 @@ class TestSimulate:
         assert f"{small_run}: no verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
 
     def test_resimulating_clears_an_older_report_bundle(self, small_run):
-        # Before qubits.csv, report wrote one per-qubit table for each figure.
-        retired = ["table1.csv", "fig_theta.csv", "fig_hellinger.csv", "fig_asymmetry.csv", "fig_gamma.csv"]
+        # Names that earlier releases wrote: a per-qubit table for each figure,
+        # before qubits.csv, and the constant check of Lemma A1.
+        retired = ["table1.csv", "fig_theta.csv", "fig_hellinger.csv", "fig_asymmetry.csv", "fig_gamma.csv",
+                   "lemma_report.json"]
         (small_run / "report").mkdir()
         for name in retired:
             (small_run / "report" / name).write_text("qubit\n0\n1\n")
@@ -295,9 +297,10 @@ class TestVerdict:
         assert len({r["delta"] for r in rows}) == len(rows)
 
     def test_delta_above_ceiling(self, small_run, capsys):
-        rc = main(["verdict", str(small_run / "characterization.csv"), "--delta", "0.9"])
-        assert rc == 5
-        assert "0.5411961" in capsys.readouterr().err
+        # Checked before the source is read: a missing source exits 5 too.
+        for source in (small_run / "characterization.csv", small_run / "absent.csv"):
+            assert main(["verdict", str(source), "--delta", "0.9"]) == 5
+            assert "0.5411961" in capsys.readouterr().err
 
     def test_tight_delta_not_reproducible(self, small_run):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta", "0.001", "--quiet"]) == 0
@@ -343,6 +346,22 @@ class TestVerdict:
         for source in (char, small_run / "absent.csv"):
             assert main(["verdict", str(source), "--delta", "0.2", "--theta", theta, "--quiet"]) == 2
             assert capsys.readouterr().err.startswith("reprobound: error: --theta: ")
+        assert not (small_run / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (["--delta", "-1"], "--delta: delta must be a finite non-negative value, got -1.0"),
+            (["--delta", "nan"], "--delta: delta must be a finite non-negative value, got nan"),
+            (["--delta", "0.1", "--n", "0"], "--n: qubit count must be >= 1, got 0"),
+            (["--delta-from-observed", "--n", "-2"], "--n: qubit count must be >= 1, got -2"),
+        ],
+        ids=["negative-delta", "nan-delta", "zero-n", "negative-n-observed"],
+    )
+    def test_n_and_delta_are_checked_before_the_source_is_read(self, small_run, options, message, capsys):
+        for source in (small_run / "characterization.csv", small_run / "absent.csv"):
+            assert main(["verdict", str(source), *options, "--quiet"]) == 2
+            assert capsys.readouterr().err == f"reprobound: error: {message}\n"
         assert not (small_run / "verdicts.csv").exists()
 
     def test_register_size_beyond_float_rejected(self, small_run, capsys):
@@ -476,15 +495,13 @@ class TestReport:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
         report = small_run / "report"
-        assert sorted(path.name for path in report.iterdir()) == ["fig_scatter.csv", "lemma_report.json", "qubits.csv"]
+        assert sorted(path.name for path in report.iterdir()) == ["fig_scatter.csv", "qubits.csv"]
         scatter = read_rows(report / "fig_scatter.csv")
         assert len(scatter) == 6 * 2  # L experiments x qubits
         table = read_rows(report / "qubits.csv")
         assert [r["qubit"] for r in table] == ["0", "1"]
         for row in table:
             assert float(row["gamma_D"]) <= float(row["gamma_max"])
-        lemma = json.loads((report / "lemma_report.json").read_text())
-        assert lemma["passed"] is True
 
     def test_files_list_qubits_by_index_whatever_the_plan_order(self, tmp_path):
         # A qubit's counts depend on its index, not its place in the plan, so
@@ -824,7 +841,7 @@ def test_readme_quick_start_runs(tmp_path):
         cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "run" / "report" / "qubits.csv").is_file()
+    assert sorted(path.name for path in (tmp_path / "run" / "report").iterdir()) == ["fig_scatter.csv", "qubits.csv"]
 
 
 def test_scalar_commands_load_no_numpy(small_run):
@@ -1004,7 +1021,6 @@ def test_report_out_naming_the_run_writes_only_the_bundle(small_run):
     assert {path: after[path] for path in before} == before
     assert sorted(path.relative_to(small_run).as_posix() for path in set(after) - set(before)) == [
         "report/fig_scatter.csv",
-        "report/lemma_report.json",
         "report/qubits.csv",
     ]
 
@@ -1020,7 +1036,7 @@ def test_each_output_name_belongs_to_one_command(tmp_path):
         "characterize": (["characterize", str(shared)], {"characterization.csv"}),
         "verdict": (["verdict", str(shared / "characterization.csv"), "--delta-from-observed"], {"verdicts.csv"}),
         "import-calibration": (["import-calibration", str(snapshot)], {"snap.normalized.json"}),
-        "report": (["report", str(shared)], {"report/fig_scatter.csv", "report/qubits.csv", "report/lemma_report.json"}),
+        "report": (["report", str(shared)], {"report/fig_scatter.csv", "report/qubits.csv"}),
     }
     written = {}
     for name, (argv, expected) in commands.items():
@@ -1166,7 +1182,7 @@ def break_input(tmp_path, run, case):
     if case == "characterization-infinite-angle":
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
         edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
-        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat=inf is not the ", 2
+        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat_rad='inf' is not ", 2
     # verdict checks --theta before it reads the source, so the error names the option, not the file.
     if case == "characterization-nan-angle-bad-override":
         # Columns 7 and 8 are theta_hat_rad and theta_hat_deg: a failed inversion.
@@ -1294,9 +1310,9 @@ def test_edited_angle_or_note_exits_2_and_writes_nothing(small_run, case, capsys
         header, *rows = csv.reader(fh)
     # Columns 7, 8 and 13 are theta_hat_rad, theta_hat_deg and warnings.
     edits = {
-        "angle-and-note": ({7: "0.3", 8: repr(math.degrees(0.3)), 13: "edited note"}, "theta_hat=0.3 is not the "),
-        "made-up-note": ({13: "edited note"}, "warnings=('edited note',) is not the () "),
-        "cleared-note": ({13: ""}, "warnings=() is not the ('arcsin argument "),
+        "angle-and-note": ({7: "0.3", 8: repr(math.degrees(0.3)), 13: "edited note"}, "theta_hat_rad='0.3' is not "),
+        "made-up-note": ({13: "edited note"}, "warnings='edited note' is not '', the text the writer prints"),
+        "cleared-note": ({13: ""}, "warnings='' is not 'arcsin argument "),
     }
     cells, named = edits[case]
     for column, cell in cells.items():
@@ -1306,6 +1322,88 @@ def test_edited_angle_or_note_exits_2_and_writes_nothing(small_run, case, capsys
     assert main(["verdict", str(char), "--delta", "0.05"]) == 2
     assert f"{char}: line 2: {named}" in capsys.readouterr().err
     assert not (small_run / "verdicts.csv").exists()
+
+
+def edit_table(run, name, column, change):
+    """Set qubit 0's cell of ``column`` in ``run``'s table ``name`` to
+    ``change(cell)``; returns the argv of the command that reads the table."""
+    char = run / "characterization.csv"
+    if name == "verdicts.csv":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+
+    def change_cell(lines):
+        i = lines[0].split(",").index(column)
+        set_csv_cell(lines, 1, i, change(lines[1].split(",")[i]))
+
+    edit_lines(run / name, change_cell)
+    return ["report", str(run)] if name == "verdicts.csv" else ["verdict", str(char), "--delta", "0.3"]
+
+
+# Each column of each table, another value for qubit 0's cell, and the error
+# that names the column: an independent column's record rule, or for a
+# derived column (None) the row's own check.
+COLUMN_EDITS = {
+    ("characterization.csv", "qubit"): ("-3", "qubit index must be non-negative, got -3"),
+    ("characterization.csv", "f0_mean"): ("1.5", "f0_mean must be in [0, 1], got 1.5"),
+    ("characterization.csv", "f1_mean"): ("-0.5", "f1_mean must be in [0, 1], got -0.5"),
+    ("characterization.csv", "eps_mean"): ("0.5", None),
+    ("characterization.csv", "eps_sigma"): ("1.5", "eps_sigma must be in [0, 1], got 1.5"),
+    ("characterization.csv", "f_mean"): ("0.5", None),
+    ("characterization.csv", "gamma_hat"): ("1.5", "gamma_hat must be in [-1, 1], got 1.5"),
+    ("characterization.csv", "theta_hat_rad"): ("0.3", None),
+    ("characterization.csv", "theta_hat_deg"): ("45.0", None),
+    ("characterization.csv", "d_mean"): ("1.5", "d_mean must be in [0, 1], got 1.5"),
+    ("characterization.csv", "d_sigma"): ("1.5", "d_sigma must be in [0, 1], got 1.5"),
+    ("characterization.csv", "L"): ("1", "L must be >= 2"),
+    ("characterization.csv", "S"): ("0", "S must be in [1, 2**63), got 0"),
+    ("characterization.csv", "warnings"): ("edited note", None),
+    ("verdicts.csv", "qubit"): ("-3", "qubit index must be non-negative, got -3"),
+    ("verdicts.csv", "n"): ("0", "qubit count must be >= 1, got 0"),
+    ("verdicts.csv", "delta"): ("-0.5", "delta must be a finite non-negative value, got -0.5"),
+    ("verdicts.csv", "gamma_D"): ("1.5", "gamma_D must be in [0, 1], got 1.5"),
+    ("verdicts.csv", "gamma_max"): ("0.5", None),
+    ("verdicts.csv", "margin"): ("0.5", None),
+    ("verdicts.csv", "reproducible"): ("false", None),
+}
+
+
+def table_ids(cases):
+    return [f"{table.removesuffix('.csv')}-{column}" for table, column in cases]
+
+
+@pytest.mark.parametrize("table,column", list(COLUMN_EDITS), ids=table_ids(COLUMN_EDITS))
+def test_each_edited_column_exits_2_naming_it(small_run, table, column, capsys):
+    text, named = COLUMN_EDITS[table, column]
+    argv = edit_table(small_run, table, column, lambda cell: text)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{small_run / table}: line 2: {named or f'{column}={text!r} is not '}" in capsys.readouterr().err
+
+
+FLOAT_COLUMNS = [
+    *(("characterization.csv", c) for c in ("f0_mean", "f1_mean", "eps_mean", "eps_sigma", "f_mean", "gamma_hat")),
+    *(("characterization.csv", c) for c in ("theta_hat_rad", "theta_hat_deg", "d_mean", "d_sigma")),
+    *(("verdicts.csv", c) for c in ("delta", "gamma_D", "gamma_max", "margin")),
+]
+
+
+@pytest.mark.parametrize("table,column", FLOAT_COLUMNS, ids=table_ids(FLOAT_COLUMNS))
+def test_a_float_not_spelled_as_written_exits_2_naming_it(small_run, table, column, capsys):
+    # The same double with a trailing zero: 0.5 as 0.50, 1e-05 as 1.0e-05.
+    written = []
+
+    def respell(cell):
+        written.append(cell)
+        mantissa, e, exponent = cell.partition("e")
+        return f"{mantissa}{'0' if '.' in mantissa else '.0'}{e}{exponent}"
+
+    argv = edit_table(small_run, table, column, respell)
+    spelled = respell(written[0])
+    assert float(spelled) == float(written[0]) and spelled != written[0]
+    capsys.readouterr()
+    assert main(argv) == 2
+    message = f"{column}={spelled!r} is not {written[0]!r}, the text the writer prints for this row"
+    assert f"{small_run / table}: line 2: {message}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

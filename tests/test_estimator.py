@@ -3,11 +3,13 @@
 import csv
 import math
 import statistics
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import Distribution, hellinger, uniform_ideal
@@ -302,7 +304,57 @@ class TestCharacterize:
         assert abs(big.f0_mean - truth.f0) < abs(small.f0_mean - truth.f0)
 
 
+PROBABILITIES = st.floats(0.0, 1.0)
+
+
+@st.composite
+def estimates(draw):
+    """Valid estimates. A random gamma_hat mostly fails the inversion (a NaN
+    angle); one drawn from an arcsin argument in [-1.01, 1.01] gives an
+    angle, clamped with a note past 1 + 1e-9."""
+    est = CharacterizationEstimate(
+        qubit=draw(st.integers(0, 2**64)),
+        f0_mean=draw(PROBABILITIES),
+        f1_mean=draw(PROBABILITIES),
+        eps_sigma=draw(PROBABILITIES),
+        gamma_hat=draw(st.floats(-1.0, 1.0)),
+        d_mean=draw(PROBABILITIES),
+        d_sigma=draw(PROBABILITIES),
+        L=draw(st.integers(2, 2**40)),
+        S=draw(st.integers(1, 2**63 - 1)),
+    )
+    x = draw(st.none() | st.floats(-1.01, 1.01))
+    gamma = None if x is None else est.eps_mean - x * (2.0 * est.f_mean - 1.0)
+    return est if gamma is None or abs(gamma) > 1.0 else est.replace(gamma_hat=gamma)
+
+
+# A singular inversion, a model mismatch and a clamp: a NaN angle with each
+# of the two failure notes, and an angle with a note.
+EDGE = CharacterizationEstimate(0, 0.5, 0.5, 0.01, 0.3, 0.02, 0.001, 8, 512)
+EDGE_CASES = [EDGE, EDGE.replace(f0_mean=0.99, f1_mean=0.2, gamma_hat=-0.9), clamped(EDGE.replace(f0_mean=0.99), 1)]
+
+
 class TestCharacterizationCsv:
+    def test_edge_cases_are_what_they_say(self):
+        singular, mismatch, clamp = EDGE_CASES
+        assert singular.warnings[0].startswith("SingularFidelityError:") and math.isnan(singular.theta_hat)
+        assert mismatch.warnings[0].startswith("ModelMismatchError:") and math.isnan(mismatch.theta_hat)
+        assert "clamped to [-1, 1]" in clamp.warnings[0] and clamp.theta_hat == math.pi / 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(estimates(), min_size=1, max_size=4))
+    @example(rows=EDGE_CASES)
+    def test_every_valid_table_round_trips(self, rows):
+        # Written, read back equal, and written again to the same bytes.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "characterization.csv"
+            write_characterization_csv(rows, path)
+            written = path.read_bytes()
+            loaded = read_characterization_csv(path)
+            assert loaded == rows
+            write_characterization_csv(loaded, path)
+            assert path.read_bytes() == written
+
     def test_round_trip(self, tmp_path):
         archive = make_archive(QubitNoiseParams(0.98, 0.91, 0.02), L=5, S=64, seed=13)
         estimates = characterize(archive)
@@ -322,7 +374,7 @@ class TestCharacterizationCsv:
         cells[column] = value
         path.write_text(f"{header}\n{','.join(cells)}\n")
         # Each column is checked against the value that the row's independent cells give.
-        named = "theta_hat" if column == 7 else "theta_hat_deg"
+        named = "theta_hat_rad" if column == 7 else "theta_hat_deg"
         with pytest.raises(ConfigError, match=f"{path}: line 2: {named}="):
             read_characterization_csv(path)
 
