@@ -3,13 +3,15 @@ and read.
 
 Writers fix the bytes: UTF-8, LF line endings and two-space indented JSON.
 A float prints the same in both formats, as its ``repr``: the shortest text
-that reads back as the same double. Readers validate while they parse
-and turn every way a file can be malformed into one exception chosen by the
+that reads back as the same double. Readers validate while they parse and
+turn every way a file can be malformed into one exception chosen by the
 caller, naming the file (and for CSV the line): ``ConfigError`` (exit 2) for
 inputs a user hands in, ``IncompleteArchiveError`` (exit 4) for the files of
 a run archive. A table of records is read back only as its writer prints
-it (:func:`read_table`): a row whose record the writer would print
-otherwise, in any cell, is malformed.
+it (:func:`read_table`): a line that is not the bytes the writer prints for
+the record built from it is malformed. :func:`write_csv` also writes a run's
+counts.csv, whose text ``sampler`` reads itself, since it alone knows the
+plan that fixes every line.
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from functools import partial
-from itertools import zip_longest
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable
 
 from .errors import ConfigError
 
-ErrorFactory = Callable[[str], Exception]
+
+# csv's writer returns what its file's write returns: with ``str`` as that
+# write, the line it prints for a row. write_csv prints every line with it,
+# and read_table checks every line against it.
+_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def write_csv(path: str | Path, header, rows) -> None:
@@ -33,55 +39,7 @@ def write_csv(path: str | Path, header, rows) -> None:
     float cell, ``numpy.float64`` included, prints as its shortest
     round-trip text, the same text that :func:`write_json` gives it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def read_csv(
-    path: str | Path,
-    names: Iterable[str],
-    build: Callable[..., Any],
-    error: ErrorFactory = ConfigError,
-) -> list:
-    """Read a CSV file whose header is exactly ``names``, in file order.
-
-    Each row's cells go to ``build`` as positional arguments, as the text
-    the file holds; the list of what ``build`` returns is the result. A
-    wrong header or row width, undecodable bytes, a CSV syntax error and any
-    ValueError or TypeError raised by ``build`` raise ``error`` with a
-    message naming the file and line. ``names`` is walked once, beside the
-    header line, and not kept, so an iterator of them costs no list (counts.csv
-    has one column per experiment). A header mismatch names one cell, since a
-    header can hold thousands.
-    """
-    names = iter(names)
-    rows = []
-    line = 0
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            # The header line, until the first row takes its name: a long
-            # header is not held while the rows are read.
-            cells = next(reader, None)
-            line = reader.line_num
-            if cells is None:
-                raise ValueError("header None: the file is empty")
-            width = len(cells)
-            for i, (got, want) in enumerate(zip_longest(cells, names)):
-                if got != want:
-                    expected = i + (want is not None) + sum(1 for _ in names)
-                    raise ValueError(
-                        f"header has {width} cells, expected {expected}; cell {i + 1} is {got!r}, expected {want!r}"
-                    )
-            for cells in reader:
-                line = reader.line_num
-                if len(cells) != width:
-                    raise ValueError(f"{len(cells)} cells, expected {width}")
-                rows.append(build(*cells))
-    except (ValueError, TypeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
-        raise error(f"{path}: line {line}: {exc}") from exc
-    return rows
+        fh.writelines(map(_line, chain((header,), rows)))
 
 
 def read_table(
@@ -91,29 +49,58 @@ def read_table(
     row: Callable[[Any], Iterable],
 ) -> list:
     """Read a table that :func:`write_csv` wrote as ``row(record)`` for each
-    record: the list of records, each built from its row.
+    record, under the header ``columns``: the list of records, each built
+    from its line.
 
     ``columns`` maps each column, in file order, to the parser of its cells,
-    or to None for a column derived from the others. A row's parsed
-    independent cells go to ``build``, and the row is valid only if every
-    cell is the text that ``row`` gives for the record built: so an edited
-    derived cell, or a value the writer would spell otherwise (``0.50`` for
-    ``0.5``), fails. Every failure raises ConfigError naming the file and
-    line; a cell that is not the writer's text is named by its column, with
-    both texts.
+    or to None for a column derived from the others. A line's parsed
+    independent cells go to ``build``, and the line is valid only if it is
+    the bytes that :func:`write_csv` prints for ``row`` of the record built:
+    so an edited derived cell, a value the writer would spell otherwise
+    (``0.50`` for ``0.5``, ``007`` for ``7``), a quoted cell, a CRLF ending
+    or a missing final newline fails. Every failure raises ConfigError
+    naming the file and line; a cell that is not the writer's text is named
+    by its column, with both texts.
     """
-    parsers = list(columns.values())
+    records = []
+    line = 1
+    try:
+        # Lines split at \n alone, each decoded on its own, so that an
+        # undecodable byte is named by its line.
+        with open(path, "rb") as fh:
+            header, printed = fh.readline().decode("utf-8"), _line(columns)
+            if header != printed:
+                raise ValueError(f"header {header!r} is not {printed!r}, the header the writer prints")
+            for line, raw in enumerate(fh, 2):
+                text = raw.decode("utf-8")
+                cells = next(csv.reader((text,)))
+                if len(cells) != len(columns):
+                    raise ValueError(f"{len(cells)} cells, expected {len(columns)}")
+                record = build(
+                    *(_parse(name, parse, cell) for (name, parse), cell in zip(columns.items(), cells) if parse)
+                )
+                printed = _line(row(record))
+                if text != printed:
+                    # The first cell the writer prints otherwise; if none,
+                    # only the bytes around the cells differ.
+                    for name, cell, written in zip(columns, cells, next(csv.reader((printed,)))):
+                        if cell != written:
+                            raise ValueError(
+                                f"{name}={cell!r} is not {written!r}, the text the writer prints for this row"
+                            )
+                    raise ValueError(f"{text!r} is not {printed!r}, the line the writer prints for this row")
+                records.append(record)
+    except (ValueError, TypeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"{path}: line {line}: {exc}") from exc
+    return records
 
-    def record(*cells: str):
-        built = build(*(parse(cell) for parse, cell in zip(parsers, cells) if parse is not None))
-        for name, cell, written in zip(columns, cells, row(built)):
-            # What csv.writer prints: float's repr for every float, numpy.float64 too.
-            text = float.__repr__(written) if isinstance(written, float) else str(written)
-            if cell != text:
-                raise ValueError(f"{name}={cell!r} is not {text!r}, the text the writer prints for this row")
-        return built
 
-    return read_csv(path, columns, record)
+def _parse(name: str, parse: Callable[[str], Any], cell: str):
+    """``parse(cell)``; its ValueError names the column ``name``."""
+    try:
+        return parse(cell)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def finite(text: str, parse=float):
@@ -124,22 +111,7 @@ def finite(text: str, parse=float):
     return value
 
 
-# An integer as ``str`` writes one: no leading zero, no sign on zero, and
-# [0-9], not \d, which also matches the non-ASCII digits int reads.
-# sampler._COUNTS_TEXT repeats it over a counts.csv row.
-_INT_TEXT = r"(?:0|-?[1-9][0-9]*+)"
-
-
-def integer(text: str) -> int:
-    """``int(text)``; ValueError unless ``text`` is an integer as ``str``
-    writes one, so that ``007``, ``-0``, ``1_0``, `` 1`` and non-ASCII
-    digits, which ``int`` takes, fail."""
-    if re.fullmatch(_INT_TEXT, text) is None:
-        raise ValueError(f"{text!r} is not an integer as str writes one")
-    return int(text)
-
-
-def read_json(path: str | Path, schema: str, error: ErrorFactory = ConfigError) -> dict:
+def read_json(path: str | Path, schema: str, error: Callable[[str], Exception] = ConfigError) -> dict:
     """Load a UTF-8 JSON object whose ``schema`` field equals ``schema``.
 
     Invalid JSON, undecodable bytes, NaN, a number beyond the range of a

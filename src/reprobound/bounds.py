@@ -18,7 +18,7 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import finite, integer, read_table, write_csv
+from .artifacts import finite, read_table, write_csv
 from .errors import InvalidParameterError, OutOfRegimeError
 from .noise_model import (
     Record,
@@ -130,8 +130,8 @@ class ReproVerdict(Record):
 # verdicts.csv: column name -> the parser of its cells, in file order, or
 # None for a column derived from the others.
 VERDICT_COLUMNS = {
-    "qubit": integer,
-    "n": integer,
+    "qubit": int,
+    "n": int,
     "delta": finite,
     "gamma_D": finite,
     "gamma_max": None,

@@ -24,7 +24,7 @@ from operator import mul, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .artifacts import finite, integer, read_table, write_csv
+from .artifacts import finite, read_table, write_csv
 from .errors import InsufficientDataError
 from .noise_model import (
     Record,
@@ -162,7 +162,7 @@ class CharacterizationEstimate(Record):
 # order, or None for a column derived from the others. The independent
 # columns are CharacterizationEstimate's fields, in order.
 CSV_COLUMNS = {
-    "qubit": integer,
+    "qubit": int,
     "f0_mean": finite,
     "f1_mean": finite,
     "eps_mean": None,
@@ -173,8 +173,8 @@ CSV_COLUMNS = {
     "theta_hat_deg": None,
     "d_mean": finite,
     "d_sigma": finite,
-    "L": integer,
-    "S": integer,
+    "L": int,
+    "S": int,
     "warnings": None,
 }
 

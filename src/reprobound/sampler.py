@@ -56,9 +56,10 @@ persists as a directory::
 data: one row per (kind, qubit), kinds in the order spam0, spam1, c, then
 qubits in plan order, as :func:`count_keys` yields them, each row holding
 ``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
-manifest's. The reader checks only the text: it rejects any file that
-deviates from that layout or holds a cell that is not an integer as ``str``
-writes one, which one pattern checks with one match per row, and leaves the
+manifest's. The reader reads the file as text, line by line, without the
+csv module, and checks only the text: a line must be the header or row that
+the writer prints there, each count an integer as ``str`` writes one and each
+line ending in a newline, which one match per row checks. It leaves the
 count rule to the :class:`RunArchive` it builds.
 """
 
@@ -67,12 +68,12 @@ from __future__ import annotations
 import re
 import time
 from enum import Enum
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ._version import __version__
-from .artifacts import _INT_TEXT, field, read_csv, read_json, records, write_csv, write_json
+from .artifacts import field, read_json, records, write_csv, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import (
     QubitNoiseParams,
@@ -496,50 +497,80 @@ def _read_manifest(run: Path) -> dict:
     return manifest
 
 
-# counts.csv's text rule: comma-separated counts, each an integer as str
-# writes it (artifacts.integer's rule). The repeats are possessive: a plain
-# outer one keeps about 270 bytes of backtracking state per count it has
-# matched (78 MB over a row of 333,333).
-_COUNTS_TEXT = rf"{_INT_TEXT}(?:,{_INT_TEXT})*+"
+# An integer as ``str`` writes one: no leading zero, no sign on zero, and
+# [0-9], not \d, which also matches the non-ASCII digits int reads.
+_INT_TEXT = r"(?:0|-?[1-9][0-9]*+)"
+# counts.csv's text rule for a row after its kind and qubit: comma-separated
+# counts, each an integer as str writes it, and the newline that ends the
+# line. The repeats are possessive: a plain outer one keeps about 270 bytes
+# of backtracking state per count it has matched (78 MB over a row of
+# 333,333).
+_COUNTS_TEXT = rf"{_INT_TEXT}(?:,{_INT_TEXT})*+\n"
 
 
 def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
     """Parse counts.csv into the nested count tuples of ``plan``.
 
-    Every row must sit where :func:`save_archive` writes it and hold L
-    integers as ``str`` writes them. Whether each is a count in [0, S] is
-    the :class:`RunArchive` rule, checked when the archive is built.
+    The file is read as text, line by line, and each line must be what
+    :func:`save_archive` writes there: the header, then each row of L
+    integers as ``str`` writes them, each line ending in a newline. Whether
+    each is a count in [0, S] is the :class:`RunArchive` rule, checked when
+    the archive is built.
     """
     if not path.is_file():
         raise IncompleteArchiveError(f"{path}: no counts file")
 
     # Compiled here, so that only the commands that load an archive pay for it.
     counts_text = re.compile(_COUNTS_TEXT).fullmatch
-    keys = count_keys(plan)
-
-    def row(kind: str, qubit: str, *cells: str) -> tuple[int, ...]:
-        key = next(keys, None)
-        if key is None:
-            raise ValueError(f"more rows than the plan's {len(CircuitKind) * len(plan.qubits)}")
-        if (kind, qubit) != key:
-            raise ValueError(
-                f"expected the row of {','.join(key)}, got {[kind, qubit]} "
-                "(a row is missing, duplicated or out of order)"
-            )
-        # The row is checked at once; only a bad row is searched for its
-        # first bad cell, and the row fails only if one of its cells does.
-        if counts_text(",".join(cells)) is None:
-            l = next(l for l, cell in enumerate(cells) if counts_text(cell) is None)
-            raise ValueError(f"experiment {l}: count {cells[l]!r} is not an integer as str writes one")
-        # A quoted cell holding a comma, or a count past int's digit limit,
-        # matches and makes int raise the ValueError that names the line.
-        return tuple(map(int, cells))
-
-    rows = read_csv(path, _counts_header(plan), row, IncompleteArchiveError)
-    key = next(keys, None)
-    if key is not None:
-        raise IncompleteArchiveError(
-            f"{path}: line {len(rows) + 1}: the file ends; the row of {','.join(key)} and all later rows are missing"
-        )
+    rows = []
+    line = 1
+    try:
+        # Lines split at \n alone, each decoded on its own, so that an
+        # undecodable byte is named by its line.
+        with open(path, "rb") as fh:
+            # The header's names are made one at a time beside its cells,
+            # which are dropped once walked; a mismatch names one cell, since
+            # a header can hold thousands.
+            text = fh.readline().decode("utf-8").removesuffix("\n")
+            for i, (got, want) in enumerate(zip_longest(text.split(","), _counts_header(plan))):
+                if got != want:
+                    raise ValueError(
+                        f"header has {text.count(',') + 1} cells, expected {plan.L + 2}; "
+                        f"cell {i + 1} is {got!r}, expected {want!r}"
+                    )
+            for line, (key, raw) in enumerate(zip_longest(count_keys(plan), fh), 2):
+                if key is None:
+                    raise ValueError(f"more rows than the plan's {len(CircuitKind) * len(plan.qubits)}")
+                if raw is None:  # named by the file's last line
+                    raise IncompleteArchiveError(
+                        f"{path}: line {line - 1}: the file ends; "
+                        f"the row of {','.join(key)} and all later rows are missing"
+                    )
+                text = raw.decode("utf-8")
+                prefix = f"{key[0]},{key[1]},"
+                # One match checks the row where it lies; only a bad row is
+                # searched for its fault.
+                if not (text.startswith(prefix) and counts_text(text, len(prefix))):
+                    cells = text.removesuffix("\n").split(",")
+                    if cells[:2] != list(key):
+                        raise ValueError(
+                            f"expected the row of {','.join(key)}, got {cells[:2]} "
+                            "(a row is missing, duplicated or out of order)"
+                        )
+                    l = next((l for l, cell in enumerate(cells[2:]) if re.fullmatch(_INT_TEXT, cell) is None), None)
+                    raise ValueError(
+                        "the line does not end with a newline"
+                        if l is None
+                        else f"experiment {l}: count {cells[l + 2]!r} is not an integer as str writes one"
+                    )
+                ones = text[len(prefix) :].split(",")
+                if len(ones) != plan.L:
+                    raise ValueError(f"{len(ones) + 2} cells, expected {plan.L + 2}")
+                # int takes the newline after the last count; a count past its
+                # digit limit matches and makes it raise the ValueError that
+                # names the line.
+                rows.append(tuple(map(int, ones)))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise IncompleteArchiveError(f"{path}: line {line}: {exc}") from exc
     n = len(plan.qubits)
     return tuple(tuple(rows[start : start + n]) for start in range(0, len(rows), n))

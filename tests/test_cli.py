@@ -1132,19 +1132,20 @@ SNAPSHOT_QUBITS = {
 # One edited cell of row 1 (qubit 0, L 6, S 512, n 1) of characterization.csv,
 # which verdict reads, or of verdicts.csv, which report reads: the file, the
 # column, the text and what the error names after the line. int() reads
-# each text of the first five pairs, and each edit of the last five gives
-# a value that no plan (L, S) or population mean (a sigma) can have.
+# each text of the first ten, which str writes otherwise, and each edit of
+# the last seven gives a value that no plan (L, S), population mean (a
+# sigma) or qubit index can have.
 EDITED_CELLS = {
-    "characterization-qubit-007": ("characterization.csv", 0, "007"),
-    "characterization-qubit-minus-0": ("characterization.csv", 0, "-0"),
-    "characterization-L-underscore": ("characterization.csv", 11, "1_0"),
-    "characterization-S-leading-space": ("characterization.csv", 12, " 1"),
-    "characterization-qubit-unicode-digit": ("characterization.csv", 0, "\u0663"),
-    "verdicts-qubit-007": ("verdicts.csv", 0, "007"),
-    "verdicts-qubit-minus-0": ("verdicts.csv", 0, "-0"),
-    "verdicts-n-underscore": ("verdicts.csv", 1, "1_0"),
-    "verdicts-n-leading-space": ("verdicts.csv", 1, " 1"),
-    "verdicts-qubit-unicode-digit": ("verdicts.csv", 0, "\u0663"),
+    "characterization-qubit-007": ("characterization.csv", 0, "007", "qubit='007' is not '7', the text the writer"),
+    "characterization-qubit-minus-0": ("characterization.csv", 0, "-0", "qubit='-0' is not '0'"),
+    "characterization-L-underscore": ("characterization.csv", 11, "1_0", "L='1_0' is not '10'"),
+    "characterization-S-leading-space": ("characterization.csv", 12, " 1", "S=' 1' is not '1'"),
+    "characterization-qubit-unicode-digit": ("characterization.csv", 0, "\u0663", "qubit='\u0663' is not '3'"),
+    "verdicts-qubit-007": ("verdicts.csv", 0, "007", "qubit='007' is not '7', the text the writer"),
+    "verdicts-qubit-minus-0": ("verdicts.csv", 0, "-0", "qubit='-0' is not '0'"),
+    "verdicts-n-underscore": ("verdicts.csv", 1, "1_0", "n='1_0' is not '10'"),
+    "verdicts-n-leading-space": ("verdicts.csv", 1, " 1", "n=' 1' is not '1'"),
+    "verdicts-qubit-unicode-digit": ("verdicts.csv", 0, "\u0663", "qubit='\u0663' is not '3'"),
     "characterization-L-minus-1": ("characterization.csv", 11, "-1", "L must be >= 2"),
     "characterization-S-0": ("characterization.csv", 12, "0", "S must be in [1, 2**63), got 0"),
     "characterization-S-2**63": ("characterization.csv", 12, str(2**63), f"S must be in [1, 2**63), got {2**63}"),
@@ -1218,9 +1219,21 @@ def break_input(tmp_path, run, case):
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
         return ["report", str(run)], f"{verdicts}: line 3", 2
+    if case in ("characterization-quoted-cell", "characterization-quoted-cell-crlf"):
+        # The writer's cells in other bytes: qubit 0's f0_mean quoted, and
+        # then every line ending in CRLF; the header is the first line that fails.
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 1, f'"{lines[1].split(",")[1]}"'))
+        if case.endswith("crlf"):
+            char.write_bytes(char.read_bytes().replace(b"\n", b"\r\n"))
+            return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 1: header 'qubit,", 2
+        return ["verdict", str(char), "--delta", "0.3"], f"""{char}: line 2: '0,"0.""", 2
+    if case == "verdicts-crlf":
+        assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+        verdicts.write_bytes(verdicts.read_bytes().replace(b"\n", b"\r\n"))
+        header = "qubit,n,delta,gamma_D,gamma_max,margin,reproducible"
+        return ["report", str(run)], f"{verdicts}: line 1: header '{header}\\r\\n' is not '{header}\\n'", 2
     if case in EDITED_CELLS:
-        name, column, text, *named = EDITED_CELLS[case]
-        named = named[0] if named else f"{text!r} is not an integer as str writes one"
+        name, column, text, named = EDITED_CELLS[case]
         if name == "verdicts.csv":
             assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
         edit_lines(run / name, lambda lines: set_csv_cell(lines, 1, column, text))
@@ -1276,6 +1289,9 @@ def break_input(tmp_path, run, case):
         "verdicts-edited-margin",
         "verdicts-flipped-flag",
         "verdicts-text-cell",
+        "characterization-quoted-cell",
+        "characterization-quoted-cell-crlf",
+        "verdicts-crlf",
         *EDITED_CELLS,
         "config-not-utf8",
         "config-list",

@@ -295,10 +295,12 @@ def edit_manifest(run, change):
 
 
 def edit_counts_lines(run, change):
+    """Apply ``change`` to counts.csv's lines; a change that returns bytes
+    gives the file's new bytes instead."""
     path = run / "counts.csv"
     lines = path.read_text().splitlines()
-    change(lines)
-    path.write_text("".join(line + "\n" for line in lines))
+    raw = change(lines)
+    path.write_bytes(raw if isinstance(raw, bytes) else "".join(line + "\n" for line in lines).encode())
 
 
 def set_cell(lines, row, column, value):
@@ -536,14 +538,24 @@ class TestArchiveIO:
             (lambda lines: set_cell(lines, 1, 0, "spam2"), "line 2: expected the row of spam0,0, got"),
             (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), "line 6: 3 cells, expected 4"),
             (lambda lines: lines.insert(1, lines.pop(2)), "line 2: expected the row of spam0,0, got"),
-            # Each side of the comma is a count, but the quoted cell is not one.
-            (lambda lines: set_cell(lines, 3, 3, '"1,2"'), "line 4: invalid literal for int"),
+            # The file is read as text, so a quoted cell holding a comma is two cells.
+            (lambda lines: set_cell(lines, 3, 3, '"1,2"'), "line 4: experiment 1: count '\"1' is not an integer"),
+            (lambda lines: set_cell(lines, 3, 3, '"5"'), "line 4: experiment 1: count '\"5\"' is not an integer"),
+            (
+                lambda lines: "".join(line + "\r\n" for line in lines).encode(),
+                r"line 1: header has 4 cells, expected 4; cell 4 is '1\\r', expected '1'",
+            ),
+            (lambda lines: "\n".join(lines).encode(), "line 7: the line does not end with a newline"),
+            (
+                lambda lines: "".join(line + "\n" for line in lines).encode().replace(b"\nc,1,", b"\nc,1,\xff"),
+                "line 7: 'utf-8' codec can't decode",
+            ),
         ],
         ids=[
             "header", "float", "text", "plus-sign", "duplicate", "extra", "truncated",
             "negative", "above-S", "shots", "unknown-qubit", "extra-cell",
             "leading-zero", "underscore", "unicode-digit", "leading-space", "wrong-kind", "short-row", "reordered",
-            "quoted-comma",
+            "quoted-comma", "quoted-count", "crlf", "no-final-newline", "undecodable",
         ],
     )
     def test_malformed_counts_rejected(self, tmp_path, change, message):
@@ -558,15 +570,21 @@ class TestArchiveIO:
     @example(cell="007")
     @example(cell="-12")
     def test_count_text_is_an_int_as_str_writes_it(self, cell):
-        assert (re.fullmatch(sampler._COUNTS_TEXT, cell) is not None) == round_trips(cell)
+        assert (re.fullmatch(sampler._INT_TEXT, cell) is not None) == round_trips(cell)
 
-    @given(cells=st.lists(st.text(alphabet=COUNT_ALPHABET, max_size=6), min_size=1, max_size=4))
-    @example(cells=["12", "0", "-3"])
-    @example(cells=["12", "", "3"])
-    @example(cells=["1", "-0"])
-    def test_row_text_matches_exactly_when_every_count_does(self, cells):
-        matched = re.fullmatch(sampler._COUNTS_TEXT, ",".join(cells)) is not None
-        assert matched == all(map(round_trips, cells))
+    @given(
+        cells=st.lists(st.text(alphabet=COUNT_ALPHABET, max_size=6), min_size=1, max_size=4),
+        end=st.sampled_from(["\n", "\r\n", "", "\n\n"]),
+    )
+    @example(cells=["12", "0", "-3"], end="\n")
+    @example(cells=["12", "", "3"], end="\n")
+    @example(cells=["1", "-0"], end="\n")
+    @example(cells=["1", "2"], end="\r\n")
+    @example(cells=["1", "2"], end="")
+    def test_row_text_matches_exactly_when_every_count_does(self, cells, end):
+        # What follows a row's kind and qubit, up to and with its line's end.
+        matched = re.fullmatch(sampler._COUNTS_TEXT, ",".join(cells) + end) is not None
+        assert matched == (end == "\n" and all(map(round_trips, cells)))
 
     @pytest.mark.parametrize("where", [0, 300, 599], ids=["first", "middle", "last"])
     def test_bad_count_is_found_anywhere_in_a_long_row(self, tmp_path, where):
@@ -588,6 +606,14 @@ class TestArchiveIO:
             tracemalloc.stop()
         assert peak < 38e6
 
+    def test_wide_header_mismatch_names_one_cell(self, tmp_path):
+        out = saved_run(tmp_path, L=3000)
+        edit_counts_lines(out, lambda lines: lines.__setitem__(0, lines[0] + ",3000"))
+        with pytest.raises(IncompleteArchiveError) as excinfo:
+            load_archive(out)
+        message = f"{out / 'counts.csv'}: line 1: header has 3003 cells, expected 3002; cell 3003 is '3000', expected None"
+        assert str(excinfo.value) == message
+
     def test_long_header_is_walked_not_held(self, tmp_path):
         # One qubit at L=100,000 and S=64: the counts take about 2.4 MB.
         # Loading peaked at 30 MB while the header's names were held as a
@@ -606,7 +632,7 @@ class TestArchiveIO:
     def test_one_match_over_a_long_row_keeps_no_state_per_count(self):
         # An outer repeat that is not possessive keeps about 20 MB of
         # backtracking state over this row.
-        row = ",".join(str(l % 8193) for l in range(100_000))
+        row = ",".join(str(l % 8193) for l in range(100_000)) + "\n"
         counts_text = re.compile(sampler._COUNTS_TEXT).fullmatch
         tracemalloc.start()
         try:
