@@ -17,7 +17,6 @@ plan that fixes every line.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from functools import partial
 from itertools import chain
@@ -118,6 +117,10 @@ def read_json(path: str | Path, schema: str, error: Callable[[str], Exception] =
     double, a top level that is not an object, and another schema raise
     ``error`` naming the file.
     """
+    # Imported here, as in write_json: a command that reads and writes only
+    # tables, such as verdict on a characterization table, never loads it.
+    import json
+
     try:
         doc = json.loads(
             Path(path).read_text(encoding="utf-8"),
@@ -135,6 +138,8 @@ def read_json(path: str | Path, schema: str, error: Callable[[str], Exception] =
 
 
 def write_json(path: str | Path, doc: dict) -> None:
+    import json
+
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 

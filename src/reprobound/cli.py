@@ -17,6 +17,11 @@ named ``verdicts.csv``, is an input error. Only simulate creates ``DIR``
 and only report creates ``DIR/report``: a missing ``DIR``, or one that is
 a file, is an I/O failure.
 
+Each command loads only the layers it runs: it imports ``bounds`` and
+``estimator`` when it runs them, so ``simulate`` loads neither and
+``characterize`` no ``bounds``, and ``artifacts`` imports ``json`` only to
+read or write a JSON file. ``sampler`` is the exception (see its import).
+
 Every ``qubits[]`` record, of a device config, a calibration snapshot or a
 normalized calibration, is read by ``sampler.qubit_from_record``, so each
 passes the same checks.
@@ -37,7 +42,6 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from . import bounds, estimator
 from .artifacts import field, read_json, records, write_csv, write_json
 from ._version import __version__
 from .errors import (
@@ -48,6 +52,14 @@ from .errors import (
     ReproBoundError,
 )
 from .noise_model import check_drift, check_open_probability, check_theta, check_unique_indices
+
+# Each command imports ``bounds`` and ``estimator`` itself, when it runs
+# them, and calls them through the module, where the benchmark's tracer
+# (perfbench/traced.py) wraps their functions. ``sampler`` is imported here,
+# by name, because the tracer wraps ``run_plan``, ``save_archive`` and
+# ``load_archive`` in this module: so ``verdict`` on a characterization
+# table, which runs no sampler code, still loads ``sampler`` until the
+# tracer wraps them in ``sampler`` instead.
 from .sampler import (
     ExperimentPlan,
     load_archive,
@@ -187,6 +199,8 @@ def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
             qubit = qubit_from_record(q, loc, _stand_in(loc, theta) if own is None else None)
             rows.append(VerdictRow(qubit.index, qubit.params.eps, qubit.params.f, qubit.params.theta, None))
     else:
+        from . import estimator
+
         rows = [
             VerdictRow(
                 e.qubit,
@@ -231,6 +245,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_characterize(args) -> int:
+    from . import estimator
+
     run_dir = Path(args.run_dir)
     out = Path(args.out or run_dir) / "characterization.csv"
     estimates = estimator.characterize(load_archive(run_dir))
@@ -241,6 +257,8 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_verdict(args) -> int:
+    from . import bounds
+
     # The options are checked before the source is read; delta_star checks n.
     _named("--n", bounds.delta_star, args.n)
     if args.delta is not None:
@@ -281,6 +299,8 @@ def cmd_import_calibration(args) -> int:
 
 
 def cmd_plan_samples(args) -> int:
+    from . import bounds
+
     confidence = check_open_probability("--confidence", args.confidence)
     plan = bounds.plan_samples(args.p, args.precision, 1.0 - confidence)
     print(f"T = {plan.T}\nz = {plan.z!r}")
@@ -288,6 +308,8 @@ def cmd_plan_samples(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import bounds, estimator
+
     run_dir = Path(args.run_dir)
     archive = load_archive(run_dir)
     verdicts_path = run_dir / "verdicts.csv"

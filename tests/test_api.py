@@ -22,8 +22,9 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_every_public_name_is_exported():
-    # The package star-imports each submodule's __all__: a name bound in the
-    # package but missing from __all__, or the reverse, fails here.
+    # The package binds its exporting submodules' __all__ on first use, and
+    # dir() binds them too: a name bound in the package but missing from
+    # __all__, or the reverse, fails here.
     public = {
         name
         for name in dir(reprobound)

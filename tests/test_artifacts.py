@@ -218,24 +218,36 @@ def test_cli_import_loads_no_heavy_modules():
     or optional package. Nor does it load ``dataclasses`` or ``inspect``,
     which cost every command about 20 ms of start-up: the records derive
     from ``noise_model.Record`` instead; nor ``datetime`` (1.2 ms): the
-    manifest's timestamps come from ``time``. Both load the same submodules apart
-    from the CLI itself: the package imports its names eagerly because
-    every command loads every submodule anyway, and a submodule that the CLI
-    does not need fails here by name. ``reprobound._stream``, the
-    plain-Python draw, is the exception: ``simulate`` imports it when it
-    uses it."""
+    manifest's timestamps come from ``time``.
+
+    The package exports its names lazily, so ``import reprobound`` loads
+    no submodule but ``_version``, and the CLI loads only what every
+    command shares: each command imports ``bounds`` and ``estimator``
+    when it runs them, ``simulate`` imports ``_stream``, the plain-Python
+    draw, when it uses it, and ``artifacts`` imports ``json`` when a JSON
+    file is read or written. A submodule name imports that submodule only,
+    the first public name still binds every exported name, and a private
+    name loads nothing."""
     env_path = str(PACKAGE.parent)
     own = {}
-    for module in ("reprobound", "reprobound.cli"):
-        code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    for module, code in [
+        ("reprobound", "import reprobound"),
+        ("reprobound.cli", "import reprobound.cli"),
+        ("submodule", "import reprobound; reprobound.errors"),
+        ("public", "import reprobound; assert reprobound.gamma_max(1, 0.1) > 0"),
+        ("private", "import reprobound; assert not hasattr(reprobound, '_x')"),
+    ]:
+        code = f"import sys; sys.path.insert(0, {env_path!r}); {code}; print(*sorted(sys.modules))"
         result = subprocess.run(
-            [sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, check=True, timeout=60,
         )
         names = result.stdout.split()
         loaded = {name.split(".")[0] for name in names}
         assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis", "dataclasses", "inspect", "datetime"}), module
-        own[module] = {name for name in names if name.startswith("reprobound.")}
-    assert own["reprobound"] == own["reprobound.cli"] - {"reprobound.cli"}
-    # The plain-Python draw is compiled only when simulate uses it.
-    assert "reprobound._stream" not in own["reprobound.cli"]
+        assert "json" not in names, module
+        own[module] = {name.removeprefix("reprobound.") for name in names if name.startswith("reprobound.")}
+    assert own["reprobound"] == own["private"] == {"_version"}
+    assert own["submodule"] == {"_version", "errors"}
+    assert own["reprobound.cli"] == {"_version", "errors", "artifacts", "noise_model", "sampler", "cli"}
+    assert own["public"] == {"_version", "errors", "artifacts", "noise_model", "sampler", "bounds", "estimator"}

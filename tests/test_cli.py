@@ -803,10 +803,10 @@ STARTS = {
     "python-m": "import runpy; runpy.run_module('reprobound', run_name='__main__', alter_sys=True)",
     "console-script": "from reprobound.cli import entrypoint; entrypoint()",
 }
-# Prints, at interpreter exit, OPENBLAS_NUM_THREADS and the top-level modules loaded.
+# Prints, at interpreter exit, OPENBLAS_NUM_THREADS and the full names of the modules loaded.
 EXIT_PROBE = (
     "import atexit, os, sys; atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), "
-    "*sorted({m.split('.')[0] for m in sys.modules}), file=sys.stderr))\n"
+    "*sorted(sys.modules), file=sys.stderr))\n"
 )
 PLAN_SAMPLES = ["plan-samples", "--p", "0.5", "--precision", "0.1", "--confidence", "0.9"]
 
@@ -820,8 +820,8 @@ def child_env(**env):
 
 def run_cli_child(start, argv, **env):
     """Run the CLI in a fresh interpreter under ``child_env(**env)``; returns
-    (exit code, OPENBLAS_NUM_THREADS at exit or "None", set of top-level
-    modules loaded)."""
+    (exit code, OPENBLAS_NUM_THREADS at exit or "None", set of the full
+    names of the modules loaded)."""
     proc = subprocess.run(
         [sys.executable, "-c", EXIT_PROBE + STARTS[start], *argv],
         env=child_env(**env), capture_output=True, text=True, timeout=120,
@@ -871,6 +871,29 @@ def test_scalar_commands_load_no_numpy(small_run):
     ):
         code, _, modules = run_cli_child("python-m", argv)
         assert (code, "numpy" in modules) == (0, loads_numpy), argv
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    # The package exports its names lazily and each command imports bounds
+    # and estimator when it runs them, so simulate compiles neither, only
+    # verdict and report of the pipeline load bounds, and a command that
+    # reads and writes only tables never loads json. Every command loads
+    # sampler: the benchmark's tracer wraps its names in cli.
+    cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}], L=6, S=64)
+    run = tmp_path / "run"
+    shared = {"cli", "_version", "errors", "artifacts", "noise_model", "sampler"}
+    for argv, exit_code, layers, loads_json in (
+        (["simulate", str(cfg), "--out", str(run)], 0, {"_stream"}, True),
+        (["characterize", str(run)], 0, {"estimator"}, True),
+        (["verdict", str(run / "characterization.csv"), "--delta-from-observed"], 0, {"bounds", "estimator"}, False),
+        (["report", str(run)], 0, {"bounds", "estimator"}, True),
+        (["--version"], 0, set(), False),
+        # A usage error: simulate's --out is required.
+        (["simulate", str(cfg)], 2, set(), False),
+    ):
+        code, _, modules = run_cli_child("python-m", argv)
+        own = {name.removeprefix("reprobound.") for name in modules if name.startswith("reprobound.")}
+        assert (code, own, "json" in modules) == (exit_code, shared | layers, loads_json), argv
 
 
 @pytest.mark.parametrize("start", sorted(STARTS))
