@@ -1,3 +1,5 @@
-from .cli import entrypoint
+import sys
 
-entrypoint()
+from .cli import main
+
+sys.exit(main())

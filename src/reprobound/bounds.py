@@ -88,7 +88,8 @@ def gamma_max(n: int, delta: float) -> float:
     ceiling = delta_star(n)
     if delta > ceiling:
         raise OutOfRegimeError(
-            f"delta={delta!r} above the validity ceiling delta_star({n})={ceiling!r}",
+            f"delta={delta!r} above the validity ceiling delta_star({n})={ceiling!r} "
+            f"(largest valid tolerance: {ceiling!r})",
             delta_star=ceiling,
         )
     u = (1.0 - delta * delta) ** (1.0 / n)

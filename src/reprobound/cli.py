@@ -26,10 +26,14 @@ Every ``qubits[]`` record, of a device config, a calibration snapshot or a
 normalized calibration, is read by ``sampler.qubit_from_record``, so each
 passes the same checks.
 
-Exit codes are stable: 0 success, 2 input error, 3 I/O failure, 4 incomplete
-run artifacts, 5 tolerance outside the bound's validity regime. A usage
-error (an unknown option, an option the command does not take, a missing
-``--out`` of simulate) exits 2 too, with argparse's message.
+``main`` is the program's one entry: ``python -m reprobound``, the
+``reprobound`` console script and callers in-process all start there, and it
+returns the exit code. Exit codes are stable: 0 success, 3 I/O failure (an
+``OSError``), and for an error of this package its ``exit_code`` (see
+``errors``): 2 input error, 4 incomplete run artifacts, 5 tolerance outside
+the bound's validity regime. A usage error (an unknown option, an option the
+command does not take, a missing ``--out`` of simulate) exits 2 too, with
+argparse's message.
 """
 
 from __future__ import annotations
@@ -77,12 +81,6 @@ NORMALIZED_SCHEMA = "calibration-normalized/1"
 # them: fig_scatter.csv first, since the pass that writes it also estimates
 # each qubit for qubits.csv, the one per-qubit table of every figure.
 REPORT_FILES = ("fig_scatter.csv", "qubits.csv")
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_IO = 3
-EXIT_INCOMPLETE = 4
-EXIT_REGIME = 5
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,7 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     _named("--drift", check_drift, args.drift)
     name, plan = load_device_config(args.config)
     if args.seed is not None:
@@ -241,10 +239,9 @@ def cmd_simulate(args) -> int:
         (Path(args.out) / stale).unlink(missing_ok=True)
     out = save_archive(archive, args.out)
     _say(args, f"{name}: wrote the counts of {plan.count_total} experiments to {out}")
-    return EXIT_OK
 
 
-def cmd_characterize(args) -> int:
+def cmd_characterize(args) -> None:
     from . import estimator
 
     run_dir = Path(args.run_dir)
@@ -253,10 +250,9 @@ def cmd_characterize(args) -> int:
     estimator.write_characterization_csv(estimates, out)
     flagged = sum(1 for e in estimates if e.warnings)
     _say(args, f"characterized {len(estimates)} qubit(s) -> {out}" + (f" ({flagged} flagged)" if flagged else ""))
-    return EXIT_OK
 
 
-def cmd_verdict(args) -> int:
+def cmd_verdict(args) -> None:
     from . import bounds
 
     # The options are checked before the source is read; delta_star checks n.
@@ -278,16 +274,19 @@ def cmd_verdict(args) -> int:
     # One source gives every row an observed distance or none.
     if args.delta_from_observed and rows[0].d_mean is None:
         raise ConfigError("--delta-from-observed needs characterization input with observed distances")
-    results = [
-        (r.qubit, bounds.verdict(args.n, r.d_mean if args.delta_from_observed else args.delta, r.eps, r.theta, r.f))
-        for r in rows
-    ]
+    results = []
+    for r in rows:
+        try:
+            verdict = bounds.verdict(args.n, r.d_mean if args.delta_from_observed else args.delta, r.eps, r.theta, r.f)
+        except OutOfRegimeError as exc:
+            # --delta was checked above, so this distance is an observed one.
+            raise OutOfRegimeError(f"{source}: qubit {r.qubit}: {exc}", exc.delta_star) from exc
+        results.append((r.qubit, verdict))
     bounds.write_verdicts_csv(results, out)
     _say(args, f"verdicts -> {out}: {sum(1 for _, v in results if v.reproducible)}/{len(results)} reproducible")
-    return EXIT_OK
 
 
-def cmd_import_calibration(args) -> int:
+def cmd_import_calibration(args) -> None:
     snapshot = Path(args.snapshot)
     out = Path(args.out or snapshot.parent) / snapshot.with_suffix(".normalized.json").name
     normalized = normalize_snapshot(snapshot)
@@ -295,19 +294,20 @@ def cmd_import_calibration(args) -> int:
     _say(args, f"normalized {len(normalized['qubits'])} qubit(s) -> {out}")
     for flag in normalized["warnings"]:
         _say(args, f"  note: {flag}")
-    return EXIT_OK
 
 
-def cmd_plan_samples(args) -> int:
+def cmd_plan_samples(args) -> None:
     from . import bounds
 
     confidence = check_open_probability("--confidence", args.confidence)
-    plan = bounds.plan_samples(args.p, args.precision, 1.0 - confidence)
+    p_s, epsilon_rel = check_open_probability("--p", args.p), check_open_probability("--precision", args.precision)
+    # 1 - confidence rounds to 1.0 once confidence is below 2**-54.
+    alpha = _named("--confidence", check_open_probability, "1 - confidence", 1.0 - confidence)
+    plan = bounds.plan_samples(p_s, epsilon_rel, alpha)
     print(f"T = {plan.T}\nz = {plan.z!r}")
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     from . import bounds, estimator
 
     run_dir = Path(args.run_dir)
@@ -350,7 +350,6 @@ def cmd_report(args) -> int:
     )
 
     _say(args, f"report bundle -> {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -425,34 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except OutOfRegimeError as exc:
-        _fail(f"{exc} (largest valid tolerance: {exc.delta_star!r})")
-        return EXIT_REGIME
-    except IncompleteArchiveError as exc:
-        _fail(str(exc))
-        return EXIT_INCOMPLETE
-    except OSError as exc:
-        _fail(str(exc))
-        return EXIT_IO
-    except ReproBoundError as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-
-
-def _fail(message: str) -> None:
-    print(f"reprobound: error: {message}", file=sys.stderr)
-
-
-def entrypoint() -> None:
-    """Run the CLI on ``sys.argv``: ``python -m reprobound`` and the
-    ``reprobound`` console script both start here.
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit
+    code.
 
     OpenBLAS starts a pool of threads when numpy is imported, and the
     program makes no BLAS call, so the pool is capped at one thread before
     any command can load numpy. A value the user set is kept.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    args = build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except OSError as exc:
+        return _fail(exc, 3)
+    except ReproBoundError as exc:
+        return _fail(exc, exc.exit_code)
+    return 0
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"reprobound: error: {exc}", file=sys.stderr)
+    return code

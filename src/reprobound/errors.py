@@ -1,10 +1,12 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto stable exit codes (see ``cli.py``): bad inputs exit
-with 2, I/O failures with 3, incomplete run artifacts with 4, and parameters
-outside the bound's validity regime with 5. A gate angle that cannot be
-recovered from a qubit's data is no error: ``estimator.invert_theta``
-returns NaN and a note, and ``characterize`` goes on with the other qubits.
+Each type carries the CLI's exit code for it as ``exit_code``: 2 for a bad
+input, the base class's code, 4 for incomplete run artifacts and 5 for a
+tolerance outside the bound's validity regime. ``cli.main`` exits with an
+error's ``exit_code``, and with 3 for an I/O failure (an ``OSError``). A gate
+angle that cannot be recovered from a qubit's data is no error:
+``estimator.invert_theta`` returns NaN and a note, and ``characterize`` goes
+on with the other qubits.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 class ReproBoundError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidParameterError(ReproBoundError, ValueError):
@@ -23,7 +27,10 @@ class InsufficientDataError(ReproBoundError, ValueError):
 
 
 class OutOfRegimeError(ReproBoundError, ValueError):
-    """Tolerance above the validity ceiling of the closed-form bound."""
+    """Tolerance above the validity ceiling of the closed-form bound; the
+    message names the largest valid tolerance, ``delta_star``."""
+
+    exit_code = 5
 
     def __init__(self, message: str, delta_star: float):
         super().__init__(message)
@@ -34,6 +41,8 @@ class IncompleteArchiveError(ReproBoundError, RuntimeError):
     """A run archive file is missing, malformed or not finalized, or an
     artifact in the run directory does not match the run's plan. The
     message names the file."""
+
+    exit_code = 4
 
 
 class ConfigError(ReproBoundError, ValueError):

@@ -20,8 +20,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reprobound
-from reprobound import estimator, sampler
+from reprobound import cli, estimator, sampler
+from reprobound.bounds import delta_star
 from reprobound.cli import build_parser, main
+from reprobound.errors import (
+    ConfigError,
+    IncompleteArchiveError,
+    InsufficientDataError,
+    InvalidParameterError,
+    OutOfRegimeError,
+    ReproBoundError,
+)
 from reprobound.noise_model import hellinger_1q
 
 PERFECT_QUBIT = {"index": 0, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}
@@ -302,6 +311,19 @@ class TestVerdict:
             assert main(["verdict", str(source), "--delta", "0.9"]) == 5
             assert "0.5411961" in capsys.readouterr().err
 
+    def test_observed_distance_above_ceiling_names_file_and_qubit(self, small_run, capsys):
+        # d_mean lies in [0, 1], so the reader accepts 0.6; only the bound's ceiling rejects it.
+        char = small_run / "characterization.csv"
+        column = char.read_text().splitlines()[0].split(",").index("d_mean")
+        edit_lines(char, lambda lines: set_csv_cell(lines, 2, column, "0.6"))
+        assert main(["verdict", str(char), "--delta-from-observed"]) == 5
+        ceiling = delta_star(1)
+        assert capsys.readouterr().err == (
+            f"reprobound: error: {char}: qubit 1: delta=0.6 above the validity ceiling "
+            f"delta_star(1)={ceiling!r} (largest valid tolerance: {ceiling!r})\n"
+        )
+        assert not (small_run / "verdicts.csv").exists()
+
     def test_tight_delta_not_reproducible(self, small_run):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta", "0.001", "--quiet"]) == 0
         rows = read_rows(small_run / "verdicts.csv")
@@ -472,6 +494,20 @@ class TestPlanSamples:
     def test_zero_confidence_rejected(self, capsys):
         assert main(["plan-samples", "--p", "0.5", "--precision", "0.01", "--confidence", "0"]) == 2
         assert capsys.readouterr().err == "reprobound: error: --confidence must be in (0, 1), got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--p", "2", "--p must be in (0, 1), got 2.0"),
+            ("--precision", "0", "--precision must be in (0, 1), got 0.0"),
+            # It passes --confidence's own check, but 1 - 1e-17 rounds to 1.0.
+            ("--confidence", "1e-17", "--confidence: 1 - confidence must be in (0, 1), got 1.0"),
+        ],
+    )
+    def test_an_error_names_its_option(self, option, value, message, capsys):
+        options = {"--p": "0.5", "--precision": "0.01", "--confidence": "0.95", option: value}
+        assert main(["plan-samples", *(text for pair in options.items() for text in pair)]) == 2
+        assert capsys.readouterr().err == f"reprobound: error: {message}\n"
 
     @pytest.mark.parametrize(
         "p, precision",
@@ -796,12 +832,15 @@ def test_threads_help_says_ignored(capsys):
     assert "ignored" in capsys.readouterr().out
 
 
-# The two ways a user starts the CLI, as code for a fresh interpreter:
-# ``python -m reprobound`` (what runpy does for -m) and the ``reprobound``
-# console script (a call of cli.entrypoint).
+# The ways the CLI is started, as code for a fresh interpreter: the two of a
+# user, ``python -m reprobound`` (what runpy does for -m) and the
+# ``reprobound`` console script (the exit of a call of cli.main), and a
+# library call of cli.main whose code is not the process's exit status, as
+# perfbench/traced.py calls it.
 STARTS = {
     "python-m": "import runpy; runpy.run_module('reprobound', run_name='__main__', alter_sys=True)",
-    "console-script": "from reprobound.cli import entrypoint; entrypoint()",
+    "console-script": "import sys; from reprobound.cli import main; sys.exit(main())",
+    "library-call": "import sys, reprobound.cli; reprobound.cli.main(sys.argv[1:])",
 }
 # Prints, at interpreter exit, OPENBLAS_NUM_THREADS and the full names of the modules loaded.
 EXIT_PROBE = (
@@ -901,6 +940,30 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 def test_cli_caps_blas_threads_unless_the_user_set_them(start, user_value, expected):
     env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
     assert run_cli_child(start, PLAN_SAMPLES, **env)[:2] == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ReproBoundError, 2),
+        (InvalidParameterError, 2),
+        (InsufficientDataError, 2),
+        (ConfigError, 2),
+        (IncompleteArchiveError, 4),
+        (OutOfRegimeError, 5),
+        (OSError, 3),
+    ],
+)
+def test_each_error_class_carries_its_exit_code(monkeypatch, capsys, error, code):
+    # main exits with an error's own exit_code, and with 3 for an OSError, which has none.
+    assert getattr(error, "exit_code", 3) == code
+
+    def fail(args):
+        raise error("boom", 0.5) if error is OutOfRegimeError else error("boom")
+
+    monkeypatch.setattr(cli, "cmd_plan_samples", fail)
+    assert main(PLAN_SAMPLES) == code
+    assert capsys.readouterr().err == "reprobound: error: boom\n"
 
 
 def test_library_import_leaves_the_environment_alone():
@@ -1491,3 +1554,37 @@ def test_mutated_artifacts_never_raise(pristine_inputs, artifact, ops):
         path.write_bytes(mutate(path.read_bytes(), ops))
         for argv in ARTIFACT_COMMANDS[artifact]:
             assert main([arg.format(base=base) for arg in argv] + ["--quiet"]) in (0, 2, 3, 4, 5)
+
+
+# Each artifact a command reads, relative to pristine_inputs, and the commands that read it.
+READERS = {**ARTIFACT_COMMANDS, "run/counts.csv": [["characterize", "{base}/run"], ["report", "{base}/run"]]}
+# The bytes an edit writes: the digits, signs and separators of the CSV and
+# JSON formats, letters of the words they hold (nan, inf, true, false, e),
+# whitespace, a quote, a NUL, and bytes that are not UTF-8 on their own.
+EDIT_BYTES = b'0159-+.,e\n\r "{}[]:naiftx\x00\xc3\xff'
+# One to three edits, each the replacement, insertion or deletion of one byte.
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2**16), st.sampled_from(EDIT_BYTES)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def edit_bytes(raw: bytes, edits) -> bytes:
+    for op, at, byte in edits:
+        i = at % (len(raw) + (op == "insert"))
+        raw = raw[:i] + bytes([byte]) * (op != "delete") + raw[i + (op != "insert") :]
+    return raw
+
+
+@pytest.mark.parametrize("artifact", list(READERS))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=BYTE_EDITS)
+def test_byte_edits_end_in_a_documented_exit_code(pristine_inputs, artifact, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "inputs"
+        shutil.copytree(pristine_inputs, base)
+        path = base / artifact
+        path.write_bytes(edit_bytes(path.read_bytes(), edits))
+        for argv in READERS[artifact]:
+            assert main([arg.format(base=base) for arg in argv] + ["--quiet"]) in (0, 2, 3, 4, 5), argv
