@@ -34,7 +34,6 @@ from .noise_model import (
 )
 
 __all__ = [
-    "LemmaA1Report",
     "ReproVerdict",
     "SamplePlan",
     "delta_star",
@@ -168,31 +167,12 @@ def exact_hellinger_1q(gamma: float) -> float:
     return hellinger_1q((1.0 + gamma) / 2.0, (1.0 - gamma) / 2.0)
 
 
-class LemmaCounterexample(Record):
-    delta: float
-    gamma: float
-    gamma_max: float
-    hellinger: float
+def lemma_a1_check(delta_grid, gamma_grid) -> list[tuple[float, float]]:
+    """The (delta, gamma) pairs on which (gamma <= gamma_max(1, delta)) and
+    (d(gamma) <= delta) disagree, delta-major, then in gamma order; ``[]``
+    when Lemma A1 holds on the grids.
 
-
-class LemmaA1Report(Record):
-    """Exhaustive check that the gamma test equals the distance test (n=1)."""
-
-    pairs_checked: int
-    delta_range: tuple[float, float]
-    gamma_range: tuple[float, float]
-    counterexamples: tuple[LemmaCounterexample, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-
-def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
-    """Verify (gamma <= gamma_max(1, delta)) <=> (d(gamma) <= delta) pairwise.
-
-    Counterexamples are returned as data, not raised; with valid grids the
-    expected count is zero. Grid preconditions: every gamma passes
+    Grid preconditions: neither grid is empty, every gamma passes
     :func:`noise_model.check_probability`, and every delta passes
     :func:`gamma_max`'s checks for n=1, which reject a delta that is not a
     number, negative or NaN and raise OutOfRegimeError above delta_star(1).
@@ -203,37 +183,8 @@ def lemma_a1_check(delta_grid, gamma_grid) -> LemmaA1Report:
         raise InvalidParameterError("grids must be non-empty")
 
     limits = [gamma_max(1, d) for d in deltas]
-    distances = [exact_hellinger_1q(g) for g in gammas]
-    columns = list(zip(gammas, distances))
-    return LemmaA1Report(
-        pairs_checked=len(deltas) * len(gammas),
-        delta_range=(min(deltas), max(deltas)),
-        gamma_range=(min(gammas), max(gammas)),
-        # Delta-major, then gamma order.
-        counterexamples=tuple(
-            LemmaCounterexample(delta=d, gamma=g, gamma_max=limit, hellinger=h)
-            for d, limit in zip(deltas, limits)
-            for g, h in columns
-            if (g <= limit) != (h <= d)
-        ),
-    )
-
-
-def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
-    """``numpy.linspace(start, stop, num)`` to the bit, by its own
-    arithmetic: point i is i * step + start, the last point is stop."""
-    if num == 1:
-        return (start,)
-    step = (stop - start) / (num - 1)
-    return (*(i * step + start for i in range(num - 1)), stop)
-
-
-def default_lemma_grids(points: int = 100) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Standard verification grids: delta in (0, delta_star(1)], gamma in [0, 1]."""
-    if points < 1:
-        raise InvalidParameterError(f"grids need at least one point, got {points}")
-    ceiling = delta_star(1)
-    return _linspace(ceiling / points, ceiling, points), _linspace(0.0, 1.0, points)
+    columns = [(g, exact_hellinger_1q(g)) for g in gammas]
+    return [(d, g) for d, limit in zip(deltas, limits) for g, h in columns if (g <= limit) != (h <= d)]
 
 
 def normal_quantile(p: float) -> float:

@@ -190,7 +190,7 @@ def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
     """The rows of a characterization CSV or normalized calibration JSON,
     ``theta`` (``--theta``, already checked) standing in for each missing
     gate angle; ConfigError if there is none or a qubit appears twice."""
-    if path.suffix == ".json":
+    if path.suffix.lower() == ".json":
         rows = []
         for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
             own = field(q, loc, "theta_rad", (int, float, type(None)))

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -78,3 +79,19 @@ def test_benchmark_argv_parses(tmp_path, monkeypatch):
         assert parser.parse_args(argv[command]).command == command
     # The traced simulate --threads 2 run.
     assert parser.parse_args(argv["simulate"] + ["--threads", "2"]).threads == 2
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    # The python block under README's "## Library use", run as a user runs
+    # it; it writes run/, so it runs in tmp_path.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n.*?^```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(block, namespace)
+    # The values its comments state.
+    sp, est, rb = namespace["sp"], namespace["est"], namespace["rb"]
+    assert (sp.z, sp.T) == (1.9599639845400538, 38415)
+    assert est._fields == ("qubit", "f0_mean", "f1_mean", "eps_sigma", "gamma_hat", "d_mean", "d_sigma", "L", "S")
+    assert capsys.readouterr().out == "c qubit 0 experiment 0: count 8193 must be an int in [0, S=8192]\n"
+    assert rb.lemma_a1_check([0.1, 0.2, 0.5], [0.0, 0.25, 0.5, 1.0]) == []

@@ -15,10 +15,8 @@ from scipy import stats
 from oracles import Distribution, hellinger, observed_probs, product_noisy, uniform_ideal
 from reprobound import bounds
 from reprobound.bounds import (
-    LemmaA1Report,
     ReproVerdict,
     SamplePlan,
-    default_lemma_grids,
     delta_star,
     exact_hellinger_1q,
     gamma_device,
@@ -234,14 +232,19 @@ class TestExactHellinger1q:
             exact_hellinger_1q(1.5)
 
 
+def criterion_1_grids(points: int) -> tuple[list[float], list[float]]:
+    """Acceptance criterion 1's grids: delta in (0, delta_star(1)], gamma in [0, 1]."""
+    ceiling = delta_star(1)
+    return np.linspace(ceiling / points, ceiling, points).tolist(), np.linspace(0.0, 1.0, points).tolist()
+
+
 class TestLemmaA1:
     def test_exhaustive_grid_no_counterexamples(self):
+        grids = criterion_1_grids(100)
         start = time.perf_counter()
-        report = lemma_a1_check(*default_lemma_grids(100))
+        counterexamples = lemma_a1_check(*grids)
         elapsed = time.perf_counter() - start
-        assert report.pairs_checked == 10_000
-        assert report.counterexamples == ()
-        assert report.passed
+        assert counterexamples == []
         assert elapsed < 1.0
 
     def test_boundary_pair_equality(self):
@@ -255,6 +258,11 @@ class TestLemmaA1:
     def test_rejects_gamma_outside_unit(self):
         with pytest.raises(InvalidParameterError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
             lemma_a1_check([0.3], [1.5])
+
+    @pytest.mark.parametrize("deltas, gammas", [([], [0.5]), ([0.3], [])], ids=["delta", "gamma"])
+    def test_rejects_empty_grid(self, deltas, gammas):
+        with pytest.raises(InvalidParameterError, match=r"^grids must be non-empty$"):
+            lemma_a1_check(deltas, gammas)
 
     # gamma_max(1, delta) is the lemma's one check of each delta.
     @pytest.mark.parametrize(
@@ -273,16 +281,16 @@ class TestLemmaA1:
         assert not isinstance(excinfo.value, OutOfRegimeError)
 
     def test_dense_grid_no_counterexamples(self):
+        grids = criterion_1_grids(1000)
         start = time.perf_counter()
-        report = lemma_a1_check(*default_lemma_grids(1000))
+        counterexamples = lemma_a1_check(*grids)
         elapsed = time.perf_counter() - start
-        assert report.pairs_checked == 1_000_000
-        assert report.counterexamples == ()
+        assert counterexamples == []
         assert elapsed < 1.0
 
     def test_counterexamples_match_pairwise_evaluation(self):
         # On the boundary gamma = gamma_max(1, delta) and its float neighbours
-        # the two tests can disagree by a rounding; the report must list
+        # the two tests can disagree by a rounding; the check must return
         # exactly the pairs a scalar evaluation finds, delta-major.
         deltas = np.linspace(0.01, delta_star(1), 40)
         bounds = [gamma_max(1, d) for d in deltas.tolist()]
@@ -290,26 +298,14 @@ class TestLemmaA1:
             [min(1.0, g) for b in bounds for g in (np.nextafter(b, 0.0), b, np.nextafter(b, 2.0))]
         )
         expected = [
-            (d, g, gm, exact_hellinger_1q(g))
+            (d, g)
             for d, gm in zip(deltas.tolist(), bounds)
             for g in gammas.tolist()
             if (g <= gm) != (exact_hellinger_1q(g) <= d)
         ]
-        report = lemma_a1_check(deltas, gammas)
-        found = [(c.delta, c.gamma, c.gamma_max, c.hellinger) for c in report.counterexamples]
+        found = lemma_a1_check(deltas, gammas)
         assert found == expected
         assert found
-
-    @pytest.mark.parametrize("points", [1, 2, 3, 7, 100, 300, 1000, 4097])
-    def test_default_grids_are_numpy_linspace_to_the_bit(self, points):
-        deltas, gammas = default_lemma_grids(points)
-        ceiling = delta_star(1)
-        assert [x.hex() for x in deltas] == [x.hex() for x in np.linspace(ceiling / points, ceiling, points).tolist()]
-        assert [x.hex() for x in gammas] == [x.hex() for x in np.linspace(0.0, 1.0, points).tolist()]
-
-    def test_default_grids_need_a_point(self):
-        with pytest.raises(InvalidParameterError):
-            default_lemma_grids(0)
 
 
 def test_bound_soundness_random_draws():

@@ -454,6 +454,18 @@ class TestImportCalibration:
         assert main(["verdict", str(norm), "--delta", "0.1"]) == 2
         assert main(["verdict", str(norm), "--delta", "0.1", "--theta", "0.01", "--quiet"]) == 0
 
+    def test_verdict_reads_json_by_a_case_insensitive_suffix(self, tmp_path):
+        snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}])
+        assert main(["import-calibration", str(snap), "--quiet"]) == 0
+        verdicts = []
+        for i, suffix in enumerate((".json", ".JSON")):
+            source = tmp_path / str(i) / f"cal{suffix}"
+            source.parent.mkdir()
+            shutil.copyfile(tmp_path / "snap.normalized.json", source)
+            assert main(["verdict", str(source), "--delta", "0.05", "--quiet"]) == 0
+            verdicts.append((source.parent / "verdicts.csv").read_bytes())
+        assert verdicts[0] == verdicts[1]
+
     def test_coarse_readout_errors_end_to_end(self, tmp_path):
         # 27 register elements with readout assignment errors at the 1e-1 scale.
         qubits = []
