@@ -3,7 +3,9 @@ and read.
 
 Writers fix the bytes: UTF-8, LF line endings and two-space indented JSON.
 A float prints the same in both formats, as its ``repr``: the shortest text
-that reads back as the same double. Readers validate while they parse and
+that reads back as the same double. A writer replaces its file whole, so a
+write that fails part way leaves the previous file, or none, never a prefix
+that would read as a shorter table. Readers validate while they parse and
 turn every way a file can be malformed into one exception chosen by the
 caller, naming the file (and for CSV the line): ``ConfigError`` (exit 2) for
 inputs a user hands in, ``IncompleteArchiveError`` (exit 4) for the files of
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -33,12 +36,28 @@ from .errors import ConfigError
 _line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
+def _replace(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` whole or not at all: into
+    ``path`` plus ``.tmp``, a name no command writes, which replaces
+    ``path`` only once the last chunk is written. On any exception the
+    temporary file is removed and the exception propagates, so ``path``
+    keeps its previous bytes, or stays absent."""
+    tmp = Path(f"{path}.tmp")
+    fh = open(tmp, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: str | Path, header, rows) -> None:
     """Write ``header`` and then each row of ``rows`` as one CSV line. A
     float cell, ``numpy.float64`` included, prints as its shortest
     round-trip text, the same text that :func:`write_json` gives it."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(map(_line, chain((header,), rows)))
+    _replace(path, map(_line, chain((header,), rows)))
 
 
 def read_table(
@@ -140,7 +159,7 @@ def read_json(path: str | Path, schema: str, error: Callable[[str], Exception] =
 def write_json(path: str | Path, doc: dict) -> None:
     import json
 
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _replace(path, (json.dumps(doc, indent=2), "\n"))
 
 
 def field(doc: dict, where: str, name: str, kind):

@@ -1,30 +1,29 @@
 """Command-line front end: parses arguments, runs each subcommand and maps
 errors onto exit codes. Every file is written and read through ``artifacts``.
 
-Subcommands: simulate, characterize, verdict, import-calibration,
-plan-samples, report. Each takes only the options it reads, after the
-subcommand: ``--seed`` is simulate's, since only simulate draws random
-numbers, and every command but plan-samples takes ``--out`` and
-``--quiet``.
+Subcommands: simulate, characterize, verdict, plan-samples, report. Each
+takes only the options it reads, after the subcommand: ``--seed`` is
+simulate's, since only simulate draws random numbers, and every command but
+plan-samples takes ``--out`` and ``--quiet``.
 
 ``--out DIR`` names the directory a command writes into, and each command
 writes only its own fixed names there: simulate ``manifest.json`` and
 ``counts.csv``, characterize ``characterization.csv``, verdict
-``verdicts.csv``, import-calibration ``<snapshot>.normalized.json`` and
-report the files of ``report/``. So no command writes over another's
-artifact; the one output that can still be an input, a verdict source
-named ``verdicts.csv``, is an input error. Only simulate creates ``DIR``
-and only report creates ``DIR/report``: a missing ``DIR``, or one that is
-a file, is an I/O failure.
+``verdicts.csv`` and report the files of ``report/``. So no command writes
+over another's artifact; the one output that can still be an input, a
+verdict source named ``verdicts.csv``, is an input error. Only simulate
+creates ``DIR`` and only report creates ``DIR/report``: a missing ``DIR``,
+or one that is a file, is an I/O failure.
 
 Each command loads only the layers it runs: it imports ``bounds`` and
 ``estimator`` when it runs them, so ``simulate`` loads neither and
 ``characterize`` no ``bounds``, and ``artifacts`` imports ``json`` only to
 read or write a JSON file. ``sampler`` is the exception (see its import).
 
-Every ``qubits[]`` record, of a device config, a calibration snapshot or a
-normalized calibration, is read by ``sampler.qubit_from_record``, so each
-passes the same checks.
+``verdict`` reads a characterization table or a calibration snapshot, the
+device's own readout fidelities and gate angles. Every ``qubits[]`` record,
+of a device config or a calibration snapshot, is read by
+``sampler.qubit_from_record``, so each passes the same checks.
 
 ``main`` is the program's one entry: ``python -m reprobound``, the
 ``reprobound`` console script and callers in-process all start there, and it
@@ -46,7 +45,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import field, read_json, records, write_csv, write_json
+from .artifacts import field, read_json, records, write_csv
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -75,7 +74,6 @@ from .sampler import (
 
 DEVICE_CONFIG_SCHEMA = "device-config/1"
 SNAPSHOT_SCHEMA = "calibration-snapshot/1"
-NORMALIZED_SCHEMA = "calibration-normalized/1"
 
 # What `report` writes under its output directory, in the order it writes
 # them: fig_scatter.csv first, since the pass that writes it also estimates
@@ -84,7 +82,7 @@ REPORT_FILES = ("fig_scatter.csv", "qubits.csv")
 
 
 # ---------------------------------------------------------------------------
-# config and snapshot handling
+# device config
 
 
 def _named(where, check, *args, **kwargs):
@@ -108,111 +106,90 @@ def load_device_config(path: str | Path) -> tuple[str, ExperimentPlan]:
     return name, plan
 
 
-def _theta_from_gate_error(loc: str, entry: dict) -> float:
+# ---------------------------------------------------------------------------
+# verdict inputs: characterization CSV or calibration snapshot JSON
+
+
+def _theta_from_gate_error(loc: str, entry: dict) -> tuple[float, bool]:
+    """The gate angle in radians that a snapshot's ``gate_error`` gives,
+    and whether it gives the angle's sign: an infidelity gives |theta|."""
     value = field(entry, loc, "value", (int, float))
     unit = field(entry, loc, "unit", str)
     if unit == "rad":
-        return float(value)
+        return float(value), True
     if unit == "deg":
-        return math.radians(value)
+        return math.radians(value), True
     if unit == "infidelity":
         # Average gate infidelity of a rotation-by-theta error is
-        # (2/3)*sin(theta)^2, so theta = arcsin(sqrt(3r/2)).
+        # (2/3)*sin(theta)^2, so |theta| = arcsin(sqrt(3r/2)).
         r = float(value)
         if not 0.0 <= r <= 2.0 / 3.0:
             raise ConfigError(f"{loc}: infidelity must be in [0, 2/3], got {r!r}")
-        return math.asin(math.sqrt(1.5 * r))
+        return math.asin(math.sqrt(1.5 * r)), False
     raise ConfigError(f"{loc}: unknown gate error unit {unit!r} (use rad, deg, or infidelity)")
 
 
-def normalize_snapshot(path: str | Path) -> dict:
-    """Validate a calibration snapshot and normalize angles to radians.
-
-    A qubit may give the gate angle directly (``theta_rad``) or as a tagged
-    ``gate_error`` object with an explicit unit, not both; a missing angle
-    is accepted and flagged, never guessed. Each qubit must pass
-    :func:`qubit_from_record` with its angle.
-    """
-    doc = read_json(path, SNAPSHOT_SCHEMA)
-    where = str(path)
-    source = field(doc, where, "source", str)
-    captured_at = field(doc, where, "captured_at", str)
-
-    normalized = []
-    flags = []
-    for loc, q in records(doc, where, "qubits"):
-        if "theta_rad" in q and "gate_error" in q:
-            raise ConfigError(f"{loc}: gives both theta_rad and gate_error; give one of them")
-        if "theta_rad" in q:
-            theta = float(field(q, loc, "theta_rad", (int, float)))
-        elif "gate_error" in q:
-            theta = _theta_from_gate_error(f"{loc}: gate_error", field(q, loc, "gate_error", dict))
-        else:
-            theta = None
-        # Without an angle, 0 (a valid one) stands in so that the other fields are checked.
-        qubit = qubit_from_record(q, loc, 0.0 if theta is None else theta)
-        if theta is None:
-            flags.append(f"qubit {qubit.index}: gate angle missing; verdict will need --theta")
-        normalized.append(
-            {"index": qubit.index, "f0": float(qubit.params.f0), "f1": float(qubit.params.f1), "theta_rad": theta}
-        )
-
-    _named(where, check_unique_indices, (q["index"] for q in normalized))
-
-    return {
-        "schema": NORMALIZED_SCHEMA,
-        "source": source,
-        "captured_at": captured_at,
-        "qubits": sorted(normalized, key=lambda q: q["index"]),
-        "warnings": flags,
-    }
-
-
-# ---------------------------------------------------------------------------
-# verdict inputs: characterization CSV or normalized calibration JSON
-
-
-# One qubit's inputs to the bound; d_mean, its observed mean distance, is None for a calibration.
+# One qubit's inputs to the bound; theta is None for a qubit without a gate
+# angle, and d_mean, its observed mean distance, is None for a calibration.
 VerdictRow = NamedTuple(
-    "VerdictRow", [("qubit", int), ("eps", float), ("f", float), ("theta", float), ("d_mean", float | None)]
+    "VerdictRow",
+    [("qubit", int), ("eps", float), ("f", float), ("theta", float | None), ("d_mean", float | None)],
 )
 
 
-def _stand_in(loc: str, theta: float | None) -> float:
-    """The ``--theta`` angle ``theta`` for the qubit at ``loc``, which has
-    none of its own; ConfigError naming ``loc`` if it is not given."""
-    if theta is None:
-        raise ConfigError(f"{loc}: no gate angle available; pass --theta RADIANS")
-    return theta
+def _snapshot_rows(path: Path) -> list[VerdictRow]:
+    """The rows of a calibration snapshot.
+
+    A qubit may give the gate angle directly (``theta_rad``) or as a tagged
+    ``gate_error`` object with an explicit unit, not both; a missing angle
+    is left to ``--theta``, never guessed. An angle whose sign the snapshot
+    does not give takes the sign that makes gamma_D the larger,
+    ``|eps| + 2 sin(2|theta|) |f - 1/2|``, since the verdict is an upper
+    bound. Each qubit must pass :func:`qubit_from_record` with its angle.
+    """
+    doc = read_json(path, SNAPSHOT_SCHEMA)
+    where = str(path)
+    field(doc, where, "source", str)
+    field(doc, where, "captured_at", str)
+    rows = []
+    for loc, q in records(doc, where, "qubits"):
+        if "theta_rad" in q and "gate_error" in q:
+            raise ConfigError(f"{loc}: gives both theta_rad and gate_error; give one of them")
+        theta, signed = None, True
+        if "theta_rad" in q:
+            theta = float(field(q, loc, "theta_rad", (int, float)))
+        elif "gate_error" in q:
+            theta, signed = _theta_from_gate_error(f"{loc}: gate_error", field(q, loc, "gate_error", dict))
+        # Without an angle, 0 (a valid one) stands in so that the other fields are checked.
+        qubit = qubit_from_record(q, loc, 0.0 if theta is None else theta)
+        eps, f = qubit.params.eps, qubit.params.f
+        if not signed:
+            # The sign whose -2 sin(2 theta) (f - 1/2) has the sign of eps.
+            theta = math.copysign(theta, eps) * math.copysign(1.0, 0.5 - f)
+        rows.append(VerdictRow(qubit.index, eps, f, theta, None))
+    return rows
 
 
 def _verdict_rows(path: Path, theta: float | None) -> list[VerdictRow]:
-    """The rows of a characterization CSV or normalized calibration JSON,
+    """The rows of a characterization CSV or calibration snapshot JSON,
     ``theta`` (``--theta``, already checked) standing in for each missing
     gate angle; ConfigError if there is none or a qubit appears twice."""
     if path.suffix.lower() == ".json":
-        rows = []
-        for loc, q in records(read_json(path, NORMALIZED_SCHEMA), str(path), "qubits"):
-            own = field(q, loc, "theta_rad", (int, float, type(None)))
-            qubit = qubit_from_record(q, loc, _stand_in(loc, theta) if own is None else None)
-            rows.append(VerdictRow(qubit.index, qubit.params.eps, qubit.params.f, qubit.params.theta, None))
+        rows = _snapshot_rows(path)
     else:
         from . import estimator
 
         rows = [
-            VerdictRow(
-                e.qubit,
-                e.eps_mean,
-                e.f_mean,
-                _stand_in(f"{path}: qubit {e.qubit}", theta) if math.isnan(e.theta_hat) else e.theta_hat,
-                e.d_mean,
-            )
+            VerdictRow(e.qubit, e.eps_mean, e.f_mean, None if math.isnan(e.theta_hat) else e.theta_hat, e.d_mean)
             for e in estimator.read_characterization_csv(path)
         ]
     if not rows:
         raise ConfigError(f"{path}: holds no qubit rows")
     _named(path, check_unique_indices, (row.qubit for row in rows))
-    return rows
+    for row in rows:
+        if row.theta is None and theta is None:
+            raise ConfigError(f"{path}: qubit {row.qubit}: no gate angle available; pass --theta RADIANS")
+    return [row if row.theta is not None else row._replace(theta=theta) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +261,6 @@ def cmd_verdict(args) -> None:
         results.append((r.qubit, verdict))
     bounds.write_verdicts_csv(results, out)
     _say(args, f"verdicts -> {out}: {sum(1 for _, v in results if v.reproducible)}/{len(results)} reproducible")
-
-
-def cmd_import_calibration(args) -> None:
-    snapshot = Path(args.snapshot)
-    out = Path(args.out or snapshot.parent) / snapshot.with_suffix(".normalized.json").name
-    normalized = normalize_snapshot(snapshot)
-    write_json(out, normalized)
-    _say(args, f"normalized {len(normalized['qubits'])} qubit(s) -> {out}")
-    for flag in normalized["warnings"]:
-        _say(args, f"  note: {flag}")
 
 
 def cmd_plan_samples(args) -> None:
@@ -386,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("verdict", help="apply the reproducibility bound per qubit")
-    p.add_argument("source", help="characterization.csv or normalized calibration JSON")
+    p.add_argument("source", help="characterization.csv or calibration snapshot JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta", type=float, default=None, help="tolerance on the Hellinger distance")
     group.add_argument("--delta-from-observed", action="store_true",
@@ -398,14 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="existing directory to write verdicts.csv into (default: the directory of source)")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_verdict)
-
-    p = sub.add_parser("import-calibration", help="normalize an external calibration snapshot")
-    p.add_argument("snapshot", help="calibration snapshot JSON")
-    p.add_argument("--out", metavar="DIR",
-                   help="existing directory to write the snapshot's name with suffix .normalized.json into "
-                        "(default: the directory of snapshot)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.set_defaults(func=cmd_import_calibration)
 
     p = sub.add_parser("plan-samples", help="shots needed to estimate an outcome probability")
     p.add_argument("--p", type=float, required=True, help="target outcome probability")

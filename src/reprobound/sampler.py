@@ -43,7 +43,7 @@ the other qubits of the plan.
 A plan has one document format, the device config's ``qubits`` and
 ``plan`` fields (:func:`plan_doc` writes it, :func:`plan_from_doc` reads
 it). :func:`qubit_from_record` reads every ``qubits[]`` record, those of a
-calibration snapshot and a normalized calibration too. A run archive
+calibration snapshot too. A run archive
 persists as a directory::
 
     manifest.json     schema, toolkit version, status, that plan document,
@@ -386,8 +386,8 @@ def qubit_from_record(q: dict, loc: str, theta: float | None = None) -> PlanQubi
     ``index``, ``f0``, ``f1`` and ``theta_rad`` fields, with ``theta``, when
     given, standing in for ``theta_rad``; ConfigError naming ``loc`` unless
     they make a valid :class:`PlanQubit`. The one reader of a qubit record:
-    device config, run manifest, calibration snapshot and normalized
-    calibration."""
+    device config, run manifest and calibration snapshot, whose angle
+    ``verdict`` converts to radians and passes as ``theta``."""
     try:
         return PlanQubit(
             field(q, loc, "index", int),
@@ -404,7 +404,9 @@ def qubit_from_record(q: dict, loc: str, theta: float | None = None) -> PlanQubi
 def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
     """The plan that the ``qubits`` and ``plan`` fields of a device config or
     run manifest describe; ConfigError naming ``where`` and the offending
-    field (``qubits[i]`` or ``plan``) if they do not describe one."""
+    field (``qubits[i]`` or ``plan``) if they do not describe one. A
+    calibration snapshot describes no plan: ``verdict`` reads its records
+    with :func:`qubit_from_record` alone."""
     qubits = [qubit_from_record(q, loc) for loc, q in records(doc, where, "qubits")]
     settings = field(doc, where, "plan", dict)
     loc = f"{where}: plan"

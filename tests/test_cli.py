@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import importlib.util
 import json
 import math
@@ -12,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reprobound
-from reprobound import cli, estimator, sampler
+from reprobound import artifacts, bounds, cli, estimator, sampler
 from reprobound.bounds import delta_star
 from reprobound.cli import build_parser, main
 from reprobound.errors import (
@@ -345,18 +347,12 @@ class TestVerdict:
         assert f"{char}: qubit 0 appears more than once" in capsys.readouterr().err
         assert not (small_run / "verdicts.csv").exists()
 
-    def test_duplicate_normalized_qubit_rejected(self, tmp_path, capsys):
-        entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}
-        norm = write_snapshot(tmp_path / "norm.json", [entry, entry], schema="calibration-normalized/1")
-        assert main(["verdict", str(norm), "--delta", "0.2", "--quiet"]) == 2
-        assert f"{norm}: qubit 0 appears more than once" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("theta,override", [(1e308, []), (None, ["--theta", "1e308"])], ids=["json", "override"])
-    def test_angle_whose_double_overflows_rejected(self, tmp_path, theta, override, capsys):
+    @pytest.mark.parametrize("angle,override", [({"theta_rad": 1e308}, []), ({}, ["--theta", "1e308"])],
+                             ids=["json", "override"])
+    def test_angle_whose_double_overflows_rejected(self, tmp_path, angle, override, capsys):
         # 2*theta is inf, so sin(2*theta) has no value.
-        entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": theta}
-        norm = write_snapshot(tmp_path / "norm.json", [entry], schema="calibration-normalized/1")
-        assert main(["verdict", str(norm), "--delta", "0.2", "--quiet", *override]) == 2
+        snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94, **angle}])
+        assert main(["verdict", str(snap), "--delta", "0.2", "--quiet", *override]) == 2
         assert "theta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "verdicts.csv").exists()
 
@@ -392,76 +388,152 @@ class TestVerdict:
         assert "qubit count must fit a float" in capsys.readouterr().err
 
 
+def snapshot_verdicts(tmp_path, qubits, *options, name="snap"):
+    """The bytes of the verdicts.csv that ``verdict --delta 0.02`` writes for
+    a calibration snapshot of ``qubits``, in a directory of its own."""
+    (tmp_path / name).mkdir()
+    snap = write_snapshot(tmp_path / name / "snap.json", qubits)
+    assert main(["verdict", str(snap), "--delta", "0.02", *options, "--quiet"]) == 0
+    return (snap.parent / "verdicts.csv").read_bytes()
+
+
 class TestImportCalibration:
+    """verdict reads a calibration snapshot directly."""
+
     def test_minimal_snapshot(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}])
-        assert main(["import-calibration", str(snap), "--quiet"]) == 0
-        doc = json.loads((tmp_path / "snap.normalized.json").read_text())
-        assert doc["schema"] == "calibration-normalized/1"
-        assert doc["qubits"][0]["theta_rad"] == 0.01
+        assert main(["verdict", str(snap), "--delta", "0.05", "--quiet"]) == 0
+        (row,) = read_rows(tmp_path / "verdicts.csv")
+        v = bounds.verdict(1, 0.05, 0.98 - 0.94, 0.01, (0.98 + 0.94) / 2)
+        assert (row["qubit"], row["gamma_D"], row["reproducible"]) == ("0", repr(v.gamma_D), "true")
 
     def test_fidelity_above_one_rejected(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 1.02}])
-        assert main(["import-calibration", str(snap)]) == 2
+        assert main(["verdict", str(snap), "--delta", "0.05", "--theta", "0.01"]) == 2
 
     def test_duplicate_qubit_index_rejected(self, tmp_path, capsys):
         entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}
         snap = write_snapshot(tmp_path / "snap.json", [entry, {**entry, "index": 1}, entry])
-        assert main(["import-calibration", str(snap)]) == 2
+        assert main(["verdict", str(snap), "--delta", "0.05"]) == 2
         assert f"{snap}: qubit 0 appears more than once" in capsys.readouterr().err
-        assert not (tmp_path / "snap.normalized.json").exists()
+        assert not (tmp_path / "verdicts.csv").exists()
 
     def test_wrong_schema_rejected(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.9, "f1": 0.9}], schema="other/9")
-        assert main(["import-calibration", str(snap)]) == 2
+        assert main(["verdict", str(snap), "--delta", "0.05", "--theta", "0.01"]) == 2
+
+    def test_normalized_calibration_exits_2_naming_its_schema(self, tmp_path, capsys):
+        # The format that import-calibration wrote before verdict read snapshots.
+        entry = {"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}
+        norm = write_snapshot(tmp_path / "snap.normalized.json", [entry], schema="calibration-normalized/1")
+        assert main(["verdict", str(norm), "--delta", "0.05"]) == 2
+        assert capsys.readouterr().err == (
+            f"reprobound: error: {norm}: schema must be 'calibration-snapshot/1', got 'calibration-normalized/1'\n"
+        )
+        assert not (tmp_path / "verdicts.csv").exists()
 
     def test_gate_error_degrees(self, tmp_path):
-        snap = write_snapshot(
-            tmp_path / "snap.json",
-            [{"index": 0, "f0": 0.98, "f1": 0.94, "gate_error": {"value": 1.5, "unit": "deg"}}],
+        qubit = {"index": 0, "f0": 0.98, "f1": 0.94}
+        assert snapshot_verdicts(tmp_path, [{**qubit, "gate_error": {"value": 1.5, "unit": "deg"}}]) == (
+            snapshot_verdicts(tmp_path, [{**qubit, "theta_rad": math.radians(1.5)}], name="rad")
         )
-        assert main(["import-calibration", str(snap), "--quiet"]) == 0
-        doc = json.loads((tmp_path / "snap.normalized.json").read_text())
-        assert doc["qubits"][0]["theta_rad"] == pytest.approx(math.radians(1.5))
 
     def test_gate_error_infidelity(self, tmp_path):
+        # An infidelity gives |theta| = arcsin(sqrt(3v/2)): the verdict takes
+        # the sign that makes gamma_D the larger, |eps| + 2 sin(2|theta|) |f - 1/2|.
         theta = 0.02
         infid = (2.0 / 3.0) * math.sin(theta) ** 2
         snap = write_snapshot(
             tmp_path / "snap.json",
             [{"index": 0, "f0": 0.98, "f1": 0.94, "gate_error": {"value": infid, "unit": "infidelity"}}],
         )
-        assert main(["import-calibration", str(snap), "--quiet"]) == 0
-        doc = json.loads((tmp_path / "snap.normalized.json").read_text())
-        assert doc["qubits"][0]["theta_rad"] == pytest.approx(theta, rel=1e-9)
+        assert main(["verdict", str(snap), "--delta", "0.05", "--quiet"]) == 0
+        (row,) = read_rows(tmp_path / "verdicts.csv")
+        eps, f = 0.98 - 0.94, (0.98 + 0.94) / 2
+        assert float(row["gamma_D"]) == pytest.approx(abs(eps) + 2 * math.sin(2 * theta) * abs(f - 0.5), rel=1e-9)
+
+    def test_infidelity_is_judged_at_its_less_favourable_sign(self, tmp_path):
+        # The snapshot cannot tell theta from -theta, so the upper-bound
+        # verdict is the larger gamma_D of the two, whichever signs eps and
+        # f - 1/2 have; theta_rad and the other units keep their sign.
+        angle = math.asin(math.sqrt(1.5 * 3e-4))
+        for i, (f0, f1) in enumerate([(0.99, 0.95), (0.91, 0.96), (0.3, 0.2), (0.2, 0.3)]):
+            qubit = {"index": 0, "f0": f0, "f1": f1}
+            infidelity = snapshot_verdicts(
+                tmp_path, [{**qubit, "gate_error": {"value": 3e-4, "unit": "infidelity"}}], name=f"{i}"
+            )
+            signed = [
+                snapshot_verdicts(tmp_path, [{**qubit, "theta_rad": theta}], name=f"{i}{theta}")
+                for theta in (angle, -angle)
+            ]
+            assert infidelity == max(signed, key=lambda raw: float(raw.split(b"\n")[1].split(b",")[3])), (f0, f1)
+
+    def test_infidelity_probe(self, tmp_path):
+        # f0 0.99, f1 0.95, v = 3e-4 at --delta 0.02 (gamma_max 0.0565): at
+        # +|theta| gamma_D would be 1.28e-4, at -|theta| it is 0.0799.
+        snap = write_snapshot(
+            tmp_path / "snap.json",
+            [
+                {"index": 0, "f0": 0.99, "f1": 0.95, "gate_error": {"value": 3e-4, "unit": "infidelity"}},
+                {"index": 1, "f0": 0.99, "f1": 0.95, "theta_rad": -0.021214},
+                {"index": 2, "f0": 0.99, "f1": 0.95, "theta_rad": 0.021214},
+            ],
+        )
+        assert main(["verdict", str(snap), "--delta", "0.02", "--quiet"]) == 0
+        rows = read_rows(tmp_path / "verdicts.csv")
+        assert [(float(r["gamma_D"]), r["reproducible"]) for r in rows] == [
+            (pytest.approx(0.0799, abs=1e-4), "false"),
+            (pytest.approx(0.0799, abs=1e-4), "false"),
+            (pytest.approx(1.28e-4, abs=2e-6), "true"),
+        ]
+        assert float(rows[0]["gamma_max"]) == pytest.approx(0.0565, abs=1e-4)
+
+    def test_units_that_give_the_sign_keep_it(self, tmp_path):
+        # A snapshot of theta_rad, rad, deg and a missing angle with --theta
+        # gives the verdicts of the same angles in radians.
+        qubits = [{"index": i, "f0": 0.97, "f1": 0.92 + 0.01 * i} for i in range(4)]
+        given = [
+            {**qubits[0], "theta_rad": -0.012},
+            {**qubits[1], "gate_error": {"value": -0.015, "unit": "rad"}},
+            {**qubits[2], "gate_error": {"value": -1.5, "unit": "deg"}},
+            qubits[3],
+        ]
+        radians = [
+            {**qubits[0], "theta_rad": -0.012},
+            {**qubits[1], "theta_rad": -0.015},
+            {**qubits[2], "theta_rad": math.radians(-1.5)},
+            {**qubits[3], "theta_rad": -0.01},
+        ]
+        assert snapshot_verdicts(tmp_path, given, "--theta", "-0.01") == snapshot_verdicts(tmp_path, radians, name="rad")
 
     def test_unknown_unit_never_guessed(self, tmp_path):
         snap = write_snapshot(
             tmp_path / "snap.json",
             [{"index": 0, "f0": 0.98, "f1": 0.94, "gate_error": {"value": 0.1, "unit": "furlongs"}}],
         )
-        assert main(["import-calibration", str(snap)]) == 2
+        assert main(["verdict", str(snap), "--delta", "0.1"]) == 2
 
-    def test_missing_angle_is_flagged_then_needs_override(self, tmp_path):
+    def test_missing_angle_is_flagged_then_needs_override(self, tmp_path, capsys):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94}])
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["import-calibration", str(snap), "--out", str(out), "--quiet"]) == 0
-        norm = out / "snap.normalized.json"
-        doc = json.loads(norm.read_text())
-        assert doc["qubits"][0]["theta_rad"] is None
-        assert doc["warnings"]
-        assert main(["verdict", str(norm), "--delta", "0.1"]) == 2
-        assert main(["verdict", str(norm), "--delta", "0.1", "--theta", "0.01", "--quiet"]) == 0
+        assert main(["verdict", str(snap), "--delta", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            f"reprobound: error: {snap}: qubit 0: no gate angle available; pass --theta RADIANS\n"
+        )
+        assert main(["verdict", str(snap), "--delta", "0.1", "--theta", "0.01", "--quiet"]) == 0
+
+    def test_delta_from_observed_needs_observed_distances(self, tmp_path, capsys):
+        snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}])
+        assert main(["verdict", str(snap), "--delta-from-observed"]) == 2
+        assert "--delta-from-observed needs characterization input" in capsys.readouterr().err
+        assert not (tmp_path / "verdicts.csv").exists()
 
     def test_verdict_reads_json_by_a_case_insensitive_suffix(self, tmp_path):
         snap = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.98, "f1": 0.94, "theta_rad": 0.01}])
-        assert main(["import-calibration", str(snap), "--quiet"]) == 0
         verdicts = []
         for i, suffix in enumerate((".json", ".JSON")):
             source = tmp_path / str(i) / f"cal{suffix}"
             source.parent.mkdir()
-            shutil.copyfile(tmp_path / "snap.normalized.json", source)
+            shutil.copyfile(snap, source)
             assert main(["verdict", str(source), "--delta", "0.05", "--quiet"]) == 0
             verdicts.append((source.parent / "verdicts.csv").read_bytes())
         assert verdicts[0] == verdicts[1]
@@ -482,8 +554,7 @@ class TestImportCalibration:
         snap = write_snapshot(tmp_path / "snap.json", qubits)
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["import-calibration", str(snap), "--out", str(out), "--quiet"]) == 0
-        assert main(["verdict", str(out / "snap.normalized.json"), "--delta", "0.3", "--out", str(out), "--quiet"]) == 0
+        assert main(["verdict", str(snap), "--delta", "0.3", "--out", str(out), "--quiet"]) == 0
         assert len(read_rows(out / "verdicts.csv")) == 27
 
 
@@ -881,18 +952,29 @@ def run_cli_child(start, argv, **env):
     return proc.returncode, threads, set(modules)
 
 
-def test_readme_quick_start_runs(tmp_path):
-    # The sh block under README's "## Quick start", run as a user runs it,
-    # with this interpreter's ``-m reprobound`` in place of the console script.
+def run_readme_block(section, cwd):
+    """Run the first sh block under README's ``## section`` in ``cwd``, as a
+    user runs it, with this interpreter's ``-m reprobound`` in place of the
+    console script."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"^## Quick start\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    block = re.search(rf"^## {section}\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
     script = block.replace("reprobound ", f"{shlex.quote(sys.executable)} -m reprobound ")
     proc = subprocess.run(
         ["bash", "-euo", "pipefail", "-c", script],
-        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    run_readme_block("Quick start", tmp_path)
     assert sorted(path.name for path in (tmp_path / "run" / "report").iterdir()) == ["fig_scatter.csv", "qubits.csv"]
+
+
+def test_readme_calibration_example_runs(tmp_path):
+    run_readme_block("Calibration snapshots", tmp_path)
+    qubits = json.loads((tmp_path / "snap.json").read_text())["qubits"]
+    assert [row["qubit"] for row in read_rows(tmp_path / "verdicts.csv")] == [str(q["index"]) for q in qubits]
 
 
 def test_scalar_commands_load_no_numpy(small_run):
@@ -911,9 +993,8 @@ def test_scalar_commands_load_no_numpy(small_run):
         # verdict writes the verdicts.csv that report reads.
         (["verdict", str(small_run / "characterization.csv"), "--delta-from-observed"], False),
         (["report", str(small_run)], False),
-        (["import-calibration", str(snapshot)], False),
-        # verdict reads a normalized calibration's qubits through sampler.
-        (["verdict", str(snapshot.with_suffix(".normalized.json")), "--delta", "0.3"], False),
+        # verdict reads a calibration snapshot's qubits through sampler.
+        (["verdict", str(snapshot), "--delta", "0.3"], False),
         (PLAN_SAMPLES, False),
         (["simulate", str(cfg), "--out", str(small_run.parent / "again")], False),
         # The probe sees numpy where numpy draws the counts.
@@ -931,12 +1012,14 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # reads and writes only tables never loads json. Every command loads
     # sampler: the benchmark's tracer wraps its names in cli.
     cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}], L=6, S=64)
+    snapshot = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
     run = tmp_path / "run"
     shared = {"cli", "_version", "errors", "artifacts", "noise_model", "sampler"}
     for argv, exit_code, layers, loads_json in (
         (["simulate", str(cfg), "--out", str(run)], 0, {"_stream"}, True),
         (["characterize", str(run)], 0, {"estimator"}, True),
         (["verdict", str(run / "characterization.csv"), "--delta-from-observed"], 0, {"bounds", "estimator"}, False),
+        (["verdict", str(snapshot), "--delta", "0.3"], 0, {"bounds"}, True),
         (["report", str(run)], 0, {"bounds", "estimator"}, True),
         (["--version"], 0, set(), False),
         # A usage error: simulate's --out is required.
@@ -989,7 +1072,6 @@ COMMAND_OPTIONS = {
     "simulate": {"--threads", "--drift", "--seed", "--out", "--quiet"},
     "characterize": {"--out", "--quiet"},
     "verdict": {"--delta", "--delta-from-observed", "--n", "--theta", "--out", "--quiet"},
-    "import-calibration": {"--out", "--quiet"},
     "plan-samples": {"--p", "--precision", "--confidence"},
     "report": {"--out", "--quiet"},
 }
@@ -1037,7 +1119,7 @@ def files_under(root):
         "characterize-counts",
         "characterize-manifest",
         "verdict",
-        "import-calibration",
+        "verdict-snapshot",
         "verdict-source-verdicts-csv",
         "verdict-source-verdicts-csv-no-out",
     ],
@@ -1053,7 +1135,7 @@ def test_out_naming_an_input_is_rejected(small_run, case, capsys):
         "characterize-counts": (["characterize", str(small_run)], small_run / "counts.csv", 3),
         "characterize-manifest": (["characterize", str(small_run)], small_run / "manifest.json", 3),
         "verdict": (["verdict", str(char), "--delta", "0.2"], char, 3),
-        "import-calibration": (["import-calibration", str(snapshot)], snapshot, 3),
+        "verdict-snapshot": (["verdict", str(snapshot), "--delta", "0.2"], snapshot, 3),
         # The one output that can be an input: a source named verdicts.csv, written into its own directory.
         "verdict-source-verdicts-csv": (["verdict", str(verdicts), "--delta", "0.2"], verdicts.parent, 2),
         # Without --out the source's directory is the default: the error names the source, not an option.
@@ -1085,12 +1167,12 @@ def test_out_naming_an_input_is_rejected(small_run, case, capsys):
         # --out FILE naming another command's file: the run's counts, its
         # manifest and verdict's output.
         ("verdict", "counts.csv"),
-        ("import-calibration", "manifest.json"),
+        ("verdict-snapshot", "manifest.json"),
         ("characterize", "verdicts.csv"),
         # Only simulate creates its --out directory; report creates DIR/report, not DIR.
         ("characterize", "absent"),
         ("verdict", "absent"),
-        ("import-calibration", "absent"),
+        ("verdict-snapshot", "absent"),
         ("report", "absent"),
     ],
 )
@@ -1100,7 +1182,7 @@ def test_out_that_is_not_a_directory_writes_nothing(small_run, command, out, cap
     argv = {
         "characterize": ["characterize", str(small_run)],
         "verdict": ["verdict", str(small_run / "characterization.csv"), "--delta-from-observed"],
-        "import-calibration": ["import-calibration", str(snapshot)],
+        "verdict-snapshot": ["verdict", str(snapshot), "--delta", "0.2"],
         "report": ["report", str(small_run)],
     }[command]
     out = small_run / out
@@ -1128,12 +1210,10 @@ def test_each_output_name_belongs_to_one_command(tmp_path):
     # changes only its own names, and no two share one.
     shared = tmp_path / "shared"
     cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}], L=3, S=16)
-    snapshot = write_snapshot(tmp_path / "snap.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}])
     commands = {
         "simulate": (["simulate", str(cfg)], {"manifest.json", "counts.csv"}),
         "characterize": (["characterize", str(shared)], {"characterization.csv"}),
         "verdict": (["verdict", str(shared / "characterization.csv"), "--delta-from-observed"], {"verdicts.csv"}),
-        "import-calibration": (["import-calibration", str(snapshot)], {"snap.normalized.json"}),
         "report": (["report", str(shared)], {"report/fig_scatter.csv", "report/qubits.csv"}),
     }
     written = {}
@@ -1207,16 +1287,78 @@ def test_mutated_counts_never_raise(pristine_run, ops):
         assert main(["report", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
 
 
-# A normalized calibration's one qubit record (index 3, f0 0.9, f1 0.8 unless
-# overridden) and what verdict's error names.
-NORMALIZED_QUBITS = {
-    "normalized-fidelity-out-of-range": ({"f0": 1.2, "theta_rad": 0.0}, "f0 must be in [0, 1], got 1.2"),
-    "normalized-angle-out-of-range": ({"theta_rad": 1.2}, "|theta|=1.2 outside validity region"),
-    "normalized-negative-index": ({"index": -3, "theta_rad": 0.01}, "qubit index must be non-negative"),
+
+def fail_writing(monkeypatch, name, room):
+    """Make every write by ``artifacts`` of a file whose name starts with
+    ``name`` fail as a full disk fails it: after its first ``room`` chunks."""
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith(name):
+            write = fh.writelines
+
+            def writelines(chunks):
+                write(islice(chunks, room))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.writelines = writelines
+        return fh
+
+    monkeypatch.setattr(artifacts, "open", open_, raising=False)
+
+
+# Each file a command writes, relative to pristine_run's directory, and that command.
+WRITERS = {
+    "run/counts.csv": ["simulate", "{base}/cfg.json", "--out", "{base}/run"],
+    "run/manifest.json": ["simulate", "{base}/cfg.json", "--out", "{base}/run"],
+    "run/characterization.csv": ["characterize", "{base}/run"],
+    "run/verdicts.csv": ["verdict", "{base}/run/characterization.csv", "--delta", "0.3"],
+    "run/report/fig_scatter.csv": ["report", "{base}/run"],
+    "run/report/qubits.csv": ["report", "{base}/run"],
 }
+
+
+@pytest.mark.parametrize("previous", [b"previous bytes\n", None], ids=["replaced", "absent"])
+@pytest.mark.parametrize("target", list(WRITERS))
+def test_a_write_that_fails_part_way_leaves_the_previous_file(pristine_run, tmp_path, monkeypatch, target, previous,
+                                                              capsys):
+    base = tmp_path / "inputs"
+    shutil.copytree(pristine_run.parent, base)
+    path = base / target
+    path.parent.mkdir(exist_ok=True)
+    if previous is None:
+        path.unlink(missing_ok=True)
+    else:
+        path.write_bytes(previous)
+    # The first chunk is written: a header line, or the JSON's opening brace.
+    fail_writing(monkeypatch, path.name, 1)
+    assert main([arg.format(base=base) for arg in WRITERS[target]] + ["--quiet"]) == 3
+    assert capsys.readouterr().err == f"reprobound: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (path.read_bytes() if path.exists() else None) == previous
+    assert [p.name for p in base.rglob("*.tmp")] == []
+
+
+def test_a_failed_characterize_leaves_verdict_the_whole_table(tmp_path, monkeypatch, capsys):
+    # A characterize whose 12th line fails, as a full disk fails it, exits 3
+    # and leaves the previous 27-row table, not an 11-line prefix of a new one.
+    qubits = [{"index": q, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01} for q in range(27)]
+    run = tmp_path / "run"
+    assert main(["simulate", str(write_config(tmp_path / "cfg.json", qubits, L=3, S=64)), "--out", str(run), "--quiet"]) == 0
+    assert main(["characterize", str(run), "--quiet"]) == 0
+    char = run / "characterization.csv"
+    table = char.read_bytes()
+    fail_writing(monkeypatch, char.name, 11)
+    assert main(["characterize", str(run), "--quiet"]) == 3
+    monkeypatch.undo()
+    assert char.read_bytes() == table
+    assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
+    assert len(read_rows(run / "verdicts.csv")) == 27
+
 # A calibration snapshot's one qubit record (index 0, f0 0.9, f1 0.8 unless
-# overridden) and what import-calibration's error names.
+# overridden) and what verdict's error names.
 SNAPSHOT_QUBITS = {
+    "snapshot-fidelity-out-of-range": ({"f0": 1.2, "theta_rad": 0.0}, "f0 must be in [0, 1], got 1.2"),
+    "snapshot-string-f0": ({"f0": "0.9", "theta_rad": 0.0}, "field 'f0'"),
     "snapshot-angle-out-of-range": ({"theta_rad": 1.2}, "|theta|=1.2 outside validity region"),
     "snapshot-gate-error-60-deg": ({"gate_error": {"value": 60, "unit": "deg"}}, "|theta|=1.047"),
     "snapshot-infidelity-0.6": ({"gate_error": {"value": 0.6, "unit": "infidelity"}}, "|theta|=1.249"),
@@ -1344,29 +1486,24 @@ def break_input(tmp_path, run, case):
     if case == "config-list":
         path.write_text("[1, 2]")
         return ["simulate", str(path), "--out", str(tmp_path / "sim")], str(path), 2
-    if case == "normalized-no-qubits":
-        doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "warnings": []}
+    if case == "snapshot-no-qubits":
+        doc = {"schema": "calibration-snapshot/1", "source": "x", "captured_at": "t"}
         path.write_text(json.dumps(doc))
         return ["verdict", str(path), "--delta", "0.3"], f"{path}: missing field 'qubits'", 2
-    if case == "normalized-string-f0":
-        qubit = {"index": 0, "f0": "0.9", "f1": 0.9, "theta_rad": 0.0}
-        doc = {"schema": "calibration-normalized/1", "source": "x", "captured_at": "t", "qubits": [qubit]}
-        path.write_text(json.dumps(doc))
-        return ["verdict", str(path), "--delta", "0.3"], f"{path}: qubits[0]: field 'f0'", 2
-    if case == "normalized-null-angle-bad-override":
-        write_snapshot(path, [{"index": 3, "f0": 0.9, "f1": 0.8, "theta_rad": None}], schema="calibration-normalized/1")
+    if case == "snapshot-missing-angle-bad-override":
+        write_snapshot(path, [{"index": 3, "f0": 0.9, "f1": 0.8}])
         return ["verdict", str(path), "--delta", "0.1", "--theta", "2.5"], "reprobound: error: --theta: |theta|=2.5", 2
-    if case in NORMALIZED_QUBITS:
-        qubit, named = NORMALIZED_QUBITS[case]
-        write_snapshot(path, [{"index": 3, "f0": 0.9, "f1": 0.8, **qubit}], schema="calibration-normalized/1")
-        return ["verdict", str(path), "--delta", "0.1"], f"{path}: qubits[0]: {named}", 2
+    if case == "snapshot-missing-angle-then-bad-record":
+        # Every record is checked before a missing angle asks for --theta.
+        write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.8}, {"index": 1, "f0": 1.2, "f1": 0.8, "theta_rad": 0.0}])
+        return ["verdict", str(path), "--delta", "0.1"], f"{path}: qubits[1]: f0 must be in [0, 1], got 1.2", 2
     if case in SNAPSHOT_QUBITS:
         qubit, named = SNAPSHOT_QUBITS[case]
         write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.8, **qubit}])
-        return ["import-calibration", str(path)], f"{path}: qubits[0]: {named}", 2
+        return ["verdict", str(path), "--delta", "0.1"], f"{path}: qubits[0]: {named}", 2
     assert case == "snapshot-nan-angle"
     write_snapshot(path, [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": math.nan}])
-    return ["import-calibration", str(path)], f"{path}: not valid JSON", 2
+    return ["verdict", str(path), "--delta", "0.1"], f"{path}: not valid JSON", 2
 
 
 @pytest.mark.parametrize(
@@ -1393,10 +1530,9 @@ def break_input(tmp_path, run, case):
         *EDITED_CELLS,
         "config-not-utf8",
         "config-list",
-        "normalized-no-qubits",
-        "normalized-string-f0",
-        "normalized-null-angle-bad-override",
-        *NORMALIZED_QUBITS,
+        "snapshot-no-qubits",
+        "snapshot-missing-angle-bad-override",
+        "snapshot-missing-angle-then-bad-record",
         *SNAPSHOT_QUBITS,
         "snapshot-nan-angle",
     ],
@@ -1522,7 +1658,7 @@ def test_a_float_not_spelled_as_written_exits_2_naming_it(small_run, table, colu
 
 @pytest.fixture(scope="module")
 def pristine_inputs(pristine_run):
-    """pristine_run's directory plus a calibration snapshot and its normalized form, snap.normalized.json."""
+    """pristine_run's directory plus a calibration snapshot, snap.json."""
     base = pristine_run.parent
     write_snapshot(
         base / "snap.json",
@@ -1531,7 +1667,6 @@ def pristine_inputs(pristine_run):
             {"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01},
         ],
     )
-    assert main(["import-calibration", str(base / "snap.json"), "--out", str(base), "--quiet"]) == 0
     return base
 
 
@@ -1541,8 +1676,7 @@ ARTIFACT_COMMANDS = {
     "run/verdicts.csv": [["report", "{base}/run"]],
     "run/manifest.json": [["characterize", "{base}/run"], ["report", "{base}/run"]],
     "cfg.json": [["simulate", "{base}/cfg.json", "--out", "{base}/sim"]],
-    "snap.json": [["import-calibration", "{base}/snap.json", "--out", "{base}/run"]],
-    "snap.normalized.json": [["verdict", "{base}/snap.normalized.json", "--delta", "0.3", "--out", "{base}"]],
+    "snap.json": [["verdict", "{base}/snap.json", "--delta", "0.3"]],
 }
 
 
