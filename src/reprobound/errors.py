@@ -38,9 +38,9 @@ class OutOfRegimeError(ReproBoundError, ValueError):
 
 
 class IncompleteArchiveError(ReproBoundError, RuntimeError):
-    """A run archive file is missing, malformed or not finalized, or an
-    artifact in the run directory does not match the run's plan. The
-    message names the file."""
+    """A run archive file is missing or malformed, or an artifact in the
+    run directory does not match the run's plan. The message names the
+    file."""
 
     exit_code = 4
 

@@ -46,13 +46,14 @@ it). :func:`qubit_from_record` reads every ``qubits[]`` record, those of a
 calibration snapshot too. A run archive
 persists as a directory::
 
-    manifest.json     schema, toolkit version, status, that plan document,
-                      drift SIGMA, the archive's numpy_version and bit
-                      generator, UTC timestamps
+    manifest.json     schema, toolkit version, that plan document, drift
+                      SIGMA, the archive's numpy_version, UTC timestamp
     counts.csv        kind, qubit, then the L counts of experiments 0..L-1
 
 :func:`save_archive` is the only writer of both files and
-:func:`load_archive` their only reader. ``counts.csv`` is the archive's only
+:func:`load_archive` their only reader. The manifest commits the directory:
+it is written last, after counts.csv, so a directory that holds one holds
+its counts. ``counts.csv`` is the archive's only
 data: one row per (kind, qubit), kinds in the order spam0, spam1, c, then
 qubits in plan order, as :func:`count_keys` yields them, each row holding
 ``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
@@ -104,7 +105,7 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-MANIFEST_SCHEMA = "run-manifest/5"
+MANIFEST_SCHEMA = "run-manifest/6"
 
 # Most counts a plan may ask for (3 kinds x qubits x L). 10**6
 # counts make a counts.csv of about 4.7 MB, 60 times the 27-qubit L=203
@@ -270,21 +271,22 @@ def _mersenne(seed: int, stream: str, key: int) -> random.Random:
     return random.Random(int(seed) + 2**64 * (_STREAM_IDS[stream] + 4 * int(key)))
 
 
-def _generator(rng: random.Random, bit_generator: np.random.MT19937) -> np.random.Generator:
-    """numpy's generator on ``bit_generator`` put in the state of ``rng``:
+def _generator(rng: random.Random, mt: np.random.MT19937) -> np.random.Generator:
+    """numpy's generator on the MT19937 ``mt`` put in the state of ``rng``:
     its doubles are those of ``rng.random()``, so its binomials are
     ``_stream``'s.
 
-    run_plan draws its streams one after another on one bit generator:
-    seeding a new MT19937 costs about 150 us (a shared 2-core x86 box), ten
-    times what the rest of this costs. The key goes in as a list, which
-    numpy's state setter copies in 5 us, where an array takes 110 us.
+    run_plan draws its streams one after another on one MT19937: seeding a
+    new one costs about 150 us (a shared 2-core x86 box), ten times what the
+    rest of this costs. The key goes in as a list, in the legacy
+    ``("MT19937", key, pos)`` form of numpy's state setter, which copies it
+    in 5 us, where an array takes 110 us.
     """
     import numpy as np
 
     *key, pos = rng.getstate()[1]
-    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
-    return np.random.Generator(bit_generator)
+    mt.state = ("MT19937", key, pos)
+    return np.random.Generator(mt)
 
 
 # When run_plan draws with _stream rather than numpy. Each costs CPU per
@@ -350,17 +352,17 @@ def run_plan(plan: ExperimentPlan, *, drift: float | None = None) -> RunArchive:
     # experiments while the noise is stationary.
     f0, f1, theta = np.array([[q.params.f0, q.params.f1, q.params.theta] for q in plan.qubits]).T[:, :, None]
     # Every stream in turn, each drawn to its end before the next.
-    bit_generator = np.random.MT19937()
+    mt = np.random.MT19937()
     if drift is not None:
         # Every qubit shares experiment l's draw: normals 3l..3l+2 of one
         # stream, so experiment l's perturbation does not depend on L.
-        normals = _generator(_mersenne(plan.seed, "drift", 0), bit_generator).normal(0.0, drift, (plan.L, 3))
+        normals = _generator(_mersenne(plan.seed, "drift", 0), mt).normal(0.0, drift, (plan.L, 3))
         df0, df1, dtheta = normals.T
         f0, f1, theta = np.clip(f0 + df0, 0.0, 1.0), np.clip(f1 + df1, 0.0, 1.0), theta + dtheta
     p = p_one(f0, f1, theta)
     counts = [
         [
-            _generator(_mersenne(plan.seed, kind.value, q.index), bit_generator)
+            _generator(_mersenne(plan.seed, kind.value, q.index), mt)
             .binomial(plan.S, p[k, i], size=plan.L)
             .tolist()
             for i, q in enumerate(plan.qubits)
@@ -421,44 +423,32 @@ def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
         raise ConfigError(f"{loc}: {exc}") from exc
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-
-
 def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
     """Persist an archive as a run directory; returns the directory path.
 
-    The manifest is written twice: first with status "partial" so that a
-    storage failure mid-run leaves an explicit marker, then rewritten with
-    status "complete" once counts.csv is on disk.
+    The manifest is the directory's commit record: the previous one is
+    removed first and the new one written once, after counts.csv. A save
+    that fails part way leaves no manifest, never one beside counts it did
+    not describe.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "toolkit_version": __version__,
-        "status": "partial",
-        **plan_doc(archive.plan),
-        "drift": archive.drift,
-        # What drew the counts, as run_plan recorded it: numpy does not
-        # promise that Generator.binomial keeps its stream across versions.
-        # The reader keeps numpy_version and ignores bit_generator, since
-        # every path draws MT19937.
-        "numpy_version": archive.numpy_version,
-        "bit_generator": "MT19937",
-        "started_at": _utc_now(),
-    }
-    write_json(out / "manifest.json", manifest)
-
+    (out / "manifest.json").unlink(missing_ok=True)
     write_csv(
         out / "counts.csv",
         _counts_header(archive.plan),
         ((*key, *ones) for key, ones in zip(count_keys(archive.plan), chain.from_iterable(archive.counts))),
     )
-
-    manifest["status"] = "complete"
-    manifest["finished_at"] = _utc_now()
+    manifest = {
+        "schema": MANIFEST_SCHEMA,
+        "toolkit_version": __version__,
+        **plan_doc(archive.plan),
+        "drift": archive.drift,
+        # What drew the counts, as run_plan recorded it: numpy does not
+        # promise that Generator.binomial keeps its stream across versions.
+        "numpy_version": archive.numpy_version,
+        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+    }
     write_json(out / "manifest.json", manifest)
     return out
 
@@ -467,14 +457,17 @@ def load_archive(run_dir: str | Path) -> RunArchive:
     """Load a run directory written by :func:`save_archive`.
 
     Raises IncompleteArchiveError, naming the offending file, if the manifest
-    is absent, not valid JSON, of another schema, not finalized or does not
-    describe a valid plan, drift SIGMA and numpy version (a string or null),
-    or if counts.csv is absent or deviates in any way from the layout
+    is missing, not valid JSON, of another schema or does not describe a
+    valid plan, drift SIGMA and numpy version (a string or null), or if
+    counts.csv is absent or deviates in any way from the layout
     :func:`save_archive` writes for the manifest's plan. The archive keeps
     the manifest's numpy version, so saving it again writes the same one.
     """
     run = Path(run_dir)
-    manifest = _read_manifest(run)
+    path = run / "manifest.json"
+    if not path.is_file():
+        raise IncompleteArchiveError(f"{run}: no manifest.json")
+    manifest = read_json(path, MANIFEST_SCHEMA, IncompleteArchiveError)
     try:
         plan = plan_from_doc(manifest, "manifest")
         drift = check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
@@ -487,16 +480,6 @@ def load_archive(run_dir: str | Path) -> RunArchive:
         return RunArchive(plan=plan, counts=counts, drift=drift, numpy_version=numpy_version)
     except InvalidParameterError as exc:
         raise IncompleteArchiveError(f"{path}: {exc}") from exc
-
-
-def _read_manifest(run: Path) -> dict:
-    path = run / "manifest.json"
-    if not path.is_file():
-        raise IncompleteArchiveError(f"{run}: no manifest.json")
-    manifest = read_json(path, MANIFEST_SCHEMA, IncompleteArchiveError)
-    if manifest.get("status") != "complete":
-        raise IncompleteArchiveError(f"{path}: status is {manifest.get('status')!r}, run was not finalized")
-    return manifest
 
 
 # An integer as ``str`` writes one: no leading zero, no sign on zero, and

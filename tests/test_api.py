@@ -81,6 +81,15 @@ def test_benchmark_argv_parses(tmp_path, monkeypatch):
     assert parser.parse_args(argv["simulate"] + ["--threads", "2"]).threads == 2
 
 
+def test_readme_run_directory_layout_names_the_manifest_schema():
+    # A schema bump that README's layout does not follow fails here.
+    from reprobound.sampler import MANIFEST_SCHEMA
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"^## Run directory layout\n(.*?)^## ", readme, re.M | re.S).group(1)
+    assert f"({MANIFEST_SCHEMA})" in layout
+
+
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     # The python block under README's "## Library use", run as a user runs
     # it; it writes run/, so it runs in tmp_path.

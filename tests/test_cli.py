@@ -120,7 +120,7 @@ def write_manifest_3_run(run):
     """Rewrite ``run`` as a run-manifest/3 release wrote it: one counts.csv
     row per experiment, ending in S."""
     manifest = json.loads((run / "manifest.json").read_text())
-    del manifest["numpy_version"], manifest["bit_generator"]
+    del manifest["numpy_version"]
     manifest["schema"] = "run-manifest/3"
     (run / "manifest.json").write_text(json.dumps(manifest))
     S = manifest["plan"]["S"]
@@ -141,9 +141,7 @@ class TestSimulate:
         # The perfect qubit's SPAM counts are certain; its test circuit's are not.
         assert lines[:3] == ["kind,qubit,0,1", "spam0,0,0,0", "spam1,0,4,4"]
         assert [line.split(",")[:2] for line in lines[3:]] == [["c", "0"]]
-        manifest = json.loads((run / "manifest.json").read_text())
-        assert manifest["status"] == "complete"
-        assert manifest["schema"] == "run-manifest/5"
+        assert json.loads((run / "manifest.json").read_text())["schema"] == "run-manifest/6"
 
     def test_duplicate_qubit_index_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
@@ -256,7 +254,7 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert capsys.readouterr().err.count("schema must be 'run-manifest/5', got 'run-manifest/3'") == 2
+        assert capsys.readouterr().err.count("schema must be 'run-manifest/6', got 'run-manifest/3'") == 2
         assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
         assert (small_run / "counts.csv").read_bytes() == counts
         assert main(["characterize", str(small_run), "--quiet"]) == 0
@@ -741,8 +739,9 @@ class TestReport:
             '{"schema": "run-manifest/3", "status": "complete"}',
             '{"schema": "run-manifest/4", "status": "complete"}',
             '{"schema": "run-manifest/5", "status": "complete"}',
+            '{"schema": "run-manifest/6"}',
         ],
-        ids=["not-json", "old-schema", "old-schema-2", "old-schema-3", "old-schema-4", "missing-keys"],
+        ids=["not-json", "old-schema", "old-schema-2", "old-schema-3", "old-schema-4", "old-schema-5", "missing-keys"],
     )
     def test_bad_manifest_is_incomplete(self, small_run, manifest, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -1334,8 +1333,25 @@ def test_a_write_that_fails_part_way_leaves_the_previous_file(pristine_run, tmp_
     fail_writing(monkeypatch, path.name, 1)
     assert main([arg.format(base=base) for arg in WRITERS[target]] + ["--quiet"]) == 3
     assert capsys.readouterr().err == f"reprobound: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
-    assert (path.read_bytes() if path.exists() else None) == previous
+    # simulate removes the previous manifest before it writes the counts, so
+    # a failed save leaves none beside counts it did not describe.
+    expected = None if path.name == "manifest.json" else previous
+    assert (path.read_bytes() if path.exists() else None) == expected
     assert [p.name for p in base.rglob("*.tmp")] == []
+
+
+def test_the_next_write_of_a_name_takes_over_its_stray_tmp(pristine_run, tmp_path):
+    # A process killed outright can leave NAME.tmp. No command sweeps it: the
+    # next successful write of NAME writes NAME.tmp afresh and renames it.
+    run = tmp_path / "run"
+    shutil.copytree(pristine_run.parent, tmp_path, dirs_exist_ok=True)
+    for name in ("counts.csv", "manifest.json", "verdicts.csv"):
+        (run / f"{name}.tmp").write_text("left by a killed process\n")
+    assert main(["simulate", str(tmp_path / "cfg.json"), "--out", str(run), "--quiet"]) == 0
+    assert sorted(p.name for p in run.glob("*.tmp")) == ["verdicts.csv.tmp"]
+    assert main(["characterize", str(run), "--quiet"]) == 0
+    assert main(["verdict", str(run / "characterization.csv"), "--delta", "0.3", "--quiet"]) == 0
+    assert list(run.glob("*.tmp")) == []
 
 
 def test_a_failed_characterize_leaves_verdict_the_whole_table(tmp_path, monkeypatch, capsys):
