@@ -30,19 +30,25 @@ of a device config or a calibration snapshot, is read by
 returns the exit code. Exit codes are stable: 0 success, 3 I/O failure (an
 ``OSError``), and for an error of this package its ``exit_code`` (see
 ``errors``): 2 input error, 4 incomplete run artifacts, 5 tolerance outside
-the bound's validity regime. A usage error (an unknown option, an option the
-command does not take, a missing ``--out`` of simulate) exits 2 too, with
-argparse's message.
+the bound's validity regime.
+
+``COMMANDS`` is the one table of each command's positionals and options,
+from which ``parse_args`` parses and ``-h`` prints. An option is given by
+its exact name, as ``--name VALUE`` or ``--name=VALUE``; an abbreviation is
+no option. A usage error (an unknown or abbreviated option, an option the
+command does not take, a missing or extra argument, a value of the wrong
+type) is a ConfigError: it exits 2 with one line that names the command and
+the option or argument.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .artifacts import field, read_json, records, write_csv
@@ -320,80 +326,198 @@ def cmd_report(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser and entry point
+# options and entry point
+
+# A value that marks an option as required: it has no default.
+REQUIRED = object()
+
+# Each command: its help line, its positionals (name, help) and its options.
+# An option maps to (type, default or REQUIRED, metavar, help); the type
+# ``bool`` marks a flag, which takes no value and is False unless given. The
+# last entry names the options of which exactly one must be given.
+COMMANDS = {
+    "simulate": (
+        "run a synthetic device config into a run directory",
+        [("config", "device config JSON")],
+        {
+            "--out": (str, REQUIRED, "DIR", "run directory to write manifest.json and counts.csv into, created "
+                      "if missing (required: no default)"),
+            "--seed": (int, None, "N", "seed for the counts, in place of the config's plan seed"),
+            "--drift": (float, None, "SIGMA", "exploratory common-mode drift, SIGMA in [0, 1]: experiment l adds "
+                        "one N(0, SIGMA) draw each to f0, f1 and theta, shared by every qubit"),
+            "--threads": (int, None, "N", "accepted for compatibility and ignored: sampling runs on one thread"),
+            "--quiet": (bool, False, None, "suppress progress output"),
+        },
+        (),
+    ),
+    "characterize": (
+        "estimate noise parameters from a run directory",
+        [("run_dir", "run directory")],
+        {
+            "--out": (str, None, "DIR", "existing directory to write characterization.csv into (default: RUN_DIR)"),
+            "--quiet": (bool, False, None, "suppress progress output"),
+        },
+        (),
+    ),
+    "verdict": (
+        "apply the reproducibility bound per qubit",
+        [("source", "characterization.csv or calibration snapshot JSON")],
+        {
+            "--delta": (float, None, "D", "tolerance on the Hellinger distance"),
+            "--delta-from-observed": (bool, False, None, "use each qubit's observed mean distance as its tolerance"),
+            "--n": (int, 1, "N", "register size for the bound (default 1)"),
+            "--theta": (float, None, "RAD", "gate angle override (radians) for inputs without one"),
+            "--out": (str, None, "DIR", "existing directory to write verdicts.csv into (default: the directory "
+                      "of SOURCE)"),
+            "--quiet": (bool, False, None, "suppress progress output"),
+        },
+        ("--delta", "--delta-from-observed"),
+    ),
+    "plan-samples": (
+        "shots needed to estimate an outcome probability",
+        [],
+        {
+            "--p": (float, REQUIRED, "P", "target outcome probability"),
+            "--precision": (float, REQUIRED, "E", "relative precision"),
+            "--confidence": (float, REQUIRED, "C", "confidence level, e.g. 0.95"),
+        },
+        (),
+    ),
+    "report": (
+        "emit plot-ready CSVs",
+        [("run_dir", "run directory")],
+        {
+            "--out": (str, None, "DIR", "existing directory to write the report/ bundle into (default: RUN_DIR)"),
+            "--quiet": (bool, False, None, "suppress progress output"),
+        },
+        (),
+    ),
+}
+
+HELP_OPTIONS = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reprobound",
-        description="Simulate, characterize, and bound the reproducibility of noisy single-qubit test circuits.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: str | None) -> str:
+    """The text of ``-h``: the program's, or ``command``'s."""
+    if command is None:
+        return "\n".join([
+            "usage: reprobound [-h] [--version] COMMAND ...",
+            "",
+            "Simulate, characterize, and bound the reproducibility of noisy single-qubit test circuits.",
+            "",
+            "commands:",
+            *(f"  {name:14} {summary}" for name, (summary, *_) in COMMANDS.items()),
+            "",
+            "reprobound COMMAND --help lists the options of COMMAND.",
+        ])
+    summary, positionals, options, one_of = COMMANDS[command]
 
-    p = sub.add_parser("simulate", help="run a synthetic device config into a run directory")
-    p.add_argument("config", help="device config JSON")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored: sampling runs on one thread")
-    p.add_argument("--drift", type=float, default=None, metavar="SIGMA",
-                   help="exploratory common-mode drift, SIGMA in [0, 1]: experiment l adds one "
-                        "N(0, SIGMA) draw each to f0, f1 and theta, shared by every qubit")
-    p.add_argument("--seed", type=int, help="seed for the counts, in place of the config's plan seed")
-    p.add_argument("--out", required=True, metavar="DIR",
-                   help="run directory to write manifest.json and counts.csv into, created if missing "
-                        "(required: no default)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.set_defaults(func=cmd_simulate)
+    def usage(name):
+        return name if options[name][0] is bool else f"{name} {options[name][2]}"
 
-    p = sub.add_parser("characterize", help="estimate noise parameters from a run directory")
-    p.add_argument("run_dir")
-    p.add_argument("--out", metavar="DIR",
-                   help="existing directory to write characterization.csv into (default: run_dir)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.set_defaults(func=cmd_characterize)
+    words = [name.upper() for name, _ in positionals]
+    if one_of:
+        words.append(f"({' | '.join(map(usage, one_of))})")
+    words += [usage(name) if default is REQUIRED else f"[{usage(name)}]"
+              for name, (_, default, *_) in options.items() if name not in one_of]
+    rows = [(name.upper(), text) for name, text in positionals]
+    rows += [(usage(name), text) for name, (*_, text) in options.items()]
+    rows.append((", ".join(HELP_OPTIONS), "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([
+        " ".join(["usage: reprobound", command, *words]),
+        "",
+        summary,
+        "",
+        *(f"  {left:{width}}  {text}" for left, text in rows),
+    ])
 
-    p = sub.add_parser("verdict", help="apply the reproducibility bound per qubit")
-    p.add_argument("source", help="characterization.csv or calibration snapshot JSON")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta", type=float, default=None, help="tolerance on the Hellinger distance")
-    group.add_argument("--delta-from-observed", action="store_true",
-                       help="use each qubit's observed mean distance as its tolerance")
-    p.add_argument("--n", type=int, default=1, help="register size for the bound (default 1)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="gate angle override (radians) for inputs without one")
-    p.add_argument("--out", metavar="DIR",
-                   help="existing directory to write verdicts.csv into (default: the directory of source)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.set_defaults(func=cmd_verdict)
 
-    p = sub.add_parser("plan-samples", help="shots needed to estimate an outcome probability")
-    p.add_argument("--p", type=float, required=True, help="target outcome probability")
-    p.add_argument("--precision", type=float, required=True, help="relative precision")
-    p.add_argument("--confidence", type=float, required=True, help="confidence level, e.g. 0.95")
-    p.set_defaults(func=cmd_plan_samples)
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace of the command that ``argv`` gives, or the text that
+    ``-h``, ``--help`` or ``--version`` asks for.
 
-    p = sub.add_parser("report", help="emit plot-ready CSVs")
-    p.add_argument("run_dir")
-    p.add_argument("--out", metavar="DIR",
-                   help="existing directory to write the report/ bundle into (default: run_dir)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.set_defaults(func=cmd_report)
+    The namespace holds ``command``, each positional by name and each option
+    of the command by its name without the dashes (``--delta-from-observed``
+    as ``delta_from_observed``). An option is given by its exact name, as
+    ``--name VALUE`` or ``--name=VALUE``; the item after an option that takes
+    a value is its value, even when it starts with ``-``. Items after ``--``
+    are positionals. A usage error raises ConfigError.
+    """
+    if not argv:
+        raise ConfigError(f"a command is required: {', '.join(COMMANDS)}")
+    command, *items = argv
+    if command in HELP_OPTIONS:
+        return _help(None)
+    if command == "--version":
+        return f"reprobound {__version__}"
+    if command not in COMMANDS:
+        raise ConfigError(f"{command!r} is not a command; use one of {', '.join(COMMANDS)} (options go after it)")
+    _, positionals, options, one_of = COMMANDS[command]
 
-    return parser
+    def usage_error(message):
+        return ConfigError(f"{command}: {message}")
+
+    values = {name: option[1] for name, option in options.items()}
+    given, rest = set(), []
+    items = iter(items)
+    for item in items:
+        if item == "--":
+            rest += items
+        elif item.startswith("-") and item != "-":
+            if item in HELP_OPTIONS:
+                return _help(command)
+            name, has_value, value = item.partition("=")
+            if name not in options:
+                raise usage_error(f"{name} is not an option of {command}")
+            kind = options[name][0]
+            if kind is bool:
+                if has_value:
+                    raise usage_error(f"{name} takes no value")
+                value = True
+            elif not has_value:
+                value = next(items, None)
+                if value is None:
+                    raise usage_error(f"{name} needs a value")
+            try:
+                values[name] = kind(value)
+            except ValueError:
+                raise usage_error(f"{name}: invalid {kind.__name__} value {value!r}") from None
+            given.add(name)
+        else:
+            rest.append(item)
+    if len(rest) > len(positionals):
+        raise usage_error(f"unexpected argument {rest[len(positionals)]!r}")
+    missing = [name.upper() for name, _ in positionals[len(rest):]]
+    missing += [name for name, value in values.items() if value is REQUIRED]
+    if one_of and not given & set(one_of):
+        missing.append(" or ".join(one_of))
+    if missing:
+        raise usage_error(f"missing {', '.join(missing)}")
+    if len(given & set(one_of)) > 1:
+        raise usage_error(f"{' and '.join(one_of)} exclude each other")
+    args = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, **dict(zip((name for name, _ in positionals), rest)), **args)
 
 
 def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit
-    code.
+    code. ``-h``, ``--help`` and ``--version`` print to standard output and
+    return 0; a usage error, like any input error, returns 2. ``main`` never
+    raises SystemExit.
 
     OpenBLAS starts a pool of threads when numpy is imported, and the
     program makes no BLAS call, so the pool is capped at one thread before
     any command can load numpy. A value the user set is kept.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+        else:
+            # Looked up when called, so that a wrapper set on the module runs.
+            globals()["cmd_" + args.command.replace("-", "_")](args)
     except OSError as exc:
         return _fail(exc, 3)
     except ReproBoundError as exc:

@@ -11,7 +11,7 @@ import tomllib
 from pathlib import Path
 
 import reprobound
-from reprobound.cli import build_parser
+from reprobound.cli import parse_args
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,12 +73,11 @@ def test_benchmark_argv_parses(tmp_path, monkeypatch):
     # Its dataclasses look their module up in sys.modules.
     monkeypatch.setitem(sys.modules, spec.name, bench)
     spec.loader.exec_module(bench)
-    parser = build_parser()
     argv = {c: [*map(str, bench.cli_argv(c, tmp_path / "cfg.json", tmp_path / "run"))] for c in bench.COMMANDS}
     for command in bench.COMMANDS:
-        assert parser.parse_args(argv[command]).command == command
+        assert parse_args(argv[command]).command == command
     # The traced simulate --threads 2 run.
-    assert parser.parse_args(argv["simulate"] + ["--threads", "2"]).threads == 2
+    assert parse_args(argv["simulate"] + ["--threads", "2"]).threads == 2
 
 
 def test_readme_run_directory_layout_names_the_manifest_schema():

@@ -218,7 +218,9 @@ def test_cli_import_loads_no_heavy_modules():
     or optional package. Nor does it load ``dataclasses`` or ``inspect``,
     which cost every command about 20 ms of start-up: the records derive
     from ``noise_model.Record`` instead; nor ``datetime`` (1.2 ms): the
-    manifest's timestamps come from ``time``.
+    manifest's one timestamp, ``finished_at``, comes from ``time``; nor
+    ``argparse`` and ``gettext`` (about 5 ms with the parser it built):
+    ``cli`` parses its options from its own table.
 
     The package exports its names lazily, so ``import reprobound`` loads
     no submodule but ``_version``, and the CLI loads only what every
@@ -244,7 +246,9 @@ def test_cli_import_loads_no_heavy_modules():
         )
         names = result.stdout.split()
         loaded = {name.split(".")[0] for name in names}
-        assert loaded.isdisjoint({"numpy", "scipy", "mpmath", "hypothesis", "dataclasses", "inspect", "datetime"}), module
+        assert loaded.isdisjoint({
+            "numpy", "scipy", "mpmath", "hypothesis", "dataclasses", "inspect", "datetime", "argparse", "gettext",
+        }), module
         assert "json" not in names, module
         own[module] = {name.removeprefix("reprobound.") for name in names if name.startswith("reprobound.")}
     assert own["reprobound"] == own["private"] == {"_version"}

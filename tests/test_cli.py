@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
-import argparse
 import csv
 import errno
 import importlib.util
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 import reprobound
 from reprobound import artifacts, bounds, cli, estimator, sampler
 from reprobound.bounds import delta_star
-from reprobound.cli import build_parser, main
+from reprobound.cli import main, parse_args
 from reprobound.errors import (
     ConfigError,
     IncompleteArchiveError,
@@ -169,11 +168,10 @@ class TestSimulate:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run")]) == 3
 
-    def test_missing_out_rejected(self, tmp_path):
+    def test_missing_out_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", str(cfg)])
-        assert exc.value.code == 2
+        assert main(["simulate", str(cfg)]) == 2
+        assert capsys.readouterr().err == "reprobound: error: simulate: missing --out\n"
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": 0.0}], S=128)
@@ -909,9 +907,20 @@ def test_threads_do_not_change_outputs(tmp_path):
 
 
 def test_threads_help_says_ignored(capsys):
-    with pytest.raises(SystemExit):
-        main(["simulate", "--help"])
+    assert main(["simulate", "--help"]) == 0
     assert "ignored" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["verdict", "-h"]])
+def test_text_that_cannot_be_written_is_an_io_failure(monkeypatch, capsys, argv):
+    # As for any output: exit 3 naming the error, not 0 with the text lost.
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"reprobound: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 # The ways the CLI is started, as code for a fresh interpreter: the two of a
@@ -1021,12 +1030,16 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         (["verdict", str(snapshot), "--delta", "0.3"], 0, {"bounds"}, True),
         (["report", str(run)], 0, {"bounds", "estimator"}, True),
         (["--version"], 0, set(), False),
+        (["--help"], 0, set(), False),
+        (["verdict", "--help"], 0, set(), False),
         # A usage error: simulate's --out is required.
         (["simulate", str(cfg)], 2, set(), False),
     ):
         code, _, modules = run_cli_child("python-m", argv)
         own = {name.removeprefix("reprobound.") for name in modules if name.startswith("reprobound.")}
         assert (code, own, "json" in modules) == (exit_code, shared | layers, loads_json), argv
+        # The CLI parses its own options: no process loads argparse or the gettext and locale it pulls in.
+        assert modules.isdisjoint({"argparse", "gettext", "locale"}), argv
 
 
 @pytest.mark.parametrize("start", sorted(STARTS))
@@ -1076,15 +1089,17 @@ COMMAND_OPTIONS = {
 }
 
 
-def option_strings(parser):
-    return {option for action in parser._actions for option in action.option_strings}
+def option_strings(command):
+    """The options of ``command`` in the CLI's option table."""
+    return set(cli.COMMANDS[command][2])
 
 
 def test_each_command_takes_only_the_options_it_reads():
-    parser = build_parser()
-    (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    assert option_strings(parser) == {"-h", "--help", "--version"}
-    assert {name: option_strings(command) - {"-h", "--help"} for name, command in commands.items()} == COMMAND_OPTIONS
+    assert {name: option_strings(name) for name in cli.COMMANDS} == COMMAND_OPTIONS
+    # The usage line that -h prints names the same options.
+    for name, options in COMMAND_OPTIONS.items():
+        usage = parse_args([name, "-h"]).splitlines()[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == options, name
 
 
 @pytest.mark.parametrize(
@@ -1100,11 +1115,82 @@ def test_each_command_takes_only_the_options_it_reads():
 )
 def test_an_option_the_command_does_not_take_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "reprobound: error: " in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reprobound: error: ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # An abbreviation is no option: argparse took --delta-from for --delta-from-observed.
+        (["verdict", "run/characterization.csv", "--delta-from"], "verdict: --delta-from"),
+        (["simulate", "cfg.json", "--out", "run", "--qui"], "simulate: --qui"),
+        (["simulate", "cfg.json", "--out", "run", "--bogus"], "simulate: --bogus"),
+        (["simulate", "cfg.json", "--out", "run", "--quiet=yes"], "simulate: --quiet"),
+        (["simulate", "cfg.json", "--out"], "simulate: --out"),
+        (["simulate", "cfg.json"], "simulate: missing --out"),
+        (["characterize", "--quiet"], "characterize: missing RUN_DIR"),
+        (["characterize", "run", "extra"], "characterize: unexpected argument 'extra'"),
+        (["verdict", "run/characterization.csv", "--delta", "0.1", "--delta-from-observed"], "verdict: --delta and "),
+        (["verdict", "run/characterization.csv"], "verdict: missing --delta or --delta-from-observed"),
+        (["verdict", "run/characterization.csv", "--delta", "0.1", "--n", "1.5"], "verdict: --n: invalid int"),
+        (["simulate", "cfg.json", "--out", "run", "--seed", "seven"], "simulate: --seed: invalid int"),
+        ([], "a command is required"),
+        (["simulation", "cfg.json", "--out", "run"], "'simulation' is not a command"),
+    ],
+    ids=[
+        "abbreviation", "abbreviation-simulate", "unknown-option", "flag-given-a-value", "no-value",
+        "missing-option", "missing-positional", "extra-positional", "both-deltas", "neither-delta", "n-not-int",
+        "seed-not-int", "no-command", "unknown-command",
+    ],
+)
+def test_a_usage_error_exits_2_naming_the_argument(tmp_path, monkeypatch, argv, named, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "cfg.json", [PERFECT_QUBIT])
+    before = files_under(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1), err
+    assert err.startswith(f"reprobound: error: {named}"), err
+    assert files_under(tmp_path) == before
+
+
+# Each valued option of each command, with a value it takes. The item after
+# a valued option is its value even when it starts with a dash; the range of
+# each value is the command's to check.
+VALUED_OPTIONS = [
+    (["simulate", "cfg.json", "--out", "run"], "--seed", "7"),
+    (["simulate", "cfg.json", "--seed", "7"], "--out", "run"),
+    (["simulate", "cfg.json", "--out", "run"], "--drift", "0.05"),
+    (["simulate", "cfg.json", "--out", "run"], "--threads", "2"),
+    (["characterize", "run"], "--out", "elsewhere"),
+    (["verdict", "c.csv", "--delta-from-observed"], "--n", "3"),
+    (["verdict", "c.csv", "--n", "2"], "--delta", "0.25"),
+    (["verdict", "c.csv", "--delta", "0.25"], "--theta", "0.01"),
+    (["plan-samples", "--p", "0.5", "--precision", "0.1"], "--confidence", "0.9"),
+    (["report", "run"], "--out", "elsewhere"),
+    (["verdict", "c.csv", "--delta", "0.25"], "--theta", "-0.01"),
+    (["verdict", "c.csv", "--delta", "0.25"], "--theta", "-1e-3"),
+    (["verdict", "c.csv"], "--delta", "-0.5"),
+    (["verdict", "c.csv", "--delta", "0.25"], "--n", "-2"),
+    (["simulate", "cfg.json", "--out", "run"], "--seed", "-1"),
+    (["simulate", "cfg.json", "--out", "run"], "--drift", "-0.05"),
+    (["simulate", "cfg.json"], "--out", "-run"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", VALUED_OPTIONS)
+def test_an_option_and_its_value_may_be_joined_by_an_equals_sign(argv, option, value):
+    spaced = parse_args([*argv, option, value])
+    assert parse_args([*argv, f"{option}={value}"]) == spaced
+    assert getattr(spaced, option[2:]) == (value if option == "--out" else float(value))
+
+
+def test_items_after_a_double_dash_are_positionals():
+    assert parse_args(["characterize", "--quiet", "--", "-run"]).run_dir == "-run"
+    assert main(["characterize", "-run"]) == 2
 
 
 def files_under(root):
