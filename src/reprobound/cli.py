@@ -25,12 +25,17 @@ device's own readout fidelities and gate angles. Every ``qubits[]`` record,
 of a device config or a calibration snapshot, is read by
 ``sampler.qubit_from_record``, so each passes the same checks.
 
-``main`` is the program's one entry: ``python -m reprobound``, the
-``reprobound`` console script and callers in-process all start there, and it
-returns the exit code. Exit codes are stable: 0 success, 3 I/O failure (an
-``OSError``), and for an error of this package its ``exit_code`` (see
+``main`` runs one command and returns its exit code; callers in-process
+start there. ``run`` is the entry of a whole process, which ``python -m
+reprobound`` and the ``reprobound`` console script start: it calls ``main``,
+runs the ``atexit`` handlers, flushes the standard streams and ends the
+process at once, skipping the interpreter's teardown, since every artifact
+is already written whole and closed. Exit codes are stable: 0 success, 3
+I/O failure (an ``OSError``, also one that flushing standard output
+raises), and for an error of this package its ``exit_code`` (see
 ``errors``): 2 input error, 4 incomplete run artifacts, 5 tolerance outside
-the bound's validity regime.
+the bound's validity regime. An error message that cannot be written still
+leaves its exit code.
 
 ``COMMANDS`` is the one table of each command's positionals and options,
 from which ``parse_args`` parses and ``-h`` prints. An option is given by
@@ -43,13 +48,14 @@ the option or argument.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import sys
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .artifacts import field, read_json, records, write_csv
 from ._version import __version__
@@ -526,5 +532,48 @@ def main(argv=None) -> int:
 
 
 def _fail(exc: Exception, code: int) -> int:
-    print(f"reprobound: error: {exc}", file=sys.stderr)
+    try:
+        print(f"reprobound: error: {exc}", file=sys.stderr)
+    except OSError:
+        pass  # The message is lost; the exit code still tells what failed.
     return code
+
+
+def _watched() -> bool:
+    """Whether a profiler, tracer or debugger watches this process: through
+    ``sys.setprofile`` or ``sys.settrace``, or, from Python 3.12, as a
+    ``sys.monitoring`` tool, which is how cProfile hooks in there."""
+    monitoring = getattr(sys, "monitoring", None)
+    tools = monitoring and any(map(monitoring.get_tool, range(6)))  # the tool ids are 0-5
+    return bool(sys.getprofile() or sys.gettrace() or tools)
+
+
+def run() -> NoReturn:
+    """Run the CLI on ``sys.argv[1:]`` as a whole process and end it with
+    ``main``'s exit code.
+
+    The ``atexit`` handlers run, then the standard streams are flushed, in
+    the interpreter's own order: standard output that cannot be written (a
+    full disk, a closed pipe) exits 3 with one error line, unless the
+    command had already failed, which keeps its own code. ``os._exit`` then
+    ends the process without the interpreter's teardown, which frees every
+    object and module one by one and changes no file. Under a profiler,
+    tracer or debugger the process ends with ``sys.exit`` instead, so that
+    it sees a normal end, and the interpreter runs the handlers and flushes
+    the streams itself.
+    """
+    code = main()
+    if _watched():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+    except OSError as exc:
+        code = code or _fail(exc, 3)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # Nowhere is left to report it.
+    os._exit(code)

@@ -2,8 +2,8 @@
 
 Each type carries the CLI's exit code for it as ``exit_code``: 2 for a bad
 input, the base class's code, 4 for incomplete run artifacts and 5 for a
-tolerance outside the bound's validity regime. ``cli.main`` exits with an
-error's ``exit_code``, and with 3 for an I/O failure (an ``OSError``). A gate
+tolerance outside the bound's validity regime. ``cli.main`` returns an
+error's ``exit_code``, and 3 for an I/O failure (an ``OSError``). A gate
 angle that cannot be recovered from a qubit's data is no error:
 ``estimator.invert_theta`` returns NaN and a note, and ``characterize`` goes
 on with the other qubits.

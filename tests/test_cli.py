@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import ast
 import csv
 import errno
 import importlib.util
@@ -12,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tomllib
 from itertools import islice
 from pathlib import Path
 
@@ -34,7 +36,17 @@ from reprobound.errors import (
 )
 from reprobound.noise_model import hellinger_1q
 
+ROOT = Path(__file__).resolve().parents[1]
+
 PERFECT_QUBIT = {"index": 0, "f0": 1.0, "f1": 1.0, "theta_rad": 0.0}
+
+
+def perfbench_module(name):
+    """The benchmark's ``perfbench/NAME.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_config(path, qubits, L=2, S=4, seed=11, name="test-device"):
@@ -851,10 +863,7 @@ class TestReport:
     def test_benchmark_check_passes(self, small_run):
         # perfbench/check.py recomputes bounds.verdict and reads its derived
         # values; an API slip there would fail every benchmark run.
-        root = Path(__file__).resolve().parents[1]
-        spec = importlib.util.spec_from_file_location("perfbench_check", root / "perfbench" / "check.py")
-        check = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check)
+        check = perfbench_module("check")
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
         config = json.loads((small_run.parent / "cfg.json").read_text())
@@ -911,26 +920,29 @@ def test_threads_help_says_ignored(capsys):
     assert "ignored" in capsys.readouterr().out
 
 
+class FullStream:
+    """A text stream on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["verdict", "-h"]])
 def test_text_that_cannot_be_written_is_an_io_failure(monkeypatch, capsys, argv):
     # As for any output: exit 3 naming the error, not 0 with the text lost.
-    class Full:
-        def write(self, text):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(sys, "stdout", Full())
+    monkeypatch.setattr(sys, "stdout", FullStream())
     assert main(argv) == 3
     assert capsys.readouterr().err == f"reprobound: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 # The ways the CLI is started, as code for a fresh interpreter: the two of a
 # user, ``python -m reprobound`` (what runpy does for -m) and the
-# ``reprobound`` console script (the exit of a call of cli.main), and a
-# library call of cli.main whose code is not the process's exit status, as
-# perfbench/traced.py calls it.
+# ``reprobound`` console script (a call of cli.run, which ends the process),
+# and a library call of cli.main whose code is not the process's exit
+# status, as perfbench/traced.py calls it.
 STARTS = {
     "python-m": "import runpy; runpy.run_module('reprobound', run_name='__main__', alter_sys=True)",
-    "console-script": "import sys; from reprobound.cli import main; sys.exit(main())",
+    "console-script": "from reprobound.cli import run; run()",
     "library-call": "import sys, reprobound.cli; reprobound.cli.main(sys.argv[1:])",
 }
 # Prints, at interpreter exit, OPENBLAS_NUM_THREADS and the full names of the modules loaded.
@@ -964,7 +976,7 @@ def run_readme_block(section, cwd):
     """Run the first sh block under README's ``## section`` in ``cwd``, as a
     user runs it, with this interpreter's ``-m reprobound`` in place of the
     console script."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(rf"^## {section}\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
     script = block.replace("reprobound ", f"{shlex.quote(sys.executable)} -m reprobound ")
     proc = subprocess.run(
@@ -1049,28 +1061,184 @@ def test_cli_caps_blas_threads_unless_the_user_set_them(start, user_value, expec
     assert run_cli_child(start, PLAN_SAMPLES, **env)[:2] == (0, expected)
 
 
-@pytest.mark.parametrize(
-    "error, code",
-    [
-        (ReproBoundError, 2),
-        (InvalidParameterError, 2),
-        (InsufficientDataError, 2),
-        (ConfigError, 2),
-        (IncompleteArchiveError, 4),
-        (OutOfRegimeError, 5),
-        (OSError, 3),
-    ],
-)
-def test_each_error_class_carries_its_exit_code(monkeypatch, capsys, error, code):
-    # main exits with an error's own exit_code, and with 3 for an OSError, which has none.
-    assert getattr(error, "exit_code", 3) == code
+ERROR_CODES = [
+    (ReproBoundError, 2),
+    (InvalidParameterError, 2),
+    (InsufficientDataError, 2),
+    (ConfigError, 2),
+    (IncompleteArchiveError, 4),
+    (OutOfRegimeError, 5),
+    (OSError, 3),
+]
 
+
+def raise_from_plan_samples(monkeypatch, error):
     def fail(args):
         raise error("boom", 0.5) if error is OutOfRegimeError else error("boom")
 
     monkeypatch.setattr(cli, "cmd_plan_samples", fail)
+
+
+@pytest.mark.parametrize("error, code", ERROR_CODES)
+def test_each_error_class_carries_its_exit_code(monkeypatch, capsys, error, code):
+    # main exits with an error's own exit_code, and with 3 for an OSError, which has none.
+    assert getattr(error, "exit_code", 3) == code
+    raise_from_plan_samples(monkeypatch, error)
     assert main(PLAN_SAMPLES) == code
     assert capsys.readouterr().err == "reprobound: error: boom\n"
+
+
+@pytest.mark.parametrize("error, code", ERROR_CODES)
+def test_an_error_that_cannot_be_written_keeps_its_exit_code(monkeypatch, error, code):
+    raise_from_plan_samples(monkeypatch, error)
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert main(PLAN_SAMPLES) == code
+
+
+# How a user's process starts the CLI: both run cli.run.
+PROCESS_STARTS = {"python-m": ["-m", "reprobound"], "console-script": ["-c", STARTS["console-script"]]}
+
+
+def buffered_env(unbuffered=False):
+    """``child_env()`` with standard output block-buffered, as into any pipe
+    or file, unless ``unbuffered``."""
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def run_cli_process(start, argv, unbuffered=False, **kwargs):
+    """Run the CLI as a process of a user under ``buffered_env(unbuffered)``."""
+    argv = [sys.executable, *PROCESS_STARTS[start], *map(str, argv)]
+    return subprocess.run(argv, env=buffered_env(unbuffered), timeout=120, **kwargs)
+
+
+def run_contents(run):
+    """Each file under ``run`` by its relative path: its bytes, or for the
+    manifest its document without ``finished_at``."""
+    contents = {name: (run / name).read_bytes() for name in run_files(run)}
+    manifest = json.loads(contents["manifest.json"])
+    del manifest["finished_at"]
+    return {**contents, "manifest.json": manifest}
+
+
+def test_a_process_writes_what_main_writes(tmp_path):
+    # run ends the process with os._exit once main returns: every artifact
+    # is whole by then. The benchmark's 27-qubit reference config, seed 7.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(perfbench_module("config").device_config(27, 203, 8192, 7)))
+
+    def pipeline(run):
+        return [["simulate", cfg, "--out", run], ["characterize", run],
+                ["verdict", run / "characterization.csv", "--delta-from-observed"], ["report", run]]
+
+    for argv in pipeline(tmp_path / "main"):
+        assert main([*map(str, argv), "--quiet"]) == 0
+    expected = run_contents(tmp_path / "main")
+    assert len(expected) == 6
+    for start in PROCESS_STARTS:
+        for argv in pipeline(tmp_path / start):
+            proc = run_cli_process(start, [*argv, "--quiet"], capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), (start, argv)
+        assert run_contents(tmp_path / start) == expected, start
+
+
+def test_a_process_prints_what_main_prints(small_run, capsys):
+    # Into a pipe standard output is block-buffered: run flushes it before the process ends.
+    for argv in (["characterize", str(small_run)], ["--help"], ["verdict", "--help"], ["--version"]):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        for start in PROCESS_STARTS:
+            proc = run_cli_process(start, argv, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, ""), (start, argv)
+
+
+def test_a_profiled_process_ends_normally():
+    # Under a profiler run ends with sys.exit, so cProfile prints its stats
+    # after the command's own output.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "reprobound", "--version"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"reprobound {reprobound.__version__}\n")
+    assert "function calls" in proc.stdout
+
+
+def test_console_script_and_python_m_run_the_same_function():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    module, function = scripts["reprobound"].split(":")
+    assert (module, function) == ("reprobound.cli", "run")
+    tree = ast.parse((Path(cli.__file__).parent / "__main__.py").read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    called = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert (imported, called) == ([("cli", function)], [function])
+    # The tests start the console script by the body that installing it writes.
+    assert STARTS["console-script"] == f"from {module} import {function}; {function}()"
+
+
+def unwritable(sink):
+    """A file descriptor that writing to fails: /dev/full, or a pipe whose
+    reader is closed."""
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return os.open("/dev/full", os.O_WRONLY)
+    reader, writer = os.pipe()
+    os.close(reader)
+    return writer
+
+
+SINK_ERRORS = {"full": errno.ENOSPC, "closed-pipe": errno.EPIPE}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", sorted(SINK_ERRORS))
+@pytest.mark.parametrize("start", sorted(PROCESS_STARTS))
+def test_output_that_cannot_be_written_exits_3(small_run, start, sink, unbuffered):
+    # Buffered, the text fails when run flushes it; unbuffered, when main
+    # prints it. Either way one error line, and the flush does not add another.
+    fd = unwritable(sink)
+    try:
+        proc = run_cli_process(start, ["characterize", small_run], unbuffered, stdout=fd, stderr=subprocess.PIPE,
+                               text=True)
+    finally:
+        os.close(fd)
+    err = SINK_ERRORS[sink]
+    assert (proc.returncode, proc.stderr) == (3, f"reprobound: error: [Errno {err}] {os.strerror(err)}\n")
+
+
+def test_output_that_cannot_be_written_keeps_a_failed_commands_code():
+    # A command that failed with 4 after it printed: the failed flush adds no code or line of its own.
+    fd = unwritable("closed-pipe")
+    body = "import reprobound.cli as cli; cli.main = lambda: print('text') or 4; cli.run()"
+    try:
+        proc = subprocess.run([sys.executable, "-c", body], env=buffered_env(), stdout=fd, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr) == (4, "")
+
+
+@pytest.mark.parametrize("sink", sorted(SINK_ERRORS))
+@pytest.mark.parametrize("start", sorted(PROCESS_STARTS))
+def test_an_error_that_cannot_be_written_keeps_its_code_in_a_process(tmp_path, start, sink):
+    fd = unwritable(sink)
+    try:
+        proc = run_cli_process(start, ["report", tmp_path], stderr=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 4
+
+
+@pytest.mark.parametrize("start", sorted(PROCESS_STARTS))
+def test_a_process_without_standard_output_succeeds(start):
+    # A process started with its stdout closed has sys.stdout None; print writes nothing.
+    proc = subprocess.run(
+        ["bash", "-c", 'exec "$@" >&-', "bash", sys.executable, *PROCESS_STARTS[start], "--version"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_library_import_leaves_the_environment_alone():
