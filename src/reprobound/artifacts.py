@@ -11,9 +11,9 @@ caller, naming the file (and for CSV the line): ``ConfigError`` (exit 2) for
 inputs a user hands in, ``IncompleteArchiveError`` (exit 4) for the files of
 a run archive. A table of records is read back only as its writer prints
 it (:func:`read_table`): a line that is not the bytes the writer prints for
-the record built from it is malformed. :func:`write_csv` also writes a run's
-counts.csv, whose text ``sampler`` reads itself, since it alone knows the
-plan that fixes every line.
+the record built from it is malformed. A run's counts are fields of its
+manifest, whose rows of text ``sampler`` reads itself, since it alone knows
+the plan that fixes every row.
 """
 
 from __future__ import annotations
@@ -159,7 +159,9 @@ def read_json(path: str | Path, schema: str, error: Callable[[str], Exception] =
 def write_json(path: str | Path, doc: dict) -> None:
     import json
 
-    _replace(path, (json.dumps(doc, indent=2), "\n"))
+    # Encoded piece by piece as it is written, never as one string: a run's
+    # manifest holds its counts, 4.7 MB at the plan limit.
+    _replace(path, chain(json.JSONEncoder(indent=2).iterencode(doc), ("\n",)))
 
 
 def field(doc: dict, where: str, name: str, kind):

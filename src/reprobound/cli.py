@@ -7,11 +7,11 @@ simulate's, since only simulate draws random numbers, and every command but
 plan-samples takes ``--out`` and ``--quiet``.
 
 ``--out DIR`` names the directory a command writes into, and each command
-writes only its own fixed names there: simulate ``manifest.json`` and
-``counts.csv``, characterize ``characterization.csv``, verdict
-``verdicts.csv`` and report the files of ``report/``. So no command writes
-over another's artifact; the one output that can still be an input, a
-verdict source named ``verdicts.csv``, is an input error. Only simulate
+writes only its own fixed names there: simulate ``manifest.json``, which
+holds the run's plan and counts, characterize ``characterization.csv``,
+verdict ``verdicts.csv`` and report the files of ``report/``. So no command
+writes over another's artifact; the one output that can still be an input,
+a verdict source named ``verdicts.csv``, is an input error. Only simulate
 creates ``DIR`` and only report creates ``DIR/report``: a missing ``DIR``,
 or one that is a file, is an I/O failure.
 
@@ -220,11 +220,12 @@ def cmd_simulate(args) -> None:
         plan = _named("--seed", plan.replace, seed=args.seed)
     archive = run_plan(plan, drift=args.drift)
     # Files derived from the directory's earlier counts no longer describe it.
-    # The rest are retired names: the constant check of Lemma A1, and the
-    # per-figure tables that qubits.csv replaced.
+    # The rest are retired names: the counts file that the manifest took in,
+    # the constant check of Lemma A1, and the per-figure tables that
+    # qubits.csv replaced.
     bundle = (*REPORT_FILES, "lemma_report.json", "table1.csv", "fig_theta.csv", "fig_hellinger.csv",
               "fig_asymmetry.csv", "fig_gamma.csv")
-    for stale in ("characterization.csv", "verdicts.csv", *(f"report/{name}" for name in bundle)):
+    for stale in ("counts.csv", "characterization.csv", "verdicts.csv", *(f"report/{name}" for name in bundle)):
         (Path(args.out) / stale).unlink(missing_ok=True)
     out = save_archive(archive, args.out)
     _say(args, f"{name}: wrote the counts of {plan.count_total} experiments to {out}")
@@ -346,7 +347,7 @@ COMMANDS = {
         "run a synthetic device config into a run directory",
         [("config", "device config JSON")],
         {
-            "--out": (str, REQUIRED, "DIR", "run directory to write manifest.json and counts.csv into, created "
+            "--out": (str, REQUIRED, "DIR", "run directory to write manifest.json into, created "
                       "if missing (required: no default)"),
             "--seed": (int, None, "N", "seed for the counts, in place of the config's plan seed"),
             "--drift": (float, None, "SIGMA", "exploratory common-mode drift, SIGMA in [0, 1]: experiment l adds "

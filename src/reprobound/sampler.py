@@ -43,25 +43,23 @@ the other qubits of the plan.
 A plan has one document format, the device config's ``qubits`` and
 ``plan`` fields (:func:`plan_doc` writes it, :func:`plan_from_doc` reads
 it). :func:`qubit_from_record` reads every ``qubits[]`` record, those of a
-calibration snapshot too. A run archive
-persists as a directory::
+calibration snapshot too. A run archive persists as a directory holding one
+file::
 
     manifest.json     schema, toolkit version, that plan document, drift
-                      SIGMA, the archive's numpy_version, UTC timestamp
-    counts.csv        kind, qubit, then the L counts of experiments 0..L-1
+                      SIGMA, the archive's numpy_version, UTC timestamp,
+                      and last the counts
 
-:func:`save_archive` is the only writer of both files and
-:func:`load_archive` their only reader. The manifest commits the directory:
-it is written last, after counts.csv, so a directory that holds one holds
-its counts. ``counts.csv`` is the archive's only
-data: one row per (kind, qubit), kinds in the order spam0, spam1, c, then
-qubits in plan order, as :func:`count_keys` yields them, each row holding
-``counts[k][i]``. Its header is ``kind,qubit,0,1,...,L-1``; S is the
-manifest's. The reader reads the file as text, line by line, without the
-csv module, and checks only the text: a line must be the header or row that
-the writer prints there, each count an integer as ``str`` writes one and each
-line ending in a newline, which one match per row checks. It leaves the
-count rule to the :class:`RunArchive` it builds.
+:func:`save_archive` is its only writer and :func:`load_archive` its only
+reader, so a run's counts and the plan that explains them are written and
+read together. The manifest's ``counts`` object holds, under each kind
+``spam0``, ``spam1`` and ``c``, one string per qubit in plan order:
+``counts[k][i]``, its L counts as ``str`` writes them, separated by commas.
+A row of text rather than a JSON array keeps one row per line of the
+indented file and spares the reader a Python call per count. The reader
+checks only the text: a row must be integers as ``str`` writes them, L of
+them, which one match per row checks. It leaves the count rule to the
+:class:`RunArchive` it builds.
 """
 
 from __future__ import annotations
@@ -69,12 +67,12 @@ from __future__ import annotations
 import re
 import time
 from enum import Enum
-from itertools import chain, product, zip_longest
+from itertools import chain, product
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ._version import __version__
-from .artifacts import field, read_json, records, write_csv, write_json
+from .artifacts import field, read_json, records, write_json
 from .errors import ConfigError, IncompleteArchiveError, InvalidParameterError
 from .noise_model import (
     QubitNoiseParams,
@@ -105,10 +103,10 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-MANIFEST_SCHEMA = "run-manifest/6"
+MANIFEST_SCHEMA = "run-manifest/7"
 
 # Most counts a plan may ask for (3 kinds x qubits x L). 10**6
-# counts make a counts.csv of about 4.7 MB, 60 times the 27-qubit L=203
+# counts make a manifest of about 4.7 MB, 60 times the 27-qubit L=203
 # reference; a larger plan is rejected before anything is allocated.
 MAX_COUNTS = 10**6
 
@@ -231,12 +229,12 @@ class RunArchive(Record):
         lengths = (len(counts), {len(per_kind) for per_kind in counts}, {len(row) for row in rows})
         if lengths != (kinds, {qubits}, {L}):
             raise InvalidParameterError(f"counts must have the shape {shape}")
-        flat = list(chain.from_iterable(rows))
         S = self.plan.S
         # Exactly int: a float would be truncated and a bool is no count. The
-        # whole table is checked at once; only a bad one is searched.
-        if {type(value) for value in flat} != {int} or min(flat) < 0 or max(flat) > S:
-            for (kind, qubit), row in zip(count_keys(self.plan), rows):
+        # whole table is checked at once, row by row rather than through one
+        # flat list of every count; only a bad one is searched.
+        if set(map(type, chain.from_iterable(rows))) != {int} or min(map(min, rows)) < 0 or max(map(max, rows)) > S:
+            for (kind, qubit), row in zip(product([k.value for k in CircuitKind], self.plan.qubit_indices), rows):
                 for l, value in enumerate(row):
                     if type(value) is not int or not 0 <= value <= S:
                         raise InvalidParameterError(
@@ -248,18 +246,6 @@ class RunArchive(Record):
         """Each qubit's index with its SPAM(0), SPAM(1) and test-circuit
         rows of L counts, ``(index, (spam0, spam1, c))``, in plan order."""
         return zip(self.plan.qubit_indices, zip(*self.counts))
-
-
-def count_keys(plan: ExperimentPlan) -> Iterator[tuple[str, str]]:
-    """The (kind, qubit) cells that open counts.csv's rows, in file order:
-    kind, then qubit position, as ``counts[k][i]`` nests them."""
-    return product([kind.value for kind in CircuitKind], map(str, plan.qubit_indices))
-
-
-def _counts_header(plan: ExperimentPlan) -> Iterator[str]:
-    """counts.csv's header: ``kind,qubit`` and then experiments 0..L-1,
-    made one name at a time."""
-    return chain(("kind", "qubit"), map(str, range(plan.L)))
 
 
 def _mersenne(seed: int, stream: str, key: int) -> random.Random:
@@ -426,19 +412,13 @@ def plan_from_doc(doc: dict, where: str) -> ExperimentPlan:
 def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
     """Persist an archive as a run directory; returns the directory path.
 
-    The manifest is the directory's commit record: the previous one is
-    removed first and the new one written once, after counts.csv. A save
-    that fails part way leaves no manifest, never one beside counts it did
-    not describe.
+    The manifest is the directory's one file: the previous one is removed
+    first and the new one written once, so a save that fails part way
+    leaves none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    write_csv(
-        out / "counts.csv",
-        _counts_header(archive.plan),
-        ((*key, *ones) for key, ones in zip(count_keys(archive.plan), chain.from_iterable(archive.counts))),
-    )
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "toolkit_version": __version__,
@@ -448,6 +428,9 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
         # promise that Generator.binomial keeps its stream across versions.
         "numpy_version": archive.numpy_version,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "counts": {
+            kind.value: [",".join(map(str, row)) for row in rows] for kind, rows in zip(CircuitKind, archive.counts)
+        },
     }
     write_json(out / "manifest.json", manifest)
     return out
@@ -456,12 +439,11 @@ def save_archive(archive: RunArchive, out_dir: str | Path) -> Path:
 def load_archive(run_dir: str | Path) -> RunArchive:
     """Load a run directory written by :func:`save_archive`.
 
-    Raises IncompleteArchiveError, naming the offending file, if the manifest
-    is missing, not valid JSON, of another schema or does not describe a
-    valid plan, drift SIGMA and numpy version (a string or null), or if
-    counts.csv is absent or deviates in any way from the layout
-    :func:`save_archive` writes for the manifest's plan. The archive keeps
-    the manifest's numpy version, so saving it again writes the same one.
+    Raises IncompleteArchiveError, naming manifest.json, if the manifest is
+    missing, not valid JSON, of another schema or does not describe a valid
+    plan, drift SIGMA, numpy version (a string or null) and the counts of
+    that plan. The archive keeps the manifest's numpy version, so saving it
+    again writes the same one.
     """
     run = Path(run_dir)
     path = run / "manifest.json"
@@ -472,90 +454,62 @@ def load_archive(run_dir: str | Path) -> RunArchive:
         plan = plan_from_doc(manifest, "manifest")
         drift = check_drift(field(manifest, "manifest", "drift", (int, float, type(None))))
         numpy_version = field(manifest, "manifest", "numpy_version", (str, type(None)))
+        counts = _read_counts(field(manifest, "manifest", "counts", dict), plan)
+        return RunArchive(plan=plan, counts=counts, drift=drift, numpy_version=numpy_version)
     except (ConfigError, InvalidParameterError) as exc:
         raise IncompleteArchiveError(f"{run}: manifest.json does not describe a valid run: {exc}") from exc
-    path = run / "counts.csv"
-    counts = _read_counts(path, plan)
-    try:
-        return RunArchive(plan=plan, counts=counts, drift=drift, numpy_version=numpy_version)
-    except InvalidParameterError as exc:
-        raise IncompleteArchiveError(f"{path}: {exc}") from exc
 
 
 # An integer as ``str`` writes one: no leading zero, no sign on zero, and
 # [0-9], not \d, which also matches the non-ASCII digits int reads.
 _INT_TEXT = r"(?:0|-?[1-9][0-9]*+)"
-# counts.csv's text rule for a row after its kind and qubit: comma-separated
-# counts, each an integer as str writes it, and the newline that ends the
-# line. The repeats are possessive: a plain outer one keeps about 270 bytes
-# of backtracking state per count it has matched (78 MB over a row of
-# 333,333).
-_COUNTS_TEXT = rf"{_INT_TEXT}(?:,{_INT_TEXT})*+\n"
+# The text rule for a row of counts: comma-separated counts, each an integer
+# as str writes it. The repeats are possessive: a plain outer one keeps
+# about 270 bytes of backtracking state per count it has matched (78 MB
+# over a row of 333,333).
+_COUNTS_TEXT = rf"{_INT_TEXT}(?:,{_INT_TEXT})*+"
 
 
-def _read_counts(path: Path, plan: ExperimentPlan) -> Counts:
-    """Parse counts.csv into the nested count tuples of ``plan``.
+def _read_counts(doc: dict, plan: ExperimentPlan) -> list[list[tuple[int, ...]]]:
+    """Parse the manifest's ``counts`` object, ``doc``, into the nested
+    count tuples of ``plan``.
 
-    The file is read as text, line by line, and each line must be what
-    :func:`save_archive` writes there: the header, then each row of L
-    integers as ``str`` writes them, each line ending in a newline. Whether
-    each is a count in [0, S] is the :class:`RunArchive` rule, checked when
-    the archive is built.
+    Under each kind, ``doc`` must hold a list of one row per qubit, each
+    row a string of L integers as ``str`` writes them, separated by commas.
+    Whether each is a count in [0, S] is the :class:`RunArchive` rule,
+    checked when the archive is built. Each row's string is dropped from
+    ``doc`` once it is parsed, so that the text and the ints of every row
+    are never held at once. ConfigError names the kind and the qubit of
+    the first bad row.
     """
-    if not path.is_file():
-        raise IncompleteArchiveError(f"{path}: no counts file")
-
     # Compiled here, so that only the commands that load an archive pay for it.
     counts_text = re.compile(_COUNTS_TEXT).fullmatch
-    rows = []
-    line = 1
-    try:
-        # Lines split at \n alone, each decoded on its own, so that an
-        # undecodable byte is named by its line.
-        with open(path, "rb") as fh:
-            # The header's names are made one at a time beside its cells,
-            # which are dropped once walked; a mismatch names one cell, since
-            # a header can hold thousands.
-            text = fh.readline().decode("utf-8").removesuffix("\n")
-            for i, (got, want) in enumerate(zip_longest(text.split(","), _counts_header(plan))):
-                if got != want:
-                    raise ValueError(
-                        f"header has {text.count(',') + 1} cells, expected {plan.L + 2}; "
-                        f"cell {i + 1} is {got!r}, expected {want!r}"
-                    )
-            for line, (key, raw) in enumerate(zip_longest(count_keys(plan), fh), 2):
-                if key is None:
-                    raise ValueError(f"more rows than the plan's {len(CircuitKind) * len(plan.qubits)}")
-                if raw is None:  # named by the file's last line
-                    raise IncompleteArchiveError(
-                        f"{path}: line {line - 1}: the file ends; "
-                        f"the row of {','.join(key)} and all later rows are missing"
-                    )
-                text = raw.decode("utf-8")
-                prefix = f"{key[0]},{key[1]},"
-                # One match checks the row where it lies; only a bad row is
-                # searched for its fault.
-                if not (text.startswith(prefix) and counts_text(text, len(prefix))):
-                    cells = text.removesuffix("\n").split(",")
-                    if cells[:2] != list(key):
-                        raise ValueError(
-                            f"expected the row of {','.join(key)}, got {cells[:2]} "
-                            "(a row is missing, duplicated or out of order)"
-                        )
-                    l = next((l for l, cell in enumerate(cells[2:]) if re.fullmatch(_INT_TEXT, cell) is None), None)
-                    raise ValueError(
-                        "the line does not end with a newline"
-                        if l is None
-                        else f"experiment {l}: count {cells[l + 2]!r} is not an integer as str writes one"
-                    )
-                ones = text[len(prefix) :].split(",")
-                if len(ones) != plan.L:
-                    raise ValueError(f"{len(ones) + 2} cells, expected {plan.L + 2}")
-                # int takes the newline after the last count; a count past its
-                # digit limit matches and makes it raise the ValueError that
-                # names the line.
-                rows.append(tuple(map(int, ones)))
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
-        raise IncompleteArchiveError(f"{path}: line {line}: {exc}") from exc
-    n = len(plan.qubits)
-    return tuple(tuple(rows[start : start + n]) for start in range(0, len(rows), n))
+    counts = []
+    for kind in CircuitKind:
+        rows = field(doc, "manifest: counts", kind.value, list)
+        where = f"manifest: counts: {kind.value}"
+        if len(rows) != len(plan.qubits):
+            raise ConfigError(
+                f"{where} qubit {plan.qubit_indices[len(rows)]}: no row; the list ends after {len(rows)}"
+                if len(rows) < len(plan.qubits)
+                else f"{where}: {len(rows)} rows, more than the plan's {len(plan.qubits)} qubits"
+            )
+        parsed = []
+        for i, qubit in enumerate(plan.qubit_indices):
+            text, rows[i] = rows[i], None
+            loc = f"{where} qubit {qubit}"
+            if not isinstance(text, str):
+                raise ConfigError(f"{loc}: row has wrong type {type(text).__name__}")
+            # One match checks the row; only a bad row is searched for its fault.
+            if counts_text(text) is None:
+                l, cell = next((l, c) for l, c in enumerate(text.split(",")) if re.fullmatch(_INT_TEXT, c) is None)
+                raise ConfigError(f"{loc} experiment {l}: count {cell!r} is not an integer as str writes one")
+            ones = text.split(",")
+            if len(ones) != plan.L:
+                raise ConfigError(f"{loc}: {len(ones)} counts, expected L={plan.L}")
+            try:
+                parsed.append(tuple(map(int, ones)))
+            except ValueError as exc:  # a count past int's digit limit
+                raise ConfigError(f"{loc}: {exc}") from exc
+        counts.append(parsed)
+    return counts

@@ -43,7 +43,7 @@ def test_version_has_one_source():
 
 
 def test_python_floor_has_possessive_repeats():
-    # sampler's counts.csv pattern uses possessive repeats, which re has
+    # sampler's pattern for a row of counts uses possessive repeats, which re has
     # from Python 3.11 on.
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert project["project"]["requires-python"] == ">=3.11"

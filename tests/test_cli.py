@@ -84,6 +84,19 @@ def edit_lines(path, change):
     return path
 
 
+def edit_counts(run, change):
+    """Apply ``change`` to the counts of ``run``'s manifest."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    change(manifest["counts"])
+    (run / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def set_row_cell(counts, kind, qubit, experiment, value):
+    cells = counts[kind][qubit].split(",")
+    cells[experiment] = value
+    counts[kind][qubit] = ",".join(cells)
+
+
 def set_csv_cell(lines, row, column, value):
     cells = lines[row].split(",")
     cells[column] = value
@@ -127,9 +140,28 @@ def small_run(tmp_path, request):
     return run
 
 
+def run_counts(run):
+    """The manifest's counts: each kind's rows of text, in plan order."""
+    return json.loads((run / "manifest.json").read_text())["counts"]
+
+
+def write_manifest_6_run(run):
+    """Rewrite ``run`` as a run-manifest/6 release wrote it: the counts in
+    counts.csv, one row per kind and qubit, beside a manifest without them."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    counts = manifest.pop("counts")
+    manifest["schema"] = "run-manifest/6"
+    (run / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    qubits = [q["index"] for q in manifest["qubits"]]
+    lines = [",".join(["kind", "qubit", *map(str, range(manifest["plan"]["L"]))])]
+    lines += [f"{kind},{q},{row}" for kind, rows in counts.items() for q, row in zip(qubits, rows)]
+    (run / "counts.csv").write_text("".join(line + "\n" for line in lines))
+
+
 def write_manifest_3_run(run):
     """Rewrite ``run`` as a run-manifest/3 release wrote it: one counts.csv
     row per experiment, ending in S."""
+    write_manifest_6_run(run)
     manifest = json.loads((run / "manifest.json").read_text())
     del manifest["numpy_version"]
     manifest["schema"] = "run-manifest/3"
@@ -147,12 +179,12 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT], L=2, S=4)
         run = tmp_path / "run"
         assert main(["simulate", str(cfg), "--out", str(run)]) == 0
-        assert sorted(p.name for p in run.iterdir()) == ["counts.csv", "manifest.json"]
-        lines = (run / "counts.csv").read_text().splitlines()
+        assert sorted(p.name for p in run.iterdir()) == ["manifest.json"]
+        counts = run_counts(run)
         # The perfect qubit's SPAM counts are certain; its test circuit's are not.
-        assert lines[:3] == ["kind,qubit,0,1", "spam0,0,0,0", "spam1,0,4,4"]
-        assert [line.split(",")[:2] for line in lines[3:]] == [["c", "0"]]
-        assert json.loads((run / "manifest.json").read_text())["schema"] == "run-manifest/6"
+        assert {kind: rows for kind, rows in counts.items() if kind != "c"} == {"spam0": ["0,0"], "spam1": ["4,4"]}
+        assert [len(row.split(",")) for row in counts["c"]] == [2]
+        assert json.loads((run / "manifest.json").read_text())["schema"] == "run-manifest/7"
 
     def test_duplicate_qubit_index_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT, PERFECT_QUBIT])
@@ -190,7 +222,7 @@ class TestSimulate:
         run_a, run_b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet"]) == 0
         assert main(["simulate", str(cfg), "--seed", "999", "--out", str(run_b), "--quiet"]) == 0
-        assert (run_a / "counts.csv").read_text() != (run_b / "counts.csv").read_text()
+        assert run_counts(run_a) != run_counts(run_b)
         # The manifest records the config's qubits and plan, with --seed applied.
         config = json.loads(cfg.read_text())
         manifest = json.loads((run_b / "manifest.json").read_text())
@@ -207,7 +239,7 @@ class TestSimulate:
         run_a, run_b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet"]) == 0
         assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--drift", "0.05"]) == 0
-        assert (run_a / "counts.csv").read_text() != (run_b / "counts.csv").read_text()
+        assert run_counts(run_a) != run_counts(run_b)
 
     def test_negative_zero_drift_is_zero_drift(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.9, "f1": 0.9, "theta_rad": 0.0}], L=4, S=256)
@@ -215,7 +247,7 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet", "--drift", "0"]) == 0
         assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--drift", "-0.0"]) == 0
         assert '"drift": 0.0' in (run_b / "manifest.json").read_text()
-        assert (run_a / "counts.csv").read_bytes() == (run_b / "counts.csv").read_bytes()
+        assert run_counts(run_a) == run_counts(run_b)
 
     @pytest.mark.parametrize("sigma", ["-0.1", "inf", "nan", "1e308"])
     def test_bad_drift_rejected(self, tmp_path, sigma, capsys):
@@ -241,7 +273,7 @@ class TestSimulate:
         assert main(["report", str(small_run), "--quiet"]) == 0
         (small_run / "report" / "notes.txt").write_text("kept")
         assert main(["simulate", str(cfg), "--seed", "99", "--out", str(small_run), "--quiet"]) == 0
-        assert sorted(p.name for p in small_run.iterdir()) == ["counts.csv", "manifest.json", "report"]
+        assert sorted(p.name for p in small_run.iterdir()) == ["manifest.json", "report"]
         assert [p.name for p in (small_run / "report").iterdir()] == ["notes.txt"]
         assert main(["report", str(small_run), "--quiet"]) == 4
         assert f"{small_run}: no verdicts.csv; run characterize and verdict first" in capsys.readouterr().err
@@ -259,15 +291,35 @@ class TestSimulate:
 
     def test_rebuilds_a_run_manifest_3_directory(self, small_run, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
-        counts = (small_run / "counts.csv").read_bytes()
+        counts = run_counts(small_run)
         write_manifest_3_run(small_run)
         capsys.readouterr()
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert capsys.readouterr().err.count("schema must be 'run-manifest/6', got 'run-manifest/3'") == 2
+        assert capsys.readouterr().err.count("schema must be 'run-manifest/7', got 'run-manifest/3'") == 2
         assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
-        assert (small_run / "counts.csv").read_bytes() == counts
+        assert run_counts(small_run) == counts
         assert main(["characterize", str(small_run), "--quiet"]) == 0
+
+    def test_rebuilds_a_run_manifest_6_directory(self, small_run, capsys):
+        # A /6 run kept its counts in counts.csv, a name simulate now retires.
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
+        counts = run_counts(small_run)
+        write_manifest_6_run(small_run)
+        capsys.readouterr()
+        assert main(["characterize", str(small_run), "--quiet"]) == 4
+        assert main(["report", str(small_run), "--quiet"]) == 4
+        assert capsys.readouterr().err == (
+            f"reprobound: error: {small_run / 'manifest.json'}: "
+            "schema must be 'run-manifest/7', got 'run-manifest/6'\n"
+        ) * 2
+        assert main(["simulate", str(small_run.parent / "cfg.json"), "--out", str(small_run), "--quiet"]) == 0
+        assert run_files(small_run) == ["manifest.json"]
+        assert run_counts(small_run) == counts
+        assert main(["characterize", str(small_run), "--quiet"]) == 0
+        assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
+        assert main(["report", str(small_run), "--quiet"]) == 0
 
 
 class TestCharacterize:
@@ -285,10 +337,12 @@ class TestCharacterize:
         cfg = write_config(tmp_path / "cfg.json", [PERFECT_QUBIT], L=2, S=64)
         run = tmp_path / "run"
         main(["simulate", str(cfg), "--out", str(run), "--quiet"])
-        counts = run / "counts.csv"
-        counts.write_text("".join(counts.read_text().splitlines(keepends=True)[:-1]))
+        edit_counts(run, lambda counts: counts["c"].pop())
         assert main(["characterize", str(run)]) == 4
-        assert f"{counts}: line 3: the file ends; the row of c,0 " in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"reprobound: error: {run}: manifest.json does not describe a valid run: "
+            "manifest: counts: c qubit 0: no row; the list ends after 0\n"
+        )
 
     def test_missing_run_dir_is_incomplete(self, tmp_path):
         assert main(["characterize", str(tmp_path / "ghost")]) == 4
@@ -654,7 +708,7 @@ class TestReport:
                 assert column == sorted(column, key=int), name
 
     def test_bundle_does_not_read_the_characterization(self, small_run):
-        # report estimates each qubit from counts.csv; characterization.csv
+        # report estimates each qubit from the run's counts; characterization.csv
         # is verdict's input only.
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
@@ -710,9 +764,9 @@ class TestReport:
         assert main(["report", str(small_run), "--quiet"]) == 0
         S = json.loads((small_run / "manifest.json").read_text())["plan"]["S"]
         counts = {}
-        for line in (small_run / "counts.csv").read_text().splitlines()[1:]:
-            kind, qubit, *ones = line.split(",")
-            counts.update({(kind, qubit, str(l)): int(k) / S for l, k in enumerate(ones)})
+        for kind, rows in run_counts(small_run).items():
+            for qubit, row in enumerate(rows):  # small_run's plan lists its qubits by index
+                counts.update({(kind, str(qubit), str(l)): int(k) / S for l, k in enumerate(row.split(","))})
         for row in read_rows(small_run / "report" / "fig_scatter.csv"):
             key = (row["qubit"], row["experiment"])
             p1 = counts[("c", *key)]
@@ -728,7 +782,7 @@ class TestReport:
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
         assert main(["report", str(small_run), "--quiet"]) == 0
         paths = sorted(small_run.rglob("*.csv"))
-        assert len(paths) == 5  # counts, characterization, verdicts, fig_scatter and qubits
+        assert len(paths) == 4  # characterization, verdicts, fig_scatter and qubits
         floats = [(path.name, cell) for path in paths for cell in float_cells(path)]
         assert floats
         assert [(name, cell) for name, cell in floats if cell != repr(float(cell))] == []
@@ -750,8 +804,12 @@ class TestReport:
             '{"schema": "run-manifest/4", "status": "complete"}',
             '{"schema": "run-manifest/5", "status": "complete"}',
             '{"schema": "run-manifest/6"}',
+            '{"schema": "run-manifest/7"}',
         ],
-        ids=["not-json", "old-schema", "old-schema-2", "old-schema-3", "old-schema-4", "old-schema-5", "missing-keys"],
+        ids=[
+            "not-json", "old-schema", "old-schema-2", "old-schema-3", "old-schema-4", "old-schema-5", "old-schema-6",
+            "missing-keys",
+        ],
     )
     def test_bad_manifest_is_incomplete(self, small_run, manifest, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -795,49 +853,48 @@ class TestReport:
 
     def test_non_integer_count_is_incomplete(self, small_run, capsys):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
-        counts = small_run / "counts.csv"
-        lines = counts.read_text().splitlines(keepends=True)
-        lines[1] = "spam0,0,0,x,0,0,0,0\n"
-        counts.write_text("".join(lines))
+        edit_counts(small_run, lambda counts: counts["spam0"].__setitem__(0, "0,x,0,0,0,0"))
         assert main(["report", str(small_run), "--quiet"]) == 4
-        assert "counts.csv" in capsys.readouterr().err
+        assert "manifest.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit,where",
         [
-            (lambda lines: lines.pop(3), "line "),
-            (lambda lines: lines.insert(3, lines[2]), "line "),
-            (lambda lines: lines.insert(1, lines.pop(2)), "line "),
-            (lambda lines: lines.append(lines[-1]), "line "),
-            (lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones,shots"), "line "),
-            (lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2,3,4"), "line "),
-            (lambda lines: lines.__setitem__(2, lines[2] + ",0"), "line "),
-            (lambda lines: set_csv_cell(lines, 2, 4, "+3"), "line "),
-            (lambda lines: set_csv_cell(lines, 2, 4, "05"), "line "),
-            (lambda lines: set_csv_cell(lines, 2, 4, "1_0"), "line "),
-            (lambda lines: set_csv_cell(lines, 2, 4, " 3"), "line "),
-            (lambda lines: set_csv_cell(lines, 2, 4, "\u0663"), "line "),
+            (lambda counts: counts["spam1"].pop(0), "spam1 qubit 1: "),
+            (lambda counts: counts["spam1"].insert(0, counts["spam0"][1]), "spam1: "),
+            (lambda counts: counts["c"].append(counts["c"][-1]), "c: "),
+            # Rows for another L than the plan's.
+            (lambda counts: [rows.__setitem__(i, row + ",0") for rows in counts.values() for i, row in enumerate(rows)],
+             "spam0 qubit 0: "),
+            (lambda counts: counts["spam0"].__setitem__(1, counts["spam0"][1] + ",0"), "spam0 qubit 1: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "+3"), "spam0 qubit 1 experiment 2: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "05"), "spam0 qubit 1 experiment 2: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "1_0"), "spam0 qubit 1 experiment 2: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, " 3"), "spam0 qubit 1 experiment 2: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "\u0663"), "spam0 qubit 1 experiment 2: "),
             # Past int's digit limit, int raises where str would have written it.
-            (lambda lines: set_csv_cell(lines, 2, 4, "1" * 5000), "line 3: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "1" * 5000), "spam0 qubit 1: "),
             # A count outside [0, S] is the archive's rule, which names the row by kind and qubit.
-            (lambda lines: set_csv_cell(lines, 2, 4, "-1"), "spam0 qubit 1 experiment 2: "),
-            (lambda lines: set_csv_cell(lines, 2, 4, "513"), "spam0 qubit 1 experiment 2: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "-1"), "spam0 qubit 1 experiment 2: "),
+            (lambda counts: set_row_cell(counts, "spam0", 1, 2, "513"), "spam0 qubit 1 experiment 2: "),
         ],
         ids=[
-            "missing-row", "duplicated-row", "reordered-rows", "extra-row", "old-header", "wrong-L", "wide-row",
+            "missing-row", "duplicated-row", "extra-row", "wrong-L", "wide-row",
             "plus-sign", "leading-zero", "underscore", "leading-space", "unicode-digit", "5000-digits",
             "negative", "above-S",
         ],
     )
     def test_malformed_counts_exit_4_naming_the_line(self, small_run, edit, where, capsys):
+        # Each row is one line of the manifest, named by its kind and qubit.
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
-        counts = edit_lines(small_run / "counts.csv", edit)
+        edit_counts(small_run, edit)
         capsys.readouterr()
         assert main(["characterize", str(small_run), "--quiet"]) == 4
         assert main(["report", str(small_run), "--quiet"]) == 4
         err = capsys.readouterr().err
-        assert err.count(f"{counts}: {where}") == 2
-        # The message names the file; no "missing:" line claims an existing file is absent.
+        assert err.count(f"{small_run}: manifest.json does not describe a valid run: ") == 2
+        assert err.count(where) == 2
+        # No "missing:" line claims an existing file is absent.
         assert "missing:" not in err
 
     @pytest.mark.parametrize(
@@ -896,14 +953,14 @@ def run_files(run):
 
 def test_end_to_end_determinism(tmp_path):
     """The same config twice writes the same files, byte-identical but for
-    the manifest's timestamps."""
+    the manifest's finished_at."""
     run_a = run_pipeline(tmp_path, "a")
     run_b = run_pipeline(tmp_path, "b")
     names = run_files(run_a)
     assert names == run_files(run_b)
     for name in names:
-        if name != "manifest.json":
-            assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+        a, b = (re.sub(rb'"finished_at": "[^"]*"', b"", (run / name).read_bytes()) for run in (run_a, run_b))
+        assert a == b, name
 
 
 def test_threads_do_not_change_outputs(tmp_path):
@@ -912,7 +969,7 @@ def test_threads_do_not_change_outputs(tmp_path):
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", str(cfg), "--out", str(run_a), "--quiet"]) == 0
     assert main(["simulate", str(cfg), "--out", str(run_b), "--quiet", "--threads", "2"]) == 0
-    assert (run_a / "counts.csv").read_bytes() == (run_b / "counts.csv").read_bytes()
+    assert run_counts(run_a) == run_counts(run_b)
 
 
 def test_threads_help_says_ignored(capsys):
@@ -1134,7 +1191,7 @@ def test_a_process_writes_what_main_writes(tmp_path):
     for argv in pipeline(tmp_path / "main"):
         assert main([*map(str, argv), "--quiet"]) == 0
     expected = run_contents(tmp_path / "main")
-    assert len(expected) == 6
+    assert len(expected) == 5
     for start in PROCESS_STARTS:
         for argv in pipeline(tmp_path / start):
             proc = run_cli_process(start, [*argv, "--quiet"], capture_output=True, text=True)
@@ -1369,7 +1426,6 @@ def files_under(root):
 @pytest.mark.parametrize(
     "case",
     [
-        "characterize-counts",
         "characterize-manifest",
         "verdict",
         "verdict-snapshot",
@@ -1385,7 +1441,6 @@ def test_out_naming_an_input_is_rejected(small_run, case, capsys):
     verdicts = small_run.parent / "verdicts.csv"
     shutil.copyfile(char, verdicts)
     argv, target, code = {
-        "characterize-counts": (["characterize", str(small_run)], small_run / "counts.csv", 3),
         "characterize-manifest": (["characterize", str(small_run)], small_run / "manifest.json", 3),
         "verdict": (["verdict", str(char), "--delta", "0.2"], char, 3),
         "verdict-snapshot": (["verdict", str(snapshot), "--delta", "0.2"], snapshot, 3),
@@ -1417,9 +1472,9 @@ def test_out_naming_an_input_is_rejected(small_run, case, capsys):
 @pytest.mark.parametrize(
     "command, out",
     [
-        # --out FILE naming another command's file: the run's counts, its
-        # manifest and verdict's output.
-        ("verdict", "counts.csv"),
+        # --out FILE naming another command's file: the run's manifest, which
+        # holds its counts, and verdict's output.
+        ("verdict", "manifest.json"),
         ("verdict-snapshot", "manifest.json"),
         ("characterize", "verdicts.csv"),
         # Only simulate creates its --out directory; report creates DIR/report, not DIR.
@@ -1464,7 +1519,7 @@ def test_each_output_name_belongs_to_one_command(tmp_path):
     shared = tmp_path / "shared"
     cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}], L=3, S=16)
     commands = {
-        "simulate": (["simulate", str(cfg)], {"manifest.json", "counts.csv"}),
+        "simulate": (["simulate", str(cfg)], {"manifest.json"}),
         "characterize": (["characterize", str(shared)], {"characterization.csv"}),
         "verdict": (["verdict", str(shared / "characterization.csv"), "--delta-from-observed"], {"verdicts.csv"}),
         "report": (["report", str(shared)], {"report/fig_scatter.csv", "report/qubits.csv"}),
@@ -1491,6 +1546,11 @@ def pristine_run(tmp_path_factory):
     assert main(["characterize", str(run), "--quiet"]) == 0
     assert main(["verdict", str(run / "characterization.csv"), "--delta", "0.3", "--quiet"]) == 0
     return run
+
+
+def counts_start(raw: bytes) -> int:
+    """Where the manifest's count rows start: the line after ``"counts": {``."""
+    return raw.index(b'"counts": {\n') + len(b'"counts": {\n')
 
 
 def mutate(raw: bytes, ops) -> bytes:
@@ -1534,8 +1594,10 @@ def test_mutated_counts_never_raise(pristine_run, ops):
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
         shutil.copytree(pristine_run, run)
-        counts = run / "counts.csv"
-        counts.write_bytes(mutate(counts.read_bytes(), ops))
+        manifest = run / "manifest.json"
+        raw = manifest.read_bytes()
+        start = counts_start(raw)
+        manifest.write_bytes(raw[:start] + mutate(raw[start:], ops))
         assert main(["characterize", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
         assert main(["report", str(run), "--quiet"]) in (0, 2, 3, 4, 5)
 
@@ -1562,7 +1624,6 @@ def fail_writing(monkeypatch, name, room):
 
 # Each file a command writes, relative to pristine_run's directory, and that command.
 WRITERS = {
-    "run/counts.csv": ["simulate", "{base}/cfg.json", "--out", "{base}/run"],
     "run/manifest.json": ["simulate", "{base}/cfg.json", "--out", "{base}/run"],
     "run/characterization.csv": ["characterize", "{base}/run"],
     "run/verdicts.csv": ["verdict", "{base}/run/characterization.csv", "--delta", "0.3"],
@@ -1587,8 +1648,8 @@ def test_a_write_that_fails_part_way_leaves_the_previous_file(pristine_run, tmp_
     fail_writing(monkeypatch, path.name, 1)
     assert main([arg.format(base=base) for arg in WRITERS[target]] + ["--quiet"]) == 3
     assert capsys.readouterr().err == f"reprobound: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
-    # simulate removes the previous manifest before it writes the counts, so
-    # a failed save leaves none beside counts it did not describe.
+    # simulate removes the previous manifest before it writes the new one, so
+    # a failed save leaves no run at all, not the previous run's counts.
     expected = None if path.name == "manifest.json" else previous
     assert (path.read_bytes() if path.exists() else None) == expected
     assert [p.name for p in base.rglob("*.tmp")] == []
@@ -1599,7 +1660,7 @@ def test_the_next_write_of_a_name_takes_over_its_stray_tmp(pristine_run, tmp_pat
     # next successful write of NAME writes NAME.tmp afresh and renames it.
     run = tmp_path / "run"
     shutil.copytree(pristine_run.parent, tmp_path, dirs_exist_ok=True)
-    for name in ("counts.csv", "manifest.json", "verdicts.csv"):
+    for name in ("manifest.json", "verdicts.csv"):
         (run / f"{name}.tmp").write_text("left by a killed process\n")
     assert main(["simulate", str(tmp_path / "cfg.json"), "--out", str(run), "--quiet"]) == 0
     assert sorted(p.name for p in run.glob("*.tmp")) == ["verdicts.csv.tmp"]
@@ -1973,7 +2034,8 @@ def test_mutated_artifacts_never_raise(pristine_inputs, artifact, ops):
 
 
 # Each artifact a command reads, relative to pristine_inputs, and the commands that read it.
-READERS = {**ARTIFACT_COMMANDS, "run/counts.csv": [["characterize", "{base}/run"], ["report", "{base}/run"]]}
+# "run/manifest.json:counts" edits the manifest's count rows alone.
+READERS = {**ARTIFACT_COMMANDS, "run/manifest.json:counts": [["characterize", "{base}/run"], ["report", "{base}/run"]]}
 # The bytes an edit writes: the digits, signs and separators of the CSV and
 # JSON formats, letters of the words they hold (nan, inf, true, false, e),
 # whitespace, a quote, a NUL, and bytes that are not UTF-8 on their own.
@@ -2000,7 +2062,10 @@ def test_byte_edits_end_in_a_documented_exit_code(pristine_inputs, artifact, edi
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "inputs"
         shutil.copytree(pristine_inputs, base)
-        path = base / artifact
-        path.write_bytes(edit_bytes(path.read_bytes(), edits))
+        name, _, section = artifact.partition(":")
+        path = base / name
+        raw = path.read_bytes()
+        start = counts_start(raw) if section else 0
+        path.write_bytes(raw[:start] + edit_bytes(raw[start:], edits))
         for argv in READERS[artifact]:
             assert main([arg.format(base=base) for arg in argv] + ["--quiet"]) in (0, 2, 3, 4, 5), argv

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import mt19937_generator
-from test_cli import fail_writing, write_config
+from test_cli import fail_writing, set_row_cell, write_config
 from reprobound import sampler
 from reprobound.cli import main
 from reprobound.errors import IncompleteArchiveError, InvalidParameterError
@@ -292,24 +292,24 @@ def saved_run(tmp_path, L=2, S=16, seed=1):
 
 
 def edit_manifest(run, change):
-    manifest = json.loads((run / "manifest.json").read_text())
-    change(manifest)
-    (run / "manifest.json").write_text(json.dumps(manifest))
+    """Apply ``change`` to the manifest; a change that returns bytes gives
+    the file's new bytes instead."""
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    raw = change(manifest)
+    path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(manifest, indent=2).encode())
 
 
-def edit_counts_lines(run, change):
-    """Apply ``change`` to counts.csv's lines; a change that returns bytes
-    gives the file's new bytes instead."""
-    path = run / "counts.csv"
-    lines = path.read_text().splitlines()
-    raw = change(lines)
-    path.write_bytes(raw if isinstance(raw, bytes) else "".join(line + "\n" for line in lines).encode())
+def set_count(kind, qubit, experiment, value):
+    """The change to the manifest that puts the text ``value`` in place of
+    one count of the row of ``kind`` on the qubit at position ``qubit``."""
+    return lambda manifest: set_row_cell(manifest["counts"], kind, qubit, experiment, value)
 
 
-def set_cell(lines, row, column, value):
-    cells = lines[row].split(",")
-    cells[column] = value
-    lines[row] = ",".join(cells)
+def counts_section(run):
+    """The manifest's text from its ``counts`` key to its end."""
+    text = (run / "manifest.json").read_text()
+    return text[text.index('"counts":') :]
 
 
 # Digits, a non-ASCII digit, signs, an underscore and a space: every way a
@@ -334,32 +334,34 @@ class TestArchiveIO:
         assert loaded.counts == archive.counts
         assert {type(k) for rows in loaded.counts for row in rows for k in row} == {int}
 
-    def test_run_directory_holds_two_files(self, tmp_path):
+    def test_run_directory_holds_one_file(self, tmp_path):
         out = saved_run(tmp_path)
-        assert sorted(p.name for p in out.iterdir()) == ["counts.csv", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_counts_file_format(self, tmp_path):
         plan = ExperimentPlan(L=2, S=13, qubits=(PlanQubit(3, NOISY), PlanQubit(1, PERFECT)), seed=4)
         archive = run_plan(plan)
         out = save_archive(archive, tmp_path / "run")
-        raw = (out / "counts.csv").read_bytes()
-        assert b"\r" not in raw and raw.endswith(b"\n")
-        lines = raw.decode().splitlines()
-        # S is the manifest's; the header numbers the experiments.
-        assert lines[0] == "kind,qubit,0,1"
-        # One row per kind and qubit: kind-major, then qubits in plan order.
-        rows = [line.split(",") for line in lines[1:]]
-        assert [tuple(row[:2]) for row in rows] == [(kind, q) for kind in ("spam0", "spam1", "c") for q in ("3", "1")]
-        assert {len(row) for row in rows} == {2 + 2}
+        raw = (out / "manifest.json").read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"}\n")
+        counts = json.loads(raw)["counts"]
+        # One list per kind, in kind order, of one row per qubit in plan order.
+        assert list(counts) == ["spam0", "spam1", "c"]
+        assert [[row.split(",") for row in rows] for rows in counts.values()] == [
+            [[str(k) for k in ones(archive, kind, q)] for q in (3, 1)] for kind in counts
+        ]
+        # The counts come last, one row per line of the indented file.
+        text = counts_section(out)
+        assert text.startswith('"counts": {\n    "spam0": [\n      "')
+        assert text.count("\n") == 1 + 3 * (2 + 2) + 2
 
     def test_counts_cache_matches_blocks(self, tmp_path):
         archive = run_plan(make_plan([NOISY], L=2, S=50, seed=8))
         out = save_archive(archive, tmp_path / "run")
-        lines = (out / "counts.csv").read_text().splitlines()
-        assert len(lines) == 1 + 3
-        for line in lines[1:]:
-            kind, qubit, *cells = line.split(",")
-            assert tuple(map(int, cells)) == ones(archive, kind, int(qubit))
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert {kind: len(rows) for kind, rows in counts.items()} == {"spam0": 1, "spam1": 1, "c": 1}
+        for kind, (row,) in counts.items():
+            assert tuple(map(int, row.split(","))) == ones(archive, kind, 0)
 
     def test_manifest_contents(self, tmp_path):
         # What drew the counts, as provenance: numpy's version only when
@@ -369,8 +371,8 @@ class TestArchiveIO:
             out = save_archive(archive, tmp_path / f"run-{drift}")
             manifest = json.loads((out / "manifest.json").read_text())
             assert set(manifest) == {"schema", "toolkit_version", "qubits", "plan", "drift", "numpy_version",
-                                     "finished_at"}
-            assert manifest["schema"] == "run-manifest/6"
+                                     "finished_at", "counts"}
+            assert manifest["schema"] == "run-manifest/7"
             assert manifest["plan"] == {"L": 2, "S": 8, "seed": 123}
             assert manifest["qubits"] == [{"index": 0, "f0": NOISY.f0, "f1": NOISY.f1, "theta_rad": NOISY.theta}]
             assert manifest["drift"] == drift
@@ -380,20 +382,21 @@ class TestArchiveIO:
     @pytest.mark.parametrize(
         "drift,sha256",
         [
-            (None, "fc8a958b4b1a5988b13d106fdddd37ab83e3892ff3a07feaea31d66191626de5"),
-            (0.05, "454d8476e0141536d2b46481aed274fac1f84f0afb27ccae11b431fa38ea58b6"),
+            (None, "edaed2aaaed27125ecfb08c625a3c5434d775eb94414febd9a72174639a13802"),
+            (0.05, "e52bd70bda0fa148534a8644d8139a7c178eb63f77d10095ae60737fae12735b"),
         ],
         ids=["stationary", "drifted"],
     )
     def test_counts_bytes_are_pinned(self, tmp_path, drift, sha256):
         # Every other test compares runs with runs, so only this one sees numpy
         # change the MT19937 streams of Generator.binomial or .normal (NEP 19
-        # does not promise to keep them), or the layout of counts.csv drift.
+        # does not promise to keep them), or the layout of the manifest's
+        # counts drift. The text hashed runs from the "counts" key to the end.
         plan = ExperimentPlan(L=5, S=1000, qubits=(PlanQubit(0, NOISY), PlanQubit(1, PERFECT)), seed=2024)
-        raw = (save_archive(run_plan(plan, drift=drift), tmp_path / "run") / "counts.csv").read_bytes()
-        assert hashlib.sha256(raw).hexdigest() == sha256, (
-            f"counts.csv of the pinned plan changed under numpy {np.__version__}: either numpy's "
-            f"MT19937-driven binomial/normal streams changed, or the counts.csv layout did:\n{raw.decode()}"
+        text = counts_section(save_archive(run_plan(plan, drift=drift), tmp_path / "run"))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256, (
+            f"the counts of the pinned plan changed under numpy {np.__version__}: either numpy's "
+            f"MT19937-driven binomial/normal streams changed, or the layout of the manifest's counts did:\n{text}"
         )
 
     def test_drifted_run_reproduces_its_counts(self, tmp_path):
@@ -415,52 +418,38 @@ class TestArchiveIO:
 
     def test_missing_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        edit_counts_lines(out, lambda lines: lines.pop(3))  # spam1,0
+        edit_manifest(out, lambda m: m["counts"]["spam1"].pop(0))
         with pytest.raises(IncompleteArchiveError) as excinfo:
             load_archive(out)
-        assert "line 4: expected the row of spam1,0," in str(excinfo.value)
-        assert str(excinfo.value).startswith(f"{out / 'counts.csv'}: ")
+        assert str(excinfo.value) == (
+            f"{out}: manifest.json does not describe a valid run: "
+            "manifest: counts: spam1 qubit 1: no row; the list ends after 1"
+        )
 
     def test_truncated_block_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        path = out / "counts.csv"
+        path = out / "manifest.json"
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(IncompleteArchiveError):
+        with pytest.raises(IncompleteArchiveError, match="not valid JSON"):
             load_archive(out)
-
-    def test_missing_counts_file_detected(self, tmp_path):
-        out = saved_run(tmp_path)
-        (out / "counts.csv").unlink()
-        with pytest.raises(IncompleteArchiveError) as excinfo:
-            load_archive(out)
-        assert str(excinfo.value).startswith(f"{out / 'counts.csv'}: ")
 
     def test_partial_manifest_detected(self, tmp_path, monkeypatch, capsys):
-        # The manifest commits a run directory: simulate removes the previous
-        # one first and writes its own last. A seed-8 save that fails on
-        # either file, over a complete seed-7 run or over an empty directory,
-        # leaves no manifest, so no command reads the counts it left.
+        # The manifest is the run: simulate removes the previous one first
+        # and writes its own once. A seed-8 save that fails, over a complete
+        # seed-7 run or over an empty directory, leaves no manifest, so no
+        # command reads the seed-7 counts as the run.
         cfg = write_config(tmp_path / "cfg.json", [{"index": 0, "f0": 0.95, "f1": 0.9, "theta_rad": 0.01}],
                            L=3, S=64, seed=7)
         simulate = ["simulate", str(cfg), "--quiet", "--out"]
         assert main([*simulate, str(tmp_path / "seed-7")]) == 0
-        assert main([*simulate, str(tmp_path / "seed-8"), "--seed", "8"]) == 0
-        seed_7, seed_8 = ((tmp_path / run / "counts.csv").read_bytes() for run in ("seed-7", "seed-8"))
-        for failing, previous in [("manifest.json", seed_7), ("counts.csv", seed_7), ("manifest.json", None),
-                                  ("counts.csv", None)]:
-            run = tmp_path / f"{failing}-{previous is not None}"
-            if previous is not None:
+        for previous in (True, False):
+            run = tmp_path / f"previous-{previous}"
+            if previous:
                 shutil.copytree(tmp_path / "seed-7", run)
             with monkeypatch.context() as patch:
-                fail_writing(patch, failing, 1)
+                fail_writing(patch, "manifest.json", 1)
                 assert main([*simulate, str(run), "--seed", "8"]) == 3
-            assert not (run / "manifest.json").exists()
-            counts = run / "counts.csv"
-            # Only a failed manifest write leaves the new counts.
-            assert (counts.read_bytes() if counts.exists() else None) == (
-                seed_8 if failing == "manifest.json" else previous
-            )
-            assert list(run.rglob("*.tmp")) == []
+            assert list(run.iterdir()) == []
             capsys.readouterr()
             assert main(["characterize", str(run), "--quiet"]) == 4
             assert main(["report", str(run), "--quiet"]) == 4
@@ -468,7 +457,7 @@ class TestArchiveIO:
 
     def test_manifest_not_json_detected(self, tmp_path):
         out = saved_run(tmp_path)
-        (out / "manifest.json").write_text('{"schema": "run-manifest/6", ')
+        (out / "manifest.json").write_text('{"schema": "run-manifest/7", ')
         with pytest.raises(IncompleteArchiveError, match="not valid JSON"):
             load_archive(out)
 
@@ -482,8 +471,9 @@ class TestArchiveIO:
             lambda m: m["plan"].update(S="many"),
             lambda m: m.update(qubits=[7]),
             lambda m: m.pop("drift"),
+            lambda m: m.pop("counts"),
         ],
-        ids=["L", "plan", "qubits", "qubit-f0", "S-type", "qubit-type", "drift"],
+        ids=["L", "plan", "qubits", "qubit-f0", "S-type", "qubit-type", "drift", "counts"],
     )
     def test_manifest_missing_keys_detected(self, tmp_path, change):
         out = saved_run(tmp_path)
@@ -494,10 +484,11 @@ class TestArchiveIO:
 
     def test_old_manifest_schema_rejected(self, tmp_path):
         out = saved_run(tmp_path)
-        # /5 wrote the manifest twice, marking it "partial" until the counts
-        # were written, /4 drew its counts from Philox streams, /3 wrote one
-        # counts.csv row per experiment, /2 per-shot block files.
-        for old in ("run-manifest/2", "run-manifest/3", "run-manifest/4", "run-manifest/5"):
+        # /6 kept the counts in counts.csv, /5 wrote the manifest twice,
+        # marking it "partial" until the counts were written, /4 drew its
+        # counts from Philox streams, /3 wrote one counts.csv row per
+        # experiment, /2 per-shot block files.
+        for old in ("run-manifest/2", "run-manifest/3", "run-manifest/4", "run-manifest/5", "run-manifest/6"):
             edit_manifest(out, lambda m: m.update(schema=old))
             with pytest.raises(IncompleteArchiveError, match=old) as excinfo:
                 load_archive(out)
@@ -534,7 +525,9 @@ class TestArchiveIO:
         assert loaded.numpy_version == expected
         again = save_archive(loaded, tmp_path / "again")
         assert json.loads((again / "manifest.json").read_text())["numpy_version"] == expected
-        assert (again / "counts.csv").read_bytes() == (run / "counts.csv").read_bytes()
+        assert json.loads((again / "manifest.json").read_text())["counts"] == json.loads(
+            (run / "manifest.json").read_text()
+        )["counts"]
 
     def test_other_numpy_version_loads(self, tmp_path):
         # The provenance field is recorded, not checked.
@@ -545,54 +538,55 @@ class TestArchiveIO:
     @pytest.mark.parametrize(
         "change,message",
         [
-            # counts.csv of run-manifest/3: one row per experiment.
-            (lambda lines: lines.__setitem__(0, "kind,qubit,experiment,ones,shots"), "line 1: header has 5 cells, expected 4; cell 3 is 'experiment'"),
-            (lambda lines: set_cell(lines, 3, 3, "2.5"), "line 4: experiment 1: count '2.5' is not an integer"),
-            (lambda lines: set_cell(lines, 3, 3, "x"), "line 4: experiment 1: count 'x' is not an integer"),
-            (lambda lines: set_cell(lines, 3, 3, "+3"), r"line 4: experiment 1: count '\+3' is not an integer"),
-            (lambda lines: lines.insert(3, lines[2]), "line 4: .*duplicated"),
-            (lambda lines: lines.append(lines[-1]), "line 8: more rows"),
-            (lambda lines: lines.pop(), "line 6: .*c,1 and all later rows are missing"),
+            (set_count("spam1", 0, 1, "2.5"), "spam1 qubit 0 experiment 1: count '2.5' is not an integer"),
+            (set_count("spam1", 0, 1, "x"), "spam1 qubit 0 experiment 1: count 'x' is not an integer"),
+            (set_count("spam1", 0, 1, "+3"), r"spam1 qubit 0 experiment 1: count '\+3' is not an integer"),
+            (lambda m: m["counts"]["spam1"].insert(0, m["counts"]["spam1"][0]), "spam1: 3 rows, more than the plan's 2 qubits"),
+            (lambda m: m["counts"]["c"].append(m["counts"]["c"][-1]), "c: 3 rows, more than the plan's 2 qubits"),
+            (lambda m: m["counts"]["c"].pop(), "c qubit 1: no row; the list ends after 1"),
             # A count outside [0, S] is the archive's rule; it names the row by kind and qubit.
-            (lambda lines: set_cell(lines, 2, 3, "-1"), r"spam0 qubit 1 experiment 1: count -1 must be an int in \[0, S=16\]"),
-            (lambda lines: set_cell(lines, 2, 2, "17"), r"spam0 qubit 1 experiment 0: count 17 must be an int in \[0, S=16\]"),
-            # A header for another L: S and L are the manifest's.
-            (lambda lines: lines.__setitem__(0, "kind,qubit,0,1,2"), "line 1: header has 5 cells, expected 4; cell 5 is '2'"),
-            (lambda lines: set_cell(lines, 2, 1, "9"), "line 3: expected the row"),
-            (lambda lines: lines.__setitem__(5, lines[5] + ",0"), "line 6: 5 cells, expected 4"),
-            (lambda lines: set_cell(lines, 3, 2, "05"), "line 4: experiment 0: count '05' is not an integer"),
-            (lambda lines: set_cell(lines, 3, 2, "1_0"), "line 4: experiment 0: count '1_0' is not an integer"),
-            (lambda lines: set_cell(lines, 3, 2, "\u0663"), "line 4: experiment 0: count '\u0663' is not an integer"),
-            (lambda lines: set_cell(lines, 3, 2, " 3"), "line 4: experiment 0: count ' 3' is not an integer"),
-            (lambda lines: set_cell(lines, 1, 0, "spam2"), "line 2: expected the row of spam0,0, got"),
-            (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), "line 6: 3 cells, expected 4"),
-            (lambda lines: lines.insert(1, lines.pop(2)), "line 2: expected the row of spam0,0, got"),
-            # The file is read as text, so a quoted cell holding a comma is two cells.
-            (lambda lines: set_cell(lines, 3, 3, '"1,2"'), "line 4: experiment 1: count '\"1' is not an integer"),
-            (lambda lines: set_cell(lines, 3, 3, '"5"'), "line 4: experiment 1: count '\"5\"' is not an integer"),
+            (set_count("spam0", 1, 1, "-1"), r"spam0 qubit 1 experiment 1: count -1 must be an int in \[0, S=16\]"),
+            (set_count("spam0", 1, 0, "17"), r"spam0 qubit 1 experiment 0: count 17 must be an int in \[0, S=16\]"),
+            # Rows for another L: S and L are the plan's.
+            (lambda m: m["plan"].update(L=3), "spam0 qubit 0: 2 counts, expected L=3"),
+            (lambda m: m["counts"]["c"].__setitem__(1, m["counts"]["c"][1] + ",0"), "c qubit 1: 3 counts, expected L=2"),
+            (set_count("spam1", 0, 0, "05"), "spam1 qubit 0 experiment 0: count '05' is not an integer"),
+            (set_count("spam1", 0, 0, "1_0"), "spam1 qubit 0 experiment 0: count '1_0' is not an integer"),
+            (set_count("spam1", 0, 0, "\u0663"), "spam1 qubit 0 experiment 0: count '\u0663' is not an integer"),
+            (set_count("spam1", 0, 0, " 3"), "spam1 qubit 0 experiment 0: count ' 3' is not an integer"),
+            (lambda m: m["counts"].__setitem__("spam2", m["counts"].pop("spam0")), "counts: missing field 'spam0'"),
+            (lambda m: m["counts"]["c"].__setitem__(1, m["counts"]["c"][1].rsplit(",", 1)[0]), "c qubit 1: 1 counts, expected L=2"),
+            # A row is read as text, so a quoted cell holding a comma is two cells.
+            (set_count("spam1", 0, 1, '"1,2"'), "spam1 qubit 0 experiment 1: count '\"1' is not an integer"),
+            (set_count("spam1", 0, 1, '"5"'), "spam1 qubit 0 experiment 1: count '\"5\"' is not an integer"),
             (
-                lambda lines: "".join(line + "\r\n" for line in lines).encode(),
-                r"line 1: header has 4 cells, expected 4; cell 4 is '1\\r', expected '1'",
+                lambda m: json.dumps(m, indent=2).encode().replace(b'"c": [\n      "', b'"c": [\n      "\xff'),
+                "not valid JSON: 'utf-8' codec can't decode",
             ),
-            (lambda lines: "\n".join(lines).encode(), "line 7: the line does not end with a newline"),
-            (
-                lambda lines: "".join(line + "\n" for line in lines).encode().replace(b"\nc,1,", b"\nc,1,\xff"),
-                "line 7: 'utf-8' codec can't decode",
-            ),
+            # The layout that row strings were chosen over, and no row at all.
+            (lambda m: m["counts"]["c"].__setitem__(0, [1, 2]), "c qubit 0: row has wrong type list"),
+            (lambda m: m["counts"]["c"].__setitem__(0, None), "c qubit 0: row has wrong type NoneType"),
+            (lambda m: m["counts"].__setitem__("spam1", "0,0"), "counts: field 'spam1' has wrong type str"),
+            (lambda m: m.__setitem__("counts", []), "field 'counts' has wrong type list"),
+            (set_count("spam1", 0, 1, ""), "spam1 qubit 0 experiment 1: count '' is not an integer"),
         ],
         ids=[
-            "header", "float", "text", "plus-sign", "duplicate", "extra", "truncated",
-            "negative", "above-S", "shots", "unknown-qubit", "extra-cell",
-            "leading-zero", "underscore", "unicode-digit", "leading-space", "wrong-kind", "short-row", "reordered",
-            "quoted-comma", "quoted-count", "crlf", "no-final-newline", "undecodable",
+            "float", "text", "plus-sign", "duplicate", "extra", "truncated",
+            "negative", "above-S", "shots", "extra-cell",
+            "leading-zero", "underscore", "unicode-digit", "leading-space", "wrong-kind", "short-row",
+            "quoted-comma", "quoted-count", "undecodable",
+            "array-row", "null-row", "text-kind", "counts-list", "empty-count",
         ],
     )
     def test_malformed_counts_rejected(self, tmp_path, change, message):
         out = saved_run(tmp_path)
-        edit_counts_lines(out, change)
+        edit_manifest(out, change)
         with pytest.raises(IncompleteArchiveError, match=message) as excinfo:
             load_archive(out)
-        assert str(excinfo.value).startswith(f"{out / 'counts.csv'}: ")
+        # The bytes of the file are JSON's to check; the rest is the run's.
+        assert str(excinfo.value).startswith(
+            (f"{out}: manifest.json does not describe a valid run: ", f"{out / 'manifest.json'}: not valid JSON: ")
+        )
 
     @given(cell=st.text(alphabet=COUNT_ALPHABET, max_size=6))
     @example(cell="-0")
@@ -603,51 +597,29 @@ class TestArchiveIO:
 
     @given(
         cells=st.lists(st.text(alphabet=COUNT_ALPHABET, max_size=6), min_size=1, max_size=4),
-        end=st.sampled_from(["\n", "\r\n", "", "\n\n"]),
+        end=st.sampled_from(["", "\n", "\r\n", ","]),
     )
-    @example(cells=["12", "0", "-3"], end="\n")
-    @example(cells=["12", "", "3"], end="\n")
-    @example(cells=["1", "-0"], end="\n")
-    @example(cells=["1", "2"], end="\r\n")
-    @example(cells=["1", "2"], end="")
+    @example(cells=["12", "0", "-3"], end="")
+    @example(cells=["12", "", "3"], end="")
+    @example(cells=["1", "-0"], end="")
+    @example(cells=["1", "2"], end="\n")
     def test_row_text_matches_exactly_when_every_count_does(self, cells, end):
-        # What follows a row's kind and qubit, up to and with its line's end.
+        # A row's text, with whatever follows its last count.
         matched = re.fullmatch(sampler._COUNTS_TEXT, ",".join(cells) + end) is not None
-        assert matched == (end == "\n" and all(map(round_trips, cells)))
+        assert matched == (end == "" and all(map(round_trips, cells)))
 
     @pytest.mark.parametrize("where", [0, 300, 599], ids=["first", "middle", "last"])
     def test_bad_count_is_found_anywhere_in_a_long_row(self, tmp_path, where):
         out = saved_run(tmp_path, L=600)
-        edit_counts_lines(out, lambda lines: set_cell(lines, 4, 2 + where, "07"))
-        with pytest.raises(IncompleteArchiveError, match=f"line 5: experiment {where}: count '07' is not"):
+        edit_manifest(out, set_count("spam1", 1, where, "07"))
+        with pytest.raises(IncompleteArchiveError, match=f"spam1 qubit 1 experiment {where}: count '07' is not"):
             load_archive(out)
 
     def test_long_row_is_read_in_bounded_memory(self, tmp_path):
-        # 100,000 cells of one row take about 5 MB as str, and reading the
-        # file peaks near 10 MB; the row's one match adds almost nothing.
-        plan = ExperimentPlan(L=100_000, S=16, qubits=(PlanQubit(0, NOISY),), seed=1)
-        path = save_archive(run_plan(plan), tmp_path / "run") / "counts.csv"
-        tracemalloc.start()
-        try:
-            sampler._read_counts(path, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 38e6
-
-    def test_wide_header_mismatch_names_one_cell(self, tmp_path):
-        out = saved_run(tmp_path, L=3000)
-        edit_counts_lines(out, lambda lines: lines.__setitem__(0, lines[0] + ",3000"))
-        with pytest.raises(IncompleteArchiveError) as excinfo:
-            load_archive(out)
-        message = f"{out / 'counts.csv'}: line 1: header has 3003 cells, expected 3002; cell 3003 is '3000', expected None"
-        assert str(excinfo.value) == message
-
-    def test_long_header_is_walked_not_held(self, tmp_path):
-        # One qubit at L=100,000 and S=64: the counts take about 2.4 MB.
-        # Loading peaked at 30 MB while the header's names were held as a
-        # dict, a list and the header line itself, and peaks near 14 MB once
-        # they are walked and dropped.
+        # One qubit at L=100,000 and S=64: the counts take about 2.4 MB, and
+        # splitting one row's text takes about 6 MB while that row is parsed.
+        # Loading peaked at 30 MB when counts.csv's header names were held
+        # as a dict, a list and the header line itself.
         plan = ExperimentPlan(L=100_000, S=64, qubits=(PlanQubit(0, NOISY),), seed=1)
         out = save_archive(run_plan(plan), tmp_path / "run")
         tracemalloc.start()
@@ -658,10 +630,28 @@ class TestArchiveIO:
             tracemalloc.stop()
         assert peak < 20e6
 
+    def test_each_row_text_is_dropped_once_parsed(self, tmp_path):
+        # 90,000 counts in [257, 8192], each an int object: the archive
+        # keeps about 3.6 MB. Holding every row's text, about 450 KB, until
+        # the last row is parsed raises the peak above what is kept by as
+        # much; dropping each row's text as it is parsed keeps the excess
+        # to about one row's split cells.
+        plan = make_plan([QubitNoiseParams(0.5, 0.5, 0.0)] * 100, L=300, S=8192)
+        out = save_archive(run_plan(plan), tmp_path / "run")
+        text = counts_section(out)
+        tracemalloc.start()
+        try:
+            archive = load_archive(out)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert archive.plan == plan
+        assert peak - kept < len(text) / 4
+
     def test_one_match_over_a_long_row_keeps_no_state_per_count(self):
         # An outer repeat that is not possessive keeps about 20 MB of
         # backtracking state over this row.
-        row = ",".join(str(l % 8193) for l in range(100_000)) + "\n"
+        row = ",".join(str(l % 8193) for l in range(100_000))
         counts_text = re.compile(sampler._COUNTS_TEXT).fullmatch
         tracemalloc.start()
         try:
@@ -674,7 +664,8 @@ class TestArchiveIO:
 
     def test_counts_not_utf8_rejected(self, tmp_path):
         out = saved_run(tmp_path)
-        (out / "counts.csv").write_bytes(b"kind,qubit,0,1\n\xff\xfe\n")
+        path = out / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b'"spam0": [\n      "', b'"spam0": [\n      "\xff\xfe'))
         with pytest.raises(IncompleteArchiveError):
             load_archive(out)
 
