@@ -324,7 +324,8 @@ def cmd_report(args) -> None:
         table,
         ["qubit", "gamma_max", "gamma_D", "theta_abs_deg", "d_mean", "d_sigma", "eps_mean", "eps_sigma"],
         [
-            [e.qubit, v.gamma_max, v.gamma_D, abs(e.theta_hat_deg), e.d_mean, e.d_sigma, e.eps_mean, e.eps_sigma]
+            [e.qubit, v.gamma_max, v.gamma_D, abs(math.degrees(e.theta_hat))]
+            + [e.d_mean, e.d_sigma, e.eps_mean, e.eps_sigma]
             for e, (_, v) in zip(estimates, verdicts)
         ],
     )

@@ -110,11 +110,11 @@ class CharacterizationEstimate(Record):
     """Aggregated noise estimates for one register element.
 
     The fields are the estimate's independent values. ``eps_mean``,
-    ``f_mean``, ``theta_hat``, ``theta_hat_deg`` and ``warnings`` are
-    derived from them: :func:`invert_theta` gives ``theta_hat``, NaN when
-    the inversion failed for this qubit and else within [-pi/4, pi/4], and
-    ``warnings`` holds its note if it made one: why the inversion failed, or
-    that it was clamped.
+    ``f_mean``, ``theta_hat`` and ``warnings`` are derived from them:
+    :func:`invert_theta` gives ``theta_hat``, NaN when the inversion failed
+    for this qubit and else within [-pi/4, pi/4], and ``warnings`` holds its
+    note if it made one: why the inversion failed, or that it was clamped.
+    The angle is in radians; only the report bundle prints degrees.
     """
 
     qubit: int
@@ -149,10 +149,6 @@ class CharacterizationEstimate(Record):
         return invert_theta(self.gamma_hat, self.eps_mean, self.f_mean)[0]
 
     @property
-    def theta_hat_deg(self) -> float:
-        return math.degrees(self.theta_hat)
-
-    @property
     def warnings(self) -> tuple[str, ...]:
         _, note = invert_theta(self.gamma_hat, self.eps_mean, self.f_mean)
         return (note,) if note else ()
@@ -170,7 +166,6 @@ CSV_COLUMNS = {
     "f_mean": None,
     "gamma_hat": finite,
     "theta_hat_rad": None,
-    "theta_hat_deg": None,
     "d_mean": finite,
     "d_sigma": finite,
     "L": int,
@@ -254,7 +249,6 @@ def _row(e: CharacterizationEstimate) -> list:
         e.f_mean,
         e.gamma_hat,
         e.theta_hat,
-        e.theta_hat_deg,
         e.d_mean,
         e.d_sigma,
         e.L,

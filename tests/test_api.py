@@ -89,6 +89,25 @@ def test_readme_run_directory_layout_names_the_manifest_schema():
     assert f"({MANIFEST_SCHEMA})" in layout
 
 
+def test_readme_run_directory_layout_lists_the_table_columns():
+    # A column added, dropped or moved that README's layout does not follow fails here.
+    from reprobound.bounds import VERDICT_COLUMNS
+    from reprobound.estimator import CSV_COLUMNS
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"^## Run directory layout\n(.*?)^## ", readme, re.M | re.S).group(1)
+    text = " ".join(layout.split())
+
+    def listed(table):
+        return re.search(rf"`{re.escape(table)}` columns: `([^`]*)`", text).group(1).split(", ")
+
+    assert listed("characterization.csv") == list(CSV_COLUMNS)
+    assert listed("verdicts.csv") == list(VERDICT_COLUMNS)
+    derived = re.search(r"Of these, (.*?) are derived from the row's other columns", text).group(1)
+    columns = [*CSV_COLUMNS.items(), *VERDICT_COLUMNS.items()]
+    assert re.findall(r"`(\w+)`", derived) == [name for name, parse in columns if parse is None]
+
+
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     # The python block under README's "## Library use", run as a user runs
     # it; it writes run/, so it runs in tmp_path.

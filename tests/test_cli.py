@@ -17,12 +17,14 @@ import tomllib
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reprobound
+from oracles import Distribution, hellinger, kraus_readout, pre_readout_probs, uniform_ideal
 from reprobound import artifacts, bounds, cli, estimator, sampler
 from reprobound.bounds import delta_star
 from reprobound.cli import main, parse_args
@@ -34,7 +36,7 @@ from reprobound.errors import (
     OutOfRegimeError,
     ReproBoundError,
 )
-from reprobound.noise_model import hellinger_1q
+from reprobound.noise_model import QubitNoiseParams, gamma_of, hellinger_1q
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +103,11 @@ def set_csv_cell(lines, row, column, value):
     cells = lines[row].split(",")
     cells[column] = value
     lines[row] = ",".join(cells)
+
+
+# The position of each column of characterization.csv and of verdicts.csv, by name.
+CHAR_COLUMN = {name: i for i, name in enumerate(estimator.CSV_COLUMNS)}
+VERDICT_COLUMN = {name: i for i, name in enumerate(bounds.VERDICT_COLUMNS)}
 
 
 def float_cells(path):
@@ -550,6 +557,34 @@ class TestImportCalibration:
         ]
         assert float(rows[0]["gamma_max"]) == pytest.approx(0.0565, abs=1e-4)
 
+    def test_x_gate_error_in_the_calibrated_f1_can_pass_a_device_that_fails(self, tmp_path):
+        # A readout calibration prepares |1> with an X gate. This device has
+        # f0 0.95, f1 0.99 and theta 0.002 rad, and its X gate leaves e_x =
+        # 0.01 in |0>, so the calibration reports f1' = f1 (1 - e_x) + (1 - f0) e_x.
+        # The test circuit runs no X gate: its output follows f1, not f1'.
+        device = QubitNoiseParams(f0=0.95, f1=0.99, theta=0.002)
+        e_x = 0.01
+        f1_calibrated = device.f1 * (1 - e_x) + (1 - device.f0) * e_x
+        # The device's own output: the noisy Hadamard's populations, then its readout.
+        probs = kraus_readout(device, np.diag(pre_readout_probs(device.theta)))
+        true_distance = hellinger(Distribution(1, probs), uniform_ideal(1))
+        eps, f = device.f0 - f1_calibrated, (device.f0 + f1_calibrated) / 2
+        snapshot_gamma_D = abs(eps) + 2 * math.sin(2 * device.theta) * abs(f - 0.5)
+        low, high = bounds.exact_hellinger_1q(snapshot_gamma_D), bounds.exact_hellinger_1q(abs(gamma_of(device)))
+        assert (round(low, 4), round(high, 4)) == (0.0121, 0.0155)
+        assert true_distance == pytest.approx(high, abs=1e-12)
+        delta = (low + high) / 2
+        calibrated = {"index": 0, "f0": device.f0, "f1": f1_calibrated, "theta_rad": device.theta}
+        measurement_only = {**calibrated, "index": 1, "f1": device.f1}
+        snap = write_snapshot(tmp_path / "snap.json", [calibrated, measurement_only])
+        assert main(["verdict", str(snap), "--delta", repr(delta), "--quiet"]) == 0
+        rows = read_rows(tmp_path / "verdicts.csv")
+        assert float(rows[0]["gamma_D"]) == pytest.approx(snapshot_gamma_D, rel=1e-12)
+        # The snapshot's verdict says reproducible, but the device's distance exceeds delta.
+        assert rows[0]["reproducible"] == "true" and true_distance > delta
+        # The fidelity of the measurement alone gives the device's verdict.
+        assert rows[1]["reproducible"] == "false"
+
     def test_units_that_give_the_sign_keep_it(self, tmp_path):
         # A snapshot of theta_rad, rad, deg and a missing angle with --theta
         # gives the verdicts of the same angles in radians.
@@ -723,8 +758,7 @@ class TestReport:
         # qubit's d_mean is the mean of its own per-experiment distances.
         char = small_run / "characterization.csv"
         assert main(["verdict", str(char), "--delta-from-observed", "--quiet"]) == 0
-        # Column 9 is d_mean.
-        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 9, "0.25"))
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, CHAR_COLUMN["d_mean"], "0.25"))
         assert main(["report", str(small_run), "--quiet"]) == 0
         distances = {}
         for row in read_rows(small_run / "report" / "fig_scatter.csv"):
@@ -747,7 +781,7 @@ class TestReport:
             assert [row[name] for name in header[1:3]] == [verdict[name] for name in header[1:3]]
             assert [row[name] for name in header[4:]] == [estimate[name] for name in header[4:]]
             # repr(abs(nan)) is "nan", after a failed inversion.
-            assert row["theta_abs_deg"] == repr(abs(float(estimate["theta_hat_deg"])))
+            assert row["theta_abs_deg"] == repr(abs(math.degrees(float(estimate["theta_hat_rad"]))))
 
     def test_estimates_each_qubit_once(self, small_run, monkeypatch):
         assert main(["verdict", str(small_run / "characterization.csv"), "--delta-from-observed", "--quiet"]) == 0
@@ -1693,6 +1727,19 @@ SNAPSHOT_QUBITS = {
     "snapshot-angle-out-of-range": ({"theta_rad": 1.2}, "|theta|=1.2 outside validity region"),
     "snapshot-gate-error-60-deg": ({"gate_error": {"value": 60, "unit": "deg"}}, "|theta|=1.047"),
     "snapshot-infidelity-0.6": ({"gate_error": {"value": 0.6, "unit": "infidelity"}}, "|theta|=1.249"),
+    # An infidelity outside [0, 2/3] gives no angle; 0.5 gives |theta| = pi/3.
+    "snapshot-infidelity-0.7": (
+        {"gate_error": {"value": 0.7, "unit": "infidelity"}},
+        "gate_error: infidelity must be in [0, 2/3], got 0.7",
+    ),
+    "snapshot-infidelity-negative": (
+        {"gate_error": {"value": -0.1, "unit": "infidelity"}},
+        "gate_error: infidelity must be in [0, 2/3], got -0.1",
+    ),
+    "snapshot-infidelity-0.5": (
+        {"gate_error": {"value": 0.5, "unit": "infidelity"}},
+        f"|theta|={math.pi / 3!r} outside validity region |theta| < pi/4",
+    ),
     "snapshot-negative-index": ({"index": -3, "theta_rad": 0.01}, "qubit index must be non-negative"),
     "snapshot-both-angles": (
         {"theta_rad": 0.01, "gate_error": {"value": 30, "unit": "deg"}},
@@ -1702,28 +1749,28 @@ SNAPSHOT_QUBITS = {
 
 # One edited cell of row 1 (qubit 0, L 6, S 512, n 1) of characterization.csv,
 # which verdict reads, or of verdicts.csv, which report reads: the file, the
-# column, the text and what the error names after the line. int() reads
+# column's name, the text and what the error names after the line. int() reads
 # each text of the first ten, which str writes otherwise, and each edit of
 # the last seven gives a value that no plan (L, S), population mean (a
 # sigma) or qubit index can have.
 EDITED_CELLS = {
-    "characterization-qubit-007": ("characterization.csv", 0, "007", "qubit='007' is not '7', the text the writer"),
-    "characterization-qubit-minus-0": ("characterization.csv", 0, "-0", "qubit='-0' is not '0'"),
-    "characterization-L-underscore": ("characterization.csv", 11, "1_0", "L='1_0' is not '10'"),
-    "characterization-S-leading-space": ("characterization.csv", 12, " 1", "S=' 1' is not '1'"),
-    "characterization-qubit-unicode-digit": ("characterization.csv", 0, "\u0663", "qubit='\u0663' is not '3'"),
-    "verdicts-qubit-007": ("verdicts.csv", 0, "007", "qubit='007' is not '7', the text the writer"),
-    "verdicts-qubit-minus-0": ("verdicts.csv", 0, "-0", "qubit='-0' is not '0'"),
-    "verdicts-n-underscore": ("verdicts.csv", 1, "1_0", "n='1_0' is not '10'"),
-    "verdicts-n-leading-space": ("verdicts.csv", 1, " 1", "n=' 1' is not '1'"),
-    "verdicts-qubit-unicode-digit": ("verdicts.csv", 0, "\u0663", "qubit='\u0663' is not '3'"),
-    "characterization-L-minus-1": ("characterization.csv", 11, "-1", "L must be >= 2"),
-    "characterization-S-0": ("characterization.csv", 12, "0", "S must be in [1, 2**63), got 0"),
-    "characterization-S-2**63": ("characterization.csv", 12, str(2**63), f"S must be in [1, 2**63), got {2**63}"),
-    "characterization-eps-sigma-1.5": ("characterization.csv", 4, "1.5", "eps_sigma must be in [0, 1], got 1.5"),
-    "characterization-d-sigma-1.5": ("characterization.csv", 10, "1.5", "d_sigma must be in [0, 1], got 1.5"),
-    "characterization-qubit-minus-3": ("characterization.csv", 0, "-3", "qubit index must be non-negative, got -3"),
-    "verdicts-qubit-minus-3": ("verdicts.csv", 0, "-3", "qubit index must be non-negative, got -3"),
+    "characterization-qubit-007": ("characterization.csv", "qubit", "007", "qubit='007' is not '7', the text the writer"),
+    "characterization-qubit-minus-0": ("characterization.csv", "qubit", "-0", "qubit='-0' is not '0'"),
+    "characterization-L-underscore": ("characterization.csv", "L", "1_0", "L='1_0' is not '10'"),
+    "characterization-S-leading-space": ("characterization.csv", "S", " 1", "S=' 1' is not '1'"),
+    "characterization-qubit-unicode-digit": ("characterization.csv", "qubit", "\u0663", "qubit='\u0663' is not '3'"),
+    "verdicts-qubit-007": ("verdicts.csv", "qubit", "007", "qubit='007' is not '7', the text the writer"),
+    "verdicts-qubit-minus-0": ("verdicts.csv", "qubit", "-0", "qubit='-0' is not '0'"),
+    "verdicts-n-underscore": ("verdicts.csv", "n", "1_0", "n='1_0' is not '10'"),
+    "verdicts-n-leading-space": ("verdicts.csv", "n", " 1", "n=' 1' is not '1'"),
+    "verdicts-qubit-unicode-digit": ("verdicts.csv", "qubit", "\u0663", "qubit='\u0663' is not '3'"),
+    "characterization-L-minus-1": ("characterization.csv", "L", "-1", "L must be >= 2"),
+    "characterization-S-0": ("characterization.csv", "S", "0", "S must be in [1, 2**63), got 0"),
+    "characterization-S-2**63": ("characterization.csv", "S", str(2**63), f"S must be in [1, 2**63), got {2**63}"),
+    "characterization-eps-sigma-1.5": ("characterization.csv", "eps_sigma", "1.5", "eps_sigma must be in [0, 1], got 1.5"),
+    "characterization-d-sigma-1.5": ("characterization.csv", "d_sigma", "1.5", "d_sigma must be in [0, 1], got 1.5"),
+    "characterization-qubit-minus-3": ("characterization.csv", "qubit", "-3", "qubit index must be non-negative, got -3"),
+    "verdicts-qubit-minus-3": ("verdicts.csv", "qubit", "-3", "qubit index must be non-negative, got -3"),
 }
 
 
@@ -1732,68 +1779,65 @@ def break_input(tmp_path, run, case):
     the error must name, expected exit code)."""
     char, verdicts = run / "characterization.csv", run / "verdicts.csv"
     if case == "characterization-text-cell":
-        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 1, "abc"))
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, CHAR_COLUMN["f0_mean"], "abc"))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case == "characterization-edited-eps":
-        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 3, "0.5"))
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, CHAR_COLUMN["eps_mean"], "0.5"))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case in ("characterization-eps-off-by-5e-13", "characterization-f-mean-off-by-5e-13"):
-        # Columns 3 and 5 are eps_mean and f_mean.
-        column = 3 if "eps" in case else 5
+        column = CHAR_COLUMN["eps_mean" if "eps" in case else "f_mean"]
         edit_lines(char, lambda lines: set_csv_cell(lines, 1, column, repr(float(lines[1].split(",")[column]) + 5e-13)))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case == "characterization-fidelity-out-of-range":
-        # f0_mean, f1_mean, eps_mean and f_mean (columns 1, 2, 3 and 5), consistent with each other.
-        cells = {1: "1.5", 2: "0.25", 3: "1.25", 5: "0.875"}
-        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, cell) for column, cell in cells.items()])
+        # f0_mean, f1_mean, eps_mean and f_mean, consistent with each other.
+        cells = {"f0_mean": "1.5", "f1_mean": "0.25", "eps_mean": "1.25", "f_mean": "0.875"}
+        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, CHAR_COLUMN[c], cell) for c, cell in cells.items()])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: f0_mean must be in [0, 1]", 2
-    if case == "characterization-edited-degrees":
-        # Column 8 is theta_hat_deg.
-        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 8, "45.0"))
-        return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case == "characterization-infinite-angle":
-        # Columns 7 and 8 are theta_hat_rad and theta_hat_deg, consistent with each other.
-        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "inf") for column in (7, 8)])
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, CHAR_COLUMN["theta_hat_rad"], "inf"))
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2: theta_hat_rad='inf' is not ", 2
     # verdict checks --theta before it reads the source, so the error names the option, not the file.
     if case == "characterization-nan-angle-bad-override":
-        # Columns 7 and 8 are theta_hat_rad and theta_hat_deg: a failed inversion.
-        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in (7, 8)])
+        # A failed inversion's angle.
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, CHAR_COLUMN["theta_hat_rad"], "nan"))
         return ["verdict", str(char), "--delta", "0.3", "--theta", "2.5"], "reprobound: error: --theta: |theta|=2.5", 2
     if case == "characterization-header-only":
         char.write_text(char.read_text().splitlines(keepends=True)[0])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: holds no qubit rows", 2
     if case == "characterization-nan-fidelities":
-        # Columns 1, 3 and 5 are f0_mean, eps_mean and f_mean.
-        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in (1, 3, 5)])
+        columns = [CHAR_COLUMN[c] for c in ("f0_mean", "eps_mean", "f_mean")]
+        edit_lines(char, lambda lines: [set_csv_cell(lines, 1, column, "nan") for column in columns])
         return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 2", 2
     if case == "verdicts-nan-gamma":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
-        # Columns 3 and 6 are gamma_D and reproducible.
-        edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, 3, "nan"), set_csv_cell(lines, 1, 6, "false")])
+        cells = {"gamma_D": "nan", "reproducible": "false"}
+        edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, VERDICT_COLUMN[c], cell) for c, cell in cells.items()])
         return ["report", str(run)], f"{verdicts}: line 2", 2
     if case == "verdicts-edited-gamma-max":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
-        # Columns 4 and 5 are gamma_max and margin; the flag stays consistent.
-        edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, 4, "0.9"), set_csv_cell(lines, 1, 5, "0.123")])
+        # The flag stays consistent.
+        cells = {"gamma_max": "0.9", "margin": "0.123"}
+        edit_lines(verdicts, lambda lines: [set_csv_cell(lines, 1, VERDICT_COLUMN[c], cell) for c, cell in cells.items()])
         return ["report", str(run)], f"{verdicts}: line 2", 2
     if case in ("verdicts-edited-margin", "verdicts-flipped-flag"):
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
-        # Column 5 is margin, column 6 the flag; each is edited alone.
+        # The margin and the flag are each edited alone.
         if case == "verdicts-edited-margin":
-            edit_lines(verdicts, lambda lines: set_csv_cell(lines, 1, 5, "0.123"))
+            edit_lines(verdicts, lambda lines: set_csv_cell(lines, 1, VERDICT_COLUMN["margin"], "0.123"))
         else:
+            flag = VERDICT_COLUMN["reproducible"]
             flip = {"true": "false", "false": "true"}
-            edit_lines(verdicts, lambda lines: set_csv_cell(lines, 1, 6, flip[lines[1].split(",")[6]]))
+            edit_lines(verdicts, lambda lines: set_csv_cell(lines, 1, flag, flip[lines[1].split(",")[flag]]))
         return ["report", str(run)], f"{verdicts}: line 2", 2
     if case == "verdicts-text-cell":
         assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
-        edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, 3, "abc"))
+        edit_lines(verdicts, lambda lines: set_csv_cell(lines, 2, VERDICT_COLUMN["gamma_D"], "abc"))
         return ["report", str(run)], f"{verdicts}: line 3", 2
     if case in ("characterization-quoted-cell", "characterization-quoted-cell-crlf"):
         # The writer's cells in other bytes: qubit 0's f0_mean quoted, and
         # then every line ending in CRLF; the header is the first line that fails.
-        edit_lines(char, lambda lines: set_csv_cell(lines, 1, 1, f'"{lines[1].split(",")[1]}"'))
+        f0 = CHAR_COLUMN["f0_mean"]
+        edit_lines(char, lambda lines: set_csv_cell(lines, 1, f0, f'"{lines[1].split(",")[f0]}"'))
         if case.endswith("crlf"):
             char.write_bytes(char.read_bytes().replace(b"\n", b"\r\n"))
             return ["verdict", str(char), "--delta", "0.3"], f"{char}: line 1: header 'qubit,", 2
@@ -1805,11 +1849,7 @@ def break_input(tmp_path, run, case):
         return ["report", str(run)], f"{verdicts}: line 1: header '{header}\\r\\n' is not '{header}\\n'", 2
     if case in EDITED_CELLS:
         name, column, text, named = EDITED_CELLS[case]
-        if name == "verdicts.csv":
-            assert main(["verdict", str(char), "--delta", "0.3", "--quiet"]) == 0
-        edit_lines(run / name, lambda lines: set_csv_cell(lines, 1, column, text))
-        argv = ["report", str(run)] if name == "verdicts.csv" else ["verdict", str(char), "--delta", "0.3"]
-        return argv, f"{run / name}: line 2: {named}", 2
+        return edit_table(run, name, column, lambda cell: text), f"{run / name}: line 2: {named}", 2
     path = tmp_path / "input.json"
     if case == "config-not-utf8":
         path.write_bytes(b'{"schema": "device-config/1", "name": "\xff"}')
@@ -1845,7 +1885,6 @@ def break_input(tmp_path, run, case):
         "characterization-eps-off-by-5e-13",
         "characterization-f-mean-off-by-5e-13",
         "characterization-fidelity-out-of-range",
-        "characterization-edited-degrees",
         "characterization-nan-fidelities",
         "characterization-infinite-angle",
         "characterization-nan-angle-bad-override",
@@ -1889,15 +1928,14 @@ def test_edited_angle_or_note_exits_2_and_writes_nothing(small_run, case, capsys
         estimator.write_characterization_csv(estimates, char)
     with open(char, newline="") as fh:
         header, *rows = csv.reader(fh)
-    # Columns 7, 8 and 13 are theta_hat_rad, theta_hat_deg and warnings.
     edits = {
-        "angle-and-note": ({7: "0.3", 8: repr(math.degrees(0.3)), 13: "edited note"}, "theta_hat_rad='0.3' is not "),
-        "made-up-note": ({13: "edited note"}, "warnings='edited note' is not '', the text the writer prints"),
-        "cleared-note": ({13: ""}, "warnings='' is not 'arcsin argument "),
+        "angle-and-note": ({"theta_hat_rad": "0.3", "warnings": "edited note"}, "theta_hat_rad='0.3' is not "),
+        "made-up-note": ({"warnings": "edited note"}, "warnings='edited note' is not '', the text the writer prints"),
+        "cleared-note": ({"warnings": ""}, "warnings='' is not 'arcsin argument "),
     }
     cells, named = edits[case]
     for column, cell in cells.items():
-        rows[0][column] = cell
+        rows[0][CHAR_COLUMN[column]] = cell
     with open(char, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     assert main(["verdict", str(char), "--delta", "0.05"]) == 2
@@ -1932,7 +1970,6 @@ COLUMN_EDITS = {
     ("characterization.csv", "f_mean"): ("0.5", None),
     ("characterization.csv", "gamma_hat"): ("1.5", "gamma_hat must be in [-1, 1], got 1.5"),
     ("characterization.csv", "theta_hat_rad"): ("0.3", None),
-    ("characterization.csv", "theta_hat_deg"): ("45.0", None),
     ("characterization.csv", "d_mean"): ("1.5", "d_mean must be in [0, 1], got 1.5"),
     ("characterization.csv", "d_sigma"): ("1.5", "d_sigma must be in [0, 1], got 1.5"),
     ("characterization.csv", "L"): ("1", "L must be >= 2"),
@@ -1963,7 +2000,7 @@ def test_each_edited_column_exits_2_naming_it(small_run, table, column, capsys):
 
 FLOAT_COLUMNS = [
     *(("characterization.csv", c) for c in ("f0_mean", "f1_mean", "eps_mean", "eps_sigma", "f_mean", "gamma_hat")),
-    *(("characterization.csv", c) for c in ("theta_hat_rad", "theta_hat_deg", "d_mean", "d_sigma")),
+    *(("characterization.csv", c) for c in ("theta_hat_rad", "d_mean", "d_sigma")),
     *(("verdicts.csv", c) for c in ("delta", "gamma_D", "gamma_max", "margin")),
 ]
 

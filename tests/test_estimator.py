@@ -16,6 +16,7 @@ from oracles import Distribution, hellinger, uniform_ideal
 from reprobound.artifacts import write_csv
 from reprobound.errors import ConfigError, InsufficientDataError, InvalidParameterError
 from reprobound.estimator import (
+    CSV_COLUMNS,
     CharacterizationEstimate,
     characterize,
     invert_theta,
@@ -26,6 +27,9 @@ from reprobound.estimator import (
 )
 from reprobound.noise_model import QubitNoiseParams, gamma_of, hellinger_1q
 from reprobound.sampler import ExperimentPlan, PlanQubit, RunArchive, run_plan
+
+# The position of each characterization.csv column, by name.
+COLUMN = {name: i for i, name in enumerate(CSV_COLUMNS)}
 
 THETA_HAT_REFERENCE = 0.021283022167392  # 0.5 * asin(0.04 / 0.94)
 
@@ -268,7 +272,6 @@ class TestCharacterize:
         est = characterize(make_archive(QubitNoiseParams(0.9, 0.8, 0.05)))[0]
         assert est.eps_mean == est.f0_mean - est.f1_mean
         assert est.f_mean == (est.f0_mean + est.f1_mean) / 2
-        assert est.theta_hat_deg == math.degrees(est.theta_hat)
         assert (est.theta_hat, "") == invert_theta(est.gamma_hat, est.f0_mean - est.f1_mean, (est.f0_mean + est.f1_mean) / 2)
         assert est.warnings == ()
         assert est.eps_sigma >= 0.0 and est.d_sigma >= 0.0
@@ -363,8 +366,7 @@ class TestCharacterizationCsv:
         loaded = read_characterization_csv(path)
         assert loaded == estimates
 
-    # Columns 7 and 8 are theta_hat_rad and theta_hat_deg.
-    @pytest.mark.parametrize("column,value", [(8, "45.0"), (8, "nan"), (8, "inf"), (7, "nan")])
+    @pytest.mark.parametrize("column,value", [(COLUMN["theta_hat_rad"], v) for v in ("0.3", "inf", "nan")])
     def test_edited_angle_rejected(self, tmp_path, column, value):
         archive = make_archive(QubitNoiseParams(0.98, 0.91, 0.02), L=5, S=64, seed=13)
         path = tmp_path / "characterization.csv"
@@ -373,12 +375,11 @@ class TestCharacterizationCsv:
         cells = row.split(",")
         cells[column] = value
         path.write_text(f"{header}\n{','.join(cells)}\n")
-        # Each column is checked against the value that the row's independent cells give.
-        named = "theta_hat_rad" if column == 7 else "theta_hat_deg"
-        with pytest.raises(ConfigError, match=f"{path}: line 2: {named}="):
+        # The angle is checked against the value that the row's independent cells give.
+        with pytest.raises(ConfigError, match=f"{path}: line 2: theta_hat_rad="):
             read_characterization_csv(path)
 
-    # Column 13 is warnings: a note no inversion made, and a clamp's note cleared.
+    # A note no inversion made, and a clamp's note cleared.
     @pytest.mark.parametrize(
         "sign,note", [(0, "edited note"), (1, ""), (-1, "")], ids=["made-up", "cleared", "cleared-negative"]
     )
@@ -391,13 +392,12 @@ class TestCharacterizationCsv:
         # A clamp's note holds commas, so the row is edited as CSV.
         with open(path, newline="") as fh:
             header, cells = csv.reader(fh)
-        cells[13] = note
+        cells[COLUMN["warnings"]] = note
         write_csv(path, header, [cells])
         with pytest.raises(ConfigError, match=f"{path}: line 2: warnings="):
             read_characterization_csv(path)
 
-    # Columns 3, 5 and 8 are eps_mean, f_mean and theta_hat_deg.
-    @pytest.mark.parametrize("column,named", [(3, "eps_mean"), (5, "f_mean"), (8, "theta_hat_deg")])
+    @pytest.mark.parametrize("column,named", [(COLUMN[n], n) for n in ("eps_mean", "f_mean", "theta_hat_rad")])
     def test_derived_column_one_ulp_off_rejected(self, tmp_path, column, named):
         archive = make_archive(QubitNoiseParams(0.98, 0.91, 0.02), L=5, S=64, seed=13)
         path = tmp_path / "characterization.csv"
@@ -422,7 +422,7 @@ class TestCharacterizationCsv:
 class TestEstimateFields:
     def test_fields_hold_no_derived_value(self):
         names = set(CharacterizationEstimate._fields)
-        assert not names & {"eps_mean", "f_mean", "theta_hat", "theta_hat_deg", "warnings"}
+        assert not names & {"eps_mean", "f_mean", "theta_hat", "warnings"}
 
     def test_fields_are_the_independent_values(self):
         assert CharacterizationEstimate._fields == (

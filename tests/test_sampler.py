@@ -107,6 +107,12 @@ class TestPlanValidation:
         with pytest.raises(InvalidParameterError):
             make_plan([PERFECT], L=1)
 
+    def test_rejects_no_qubits(self):
+        # A config or manifest whose qubits are empty is stopped before a plan
+        # is built; the plan holds the rule for library callers too.
+        with pytest.raises(InvalidParameterError, match="^plan needs at least one qubit$"):
+            ExperimentPlan(L=2, S=1, qubits=(), seed=0)
+
     def test_rejects_duplicate_indices(self):
         with pytest.raises(InvalidParameterError, match="^qubit 0 appears more than once$"):
             ExperimentPlan(L=2, S=4, qubits=(PlanQubit(0, PERFECT), PlanQubit(0, NOISY)), seed=1)
